@@ -18,9 +18,14 @@
 
 use csmaprobe_bench::figures::{self, FigureDef};
 use csmaprobe_bench::report::FigureReport;
+use csmaprobe_core::engine;
 use csmaprobe_desim::replicate;
 
 fn main() {
+    if let Err(e) = engine::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let opts = csmaprobe_bench::cli_options();
 
     if opts.list {

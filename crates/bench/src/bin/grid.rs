@@ -53,6 +53,7 @@ use csmaprobe_bench::campaign::CampaignManifest;
 use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains, BiasGrid, GridRow};
 use csmaprobe_bench::report::{row_cell, RowSink};
 use csmaprobe_bench::trend::host_fingerprint;
+use csmaprobe_core::engine;
 use csmaprobe_core::grid::{shard_members, GridRunner, GridScenario, ShardSpec};
 use csmaprobe_desim::replicate;
 
@@ -371,6 +372,7 @@ fn list(grid: &BiasGrid, opts: &Options) -> ! {
 }
 
 fn main() {
+    engine::check_env().unwrap_or_else(|e| fail(e));
     let opts = parse_options();
 
     if opts.merge {

@@ -1,24 +1,21 @@
 //! Tier equivalence — the engine-stack contract, as a figure: across
-//! the steady-state regime matrix the slot-quantised kernel reproduces
-//! the event core **bit for bit** (same seed, same trajectory), and the
-//! analytic tier lands within its documented 5 % band — the Bianchi
-//! model on saturated symmetric cells, the non-saturated fixed point on
-//! the certified finite-load cells.
+//! the steady-state regime matrix the analytic tier lands within its
+//! documented 5 % band of the simulator — the Bianchi model on
+//! saturated symmetric cells, the non-saturated fixed point on the
+//! certified finite-load cells.
 //!
 //! The analytic comparison for finite-load cells runs a seed-averaged
 //! event mean: a fixed point is a long-run expectation, while one
 //! finite Poisson window carries several percent of arrival noise, so
-//! gating on a single seed would measure the oracle's variance rather
-//! than the model's error.
+//! gating on a single seed would measure the simulator's variance
+//! rather than the model's error.
 //!
-//! This is the cheap, always-regenerated companion of the KS harness in
-//! `tests/tier_equivalence.rs`: the harness proves distributional
-//! equivalence on disjoint seed sets; this figure pins trajectory
-//! equivalence per regime and publishes the per-regime deltas into
-//! `EXPERIMENTS.md`.
+//! This is the cheap, always-regenerated companion of the tolerance
+//! rows in `tests/tier_equivalence.rs`: it publishes the per-regime
+//! deltas into `EXPERIMENTS.md`.
 
 use crate::report::FigureReport;
-use crate::tier::{regime_matrix, TierRegime};
+use crate::tier::regime_matrix;
 use csmaprobe_core::engine::{self, EngineTier};
 use csmaprobe_desim::time::Dur;
 
@@ -27,22 +24,20 @@ fn total_mbps(p: &csmaprobe_core::link::SteadyPoint) -> f64 {
 }
 
 /// Event seeds averaged into the analytic comparison on finite-load
-/// cells (the first one is also the trajectory-compare seed).
+/// cells (the first one is also the single-seed reference elsewhere).
 const EVENT_REPS: u64 = 8;
 
 /// Run the experiment. `scale` multiplies measurement duration.
 pub fn run(scale: f64, seed: u64) -> FigureReport {
     let mut rep = FigureReport::new(
         "tier_equivalence",
-        "Engine tiers vs the event-core oracle across the regime matrix",
-        "slotted kernel bit-identical to the event core on every covered regime; \
-         analytic tier within 5% of the event core on saturated symmetric cells \
+        "Analytic tier vs the simulator across the regime matrix",
+        "analytic tier within 5% of the simulator on saturated symmetric cells \
          and certified finite-load cells (seed-averaged event mean)",
         &[
             "contenders",
             "ri_mbps",
             "event_mbps",
-            "slotted_mbps",
             "analytic_mbps",
             "analytic_rel_err",
         ],
@@ -51,8 +46,6 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     let duration = Dur::from_secs_f64((4.0 * scale).clamp(0.4, 30.0));
     let regimes = regime_matrix();
 
-    let mut slotted_exact = true;
-    let mut slotted_detail = String::from("all covered regimes bit-identical");
     let mut sat_ok = true;
     let mut sat_worst = 0.0f64;
     let mut nonsat_ok = true;
@@ -61,24 +54,9 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     for r in &regimes {
         let event = r
             .steady_with_tier(EngineTier::Event, duration, seed)
-            .expect("event tier covers everything");
-        let slotted = r.steady_with_tier(EngineTier::Slotted, duration, seed);
+            .expect("the simulator covers everything");
         let analytic = r.steady_with_tier(EngineTier::Analytic, duration, seed);
 
-        if let Some(s) = &slotted {
-            let exact = s.output_rate_bps == event.output_rate_bps
-                && s.contending_bps == event.contending_bps
-                && s.fifo_cross_bps == event.fifo_cross_bps;
-            if !exact && slotted_exact {
-                slotted_exact = false;
-                slotted_detail = format!(
-                    "{}: slotted {:.6} vs event {:.6} Mb/s",
-                    r.name,
-                    total_mbps(s),
-                    total_mbps(&event)
-                );
-            }
-        }
         // Which analytic model serves this cell decides the event
         // reference: saturated cells are load-independent (one seed is
         // representative); finite-load cells compare against a
@@ -89,7 +67,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
             for k in 1..EVENT_REPS {
                 let p = r
                     .steady_with_tier(EngineTier::Event, duration, seed + k)
-                    .expect("event tier covers everything");
+                    .expect("the simulator covers everything");
                 acc += total_mbps(&p);
             }
             acc / EVENT_REPS as f64
@@ -112,26 +90,15 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
             r.contenders as f64,
             r.ri_bps / 1e6,
             event_ref,
-            slotted.as_ref().map(total_mbps).unwrap_or(f64::NAN),
             analytic.as_ref().map(total_mbps).unwrap_or(f64::NAN),
             analytic_rel.unwrap_or(f64::NAN),
         ]);
     }
 
-    let slotted_count = regimes
-        .iter()
-        .filter(|r: &&TierRegime| r.covered_by(EngineTier::Slotted))
-        .count();
     rep.scalar("regimes", regimes.len() as f64);
-    rep.scalar("slotted_covered", slotted_count as f64);
     rep.scalar("analytic_worst_rel_err", sat_worst.max(nonsat_worst));
     rep.scalar("nonsat_worst_rel_err", nonsat_worst);
 
-    rep.check(
-        "slotted tier bit-identical to event core",
-        slotted_exact,
-        slotted_detail,
-    );
     rep.check(
         "analytic tier within 5% on saturated cells",
         sat_ok,

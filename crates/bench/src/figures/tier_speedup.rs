@@ -1,6 +1,6 @@
-//! Tier speedup — what the tiered engine buys: wall-clock time of the
-//! event core vs the slot-quantised kernel vs the analytic tier on
-//! representative steady-state cells.
+//! Tier speedup — what the analytic tier buys: wall-clock time of the
+//! simulator vs the analytic tier on representative steady-state
+//! cells, and across a finite-load rate-response sweep.
 //!
 //! Timings go into the report's non-deterministic `wallclock` channel
 //! (and, via the scheduler's `elapsed_s`, into `BENCH_history.jsonl`),
@@ -8,112 +8,58 @@
 //! `experiments.json` byte-for-byte modulo exactly those fields. The
 //! pass/fail checks only assert *robust* margins — the analytic tier
 //! replaces a multi-second simulation with a fixed-point solve, so its
-//! ≥10× margin holds on any host; the slotted kernel's gain is
-//! reported but only required not to regress the result itself.
-//!
-//! The **batched leg** times a whole replication chunk (CHUNK = 32
-//! lanes, the grid engine's chunk width) of probe trains through one
-//! [`BatchedSlottedSim`](csmaprobe_mac::BatchedSlottedSim) call
-//! against the same chunk as 32 scalar slotted kernel calls. Its hard
-//! gates are deterministic — bit-identity (every lane equals its
-//! scalar run) and full regime coverage; the measured chunk speedup —
-//! bounded well below the naive "32 event loops collapse into one"
-//! intuition, because a bit-identical kernel still pays every lane's
-//! mandatory RNG draws and queue operations — is reported **only** in
-//! the wallclock channel (EXPERIMENTS.md derives the ~2× per-event
-//! floor). Check outcomes are part of the byte-compared deterministic
-//! payload, so no check may gate on a timing: a sub-millisecond margin
-//! flips under the determinism suite's 8× oversubscribed leg. The
-//! perf trajectory (`BENCH_history.jsonl` via `elapsed_s`, which
-//! includes this leg) is what watches for wall-clock regressions.
+//! ≥10× margin holds on any host. Check outcomes are part of the
+//! byte-compared deterministic payload, so no check may gate on a
+//! host-dependent timing: a sub-millisecond margin flips under the
+//! determinism suite's 8× oversubscribed leg. The perf trajectory
+//! (`BENCH_history.jsonl` via `elapsed_s`) is what watches for
+//! wall-clock regressions.
 
 use crate::report::FigureReport;
 use crate::tier::regime_matrix;
 use csmaprobe_core::engine::{self, EngineTier};
-use csmaprobe_core::link::{LinkConfig, SteadyPoint, TrainObservation, WlanLink};
+use csmaprobe_core::link::{LinkConfig, SteadyPoint, WlanLink};
 use csmaprobe_desim::time::Dur;
-use csmaprobe_traffic::probe::ProbeTrain;
-
-/// Lanes per batched chunk — the grid engine's replication chunk width.
-const CHUNK: usize = 32;
-
-/// Bit-level equality of two train observations (no `PartialEq` on the
-/// type: f64 fields compare by bits here, NaN-safe).
-fn obs_bits_equal(a: &TrainObservation, b: &TrainObservation) -> bool {
-    a.arrivals == b.arrivals
-        && a.rx_times == b.rx_times
-        && a.g_i == b.g_i
-        && a.bytes == b.bytes
-        && match (&a.access_delays, &b.access_delays) {
-            (Some(x), Some(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-            }
-            (None, None) => true,
-            _ => false,
-        }
-}
 
 /// Run the experiment. `scale` multiplies measurement duration.
 pub fn run(scale: f64, seed: u64) -> FigureReport {
     let mut rep = FigureReport::new(
         "tier_speedup",
-        "Wall-clock speedup of the fast engine tiers over the event core",
-        "analytic tier >= 10x faster than the event core on saturated cells \
-         (the 10-100x tiering claim); slotted kernel faster at equal output",
-        &["contenders", "ri_mbps", "event_mbps", "fast_tier_mbps"],
+        "Wall-clock speedup of the analytic tier over the simulator",
+        "analytic tier >= 10x faster than the simulator on saturated cells \
+         (the 10-100x tiering claim)",
+        &["contenders", "ri_mbps", "event_mbps", "analytic_mbps"],
     );
 
     let duration = Dur::from_secs_f64((6.0 * scale).clamp(0.6, 30.0));
     let mut analytic_speedup_min = f64::INFINITY;
-    let mut slotted_speedup = f64::NAN;
-    let mut outputs_match = true;
 
     for r in regime_matrix() {
-        // Each cell's fast tier is the cheapest covered one — exactly
-        // what the router would pick in Auto mode.
-        let fast = if r.covered_by(EngineTier::Analytic) {
-            EngineTier::Analytic
-        } else {
-            EngineTier::Slotted
-        };
-        if !r.covered_by(fast) {
+        // Only analytic-covered cells have a faster tier to time; the
+        // router leaves the rest on the simulator.
+        if !r.covered_by(EngineTier::Analytic) {
             continue;
         }
         let (event, event_s) = r
             .timed_steady(EngineTier::Event, duration, seed)
-            .expect("event tier covers everything");
-        let (point, fast_s) = r.timed_steady(fast, duration, seed).expect("covered");
+            .expect("the simulator covers everything");
+        let (point, fast_s) = r
+            .timed_steady(EngineTier::Analytic, duration, seed)
+            .expect("covered");
 
         let speedup = event_s / fast_s.max(1e-9);
         rep.wallclock(&format!("{}_event_s", r.name), event_s);
         rep.wallclock(&format!("{}_fast_s", r.name), fast_s);
         rep.wallclock(&format!("{}_speedup", r.name), speedup);
 
-        match fast {
-            EngineTier::Analytic => {
-                // Only the saturated cells enter the gated minimum: there
-                // the event core must simulate seconds of a fully loaded
-                // channel, so the 100-200x margin is structural. The
-                // finite-load cells simulate mostly idle air — the event
-                // core finishes them in fractions of a millisecond, and
-                // their 0.3-10x factors are trajectory data (wallclock
-                // channel), not a robust gate.
-                if engine::saturation_covers(r.link.config(), r.ri_bps) {
-                    analytic_speedup_min = analytic_speedup_min.min(speedup);
-                }
-            }
-            EngineTier::Slotted => {
-                // One representative slotted cell is enough for the
-                // trend record; keep the first (the matrix orders it
-                // light-to-heavy).
-                if slotted_speedup.is_nan() {
-                    slotted_speedup = speedup;
-                }
-                if point.output_rate_bps != event.output_rate_bps {
-                    outputs_match = false;
-                }
-            }
-            EngineTier::Event => unreachable!(),
+        // Only the saturated cells enter the gated minimum: there the
+        // simulator must run seconds of a fully loaded channel, so the
+        // 100-200x margin is structural. The finite-load cells simulate
+        // mostly idle air — the simulator finishes them in fractions of
+        // a millisecond, and their 0.3-10x factors are trajectory data
+        // (wallclock channel), not a robust gate.
+        if engine::saturation_covers(r.link.config(), r.ri_bps) {
+            analytic_speedup_min = analytic_speedup_min.min(speedup);
         }
 
         rep.row(vec![
@@ -123,50 +69,6 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
             point.output_rate_bps / 1e6,
         ]);
     }
-
-    rep.wallclock("slotted_speedup", slotted_speedup);
-
-    // ---- batched leg: one CHUNK-wide kernel call vs CHUNK scalar
-    // slotted calls, on every slotted-covered multi-replication cell ----
-    let train = ProbeTrain::from_rate((40.0 * scale).clamp(12.0, 120.0) as usize, 1500, 8e6);
-    let mut chunks_identical = true;
-    let mut chunks_compared = 0usize;
-    let mut batch_worst_ratio = 0.0f64;
-    for r in regime_matrix() {
-        if r.covered_by(EngineTier::Analytic) || !r.covered_by(EngineTier::Slotted) {
-            // The analytic cells have no multi-replication simulation
-            // to batch; everything else in the matrix is slotted-covered.
-            continue;
-        }
-        let seeds: Vec<u64> = (0..CHUNK as u64).map(|l| seed ^ (l << 32) | l).collect();
-        let (scalar_obs, scalar_s) = r
-            .timed_train_chunk(train, &seeds, false)
-            .expect("slotted-covered");
-        let (batch_obs, batch_s) = r
-            .timed_train_chunk(train, &seeds, true)
-            .expect("slotted-covered");
-        if scalar_obs.len() != batch_obs.len()
-            || !scalar_obs
-                .iter()
-                .zip(&batch_obs)
-                .all(|(a, b)| obs_bits_equal(a, b))
-        {
-            chunks_identical = false;
-        }
-        chunks_compared += 1;
-        batch_worst_ratio = batch_worst_ratio.max(batch_s / scalar_s.max(1e-9));
-        rep.wallclock(&format!("{}_chunk_scalar_s", r.name), scalar_s);
-        rep.wallclock(&format!("{}_chunk_batch_s", r.name), batch_s);
-        rep.wallclock(
-            &format!("{}_chunk_speedup", r.name),
-            scalar_s / batch_s.max(1e-9),
-        );
-    }
-    // Worst batch/scalar ratio across the batched regimes — trajectory
-    // data only. Gating a check on this flips under oversubscription
-    // (sub-millisecond legs, 8 workers on 2 cores) and would break the
-    // byte-compared determinism contract on the check outcome.
-    rep.wallclock("chunk_batch_worst_ratio", batch_worst_ratio);
 
     // ---- finite-load rate-response sweep leg: the paper's Fig 1 curve
     // across the knee (probe 0.5–6 Mb/s vs one 4.5 Mb/s Poisson
@@ -228,32 +130,11 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
             .into(),
     );
     rep.check(
-        "fast tiers preserve the probe output",
-        outputs_match,
-        "slotted cells bit-identical to the event core".into(),
-    );
-    rep.check(
-        "batched chunk bit-identical to scalar slotted lanes",
-        chunks_identical,
-        format!("{CHUNK}-lane kernel call vs {CHUNK} scalar runs, every field compared by bits"),
-    );
-    rep.check(
-        "batched leg covers every slotted-only regime",
-        chunks_compared == 2,
-        format!(
-            "{chunks_compared} regimes batched (the matrix's 2 slotted-covered, \
-             non-analytic cells — `fifo-1` and `mixed-2`; the finite-load tier now \
-             serves the old light/knee cells); the measured ~1.2-1.9x chunk speedup \
-             lives in the wallclock field only — a bit-identical kernel's per-event \
-             cost is RNG- and queue-bound, capping the win near 2x (EXPERIMENTS.md)"
-        ),
-    );
-    rep.check(
         "knee sweep: every finite-load cell carries the convergence certificate",
         sweep_certified,
         format!(
             "{} rate points across the knee, all analytic-covered \
-             (auto routes the whole curve off the simulators)",
+             (auto routes the whole curve off the simulator)",
             sweep_rates.len()
         ),
     );

@@ -46,19 +46,6 @@ impl ProbeTarget for GridTarget {
         }
     }
 
-    fn probe_train_batch(
-        &self,
-        train: csmaprobe_traffic::probe::ProbeTrain,
-        seeds: &[u64],
-    ) -> Vec<TrainObservation> {
-        // Forward so a WLAN link's batched slotted kernel serves whole
-        // chunks (the trait default would loop the scalar path).
-        match self {
-            GridTarget::Wired(l) => l.probe_train_batch(train, seeds),
-            GridTarget::Wlan(l) => l.probe_train_batch(train, seeds),
-        }
-    }
-
     fn probe_sequence(&self, offsets: &[Dur], bytes: u32, seed: u64) -> TrainObservation {
         match self {
             GridTarget::Wired(l) => l.probe_sequence(offsets, bytes, seed),
@@ -532,8 +519,8 @@ pub struct GridRow {
     /// True available bandwidth of the link, bits/s.
     pub available_bps: f64,
     /// Engine-tier provenance: which engine served this cell's probes
-    /// (`event`/`slotted`/`analytic` for WLAN links as resolved by the
-    /// router, `fifo` for wired links, which have no DCF engine).
+    /// (`event` for WLAN links as resolved by the router, `fifo` for
+    /// wired links, which have no DCF engine).
     pub tier: &'static str,
     /// The producing run's configuration fingerprint
     /// ([`BiasGrid::fingerprint`]): resume refuses to mix rows from a
@@ -804,31 +791,6 @@ impl GridScenario for BiasGrid {
         }
     }
 
-    fn replicate_chunk(
-        &self,
-        coord: &[usize],
-        range: std::ops::Range<usize>,
-        acc: &mut EstimateAcc,
-    ) {
-        // Same seed chain as `replicate`, a whole chunk at a time: train
-        // cells forward to [`ToolProbe::estimate_batch`], so a slotted
-        // WLAN cell runs its chunk as one batched-kernel call. The
-        // contract (element k ≡ `estimate_once(seeds[k])`) plus the
-        // ascending fold keeps rows bit-identical to the scalar path.
-        let s = derive_seed(self.seed, fnv1a(&self.key_of(self.shape().flatten(coord))));
-        let seeds: Vec<u64> = range.map(|rep| derive_seed(s, rep as u64)).collect();
-        for est in self
-            .tool_probe(coord)
-            .estimate_batch(&self.targets[coord[0]], &seeds)
-        {
-            if est.is_finite() {
-                acc.est.push(est);
-            } else {
-                acc.failed += 1;
-            }
-        }
-    }
-
     fn finish(&self, coord: &[usize], acc: EstimateAcc) -> GridRow {
         GridRow {
             cell: self.shape().flatten(coord),
@@ -858,6 +820,13 @@ mod tests {
     use super::*;
     use crate::report::row_key;
     use csmaprobe_core::grid::run_grid;
+
+    /// Hold the engine policy at auto: run fingerprints fold the
+    /// process-wide policy in, and another test in this binary pins a
+    /// forced policy while it runs.
+    fn auto_policy() -> csmaprobe_core::engine::PolicyOverride {
+        csmaprobe_core::engine::test_guard(csmaprobe_core::engine::EnginePolicy::Auto)
+    }
 
     #[test]
     fn catalogs_parse_and_reject() {
@@ -928,6 +897,7 @@ mod tests {
 
     #[test]
     fn inline_specs_fold_into_the_run_fingerprint() {
+        let _policy = auto_policy();
         let grid_of = |links: &str| {
             BiasGrid::new(
                 parse_links(links).unwrap(),
@@ -1020,6 +990,7 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_configuration_and_round_trips() {
+        let _policy = auto_policy();
         let base = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],
@@ -1073,17 +1044,16 @@ mod tests {
             let _g = test_guard(EnginePolicy::Forced(EngineTier::Event));
             (make().fingerprint(), run_grid(&make()))
         };
-        // wlan_low is a certified FIFO-free cell: auto promotes its
-        // trains to the slotted kernel, forced-event pins the oracle.
-        // The rows record that provenance, and the run fingerprint
-        // splits — resume refuses to mix the two populations even
-        // though the kernel is trajectory-exact.
+        // Trains run on the simulator under every policy, so the WLAN
+        // rows carry `event` either way; the run fingerprint still
+        // splits on the policy token, so resume refuses to mix rows
+        // written under different policies.
         assert_ne!(
             auto_fp, event_fp,
             "engine policy must split the fingerprint"
         );
         assert_eq!(auto_rows[0].tier, "fifo");
-        assert_eq!(auto_rows[1].tier, "slotted");
+        assert_eq!(auto_rows[1].tier, "event");
         assert_eq!(event_rows[1].tier, "event");
         for row in &auto_rows {
             assert!(
@@ -1093,7 +1063,7 @@ mod tests {
                 row.to_json()
             );
         }
-        // Provenance, not data: the promoted kernel is bit-exact.
+        // Provenance, not data: both policies ran the same simulation.
         assert_eq!(
             auto_rows[1].mean_bps.to_bits(),
             event_rows[1].mean_bps.to_bits()
@@ -1102,17 +1072,22 @@ mod tests {
         // config: rows written under an older router (same policy
         // token, different coverage rules) can never resume into this
         // one.
+        let desc = make().config_desc();
+        let router = format!(";router={}", csmaprobe_core::engine::ROUTER_REVISION);
         assert!(
-            make().config_desc().contains(&format!(
-                ";router={}",
-                csmaprobe_core::engine::ROUTER_REVISION
-            )),
+            desc.contains(&router),
             "router revision missing from the run-config description"
         );
+        // A fingerprint built under the previous revision (the one that
+        // still routed trains to the retired slotted kernel) does not
+        // match, so its rows cannot resume into this run.
+        let old = fnv1a(&desc.replace(&router, ";router=r2-nonsat"));
+        assert_ne!(old, auto_fp, "r2-nonsat rows must not resume into r3");
     }
 
     #[test]
     fn shard_fingerprint_splits_on_the_spec_but_run_fingerprint_does_not() {
+        let _policy = auto_policy();
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],
@@ -1187,6 +1162,7 @@ mod tests {
 
     #[test]
     fn sharded_rows_merge_to_the_unsharded_table_byte_for_byte() {
+        let _policy = auto_policy();
         use crate::report::RowSink;
         let make = || {
             BiasGrid::new(
@@ -1233,6 +1209,7 @@ mod tests {
 
     #[test]
     fn grid_rows_deterministic_across_runs() {
+        let _policy = auto_policy();
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],

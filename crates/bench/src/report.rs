@@ -708,9 +708,9 @@ mod tests {
         let mut r = FigureReport::new("f", "t", "p", &["x"]);
         assert!(!r.to_json().contains("wallclock"));
         r.wallclock("event_s", 0.5);
-        r.wallclock("slotted_s", 0.25);
+        r.wallclock("analytic_s", 0.25);
         let j = r.to_json();
-        assert!(j.contains("\"wallclock\":[[\"event_s\",0.5],[\"slotted_s\",0.25]]"));
+        assert!(j.contains("\"wallclock\":[[\"event_s\",0.5],[\"analytic_s\",0.25]]"));
         // It must never leak into the deterministic scalar channel.
         assert!(j.contains("\"scalars\":[]"));
     }

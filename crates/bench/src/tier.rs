@@ -4,18 +4,16 @@
 //!
 //! The router (`csmaprobe_core::engine`) decides *globally* which tier
 //! serves a cell; this module instead runs a cell on a **named** tier
-//! so the tier-equivalence and tier-speedup figures (and the KS harness
-//! in `tests/tier_equivalence.rs`) can compare tiers side by side
-//! without mutating the process-wide engine policy — figures run
-//! concurrently on the shared executor, so a global override here would
-//! leak into every other figure's routing.
+//! so the tier-equivalence and tier-speedup figures (and the
+//! fixed-point tolerance rows in `tests/tier_equivalence.rs`) can
+//! compare the analytic tier with the simulator side by side without
+//! mutating the process-wide engine policy — figures run concurrently
+//! on the shared executor, so a global override here would leak into
+//! every other figure's routing.
 
 use csmaprobe_core::engine::{self, EngineTier};
-use csmaprobe_core::link::{
-    CrossShape, CrossSpec, LinkConfig, SteadyPoint, TrainObservation, WlanLink,
-};
+use csmaprobe_core::link::{CrossShape, CrossSpec, LinkConfig, SteadyPoint, WlanLink};
 use csmaprobe_desim::time::Dur;
-use csmaprobe_traffic::probe::ProbeTrain;
 
 use crate::scenarios::FRAME;
 
@@ -43,18 +41,18 @@ impl TierRegime {
     }
 
     /// Does `tier` cover this cell? ([`EngineTier::Event`] covers
-    /// everything — it is the oracle.)
+    /// everything; the retired [`EngineTier::Slotted`] covers nothing.)
     pub fn covered_by(&self, tier: EngineTier) -> bool {
         match tier {
             EngineTier::Event => true,
-            EngineTier::Slotted => engine::slotted_covers(self.link.config()),
+            EngineTier::Slotted => false,
             EngineTier::Analytic => engine::analytic_covers(self.link.config(), self.ri_bps),
         }
     }
 
     /// Run this cell on an explicit tier. Returns `None` when the tier
     /// does not cover the cell (the router would fall back to the
-    /// event core there).
+    /// simulator there).
     pub fn steady_with_tier(
         &self,
         tier: EngineTier,
@@ -65,9 +63,8 @@ impl TierRegime {
             return None;
         }
         Some(match tier {
-            EngineTier::Event => self.link.steady_state_event(self.ri_bps, duration, seed),
-            EngineTier::Slotted => self.link.steady_state_slotted(self.ri_bps, duration, seed),
             EngineTier::Analytic => self.link.steady_state_analytic(self.ri_bps),
+            _ => self.link.steady_state_event(self.ri_bps, duration, seed),
         })
     }
 
@@ -82,34 +79,6 @@ impl TierRegime {
         let p = self.steady_with_tier(tier, duration, seed)?;
         Some((p, t0.elapsed().as_secs_f64()))
     }
-
-    /// Run a replication *chunk* of `train` probes on the slotted tier
-    /// — one scalar kernel call per seed, or one batched call for the
-    /// whole chunk — and report the per-lane observations plus the
-    /// wall-clock seconds. The two forms are bit-identical by the
-    /// batched kernel's contract; `tier_speedup`'s batched leg gates
-    /// exactly that plus a no-regression margin. `None` when the
-    /// slotted tier does not cover this cell.
-    pub fn timed_train_chunk(
-        &self,
-        train: ProbeTrain,
-        seeds: &[u64],
-        batched: bool,
-    ) -> Option<(Vec<TrainObservation>, f64)> {
-        if !self.covered_by(EngineTier::Slotted) {
-            return None;
-        }
-        let t0 = std::time::Instant::now();
-        let obs = if batched {
-            self.link.probe_train_slotted_batch(train, seeds)
-        } else {
-            seeds
-                .iter()
-                .map(|&s| self.link.probe_train_slotted(train, s))
-                .collect()
-        };
-        Some((obs, t0.elapsed().as_secs_f64()))
-    }
 }
 
 /// The regime matrix the tier figures sweep: offered loads below /
@@ -117,8 +86,8 @@ impl TierRegime {
 /// saturated symmetric cells (`analytic-*`, served by the Bianchi
 /// model) and the finite-load cells of the non-saturated fixed point's
 /// certified matrix (`nonsat-*`: sub-knee / knee / above-knee loads at
-/// 2–10 stations). Every cell is slotted-covered; `fifo-1` and
-/// `mixed-2` (CBR contender) are the simulation-only shapes.
+/// 2–10 stations). `fifo-1` and `mixed-2` (CBR contender) are the
+/// simulation-only shapes.
 pub fn regime_matrix() -> Vec<TierRegime> {
     vec![
         // Light load, one Poisson contender: identity region.
@@ -134,7 +103,7 @@ pub fn regime_matrix() -> Vec<TierRegime> {
             3_000_000.0,
         ),
         // Complete picture: contending + FIFO cross sharing the probe
-        // queue (the Fig 4 topology). Slotted-covered, not analytic.
+        // queue (the Fig 4 topology). Simulation only.
         TierRegime::new(
             "fifo-1",
             LinkConfig::default()
@@ -226,7 +195,7 @@ mod tests {
     fn matrix_exercises_every_tier() {
         let regimes = regime_matrix();
         assert!(regimes.iter().all(|r| r.covered_by(EngineTier::Event)));
-        assert!(regimes.iter().all(|r| r.covered_by(EngineTier::Slotted)));
+        assert!(!regimes.iter().any(|r| r.covered_by(EngineTier::Slotted)));
         let analytic: Vec<&str> = regimes
             .iter()
             .filter(|r| r.covered_by(EngineTier::Analytic))

@@ -5,7 +5,7 @@
 //! ones), and across figure-level concurrency (`--jobs`, which turns
 //! every figure into a task on the shared work-stealing executor) —
 //! modulo the wall-clock `elapsed_s` and `wallclock` fields. A second
-//! leg pins the engine router across all three policies:
+//! leg pins the engine router against its two forced policies:
 //! `CSMAPROBE_ENGINE=analytic` reproduces the auto payload byte for
 //! byte (auto promotes exactly what the tier certifies), and
 //! `CSMAPROBE_ENGINE=event` reproduces it on every figure except the
@@ -153,17 +153,17 @@ fn figure_lines(payload: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Engine-routing transparency, end to end, across all three policies:
+/// Engine-routing transparency, end to end: auto against each of the
+/// two forced policies.
 ///
 /// * **auto vs forced-analytic**: byte-identical (modulo timing
-///   fields) on the *whole* payload — auto promotes exactly the cells
-///   the analytic tier certifies, and the slotted kernel serving the
-///   rest is trajectory-exact, so forcing `analytic` is a provable
-///   no-op against auto.
+///   fields) on the *whole* payload — both route analytic exactly
+///   where the tier certifies a cell and run the simulator everywhere
+///   else, so forcing `analytic` is a provable no-op against auto.
 /// * **auto vs forced-event**: byte-identical on every figure except
 ///   `fig01` — the paper's rate-response sweep, whose Poisson
-///   finite-load cells the non-saturated fixed point now certifies, so
-///   auto takes the whole curve off the simulators. That figure MUST
+///   finite-load cells the non-saturated fixed point certifies, so
+///   auto takes the whole curve off the simulator. That figure MUST
 ///   differ (the promotion being a silent no-op would mean the fixed
 ///   point never engaged); its own 5 % tolerance gates live in the
 ///   oracle tests and the `tier_equivalence` figure, not here.

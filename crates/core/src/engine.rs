@@ -1,53 +1,39 @@
 //! The **tiered DCF engine** selector: route each measurement cell to
 //! the cheapest engine tier whose documented error bound covers it.
 //!
-//! Three tiers exist, cheapest last:
+//! Two tiers exist:
 //!
 //! | tier | implementation | covers |
 //! |------|----------------|--------|
-//! | `Event` | [`csmaprobe_mac::WlanSim`] | everything (the oracle) |
-//! | `Slotted` | [`csmaprobe_mac::SlottedSim`] | Poisson/CBR/trace flows, fixed frame sizes |
+//! | `Event` | [`csmaprobe_mac::WlanSim`] | everything (the one DCF kernel) |
 //! | `Analytic` | [`csmaprobe_mac::BianchiModel`] / [`csmaprobe_mac::NonSatModel`] | saturated symmetric cells / certified Poisson finite-load cells |
 //!
-//! The slotted kernel shares the event core's seeded RNG contract and
-//! is **trajectory-exact** on its covered regimes (bit-for-bit the same
-//! packet schedule per seed — pinned by `crates/mac/src/slotted.rs`
-//! unit tests and, distributionally on disjoint seeds, by the
-//! `tests/tier_equivalence.rs` KS harness). The analytic tier replaces
-//! simulation entirely and is only trusted for throughput scalars,
-//! within the tolerances pinned by `crates/mac/tests/bianchi_oracle.rs`
-//! (saturated symmetric cells, ±5 %) and
-//! `crates/mac/tests/bianchi_nonsat_oracle.rs` (certified Poisson
-//! finite-load cells, ±5 %); the finite-load fixed point additionally
-//! requires its per-cell convergence certificate
+//! The analytic tier replaces simulation entirely and is only trusted
+//! for throughput scalars, within the tolerances pinned by
+//! `crates/mac/tests/bianchi_oracle.rs` (saturated symmetric cells,
+//! ±5 %) and `crates/mac/tests/bianchi_nonsat_oracle.rs` (certified
+//! Poisson finite-load cells, ±5 %); the finite-load fixed point
+//! additionally requires its per-cell convergence certificate
 //! ([`nonsat_certified`]), so an unconverged cell can never leave the
-//! simulators.
+//! simulator. Every other cell — every probe train, probe sequence and
+//! uncovered steady cell — runs on `WlanSim`.
 //!
 //! # Selection policy
 //!
 //! The process-wide policy follows the `CSMAPROBE_ENGINE` environment
-//! variable at first use (`event`, `slotted`, `analytic`, or `auto`),
-//! overridable at runtime with [`set_policy`] — the same
-//! read-env-once-then-atomic pattern as the executor's
-//! `CSMAPROBE_WORKERS`.
+//! variable at first use (`auto`, `event` or `analytic`; anything else
+//! is refused by [`check_env`]), overridable at runtime with
+//! [`set_policy`] — the same read-env-once-then-atomic pattern as the
+//! executor's `CSMAPROBE_WORKERS`.
 //!
 //! * **Auto** (default): steady-state cells route to `Analytic` when
-//!   [`analytic_covers`] holds, else to `Slotted` when
-//!   [`slotted_covers`] holds, else `Event`. **Probe-train cells**
-//!   route to `Slotted` only on the regimes the EXPERIMENTS.md
-//!   statistical-equivalence table certifies for train access delays —
-//!   slotted-covered cells without FIFO cross-traffic
-//!   ([`train_slotted_certified`]); the FIFO-queue train leg has no
-//!   certified KS row yet and stays on the oracle, as does every
-//!   uncovered shape. Transient-regime figures make delicate per-index
-//!   distributional claims, so the gate is the measured table, not a
-//!   blanket pin in either direction.
-//! * **Forced `event`**: everything runs the oracle — the routing layer
-//!   is provably a no-op (`crates/bench/tests/determinism.rs`).
-//! * **Forced `slotted`**: trains and steady cells both use the kernel
-//!   where covered (uncovered cells still fall back to `Event` — a
-//!   forced tier never silently produces wrong numbers).
-//! * **Forced `analytic`**: analytic where covered, else `Event`.
+//!   [`analytic_covers`] holds, else to `Event`. Probe-train cells
+//!   always run on `Event`.
+//! * **Forced `event`**: everything runs the simulator — the routing
+//!   layer is provably a no-op on every figure but the analytic-served
+//!   fig01 (`crates/bench/tests/determinism.rs`).
+//! * **Forced `analytic`**: analytic where covered, else `Event` — the
+//!   same routing as auto.
 
 use crate::link::{CrossShape, LinkConfig};
 use csmaprobe_mac::{NonSatModel, NonSatStation};
@@ -57,9 +43,14 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// One engine tier, cheapest-to-most-expensive ordering not implied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineTier {
-    /// The event-driven oracle (`WlanSim`).
+    /// The DCF simulator (`WlanSim`).
     Event,
-    /// The slot-quantised kernel (`SlottedSim`).
+    /// Retired: the slot-quantised kernel this named is gone and no
+    /// route returns it. The variant stays only because the benchmark's
+    /// per-layer replay names it; [`set_policy`] treats
+    /// `Forced(Slotted)` as forced `Event` (an uncovered forced tier
+    /// falls back to the simulator). Delete with the next benchmark
+    /// revision.
     Slotted,
     /// Closed-form Bianchi saturation model.
     Analytic,
@@ -67,7 +58,7 @@ pub enum EngineTier {
 
 impl EngineTier {
     /// Stable lowercase token for provenance columns and fingerprints
-    /// (`event`, `slotted`, `analytic`).
+    /// (`event`, `analytic`; `slotted` for the retired variant).
     pub fn token(self) -> &'static str {
         match self {
             EngineTier::Event => "event",
@@ -89,54 +80,74 @@ pub enum EnginePolicy {
 const POLICY_UNSET: u8 = 0;
 const POLICY_AUTO: u8 = 1;
 const POLICY_EVENT: u8 = 2;
-const POLICY_SLOTTED: u8 = 3;
-const POLICY_ANALYTIC: u8 = 4;
+const POLICY_ANALYTIC: u8 = 3;
 
 /// Runtime override; `POLICY_UNSET` defers to the environment.
 static POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
 
+/// The values `CSMAPROBE_ENGINE` accepts.
+const POLICY_VALUES: &str = "auto|event|analytic";
+
+/// `CSMAPROBE_ENGINE` as a policy code: unset is auto, an unknown
+/// value is an error naming the accepted values.
+fn env_value() -> Result<u8, String> {
+    let Some(raw) = std::env::var_os("CSMAPROBE_ENGINE") else {
+        return Ok(POLICY_AUTO);
+    };
+    match raw.to_str() {
+        Some("auto") => Ok(POLICY_AUTO),
+        Some("event") => Ok(POLICY_EVENT),
+        Some("analytic") => Ok(POLICY_ANALYTIC),
+        _ => Err(format!(
+            "CSMAPROBE_ENGINE={raw:?} is not one of {POLICY_VALUES}"
+        )),
+    }
+}
+
+/// Validate `CSMAPROBE_ENGINE` up front. Entry points call this at
+/// start-up and exit with the message on `Err`, so a typo'd or retired
+/// value (`slotted`) is refused before any work runs instead of
+/// silently routing as `auto`.
+pub fn check_env() -> Result<(), String> {
+    env_value().map(|_| ())
+}
+
 fn env_policy() -> u8 {
     static ENV: OnceLock<u8> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        match std::env::var("CSMAPROBE_ENGINE").as_deref() {
-            Ok("event") => POLICY_EVENT,
-            Ok("slotted") => POLICY_SLOTTED,
-            Ok("analytic") => POLICY_ANALYTIC,
-            // Unknown values behave like auto rather than erroring:
-            // a measurement run must not die on a typo'd optimisation
-            // hint, and `auto` is always correct.
-            _ => POLICY_AUTO,
-        }
-    })
+    // Entry points refuse a bad value via `check_env` first; a library
+    // caller that skipped the check still fails loudly here.
+    *ENV.get_or_init(|| env_value().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Pin the process-wide engine policy (tests, tools). Passing
 /// [`EnginePolicy::Auto`] restores automatic routing; the
 /// `CSMAPROBE_ENGINE` environment variable is only consulted while no
-/// explicit policy has been set.
+/// explicit policy has been set. The retired
+/// `Forced(EngineTier::Slotted)` pins the simulator, like
+/// `Forced(EngineTier::Event)`.
 pub fn set_policy(policy: EnginePolicy) {
     let v = match policy {
         EnginePolicy::Auto => POLICY_AUTO,
-        EnginePolicy::Forced(EngineTier::Event) => POLICY_EVENT,
-        EnginePolicy::Forced(EngineTier::Slotted) => POLICY_SLOTTED,
+        EnginePolicy::Forced(EngineTier::Event | EngineTier::Slotted) => POLICY_EVENT,
         EnginePolicy::Forced(EngineTier::Analytic) => POLICY_ANALYTIC,
     };
     POLICY.store(v, Ordering::Relaxed);
 }
 
 /// Routing-rules revision, folded into run-config fingerprints next to
-/// [`policy_token`]: bumped whenever a coverage predicate changes what
-/// a policy *means* (r2: the finite-load fixed point extended
-/// `analytic_covers` beyond saturation). Two campaigns under the same
-/// `auto` token can still route cells differently across revisions;
-/// the revision token lets resume refuse that mix even when the
-/// per-cell tier resolution happens to agree.
-pub const ROUTER_REVISION: &str = "r2-nonsat";
+/// [`policy_token`]: bumped whenever a routing rule changes what a
+/// policy *means* (r2: the finite-load fixed point extended
+/// `analytic_covers` beyond saturation; r3: the slotted kernel was
+/// deleted and every simulated cell runs on `WlanSim`). Two campaigns
+/// under the same `auto` token can still route cells differently
+/// across revisions; the revision token lets resume refuse that mix
+/// even when the per-cell tier resolution happens to agree.
+pub const ROUTER_REVISION: &str = "r3-one-kernel";
 
 /// Stable lowercase token naming the active policy (`auto`, `event`,
-/// `slotted`, `analytic`) — folded into run-config fingerprints so
-/// resumable campaigns refuse to silently mix rows produced under
-/// different routing policies.
+/// `analytic`) — folded into run-config fingerprints so resumable
+/// campaigns refuse to silently mix rows produced under different
+/// routing policies.
 pub fn policy_token() -> &'static str {
     match policy() {
         EnginePolicy::Auto => "auto",
@@ -153,7 +164,6 @@ pub fn policy() -> EnginePolicy {
     };
     match v {
         POLICY_EVENT => EnginePolicy::Forced(EngineTier::Event),
-        POLICY_SLOTTED => EnginePolicy::Forced(EngineTier::Slotted),
         POLICY_ANALYTIC => EnginePolicy::Forced(EngineTier::Analytic),
         _ => EnginePolicy::Auto,
     }
@@ -186,23 +196,6 @@ pub fn test_guard(policy: EnginePolicy) -> PolicyOverride {
     PolicyOverride { _lock: lock }
 }
 
-fn shape_slotted(shape: CrossShape) -> bool {
-    matches!(shape, CrossShape::Poisson | CrossShape::Cbr)
-}
-
-/// Whether the slotted kernel's coverage claim holds for `cfg`: every
-/// cross flow (contending and FIFO) is Poisson or CBR with a fixed
-/// frame size — the regimes on which the kernel is trajectory-exact
-/// and the KS harness certifies distributional equivalence. On/off
-/// bursty shapes stay on the event core.
-pub fn slotted_covers(cfg: &LinkConfig) -> bool {
-    cfg.contending.iter().all(|s| shape_slotted(s.shape))
-        && cfg
-            .fifo_cross
-            .map(|s| shape_slotted(s.shape))
-            .unwrap_or(true)
-}
-
 /// Structural preconditions shared by both analytic models: no FIFO
 /// cross-traffic in the probe queue, at least one contender, and none
 /// of the MAC ablations (frame errors, RTS/CTS) the fixed points do
@@ -229,9 +222,11 @@ pub fn saturation_covers(cfg: &LinkConfig, ri_bps: f64) -> bool {
     if ri_bps < capacity {
         return false;
     }
-    cfg.contending
-        .iter()
-        .all(|s| shape_slotted(s.shape) && s.bytes == cfg.probe_bytes && s.rate_bps >= capacity)
+    cfg.contending.iter().all(|s| {
+        matches!(s.shape, CrossShape::Poisson | CrossShape::Cbr)
+            && s.bytes == cfg.probe_bytes
+            && s.rate_bps >= capacity
+    })
 }
 
 /// Whether the **finite-load** fixed point
@@ -242,7 +237,7 @@ pub fn saturation_covers(cfg: &LinkConfig, ri_bps: f64) -> bool {
 /// total, positive offered loads, and the same no-FIFO / no-ablation
 /// shape as the saturation tier. CBR or bursty contenders, asymmetric
 /// frame sizes and larger domains have no certified rows and stay on
-/// the simulators.
+/// the simulator.
 ///
 /// This is the *structural* predicate; actual routing additionally
 /// requires the solver's convergence certificate
@@ -276,8 +271,7 @@ pub fn nonsat_stations(cfg: &LinkConfig, ri_bps: f64) -> Vec<NonSatStation> {
 /// Whether the finite-load tier actually certifies this cell: it must
 /// be structurally covered ([`nonsat_covers`]) *and* the fixed point
 /// must converge with its residual certificate — a cell the solver
-/// refuses routes to a simulation tier, never to an uncertified
-/// number.
+/// refuses routes to the simulator, never to an uncertified number.
 pub fn nonsat_certified(cfg: &LinkConfig, ri_bps: f64) -> bool {
     nonsat_covers(cfg, ri_bps)
         && NonSatModel::solve(&cfg.phy, &nonsat_stations(cfg, ri_bps)).is_ok()
@@ -291,61 +285,22 @@ pub fn analytic_covers(cfg: &LinkConfig, ri_bps: f64) -> bool {
     saturation_covers(cfg, ri_bps) || nonsat_certified(cfg, ri_bps)
 }
 
-/// The tier a **steady-state** cell routes to under the active policy.
+/// The tier a **steady-state** cell routes to under the active policy:
+/// `Analytic` where [`analytic_covers`] holds (unless the simulator is
+/// forced), else `Event`.
 pub fn steady_tier(cfg: &LinkConfig, ri_bps: f64) -> EngineTier {
     match policy() {
         EnginePolicy::Forced(EngineTier::Event) => EngineTier::Event,
-        EnginePolicy::Forced(EngineTier::Slotted) => {
-            if slotted_covers(cfg) {
-                EngineTier::Slotted
-            } else {
-                EngineTier::Event
-            }
-        }
-        EnginePolicy::Forced(EngineTier::Analytic) => {
-            if analytic_covers(cfg, ri_bps) {
-                EngineTier::Analytic
-            } else {
-                EngineTier::Event
-            }
-        }
-        EnginePolicy::Auto => {
-            if analytic_covers(cfg, ri_bps) {
-                EngineTier::Analytic
-            } else if slotted_covers(cfg) {
-                EngineTier::Slotted
-            } else {
-                EngineTier::Event
-            }
-        }
-    }
-}
-
-/// Whether the EXPERIMENTS.md train-delay equivalence table certifies
-/// the slotted kernel for **probe-train** cells of this shape: the
-/// kernel must cover every flow ([`slotted_covers`]) *and* the probe
-/// queue must not be shared with FIFO cross-traffic. The KS rows
-/// backing this gate (`poisson-1`, `mixed-2` at train lengths 20 and
-/// 100, α = 0.01) all describe FIFO-free cells; the FIFO-queue train
-/// leg has no certified row, so it keeps the oracle until the table
-/// grows one.
-pub fn train_slotted_certified(cfg: &LinkConfig) -> bool {
-    slotted_covers(cfg) && cfg.fifo_cross.is_none()
-}
-
-/// The tier a **probe-train** cell routes to under the active policy.
-/// Auto promotes trains to the kernel only where the measured
-/// equivalence table certifies the regime
-/// ([`train_slotted_certified`]); a forced `slotted` policy moves
-/// every *covered* train cell onto the kernel (including FIFO cells —
-/// forcing is the explicit opt-out from the certification gate, but
-/// never from coverage).
-pub fn train_tier(cfg: &LinkConfig) -> EngineTier {
-    match policy() {
-        EnginePolicy::Forced(EngineTier::Slotted) if slotted_covers(cfg) => EngineTier::Slotted,
-        EnginePolicy::Auto if train_slotted_certified(cfg) => EngineTier::Slotted,
+        _ if analytic_covers(cfg, ri_bps) => EngineTier::Analytic,
         _ => EngineTier::Event,
     }
+}
+
+/// The tier a **probe-train** cell routes to: always `Event`, since no
+/// analytic model reproduces per-packet access delays. Kept as the one
+/// place callers that tally routing decisions per train ask.
+pub fn train_tier(_cfg: &LinkConfig) -> EngineTier {
+    EngineTier::Event
 }
 
 #[cfg(test)]
@@ -362,32 +317,27 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_steady_and_certified_trains_to_slotted() {
+    fn auto_keeps_trains_and_uncovered_steady_cells_on_event() {
         let _g = test_guard(EnginePolicy::Auto);
-        let cfg = steady_cfg();
-        // Certified finite-load steady cells now go all the way to the
-        // fixed point; an *uncertifiable shape* (CBR contender) is what
-        // exercises the steady slotted path.
-        assert_eq!(steady_tier(&cfg, 1.5e6), EngineTier::Analytic);
+        // Certified finite-load steady cells go to the fixed point; an
+        // uncertifiable shape (CBR contender) stays on the simulator.
+        assert_eq!(steady_tier(&steady_cfg(), 1.5e6), EngineTier::Analytic);
         let cbr = LinkConfig::default().contending(CrossSpec::shaped(2e6, CrossShape::Cbr));
-        assert_eq!(steady_tier(&cbr, 1.5e6), EngineTier::Slotted);
-        // FIFO-free covered cells are certified by the train-delay KS
-        // table and promote in auto mode…
-        assert!(train_slotted_certified(&cfg));
-        assert_eq!(train_tier(&cfg), EngineTier::Slotted);
-        // …but the FIFO-queue train leg has no certified row and keeps
-        // the oracle, even though the kernel *covers* the shape.
+        assert_eq!(steady_tier(&cbr, 1.5e6), EngineTier::Event);
+        // Trains never leave the simulator, FIFO cross-traffic or not.
+        assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
         let fifo = steady_cfg().fifo_cross_bps(1_500_000.0);
-        assert!(slotted_covers(&fifo));
-        assert!(!train_slotted_certified(&fifo));
         assert_eq!(train_tier(&fifo), EngineTier::Event);
     }
 
     #[test]
-    fn forced_slotted_still_covers_fifo_trains() {
+    fn retired_slotted_policy_acts_as_forced_event() {
         let _g = test_guard(EnginePolicy::Forced(EngineTier::Slotted));
-        let fifo = steady_cfg().fifo_cross_bps(1_500_000.0);
-        assert_eq!(train_tier(&fifo), EngineTier::Slotted);
+        assert_eq!(policy(), EnginePolicy::Forced(EngineTier::Event));
+        assert_eq!(policy_token(), "event");
+        assert_eq!(steady_tier(&saturated_cfg(), 9e6), EngineTier::Event);
+        assert_eq!(steady_tier(&steady_cfg(), 1.5e6), EngineTier::Event);
+        assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
     }
 
     #[test]
@@ -395,7 +345,6 @@ mod tests {
         for (p, tok) in [
             (EnginePolicy::Auto, "auto"),
             (EnginePolicy::Forced(EngineTier::Event), "event"),
-            (EnginePolicy::Forced(EngineTier::Slotted), "slotted"),
             (EnginePolicy::Forced(EngineTier::Analytic), "analytic"),
         ] {
             let _g = test_guard(p);
@@ -441,7 +390,7 @@ mod tests {
         // arrivals match the fixed point's queue model.
         let cbr = LinkConfig::default().contending(CrossSpec::shaped(2e6, CrossShape::Cbr));
         assert!(!nonsat_covers(&cbr, 1.5e6));
-        assert_eq!(steady_tier(&cbr, 1.5e6), EngineTier::Slotted);
+        assert_eq!(steady_tier(&cbr, 1.5e6), EngineTier::Event);
         // Asymmetric frame sizes, FIFO cross-traffic and idle probes
         // stay structural exclusions.
         let asym = LinkConfig::default().contending(CrossSpec::poisson_sized(2e6, 500));
@@ -450,13 +399,13 @@ mod tests {
         assert!(!nonsat_covers(&fifo, 1.5e6));
         assert!(!nonsat_covers(&steady_cfg(), 0.0));
         // Domains beyond the certified 10-station matrix keep the
-        // simulators.
+        // simulator.
         let mut big = LinkConfig::default();
         for _ in 0..10 {
             big = big.contending_bps(300_000.0);
         }
         assert!(!nonsat_covers(&big, 1.5e6));
-        assert_eq!(steady_tier(&big, 1.5e6), EngineTier::Slotted);
+        assert_eq!(steady_tier(&big, 1.5e6), EngineTier::Event);
     }
 
     #[test]
@@ -464,7 +413,7 @@ mod tests {
         let _g = test_guard(EnginePolicy::Auto);
         let cfg = LinkConfig::default()
             .contending(CrossSpec::shaped(2e6, CrossShape::ExpOnOff { duty: 0.3 }));
-        assert!(!slotted_covers(&cfg));
+        assert!(!analytic_covers(&cfg, 1.5e6));
         assert_eq!(steady_tier(&cfg, 1.5e6), EngineTier::Event);
     }
 
@@ -477,18 +426,12 @@ mod tests {
     }
 
     #[test]
-    fn forced_slotted_covers_trains_but_falls_back_when_uncovered() {
-        let _g = test_guard(EnginePolicy::Forced(EngineTier::Slotted));
-        assert_eq!(train_tier(&steady_cfg()), EngineTier::Slotted);
-        let bursty = LinkConfig::default().contending(CrossSpec::shaped(
-            2e6,
-            CrossShape::ParetoOnOff {
-                alpha: 1.5,
-                duty: 0.3,
-            },
-        ));
-        assert_eq!(train_tier(&bursty), EngineTier::Event);
-        assert_eq!(steady_tier(&bursty, 1e6), EngineTier::Event);
+    fn forced_analytic_routes_like_auto() {
+        let _g = test_guard(EnginePolicy::Forced(EngineTier::Analytic));
+        assert_eq!(steady_tier(&saturated_cfg(), 9e6), EngineTier::Analytic);
+        let cbr = LinkConfig::default().contending(CrossSpec::shaped(2e6, CrossShape::Cbr));
+        assert_eq!(steady_tier(&cbr, 1.5e6), EngineTier::Event);
+        assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
     }
 
     #[test]
@@ -502,9 +445,9 @@ mod tests {
         assert!(!analytic_covers(&asym, 9e6));
         // An idle channel (no contenders) is not a Bianchi system here:
         // the probe alone is the standalone-capacity calibration, which
-        // the simulators already answer exactly.
+        // the simulator already answers exactly.
         assert!(!analytic_covers(&LinkConfig::default(), 9e6));
-        // Frame errors / RTS are modelled only by the simulators.
+        // Frame errors / RTS are modelled only by the simulator.
         let err = {
             let mut c = saturated_cfg();
             c.mac = c.mac.with_frame_error_rate(0.1);

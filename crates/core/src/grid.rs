@@ -228,20 +228,6 @@ pub trait GridScenario: Sync {
     /// `(coord, rep)`.
     fn replicate(&self, coord: &[usize], rep: usize, acc: &mut Self::Acc);
 
-    /// Run a whole chunk of replications (`range`, always confined to
-    /// one cell-local [`CHUNK`](csmaprobe_desim::replicate::CHUNK)) of
-    /// the cell at `coord`. The default loops [`GridScenario::replicate`]
-    /// in ascending order; scenarios whose cells route to a
-    /// replication-batched kernel override this so the chunk executes
-    /// as one kernel call. **Contract:** must fold exactly what the
-    /// default loop would fold, in the same order — the runner's
-    /// bit-compatibility guarantees hinge on it.
-    fn replicate_chunk(&self, coord: &[usize], range: std::ops::Range<usize>, acc: &mut Self::Acc) {
-        for rep in range {
-            self.replicate(coord, rep, acc);
-        }
-    }
-
     /// Turn a fully-reduced cell into its row.
     fn finish(&self, coord: &[usize], acc: Self::Acc) -> Self::Row;
 }
@@ -338,9 +324,9 @@ impl GridRunner {
         }
         let coords: Vec<Vec<usize>> = cells.iter().map(|&f| shape.unflatten(f)).collect();
         let budgets: Vec<usize> = coords.iter().map(|c| grid.reps(c)).collect();
-        replicate::run_cells_emit_chunked(
+        replicate::run_cells_emit(
             &budgets,
-            |i, range, acc: &mut G::Acc| grid.replicate_chunk(&coords[i], range, acc),
+            |i, rep, acc: &mut G::Acc| grid.replicate(&coords[i], rep, acc),
             |i| grid.identity(&coords[i]),
             |a, b| a.merge(b),
             |i, acc| emit(cells[i], grid.finish(&coords[i], acc)),

@@ -28,11 +28,10 @@
 //!   streaming row emission in cell order and bit-identical per-cell
 //!   results for any worker count or scheduled subset (the resume
 //!   contract).
-//! * [`engine`] — the tiered DCF engine selector: routes each
-//!   steady-state/train cell to the cheapest engine tier (event-driven
-//!   oracle, slot-quantised kernel, or analytic Bianchi model) whose
-//!   documented error bound covers it; `CSMAPROBE_ENGINE` forces a
-//!   tier.
+//! * [`engine`] — the engine router: steady-state cells an analytic
+//!   model certifies (Bianchi saturation or the finite-load fixed
+//!   point) skip simulation, every other cell runs the DCF simulator;
+//!   `CSMAPROBE_ENGINE` (`auto|event|analytic`) forces a policy.
 //! * [`link`] — runnable link models: [`link::WlanLink`] (Fig 3: a
 //!   FIFO transmission queue feeding a CSMA/CA virtual scheduler, with
 //!   contending stations) and [`link::WiredLink`] (the classic FIFO

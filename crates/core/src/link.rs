@@ -24,8 +24,7 @@ use csmaprobe_desim::rng::{derive_seed, SimRng};
 use csmaprobe_desim::time::{Dur, Time};
 use csmaprobe_mac::options::MacOptions;
 use csmaprobe_mac::sim::{PacketRecord, StationId, WlanSim};
-use csmaprobe_mac::slotted::{SlottedFlow, SlottedSim};
-use csmaprobe_mac::{BatchedSlottedSim, BianchiModel, NonSatModel};
+use csmaprobe_mac::{BianchiModel, NonSatModel};
 use csmaprobe_phy::Phy;
 use csmaprobe_queueing::fifo::{fifo_serve, Job};
 use csmaprobe_traffic::probe::ProbeTrain;
@@ -95,29 +94,6 @@ impl CrossSpec {
             rate_bps,
             bytes: 1500,
             shape,
-        }
-    }
-
-    /// The slotted-kernel flow equivalent of [`CrossSpec::build`].
-    /// Only defined on the shapes the kernel covers
-    /// ([`crate::engine::slotted_covers`] gates every call site).
-    fn slotted_flow(&self, start: Time, until: Time, flow: u16) -> SlottedFlow {
-        match self.shape {
-            CrossShape::Poisson => SlottedFlow::Poisson {
-                rate_bps: self.rate_bps,
-                bytes: self.bytes,
-                flow,
-                start,
-                until,
-            },
-            CrossShape::Cbr => SlottedFlow::Cbr {
-                rate_bps: self.rate_bps,
-                bytes: self.bytes,
-                flow,
-                start,
-                until,
-            },
-            _ => unreachable!("slotted tier routed an uncovered cross shape"),
         }
     }
 
@@ -287,12 +263,13 @@ pub trait ProbeTarget: Sync {
     /// randomness of this replication.
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation;
 
-    /// Send the same probing train once per seed — one replication per
-    /// entry of `seeds`, returned in seed order. The default simply
-    /// loops [`ProbeTarget::probe_train`]; targets with a batched
-    /// kernel override this so a whole replication chunk executes as
-    /// one kernel call. **Contract:** element `k` must be bit-identical
-    /// to `probe_train(train, seeds[k])`.
+    /// Send the same probing train once per seed, returned in seed
+    /// order: element `k` is `probe_train(train, seeds[k])`.
+    ///
+    /// Retired: nothing in the program calls this any more (every
+    /// replication runs one [`ProbeTarget::probe_train`]); it stays only
+    /// because the benchmark's per-layer replay forwards it, and is to
+    /// be deleted with the next benchmark revision.
     fn probe_train_batch(&self, train: ProbeTrain, seeds: &[u64]) -> Vec<TrainObservation> {
         seeds.iter().map(|&s| self.probe_train(train, s)).collect()
     }
@@ -434,19 +411,17 @@ impl WlanLink {
     /// rates of every flow over the second half of the measurement
     /// window (the first half absorbs the probe's own transient).
     ///
-    /// Routed through the [`crate::engine`] tier selector: covered
-    /// cells run the slot-quantised kernel (trajectory-exact — same
-    /// seed, bit-identical point) or the analytic saturation model;
-    /// `CSMAPROBE_ENGINE=event` pins the event-core oracle.
+    /// Routed through the [`crate::engine`] tier selector: cells an
+    /// analytic model certifies get its point, every other cell runs
+    /// the simulator; `CSMAPROBE_ENGINE=event` pins the simulator.
     pub fn steady_state(&self, ri_bps: f64, duration: Dur, seed: u64) -> SteadyPoint {
         match engine::steady_tier(&self.cfg, ri_bps) {
-            EngineTier::Event => self.steady_state_event(ri_bps, duration, seed),
-            EngineTier::Slotted => self.steady_state_slotted(ri_bps, duration, seed),
             EngineTier::Analytic => self.steady_state_analytic(ri_bps),
+            _ => self.steady_state_event(ri_bps, duration, seed),
         }
     }
 
-    /// Event-core (oracle) steady-state measurement.
+    /// Simulated steady-state measurement.
     pub fn steady_state_event(&self, ri_bps: f64, duration: Dur, seed: u64) -> SteadyPoint {
         let start = Time::ZERO + self.cfg.warmup;
         let end = start + duration;
@@ -494,57 +469,6 @@ impl WlanLink {
         }
     }
 
-    /// Slotted-kernel steady-state measurement. Station layout, flow
-    /// order, seeds and window arithmetic replicate
-    /// [`WlanLink::steady_state_event`] exactly; because the kernel is
-    /// trajectory-exact on covered regimes the returned point is
-    /// bit-identical to the oracle's. The only intentional divergence
-    /// is the horizon: the oracle simulates a 2 s post-`end` tail whose
-    /// completions all fall outside the `(mid, end]` counting window,
-    /// so the kernel stops at `end`.
-    pub fn steady_state_slotted(&self, ri_bps: f64, duration: Dur, seed: u64) -> SteadyPoint {
-        debug_assert!(engine::slotted_covers(&self.cfg));
-        let start = Time::ZERO + self.cfg.warmup;
-        let end = start + duration;
-        let mut sim = SlottedSim::new(self.cfg.phy.clone(), seed).with_options(self.cfg.mac);
-
-        let probe_cbr = SlottedFlow::Cbr {
-            rate_bps: ri_bps,
-            bytes: self.cfg.probe_bytes,
-            flow: FLOW_PROBE,
-            start,
-            until: end,
-        };
-        let probe_flows = match &self.cfg.fifo_cross {
-            None => vec![probe_cbr],
-            Some(spec) => vec![
-                probe_cbr,
-                spec.slotted_flow(Time::ZERO, end, FLOW_FIFO_CROSS),
-            ],
-        };
-        let probe_station = sim.add_station(probe_flows);
-        let contending: Vec<StationId> = self
-            .cfg
-            .contending
-            .iter()
-            .map(|spec| sim.add_station(vec![spec.slotted_flow(Time::ZERO, end, 0)]))
-            .collect();
-
-        let mid = start + duration / 2;
-        sim.set_window(mid, end);
-        let out = sim.run(end);
-        let secs = (end - mid).as_secs_f64();
-        SteadyPoint {
-            input_rate_bps: ri_bps,
-            output_rate_bps: out.flow_window_bits(probe_station, FLOW_PROBE) as f64 / secs,
-            contending_bps: contending
-                .iter()
-                .map(|&st| out.flow_window_bits(st, 0) as f64 / secs)
-                .collect(),
-            fifo_cross_bps: out.flow_window_bits(probe_station, FLOW_FIFO_CROSS) as f64 / secs,
-        }
-    }
-
     /// Analytic-tier steady-state point. Fully saturated symmetric
     /// cells get the Bianchi fair share; certified Poisson finite-load
     /// cells get the non-saturated fixed point's per-station delivered
@@ -577,115 +501,6 @@ impl WlanLink {
         }
     }
 
-    /// Slotted-kernel probe-sequence run: the kernel-side equivalent of
-    /// [`WlanLink::send_arrivals`], used by the [`ProbeTarget`] methods
-    /// when the engine policy routes trains to the kernel (forced
-    /// `CSMAPROBE_ENGINE=slotted`). Same station layout, seeds, horizon
-    /// and stop rule; returns the probe records directly.
-    fn probe_records_slotted(
-        &self,
-        mut probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
-        seed: u64,
-    ) -> Vec<PacketRecord> {
-        debug_assert!(engine::slotted_covers(&self.cfg));
-        for p in &mut probe_arrivals {
-            p.flow = FLOW_PROBE;
-        }
-        let n = probe_arrivals.len();
-        let last = probe_arrivals.last().map(|p| p.time).unwrap_or(Time::ZERO);
-        let horizon = last + Dur::from_millis(20) * n as u64 + Dur::from_millis(100);
-
-        let mut sim = SlottedSim::new(self.cfg.phy.clone(), seed).with_options(self.cfg.mac);
-        let probe_flows = match &self.cfg.fifo_cross {
-            None => vec![SlottedFlow::Trace(probe_arrivals)],
-            Some(spec) => vec![
-                SlottedFlow::Trace(probe_arrivals),
-                spec.slotted_flow(Time::ZERO, horizon, FLOW_FIFO_CROSS),
-            ],
-        };
-        let probe_station = sim.add_station(probe_flows);
-        for spec in &self.cfg.contending {
-            sim.add_station(vec![spec.slotted_flow(Time::ZERO, horizon, 0)]);
-        }
-        sim.watch_flow(probe_station, FLOW_PROBE);
-        sim.stop_after_flow(probe_station, FLOW_PROBE, n);
-        sim.run(horizon).records
-    }
-
-    /// Replication-batched counterpart of
-    /// [`WlanLink::probe_records_slotted`]: run the same probe sequence
-    /// once per entry of `seeds` through one
-    /// [`BatchedSlottedSim`] call — station layout, horizon, stop rule
-    /// and per-lane seeding identical to the scalar path, so lane `k`'s
-    /// records are bit-identical to `probe_records_slotted(arrivals,
-    /// seeds[k])` (pinned by `probe_train_batch_bit_identical` below
-    /// and property-tested in `tests/slotted_batch_property.rs`).
-    fn probe_records_slotted_batch(
-        &self,
-        mut probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
-        seeds: &[u64],
-    ) -> Vec<Vec<PacketRecord>> {
-        debug_assert!(engine::slotted_covers(&self.cfg));
-        for p in &mut probe_arrivals {
-            p.flow = FLOW_PROBE;
-        }
-        let n = probe_arrivals.len();
-        let last = probe_arrivals.last().map(|p| p.time).unwrap_or(Time::ZERO);
-        let horizon = last + Dur::from_millis(20) * n as u64 + Dur::from_millis(100);
-
-        let mut sim =
-            BatchedSlottedSim::new(self.cfg.phy.clone(), seeds.to_vec()).with_options(self.cfg.mac);
-        let probe_flows = match &self.cfg.fifo_cross {
-            None => vec![SlottedFlow::Trace(probe_arrivals)],
-            Some(spec) => vec![
-                SlottedFlow::Trace(probe_arrivals),
-                spec.slotted_flow(Time::ZERO, horizon, FLOW_FIFO_CROSS),
-            ],
-        };
-        let probe_station = sim.add_station(probe_flows);
-        for spec in &self.cfg.contending {
-            sim.add_station(vec![spec.slotted_flow(Time::ZERO, horizon, 0)]);
-        }
-        sim.watch_flow(probe_station, FLOW_PROBE);
-        sim.stop_after_flow(probe_station, FLOW_PROBE, n);
-        sim.run(horizon).into_iter().map(|o| o.records).collect()
-    }
-
-    /// Explicit slotted-tier train run, bypassing the router — the
-    /// train counterpart of [`WlanLink::steady_state_slotted`]. The
-    /// tier benches compare tiers side by side with this (mutating the
-    /// process-wide engine policy would leak into concurrently-running
-    /// figures). Requires [`engine::slotted_covers`].
-    pub fn probe_train_slotted(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
-        let start = Time::ZERO + self.cfg.warmup;
-        let train = ProbeTrain {
-            flow: FLOW_PROBE,
-            ..train
-        };
-        let probe = self.probe_records_slotted(train.arrivals(start), seed);
-        slotted_train_obs(&probe, train.gap, train.bytes)
-    }
-
-    /// Replication-batched counterpart of
-    /// [`WlanLink::probe_train_slotted`]: the whole chunk runs as one
-    /// [`BatchedSlottedSim`] kernel call, element `k` bit-identical to
-    /// `probe_train_slotted(train, seeds[k])`.
-    pub fn probe_train_slotted_batch(
-        &self,
-        train: ProbeTrain,
-        seeds: &[u64],
-    ) -> Vec<TrainObservation> {
-        let start = Time::ZERO + self.cfg.warmup;
-        let train = ProbeTrain {
-            flow: FLOW_PROBE,
-            ..train
-        };
-        self.probe_records_slotted_batch(train.arrivals(start), seeds)
-            .iter()
-            .map(|probe| slotted_train_obs(probe, train.gap, train.bytes))
-            .collect()
-    }
-
     /// Sweep input rates and produce the steady-state rate-response
     /// curve (Figs 1/4), one [`SteadyPoint`] per rate.
     ///
@@ -708,28 +523,8 @@ impl WlanLink {
     }
 }
 
-/// Build a [`TrainObservation`] from watched probe records (the
-/// slotted paths return exactly these).
-fn slotted_train_obs(probe: &[PacketRecord], g_i: Dur, bytes: u32) -> TrainObservation {
-    TrainObservation {
-        arrivals: probe.iter().map(|r| r.arrival).collect(),
-        rx_times: probe.iter().map(|r| r.rx_end).collect(),
-        access_delays: Some(
-            probe
-                .iter()
-                .map(|r| r.access_delay().as_secs_f64())
-                .collect(),
-        ),
-        g_i,
-        bytes,
-    }
-}
-
 impl ProbeTarget for WlanLink {
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
-        if engine::train_tier(&self.cfg) == EngineTier::Slotted {
-            return self.probe_train_slotted(train, seed);
-        }
         let run = self.send_train(train, seed);
         let obs = TrainObservation {
             arrivals: run.probe.iter().map(|r| r.arrival).collect(),
@@ -742,17 +537,6 @@ impl ProbeTarget for WlanLink {
         obs
     }
 
-    /// Batched replications: when the router sends this cell's trains
-    /// to the slotted tier, the whole chunk runs as **one**
-    /// [`BatchedSlottedSim`] kernel call; otherwise the default
-    /// per-replication loop over the event core applies.
-    fn probe_train_batch(&self, train: ProbeTrain, seeds: &[u64]) -> Vec<TrainObservation> {
-        if engine::train_tier(&self.cfg) != EngineTier::Slotted || seeds.is_empty() {
-            return seeds.iter().map(|&s| self.probe_train(train, s)).collect();
-        }
-        self.probe_train_slotted_batch(train, seeds)
-    }
-
     fn probe_sequence(&self, offsets: &[Dur], bytes: u32, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.cfg.warmup;
         let arrivals: Vec<csmaprobe_traffic::PacketArrival> = offsets
@@ -763,10 +547,6 @@ impl ProbeTarget for WlanLink {
                 flow: FLOW_PROBE,
             })
             .collect();
-        if engine::train_tier(&self.cfg) == EngineTier::Slotted {
-            let probe = self.probe_records_slotted(arrivals, seed);
-            return slotted_train_obs(&probe, Dur::ZERO, bytes);
-        }
         let run = self.send_arrivals(arrivals, seed);
         let obs = TrainObservation {
             arrivals: run.probe.iter().map(|r| r.arrival).collect(),
@@ -992,30 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_slotted_bit_identical_to_event() {
-        // The router's core claim: on covered regimes the kernel
-        // returns the *same* point as the oracle, per seed, bit for
-        // bit — including with FIFO cross-traffic and CBR contenders.
-        let configs = [
-            LinkConfig::default().contending_bps(2_000_000.0),
-            LinkConfig::default()
-                .contending_bps(2_000_000.0)
-                .contending(CrossSpec::shaped(1_000_000.0, CrossShape::Cbr))
-                .fifo_cross_bps(800_000.0),
-        ];
-        for (c, cfg) in configs.into_iter().enumerate() {
-            let link = WlanLink::new(cfg);
-            for (ri, seed) in [(1.5e6, 11u64), (9e6, 13)] {
-                let ev = link.steady_state_event(ri, Dur::from_secs(4), seed);
-                let sl = link.steady_state_slotted(ri, Dur::from_secs(4), seed);
-                assert_eq!(ev.output_rate_bps, sl.output_rate_bps, "cfg {c} ri {ri}");
-                assert_eq!(ev.contending_bps, sl.contending_bps, "cfg {c} ri {ri}");
-                assert_eq!(ev.fifo_cross_bps, sl.fifo_cross_bps, "cfg {c} ri {ri}");
-            }
-        }
-    }
-
-    #[test]
     fn analytic_point_within_documented_band_of_event() {
         // Saturated symmetric cell: the analytic fair share must sit
         // within the ±5 % band documented for the tier.
@@ -1030,81 +786,6 @@ mod tests {
             an.output_rate_bps,
             ev.output_rate_bps
         );
-    }
-
-    #[test]
-    fn probe_train_identical_across_forced_tiers() {
-        // Forced-slotted train probing returns the oracle's exact
-        // observation (the kernel is trajectory-exact on trains too).
-        let link = WlanLink::new(
-            LinkConfig::default()
-                .contending_bps(2_000_000.0)
-                .fifo_cross_bps(500_000.0),
-        );
-        let train = ProbeTrain::from_rate(40, 1500, 5_000_000.0);
-        let ev = link.probe_train(train, 29); // default policy: event
-        let sl = {
-            let _g = crate::engine::test_guard(crate::engine::EnginePolicy::Forced(
-                crate::engine::EngineTier::Slotted,
-            ));
-            link.probe_train(train, 29)
-        };
-        assert_eq!(ev.arrivals, sl.arrivals);
-        assert_eq!(ev.rx_times, sl.rx_times);
-        assert_eq!(ev.access_delays, sl.access_delays);
-    }
-
-    #[test]
-    fn auto_promoted_trains_match_forced_event_oracle() {
-        // The certification gate (train_slotted_certified): a FIFO-free
-        // covered cell auto-routes its trains to the kernel, and the
-        // observation is the oracle's, bit for bit.
-        let link = WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0));
-        let train = ProbeTrain::from_rate(30, 1500, 4_000_000.0);
-        let auto = {
-            let _g = crate::engine::test_guard(crate::engine::EnginePolicy::Auto);
-            assert_eq!(
-                crate::engine::train_tier(link.config()),
-                crate::engine::EngineTier::Slotted
-            );
-            link.probe_train(train, 31)
-        };
-        let ev = {
-            let _g = crate::engine::test_guard(crate::engine::EnginePolicy::Forced(
-                crate::engine::EngineTier::Event,
-            ));
-            link.probe_train(train, 31)
-        };
-        assert_eq!(auto.arrivals, ev.arrivals);
-        assert_eq!(auto.rx_times, ev.rx_times);
-        assert_eq!(auto.access_delays, ev.access_delays);
-    }
-
-    #[test]
-    fn probe_train_batch_bit_identical_to_scalar_runs() {
-        // One batched kernel call per chunk must reproduce the scalar
-        // per-seed observations exactly — the contract desim's chunked
-        // reducers rely on.
-        let link = WlanLink::new(
-            LinkConfig::default()
-                .contending_bps(2_000_000.0)
-                .contending(CrossSpec::shaped(1_000_000.0, CrossShape::Cbr)),
-        );
-        let train = ProbeTrain::from_rate(25, 1500, 6_000_000.0);
-        let seeds: Vec<u64> = (0..7).map(|k| derive_seed(0xBEEF, k)).collect();
-        let _g = crate::engine::test_guard(crate::engine::EnginePolicy::Auto);
-        assert_eq!(
-            crate::engine::train_tier(link.config()),
-            crate::engine::EngineTier::Slotted
-        );
-        let batch = link.probe_train_batch(train, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (k, (b, &s)) in batch.iter().zip(&seeds).enumerate() {
-            let scalar = link.probe_train(train, s);
-            assert_eq!(b.arrivals, scalar.arrivals, "lane {k}");
-            assert_eq!(b.rx_times, scalar.rx_times, "lane {k}");
-            assert_eq!(b.access_delays, scalar.access_delays, "lane {k}");
-        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //!
 //! * [`time`] — integer-nanosecond [`time::Time`] / [`time::Dur`]
 //!   newtypes. No floating point in scheduling.
-//! * [`event`] — a deterministic event calendar with FIFO tie-breaking.
 //! * [`rng`] — seeded, reproducible xoshiro256++ streams and SplitMix64
 //!   seed derivation.
 //! * [`executor`] — the process-wide work-stealing chunk executor: one
@@ -22,12 +21,10 @@
 //! off async runtimes entirely; parallelism is a plain thread pool over
 //! independent replication chunks.
 
-pub mod event;
 pub mod executor;
 pub mod replicate;
 pub mod rng;
 pub mod time;
 
-pub use event::EventQueue;
 pub use rng::{derive_seed, split_mix64, RngCore, SimRng};
 pub use time::{Dur, Time};

@@ -386,125 +386,6 @@ where
     global.unwrap_or_else(identity)
 }
 
-/// [`run_reduce`] with **chunk-granular mapping**: `map_chunk` receives
-/// a whole chunk's replication index range plus the per-replication
-/// seeds (`seeds[k]` belongs to replication `range.start + k`, derived
-/// exactly as [`run_reduce`] derives them) and folds all of them into
-/// the chunk accumulator in one call.
-///
-/// This is the seam a replication-**batched** kernel plugs into: when
-/// the engine tier for a cell has a batched implementation, one
-/// `map_chunk` call runs the whole [`CHUNK`]-lane kernel instead of
-/// [`CHUNK`] scalar event loops. The chunk grid and ascending-chunk
-/// merge order are identical to [`run_reduce`], so as long as
-/// `map_chunk` folds replications in ascending index order (which a
-/// bit-identical batched kernel does by construction), the result is
-/// bit-identical to the scalar path for any worker count.
-pub fn run_reduce_chunked<A, F, I, M>(
-    reps: usize,
-    master_seed: u64,
-    map_chunk: F,
-    identity: I,
-    merge: M,
-) -> A
-where
-    A: Send,
-    F: Fn(Range<usize>, &[u64], &mut A) + Sync,
-    I: Fn() -> A + Sync,
-    M: Fn(&mut A, A) + Send + Sync,
-{
-    let mut global: Option<A> = None;
-    run_chunks(
-        reps,
-        |range| {
-            let seeds: Vec<u64> = range
-                .clone()
-                .map(|i| derive_seed(master_seed, i as u64))
-                .collect();
-            let mut acc = identity();
-            map_chunk(range, &seeds, &mut acc);
-            acc
-        },
-        |chunk| match &mut global {
-            None => global = Some(chunk),
-            Some(g) => merge(g, chunk),
-        },
-    );
-    global.unwrap_or_else(identity)
-}
-
-/// [`run_cells_emit`] with **chunk-granular mapping** — the grid-shaped
-/// counterpart of [`run_reduce_chunked`].
-///
-/// `map_chunk(cell, range, &mut acc)` folds the cell-local replication
-/// index range `range` (always inside one [`CHUNK`]-aligned chunk of
-/// that cell) into the chunk accumulator; seed derivation stays with
-/// the caller, exactly as in [`run_cells_emit`]. Cells whose tier has
-/// no batched kernel simply loop over `range` one replication at a
-/// time inside `map_chunk` — bit-identical to the per-replication form
-/// by the same chunk-grid argument.
-pub fn run_cells_emit_chunked<A, F, I, M, E>(
-    cells: &[usize],
-    map_chunk: F,
-    identity: I,
-    merge: M,
-    mut emit: E,
-) where
-    A: Send,
-    F: Fn(usize, Range<usize>, &mut A) + Sync,
-    I: Fn(usize) -> A + Sync,
-    M: Fn(&mut A, A) + Send + Sync,
-    E: FnMut(usize, A) + Send,
-{
-    let mut chunk_offset = Vec::with_capacity(cells.len() + 1);
-    let mut total_chunks = 0usize;
-    chunk_offset.push(0);
-    for &reps in cells {
-        total_chunks += reps.div_ceil(CHUNK);
-        chunk_offset.push(total_chunks);
-    }
-
-    let mut pending: Option<(usize, A)> = None;
-    let mut next_cell = 0usize;
-    {
-        let mut flush_through = |upto: usize, pending: &mut Option<(usize, A)>, emit: &mut E| {
-            if let Some((c, acc)) = pending.take() {
-                debug_assert_eq!(c, next_cell);
-                emit(c, acc);
-                next_cell = c + 1;
-            }
-            while next_cell < upto {
-                debug_assert_eq!(cells[next_cell], 0, "non-empty cell skipped");
-                emit(next_cell, identity(next_cell));
-                next_cell += 1;
-            }
-        };
-        run_chunks(
-            total_chunks * CHUNK,
-            |range| {
-                let gchunk = range.start / CHUNK;
-                let cell = chunk_offset.partition_point(|&o| o <= gchunk) - 1;
-                let base = chunk_offset[cell] * CHUNK;
-                let lo = range.start - base;
-                let hi = (range.end - base).min(cells[cell]);
-                let mut acc = identity(cell);
-                if lo < hi {
-                    map_chunk(cell, lo..hi, &mut acc);
-                }
-                (cell, acc)
-            },
-            |(cell, acc)| match &mut pending {
-                Some((c, g)) if *c == cell => merge(g, acc),
-                _ => {
-                    flush_through(cell, &mut pending, &mut emit);
-                    pending = Some((cell, acc));
-                }
-            },
-        );
-        flush_through(cells.len(), &mut pending, &mut emit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,96 +703,6 @@ mod tests {
             .collect();
         set_worker_limit(0);
         assert_eq!(nested, solo);
-    }
-
-    #[test]
-    fn run_reduce_chunked_matches_per_replication_form() {
-        // The batched-kernel seam: folding a whole chunk at once (in
-        // ascending index order) must reproduce run_reduce bit-wise,
-        // for ragged tails and any worker count.
-        for reps in [0usize, 1, 31, 32, 33, 150] {
-            let reference = run_reduce(
-                reps,
-                0xBA7C,
-                |i, seed, acc: &mut (f64, Vec<(usize, u64)>)| {
-                    acc.0 += SimRng::new(seed).f64();
-                    acc.1.push((i, seed));
-                },
-                || (0.0f64, Vec::new()),
-                |a, b| {
-                    a.0 += b.0;
-                    a.1.extend(b.1);
-                },
-            );
-            for workers in [1usize, 4] {
-                set_worker_limit(workers);
-                let chunked = run_reduce_chunked(
-                    reps,
-                    0xBA7C,
-                    |range: Range<usize>, seeds: &[u64], acc: &mut (f64, Vec<(usize, u64)>)| {
-                        assert_eq!(seeds.len(), range.len());
-                        for (k, i) in range.enumerate() {
-                            acc.0 += SimRng::new(seeds[k]).f64();
-                            acc.1.push((i, seeds[k]));
-                        }
-                    },
-                    || (0.0f64, Vec::new()),
-                    |a, b| {
-                        a.0 += b.0;
-                        a.1.extend(b.1);
-                    },
-                );
-                set_worker_limit(0);
-                assert_eq!(chunked.0.to_bits(), reference.0.to_bits(), "reps {reps}");
-                assert_eq!(chunked.1, reference.1, "reps {reps}, {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn run_cells_emit_chunked_matches_per_replication_form() {
-        let cells = [33usize, 0, 100, 64, 1];
-        let mut reference = Vec::new();
-        run_cells_emit(
-            &cells,
-            |c, r, acc: &mut (f64, f64)| {
-                let x = SimRng::new(derive_seed(c as u64, r as u64)).f64();
-                acc.0 += x;
-                acc.1 += x * x;
-            },
-            |_| (0.0f64, 0.0f64),
-            |a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-            },
-            |_, acc| reference.push(acc),
-        );
-        for workers in [1usize, 3] {
-            set_worker_limit(workers);
-            let mut streamed = Vec::new();
-            run_cells_emit_chunked(
-                &cells,
-                |c, range: Range<usize>, acc: &mut (f64, f64)| {
-                    for r in range {
-                        let x = SimRng::new(derive_seed(c as u64, r as u64)).f64();
-                        acc.0 += x;
-                        acc.1 += x * x;
-                    }
-                },
-                |_| (0.0f64, 0.0f64),
-                |a, b| {
-                    a.0 += b.0;
-                    a.1 += b.1;
-                },
-                |_, acc| streamed.push(acc),
-            );
-            set_worker_limit(0);
-            assert_eq!(streamed.len(), reference.len());
-            for (c, (s, r)) in streamed.iter().zip(&reference).enumerate() {
-                assert_eq!(s.0.to_bits(), r.0.to_bits(), "cell {c}, {workers} workers");
-                assert_eq!(s.1.to_bits(), r.1.to_bits(), "cell {c}, {workers} workers");
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! # csmaprobe-mac
 //!
-//! An event-driven IEEE 802.11 **DCF (CSMA/CA)** MAC simulator — the
-//! NS2-replacement substrate of the reproduction — plus the Bianchi
-//! saturation model used as an analytical cross-check.
+//! The IEEE 802.11 **DCF (CSMA/CA)** MAC simulator — the
+//! NS2-replacement substrate of the reproduction — plus the analytic
+//! models the engine router may answer steady-state cells with:
+//!
+//! * [`sim`] — [`WlanSim`], the one DCF kernel: a slot-synchronised
+//!   next-event loop (no event calendar) that every simulated cell
+//!   runs on — transient trains, probe sequences, steady cells, grid
+//!   cells and served sessions;
+//! * [`bianchi`] — the Bianchi saturation model ([`BianchiModel`]);
+//! * [`bianchi_nonsat`] — the certified finite-offered-load fixed point
+//!   ([`NonSatModel`]);
+//! * [`options`] — the MAC behaviour switches ([`MacOptions`]).
 //!
 //! The simulator models a single collision domain (every station hears
 //! every other, as in the paper's equally-spaced single-BSS layout)
@@ -53,15 +62,11 @@ pub mod bianchi;
 pub mod bianchi_nonsat;
 pub mod options;
 pub mod sim;
-pub mod slotted;
-pub mod slotted_batch;
 
 pub use bianchi::BianchiModel;
 pub use bianchi_nonsat::{NonSatError, NonSatModel, NonSatStation};
 pub use options::MacOptions;
 pub use sim::{ChannelStats, PacketRecord, SimOutput, StationId, WlanSim};
-pub use slotted::{BackoffDraw, SlottedFlow, SlottedOutput, SlottedSim};
-pub use slotted_batch::BatchedSlottedSim;
 
 use csmaprobe_desim::time::{Dur, Time};
 use csmaprobe_phy::Phy;

@@ -19,7 +19,6 @@ use crate::slops::SlopsEstimator;
 use crate::topp::ToppEstimator;
 use crate::train::TrainProbe;
 use csmaprobe_core::link::ProbeTarget;
-use csmaprobe_desim::rng::derive_seed;
 
 /// A measurement-tool family, as an enumerable axis point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,44 +146,6 @@ impl ToolProbe {
             }
         }
     }
-
-    /// Run one complete estimate per entry of `seeds` — the
-    /// chunk-granular form grid cells replicate through. **Contract:**
-    /// element `k` is bit-identical to `estimate_once(target,
-    /// seeds[k])`.
-    ///
-    /// Only the plain train tool batches: its replication is a single
-    /// train, so a whole chunk forwards to
-    /// [`ProbeTarget::probe_train_batch`] (one batched-kernel call on
-    /// targets whose router sends trains to the slotted tier). The
-    /// searching tools (SLoPS, TOPP, chirp excursions) are sequential
-    /// decision processes inside one replication and keep the scalar
-    /// loop.
-    pub fn estimate_batch<T: ProbeTarget + ?Sized>(&self, target: &T, seeds: &[u64]) -> Vec<f64> {
-        match self.kind {
-            ToolKind::Train => {
-                let probe = TrainProbe::new(self.n, self.bytes, self.rate_bps);
-                // estimate_once runs measure(target, 1, seed), whose
-                // single replication probes with derive_seed(seed, 0) —
-                // replay exactly that seed chain per lane.
-                let train_seeds: Vec<u64> = seeds.iter().map(|&s| derive_seed(s, 0)).collect();
-                target
-                    .probe_train_batch(probe.train, &train_seeds)
-                    .iter()
-                    .map(|obs| match obs.output_gap_s() {
-                        // One replication: the measurement's mean gap is
-                        // exactly this observation's gap.
-                        Some(g) if g > 0.0 => probe.train.bytes as f64 * 8.0 / g,
-                        _ => f64::NAN,
-                    })
-                    .collect()
-            }
-            _ => seeds
-                .iter()
-                .map(|&s| self.estimate_once(target, s))
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,36 +171,6 @@ mod tests {
             let a = probe.estimate_once(&link, 1234);
             let b = probe.estimate_once(&link, 1234);
             assert_eq!(a.to_bits(), b.to_bits(), "{kind} not deterministic");
-        }
-    }
-
-    #[test]
-    fn estimate_batch_bit_identical_to_estimate_once() {
-        use csmaprobe_core::engine::{test_guard, EnginePolicy};
-        use csmaprobe_core::link::{LinkConfig, WlanLink};
-        // A certified WLAN cell (auto routes its trains to the batched
-        // slotted kernel) and a wired link (scalar fallback): both must
-        // reproduce the per-seed scalar estimates exactly.
-        let _g = test_guard(EnginePolicy::Auto);
-        let wlan = WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0));
-        let wired = WiredLink::new(10e6, 4e6);
-        let seeds: Vec<u64> = (100..107).collect();
-        for kind in [ToolKind::Train, ToolKind::Slops] {
-            let probe = ToolProbe::new(kind, 12, 1500, 9e6);
-            let wlan_batch = probe.estimate_batch(&wlan, &seeds);
-            let wired_batch = probe.estimate_batch(&wired, &seeds);
-            for (k, &s) in seeds.iter().enumerate() {
-                assert_eq!(
-                    wlan_batch[k].to_bits(),
-                    probe.estimate_once(&wlan, s).to_bits(),
-                    "{kind} wlan lane {k}"
-                );
-                assert_eq!(
-                    wired_batch[k].to_bits(),
-                    probe.estimate_once(&wired, s).to_bits(),
-                    "{kind} wired lane {k}"
-                );
-            }
         }
     }
 

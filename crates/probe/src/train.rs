@@ -7,7 +7,7 @@
 //! train-spacing of the paper's methodology serves the same purpose:
 //! fresh, stationary cross-traffic interaction per train).
 
-use csmaprobe_core::link::{ProbeTarget, TrainObservation};
+use csmaprobe_core::link::ProbeTarget;
 use csmaprobe_desim::replicate;
 use csmaprobe_stats::accumulate::Accumulate;
 use csmaprobe_stats::online::OnlineStats;
@@ -61,19 +61,6 @@ impl TrainProbe {
         }
     }
 
-    /// Fold one replication's observation into `acc` — shared by the
-    /// scalar and batched replication paths so both reduce identically.
-    fn fold_obs(obs: &TrainObservation, acc: &mut TrainAccumulator) {
-        match obs.output_gap_s() {
-            Some(g) => acc.gaps.push(g),
-            None => acc.incomplete += 1,
-        }
-        acc.receiver_gaps.push_replication(&obs.receiver_gaps_s());
-        if let Some(mu) = &obs.access_delays {
-            acc.delays.push_replication(mu);
-        }
-    }
-
     /// Run **one** replication with `seed` and fold its observations
     /// into `acc` — the cell body a sweep scenario calls with
     /// `derive_seed(cell_seed, rep)`. [`TrainProbe::measure`] is exactly
@@ -85,7 +72,14 @@ impl TrainProbe {
         acc: &mut TrainAccumulator,
     ) {
         let obs = target.probe_train(self.train, seed);
-        Self::fold_obs(&obs, acc);
+        match obs.output_gap_s() {
+            Some(g) => acc.gaps.push(g),
+            None => acc.incomplete += 1,
+        }
+        acc.receiver_gaps.push_replication(&obs.receiver_gaps_s());
+        if let Some(mu) = &obs.access_delays {
+            acc.delays.push_replication(mu);
+        }
     }
 
     /// Seal a fully-reduced accumulator into a [`TrainMeasurement`]
@@ -108,21 +102,12 @@ impl TrainProbe {
         reps: usize,
         seed: u64,
     ) -> TrainMeasurement {
-        // Streaming map-reduce at chunk granularity: each chunk's
-        // replications run as one [`ProbeTarget::probe_train_batch`]
-        // call — a single batched-kernel invocation on targets whose
-        // router sends trains to the slotted tier, a plain scalar loop
-        // everywhere else — and fold into the chunk accumulator in
-        // ascending replication order, so the reduction is bit-identical
-        // to the historical per-replication `run_reduce` form.
-        let acc = replicate::run_reduce_chunked(
+        // Streaming map-reduce: each replication folds straight into a
+        // chunk accumulator; nothing per-replication is materialised.
+        let acc = replicate::run_reduce(
             reps,
             seed,
-            |_range, seeds, acc: &mut TrainAccumulator| {
-                for obs in target.probe_train_batch(self.train, seeds) {
-                    Self::fold_obs(&obs, acc);
-                }
-            },
+            |_, s, acc: &mut TrainAccumulator| self.sample_into(target, s, acc),
             TrainAccumulator::default,
             Accumulate::merge,
         );

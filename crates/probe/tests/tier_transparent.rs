@@ -1,31 +1,17 @@
 //! Engine-tier transparency at the probing-tool layer: the measurement
-//! tools never know (and must never be able to tell) which engine tier
-//! served their probes.
+//! tools never know (and must never be able to tell) which engine
+//! policy is active.
 //!
-//! Four guarantees, all exact:
-//!
-//! * **Routing is a no-op when the oracle is pinned** — on regimes the
-//!   train-delay equivalence table does not certify (FIFO cross-traffic
-//!   cells), `Auto` keeps trains on the event core, so forcing `Event`
-//!   must change nothing, bit for bit.
-//! * **The slotted kernel is invisible** — forcing `Slotted` on a
-//!   covered link yields the identical measurement, because the kernel
-//!   is trajectory-exact on trains.
-//! * **Auto-promotion is invisible** — on certified (FIFO-free,
-//!   slotted-covered) regimes `Auto` now routes trains to the kernel,
-//!   including the replication-batched chunk path, and the measurement
-//!   still fingerprints identically to the forced-event oracle.
-//! * **The analytic tier never reaches the tools** — the finite-load
-//!   fixed point serves steady-state cells only; forcing it on trains
-//!   or SLoPS degrades to the event oracle, bit for bit, on certified
-//!   and uncertified shapes alike.
+//! **The analytic tier never reaches the tools** — the finite-load
+//! fixed point serves steady-state cells only; forcing it on trains or
+//! SLoPS degrades to the simulator, bit for bit, on certified and
+//! uncertified shapes alike, and auto does the same.
 
 use csmaprobe_core::engine::{test_guard, train_tier, EnginePolicy, EngineTier};
 use csmaprobe_core::link::{CrossShape, CrossSpec, LinkConfig, WlanLink};
 use csmaprobe_probe::{SlopsEstimator, TrainProbe};
 
-/// A FIFO cell: covered by the kernel but *not* certified for trains,
-/// so auto keeps the oracle.
+/// A FIFO cell: no analytic model covers it, even for steady points.
 fn fifo_link() -> WlanLink {
     WlanLink::new(
         LinkConfig::default()
@@ -34,9 +20,9 @@ fn fifo_link() -> WlanLink {
     )
 }
 
-/// The newly auto-routed regimes: FIFO-free cells matching the
-/// certified KS rows (`poisson-1`-like and `mixed-2`-like shapes).
-fn certified_links() -> Vec<(&'static str, WlanLink)> {
+/// FIFO-free cells: a Poisson contender the finite-load fixed point
+/// certifies for steady points, and a CBR + Poisson mix it does not.
+fn fifo_free_links() -> Vec<(&'static str, WlanLink)> {
     vec![
         (
             "poisson-1",
@@ -51,6 +37,12 @@ fn certified_links() -> Vec<(&'static str, WlanLink)> {
             ),
         ),
     ]
+}
+
+fn all_links() -> Vec<(&'static str, WlanLink)> {
+    let mut links = fifo_free_links();
+    links.push(("fifo-1", fifo_link()));
+    links
 }
 
 fn train_fingerprint(
@@ -69,61 +61,14 @@ fn train_fingerprint(
 }
 
 #[test]
-fn train_measurement_identical_across_tiers() {
-    let link = fifo_link();
-    {
-        let _g = test_guard(EnginePolicy::Auto);
-        assert_eq!(train_tier(link.config()), EngineTier::Event);
-    }
-    let auto = train_fingerprint(&link, EnginePolicy::Auto, 8);
-    let event = train_fingerprint(&link, EnginePolicy::Forced(EngineTier::Event), 8);
-    let slotted = train_fingerprint(&link, EnginePolicy::Forced(EngineTier::Slotted), 8);
-    // Auto keeps uncertified trains on the oracle: pinning it is a no-op.
-    assert_eq!(auto, event);
-    // The slotted kernel is trajectory-exact: forcing it is invisible.
-    assert_eq!(auto, slotted);
-}
-
-#[test]
-fn promoted_regimes_fingerprint_identically_to_oracle() {
-    for (name, link) in certified_links() {
-        {
-            let _g = test_guard(EnginePolicy::Auto);
-            assert_eq!(
-                train_tier(link.config()),
-                EngineTier::Slotted,
-                "{name} must auto-promote"
-            );
-        }
-        let auto = train_fingerprint(&link, EnginePolicy::Auto, 8);
-        let event = train_fingerprint(&link, EnginePolicy::Forced(EngineTier::Event), 8);
-        assert_eq!(auto, event, "{name}: auto vs forced-event");
-    }
-}
-
-#[test]
-fn promoted_batched_chunks_fingerprint_identically_to_oracle() {
-    // 40 replications span one full CHUNK plus a ragged tail, so the
-    // batched kernel path (one BatchedSlottedSim call per chunk) serves
-    // both chunk shapes — and must still be invisible.
-    let (_, link) = certified_links().remove(1);
-    let auto = train_fingerprint(&link, EnginePolicy::Auto, 40);
-    let event = train_fingerprint(&link, EnginePolicy::Forced(EngineTier::Event), 40);
-    assert_eq!(auto, event);
-}
-
-#[test]
 fn forced_analytic_never_leaks_into_trains() {
-    // The finite-load fixed point serves *steady-state* cells only —
-    // trains are per-frame trajectories no closed form reproduces, so
+    // Trains are per-frame trajectories no closed form reproduces, so
     // `train_tier` must refuse the analytic tier even when it is
     // forced, on every shape: the FIFO cell the tier does not certify
-    // AND the Poisson cells whose steady points it does. The forced-
+    // AND the Poisson cell whose steady points it does. The forced-
     // analytic fingerprint therefore equals the forced-event one, bit
     // for bit.
-    let mut links = certified_links();
-    links.push(("fifo-1", fifo_link()));
-    for (name, link) in links {
+    for (name, link) in all_links() {
         {
             let _g = test_guard(EnginePolicy::Forced(EngineTier::Analytic));
             assert_eq!(
@@ -144,30 +89,17 @@ fn forced_analytic_never_leaks_into_trains() {
 fn forced_analytic_slops_identical_to_oracle() {
     // SLoPS drives probe trains underneath; the analytic tier must be
     // equally invisible there, certified steady cell or not.
-    for (name, link) in certified_links() {
+    for (name, link) in all_links() {
         let run = |policy: EnginePolicy| {
             let _g = test_guard(policy);
             SlopsEstimator::default().run(&link, 0xBEA7)
         };
+        let auto = run(EnginePolicy::Auto);
         let forced = run(EnginePolicy::Forced(EngineTier::Analytic));
         let event = run(EnginePolicy::Forced(EngineTier::Event));
         assert_eq!(forced.estimate_bps, event.estimate_bps, "{name}");
         assert_eq!(forced.trace, event.trace, "{name}");
+        assert_eq!(auto.estimate_bps, event.estimate_bps, "{name}");
+        assert_eq!(auto.trace, event.trace, "{name}");
     }
-}
-
-#[test]
-fn slops_estimate_identical_across_tiers() {
-    let link = fifo_link();
-    let run = |policy: EnginePolicy| {
-        let _g = test_guard(policy);
-        SlopsEstimator::default().run(&link, 0xBEA7)
-    };
-    let auto = run(EnginePolicy::Auto);
-    let event = run(EnginePolicy::Forced(EngineTier::Event));
-    let slotted = run(EnginePolicy::Forced(EngineTier::Slotted));
-    assert_eq!(auto.estimate_bps, event.estimate_bps);
-    assert_eq!(auto.trace, event.trace);
-    assert_eq!(auto.estimate_bps, slotted.estimate_bps);
-    assert_eq!(auto.trace, slotted.trace);
 }

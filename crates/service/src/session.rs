@@ -551,9 +551,8 @@ fn driver_loop(inner: &Inner) {
 /// whether the session completed (vs. was cancelled).
 ///
 /// Bit-identity with [`one_shot`]: the chunk grid is the engine-wide
-/// [`CHUNK`] grid over `0..reps`, each chunk folds its replications in
-/// ascending index order (via [`ToolProbe::estimate_batch`], whose
-/// contract is element-wise equality with `estimate_once`), and
+/// [`CHUNK`] grid over `0..reps`, each chunk folds
+/// [`ToolProbe::estimate_once`] per seed in ascending index order, and
 /// [`executor::submit`] hands chunk outputs to `consume` in ascending
 /// chunk order — the same merge tree [`run_reduce`] builds, starting
 /// from an identity accumulator whose merge is bitwise-absorbing.
@@ -582,10 +581,9 @@ fn drive(session: &Session) -> bool {
             }
             let lo = c * CHUNK;
             let hi = ((c + 1) * CHUNK).min(reps);
-            let seeds: Vec<u64> = (lo..hi).map(|i| derive_seed(spec.seed, i as u64)).collect();
             let mut acc = SessionAcc::default();
-            for est in probe.estimate_batch(&session.target, &seeds) {
-                acc.observe(est);
+            for i in lo..hi {
+                acc.observe(probe.estimate_once(&session.target, derive_seed(spec.seed, i as u64)));
             }
             Some((hi - lo, acc))
         },

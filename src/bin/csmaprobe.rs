@@ -175,6 +175,10 @@ fn target(args: &Args) -> Box<dyn ProbeTarget> {
 }
 
 fn main() {
+    if let Err(e) = csmaprobe::core::engine::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let args = parse();
     match args.cmd.as_str() {
         "capacity" => {

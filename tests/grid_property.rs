@@ -303,8 +303,8 @@ proptest! {
 /// the run-config fingerprint every row carries, and the `grid` bin
 /// refuses any row whose fingerprint differs from the resuming grid's.
 /// Without this, a forced-event row set silently absorbed into an auto
-/// (slotted-promoted) run would mix engine tiers in one table with no
-/// trace in the data.
+/// run would mix routing policies in one table with no trace in the
+/// data.
 #[test]
 fn resume_rejects_rows_from_a_different_engine_policy() {
     use csmaprobe::core::engine::{test_guard, EnginePolicy, EngineTier};
@@ -312,9 +312,8 @@ fn resume_rejects_rows_from_a_different_engine_policy() {
     use csmaprobe_bench::grid::{find_link, find_train, BiasGrid, GridRow};
     use csmaprobe_probe::tool::ToolKind;
 
-    // wlan_low is a certified FIFO-free cell: auto promotes its trains
-    // to the slotted kernel, forced-event pins the oracle — same data
-    // (the kernel is trajectory-exact), different provenance.
+    // wlan_low's trains run on the simulator under both policies — same
+    // data, different policy token in the provenance.
     let make = || {
         BiasGrid::new(
             vec![find_link("wlan_low").unwrap()],

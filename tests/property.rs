@@ -2,7 +2,6 @@
 //! structures and invariants.
 
 use csmaprobe::core::sample_path::{intrusion_residuals, output_gap, total_delays};
-use csmaprobe::desim::event::EventQueue;
 use csmaprobe::desim::rng::SimRng;
 use csmaprobe::desim::time::{Dur, Time};
 use csmaprobe::mac::{saturated_source, WlanSim};
@@ -37,67 +36,6 @@ proptest! {
         let unit = Dur::from_nanos(k);
         prop_assert!(d.div_ceil_dur(unit) >= d.div_dur(unit));
         prop_assert!(d.div_ceil_dur(unit) - d.div_dur(unit) <= 1);
-    }
-
-    // ---------- desim::event ----------
-
-    #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(Time::from_nanos(t), i);
-        }
-        let mut prev = Time::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= prev);
-            prev = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn event_queue_time_seq_order_under_interleaved_pushes(
-        times in prop::collection::vec(0u64..50, 2..120),
-        pops_between in prop::collection::vec(0usize..4, 2..120),
-    ) {
-        // Reference model: a stable sort by (time, insertion seq).
-        // Interleave pushes with pops and require the queue to match the
-        // model pop-for-pop — this pins the FIFO tie-break (the narrow
-        // time range forces many equal timestamps), not just time order.
-        let mut q = EventQueue::new();
-        let mut model: Vec<(Time, usize)> = Vec::new();
-        let mut popped = Vec::new();
-        let mut expected = Vec::new();
-        for (seq, (&t, &pops)) in times.iter().zip(&pops_between).enumerate() {
-            let time = Time::from_micros(t);
-            q.push(time, seq);
-            model.push((time, seq));
-            for _ in 0..pops {
-                let Some((qt, qv)) = q.pop() else { break };
-                popped.push((qt, qv));
-                let min_idx = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(mt, ms))| (mt, ms))
-                    .map(|(i, _)| i)
-                    .unwrap();
-                expected.push(model.remove(min_idx));
-            }
-        }
-        while let Some((qt, qv)) = q.pop() {
-            popped.push((qt, qv));
-            let min_idx = model
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(mt, ms))| (mt, ms))
-                .map(|(i, _)| i)
-                .unwrap();
-            expected.push(model.remove(min_idx));
-        }
-        prop_assert!(model.is_empty());
-        prop_assert_eq!(popped, expected);
     }
 
     // ---------- desim::rng ----------

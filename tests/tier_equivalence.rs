@@ -1,18 +1,10 @@
-//! Statistical-equivalence harness for the tiered DCF engine — the
-//! headline contract of the engine stack.
+//! Equivalence harness for the engine router: the analytic tier
+//! against the simulator it replaces, and the cells it must refuse.
 //!
-//! The slot-quantised kernel is *trajectory*-identical to the event
-//! core per seed (pinned by `crates/mac` unit tests and
-//! `tier_equivalence`'s bit-identity check). The property the router
-//! actually relies on is stronger than any per-seed test can show:
-//! the two engines must be draws from the **same distribution**. This
-//! harness proves that the honest way — **disjoint seed sets** per
-//! engine, two-sample Kolmogorov–Smirnov at α = 0.01 — across a regime
-//! matrix spanning offered load × station count × train length:
-//!
-//! * access-delay distributions μ_i of probe trains (the paper's core
-//!   observable), pooled over replications;
-//! * steady-state delivered-throughput distributions across seeds.
+//! * the finite-load fixed point lands within 5 % of a seed-averaged
+//!   event mean on every `nonsat-*` cell the router certifies;
+//! * uncertified cells stay on the simulator, bit for bit;
+//! * the retired `slotted` policy is an inert alias of forced `event`.
 //!
 //! Run with `--nocapture` to print the per-regime tolerance table that
 //! `EXPERIMENTS.md` ("Engine tiers" section) records:
@@ -24,160 +16,21 @@
 use csmaprobe::core::engine::{self, EnginePolicy, EngineTier};
 use csmaprobe::core::link::{CrossShape, CrossSpec, LinkConfig, ProbeTarget, WlanLink};
 use csmaprobe::desim::time::Dur;
-use csmaprobe::stats::ks::two_sample_ks;
 use csmaprobe::traffic::probe::ProbeTrain;
 use csmaprobe_bench::tier::regime_matrix;
 
-const ALPHA: f64 = 0.01;
-
-/// Event-engine seeds and slotted-engine seeds never overlap: the KS
-/// comparison must not be allowed to degenerate into the (already
-/// separately pinned) per-seed bit-identity.
+/// Seeds of the event mean the fixed point is compared against.
 const EVENT_SEED_BASE: u64 = 0x0E_0000;
-const SLOTTED_SEED_BASE: u64 = 0x51_0000;
 
 fn header(columns: &str) {
     println!("regime                      {columns}");
 }
 
-#[test]
-fn steady_throughput_distributions_equivalent_on_disjoint_seeds() {
-    let duration = Dur::from_secs_f64(1.0);
-    let reps = 16u64;
-    header("n   D_ks    D_crit  mean_rel_diff");
-    for r in regime_matrix() {
-        // Total delivered rate (probe + contenders + FIFO): the Poisson
-        // contenders make it a genuinely random variable in every
-        // regime, which the probe's own rate is not at light CBR load.
-        let sample = |tier: EngineTier, base: u64| -> Vec<f64> {
-            (0..reps)
-                .map(|i| {
-                    let p = r
-                        .steady_with_tier(tier, duration, base + i)
-                        .expect("covered");
-                    p.output_rate_bps + p.contending_bps.iter().sum::<f64>() + p.fifo_cross_bps
-                })
-                .collect()
-        };
-        let ev = sample(EngineTier::Event, EVENT_SEED_BASE);
-        let sl = sample(EngineTier::Slotted, SLOTTED_SEED_BASE);
-        // The repo's KS statistic pits a step ECDF against an
-        // interpolated one (the paper's methodology for continuous
-        // delay distributions); two identical point masses score
-        // D = 1 under that convention, so a degenerate pair is
-        // compared exactly instead.
-        let degenerate = |v: &[f64]| v.iter().all(|&x| x == v[0]);
-        let ks = if degenerate(&ev) && degenerate(&sl) && ev[0] == sl[0] {
-            None
-        } else {
-            Some(two_sample_ks(&sl, &ev, ALPHA))
-        };
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let rel = (mean(&sl) - mean(&ev)).abs() / mean(&ev).max(1.0);
-        match &ks {
-            Some(ks) => println!(
-                "steady/{:<18} {:>3} {:.4}  {:.4}  {rel:.4}",
-                r.name, reps, ks.statistic, ks.threshold
-            ),
-            None => println!(
-                "steady/{:<18} {:>3} (identical atoms)  {rel:.4}",
-                r.name, reps
-            ),
-        }
-        if let Some(ks) = ks {
-            assert!(
-                !ks.reject,
-                "{}: slotted vs event throughput KS {:.4} > {:.4}",
-                r.name, ks.statistic, ks.threshold
-            );
-        }
-        assert!(
-            rel < 0.05,
-            "{}: mean throughputs drifted ({rel:.4})",
-            r.name
-        );
-    }
-}
-
-/// Train links for the access-delay legs: the Fig 1 shape (one Poisson
-/// contender) and a heterogeneous CBR + Poisson mix.
-fn train_links() -> Vec<(&'static str, WlanLink)> {
-    vec![
-        (
-            "poisson-1",
-            WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0)),
-        ),
-        (
-            "mixed-2",
-            WlanLink::new(
-                LinkConfig::default()
-                    .contending_bps(2_000_000.0)
-                    .contending(CrossSpec::shaped(1_000_000.0, CrossShape::Cbr)),
-            ),
-        ),
-    ]
-}
-
-/// Pool the access delays of `reps` trains sent under `policy`.
-fn pooled_access_delays(
-    link: &WlanLink,
-    train: ProbeTrain,
-    policy: EnginePolicy,
-    seed_base: u64,
-    reps: u64,
-) -> Vec<f64> {
-    let _g = engine::test_guard(policy);
-    let mut pool = Vec::new();
-    for i in 0..reps {
-        let obs = link.probe_train(train, seed_base + i);
-        pool.extend(obs.access_delays.expect("WLAN links report access delays"));
-    }
-    pool
-}
-
-#[test]
-fn access_delay_distributions_equivalent_on_disjoint_seeds() {
-    header("n     D_ks    D_crit");
-    for (name, link) in train_links() {
-        for &len in &[20usize, 100] {
-            let train = ProbeTrain::from_rate(len, 1500, 5_000_000.0);
-            let reps = (800 / len) as u64; // comparable pool sizes per leg
-            let ev = pooled_access_delays(
-                &link,
-                train,
-                EnginePolicy::Forced(EngineTier::Event),
-                EVENT_SEED_BASE,
-                reps,
-            );
-            let sl = pooled_access_delays(
-                &link,
-                train,
-                EnginePolicy::Forced(EngineTier::Slotted),
-                SLOTTED_SEED_BASE,
-                reps,
-            );
-            let ks = two_sample_ks(&sl, &ev, ALPHA);
-            println!(
-                "train/{name}/n={len:<6} {:>5} {:.4}  {:.4}",
-                ev.len(),
-                ks.statistic,
-                ks.threshold
-            );
-            assert!(
-                !ks.reject,
-                "{name}/n={len}: access-delay KS {:.4} > {:.4}",
-                ks.statistic, ks.threshold
-            );
-        }
-    }
-}
-
 /// Measured tolerance rows for the finite-load analytic tier — the
 /// non-saturated fixed point vs a seed-averaged event mean on the
 /// `nonsat-*` cells the router certifies (sub-knee / knee / above-knee
-/// × station count). The KS legs above already include these cells on
-/// the slotted/event axis; the analytic tier is deterministic, so its
-/// row in the equivalence table is a tolerance band, not a KS score.
+/// × station count). The analytic tier is deterministic, so its row in
+/// the equivalence table is a tolerance band, not a KS score.
 #[test]
 fn finite_load_fixed_point_tolerance_rows() {
     let duration = Dur::from_secs_f64(2.0);
@@ -220,9 +73,9 @@ fn finite_load_fixed_point_tolerance_rows() {
 }
 
 /// Negative routing: cells the solver does not certify must stay on
-/// simulation — `analytic_covers` refuses them, the auto router never
-/// hands them to the fixed point, and the auto steady point stays
-/// bit-identical to the forced run of the tier it actually picks.
+/// the simulator — `analytic_covers` refuses them, the auto router
+/// routes them to `Event`, and the auto steady point stays
+/// bit-identical to a direct simulator run.
 #[test]
 fn uncertified_cells_stay_on_simulation() {
     let duration = Dur::from_secs_f64(0.5);
@@ -271,22 +124,16 @@ fn uncertified_cells_stay_on_simulation() {
             let _g = engine::test_guard(EnginePolicy::Auto);
             engine::steady_tier(link.config(), *ri)
         };
-        assert_ne!(
+        assert_eq!(
             auto_tier,
-            EngineTier::Analytic,
-            "{name}: auto router leaked an uncertified cell to the fixed point"
+            EngineTier::Event,
+            "{name}: auto router must keep an uncertified cell on the simulator"
         );
-        // The tier auto picks is simulation, and the auto point is
-        // bit-identical to forcing that same tier explicitly.
         let auto_pt = {
             let _g = engine::test_guard(EnginePolicy::Auto);
             link.steady_state(*ri, duration, 0xBAD5EED)
         };
-        let forced_pt = match auto_tier {
-            EngineTier::Event => link.steady_state_event(*ri, duration, 0xBAD5EED),
-            EngineTier::Slotted => link.steady_state_slotted(*ri, duration, 0xBAD5EED),
-            EngineTier::Analytic => unreachable!(),
-        };
+        let forced_pt = link.steady_state_event(*ri, duration, 0xBAD5EED);
         assert_eq!(
             auto_pt.output_rate_bps.to_bits(),
             forced_pt.output_rate_bps.to_bits(),
@@ -301,22 +148,42 @@ fn uncertified_cells_stay_on_simulation() {
     }
 }
 
+/// The retired `slotted` policy: `EngineTier::Slotted` survives only as
+/// a name, and forcing it pins the simulator — trains and steady cells
+/// are bit-identical to forced `event`, including on cells the analytic
+/// tier would otherwise serve.
 #[test]
 fn forced_slotted_trains_are_trajectory_exact() {
-    // Same seed across tiers must stay bit-identical — the sharper
-    // per-seed contract the KS legs deliberately do not rely on.
-    for (name, link) in train_links() {
-        let train = ProbeTrain::from_rate(50, 1500, 5_000_000.0);
-        let ev = {
-            let _g = engine::test_guard(EnginePolicy::Forced(EngineTier::Event));
-            link.probe_train(train, 0xE1)
+    let links = [
+        WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0)),
+        WlanLink::new(
+            LinkConfig::default()
+                .contending_bps(2_000_000.0)
+                .contending(CrossSpec::shaped(1_000_000.0, CrossShape::Cbr)),
+        ),
+    ];
+    let train = ProbeTrain::from_rate(50, 1500, 5_000_000.0);
+    for (k, link) in links.iter().enumerate() {
+        let run = |tier: EngineTier| {
+            let _g = engine::test_guard(EnginePolicy::Forced(tier));
+            (
+                engine::steady_tier(link.config(), 1_500_000.0),
+                link.probe_train(train, 0xE1),
+                link.steady_state(1_500_000.0, Dur::from_secs_f64(0.5), 0xE1),
+            )
         };
-        let sl = {
-            let _g = engine::test_guard(EnginePolicy::Forced(EngineTier::Slotted));
-            link.probe_train(train, 0xE1)
-        };
-        assert_eq!(ev.arrivals, sl.arrivals, "{name}");
-        assert_eq!(ev.rx_times, sl.rx_times, "{name}");
-        assert_eq!(ev.access_delays, sl.access_delays, "{name}");
+        let (ev_tier, ev, ev_pt) = run(EngineTier::Event);
+        let (sl_tier, sl, sl_pt) = run(EngineTier::Slotted);
+        assert_eq!(sl_tier, EngineTier::Event, "link {k}");
+        assert_eq!(ev_tier, sl_tier, "link {k}");
+        assert_eq!(ev.arrivals, sl.arrivals, "link {k}");
+        assert_eq!(ev.rx_times, sl.rx_times, "link {k}");
+        assert_eq!(ev.access_delays, sl.access_delays, "link {k}");
+        assert_eq!(
+            ev_pt.output_rate_bps.to_bits(),
+            sl_pt.output_rate_bps.to_bits(),
+            "link {k}"
+        );
+        assert_eq!(ev_pt.contending_bps, sl_pt.contending_bps, "link {k}");
     }
 }
