@@ -13,7 +13,7 @@ use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::FRAME;
 use csmaprobe_core::link::{LinkConfig, WlanLink};
-use csmaprobe_core::transient::TransientExperiment;
+use csmaprobe_core::transient::{Columns, TransientExperiment};
 use csmaprobe_mac::MacOptions;
 use csmaprobe_traffic::probe::ProbeTrain;
 
@@ -39,7 +39,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
             reps,
             seed,
         };
-        exp.run()
+        exp.run_columns(Columns::DELAYS)
     };
 
     let with_ia = run_with(MacOptions::default(), seed);

@@ -12,7 +12,7 @@ use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::FRAME;
 use csmaprobe_core::link::{LinkConfig, WlanLink};
-use csmaprobe_core::transient::TransientExperiment;
+use csmaprobe_core::transient::{Columns, TransientExperiment};
 use csmaprobe_desim::rng::derive_seed;
 use csmaprobe_mac::measured_standalone_capacity_bps;
 use csmaprobe_phy::Phy;
@@ -45,7 +45,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
         reps: scaled(1500, scale, 250),
         seed,
     };
-    let data = exp.run();
+    let data = exp.run_columns(Columns::DELAYS);
     let profile = data.mean_profile();
     let steady = data.steady_mean(100);
     rep.scalar("steady_mean_us", steady * 1e6);

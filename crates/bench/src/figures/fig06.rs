@@ -8,7 +8,7 @@
 use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
-use csmaprobe_core::transient::TransientExperiment;
+use csmaprobe_core::transient::{Columns, TransientExperiment};
 use csmaprobe_traffic::probe::ProbeTrain;
 
 /// The Fig 6/7 experiment definition (shared scenario).
@@ -22,19 +22,22 @@ fn experiment_def(scale: f64, seed: u64, n: usize) -> TransientExperiment {
 }
 
 /// Run the Fig 6/7 experiment in streaming-summary mode (per-index
-/// moments, O(train length) memory).
+/// moments, O(train length) memory), with the streamed p95 Fig 6 plots.
 pub fn experiment(scale: f64, seed: u64, n: usize) -> csmaprobe_core::transient::TransientSummary {
-    experiment_def(scale, seed, n).run()
+    experiment_def(scale, seed, n).run_columns(Columns {
+        queue: false,
+        p95: true,
+    })
 }
 
-/// Shared with fig07: the dense variant retaining raw per-index samples
-/// (capped at [`scenarios::DENSE_SAMPLE_CAP`]).
+/// Shared with fig07: the dense variant retaining raw per-index delay
+/// samples (capped at [`scenarios::DENSE_SAMPLE_CAP`]) and nothing else.
 pub fn experiment_dense(
     scale: f64,
     seed: u64,
     n: usize,
 ) -> csmaprobe_core::transient::TransientData {
-    experiment_def(scale, seed, n).run_dense(scenarios::DENSE_SAMPLE_CAP)
+    experiment_def(scale, seed, n).run_dense_columns(scenarios::DENSE_SAMPLE_CAP, Columns::DELAYS)
 }
 
 /// Run the experiment.

@@ -10,7 +10,7 @@
 use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
-use csmaprobe_core::transient::TransientExperiment;
+use csmaprobe_core::transient::{Columns, TransientExperiment};
 use csmaprobe_stats::ks::two_sample_ks;
 use csmaprobe_traffic::probe::ProbeTrain;
 
@@ -37,8 +37,15 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
         reps: scaled(1000, scale, 150),
         seed,
     };
-    // Dense mode: the KS profile needs raw per-index samples.
-    let data = exp.run_dense(scenarios::DENSE_SAMPLE_CAP);
+    // Dense mode: the KS profile needs raw per-index samples; the rows
+    // also show the contender's queue and the streamed p95.
+    let data = exp.run_dense_columns(
+        scenarios::DENSE_SAMPLE_CAP,
+        Columns {
+            queue: true,
+            p95: true,
+        },
+    );
 
     // Steady-state reference: the pooled delays of the last 500
     // indices, strided down so each per-index KS test stays cheap.

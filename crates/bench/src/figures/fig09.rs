@@ -14,7 +14,7 @@
 use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
-use csmaprobe_core::transient::TransientExperiment;
+use csmaprobe_core::transient::{Columns, TransientExperiment};
 use csmaprobe_stats::ks::two_sample_ks;
 use csmaprobe_traffic::probe::ProbeTrain;
 
@@ -37,7 +37,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
         seed,
     };
     // Dense mode: the KS profile needs raw per-index samples.
-    let data = exp.run_dense(scenarios::DENSE_SAMPLE_CAP);
+    let data = exp.run_dense_columns(scenarios::DENSE_SAMPLE_CAP, Columns::DELAYS);
 
     let pooled = data.steady_sample(100);
     let stride = (pooled.len() / 20_000).max(1);

@@ -20,7 +20,7 @@ use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::link::{LinkConfig, WlanLink};
-use csmaprobe_core::transient::TransientExperiment;
+use csmaprobe_core::transient::{Columns, TransientExperiment};
 use csmaprobe_desim::rng::derive_seed;
 use csmaprobe_traffic::probe::ProbeTrain;
 
@@ -55,7 +55,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
             reps,
             seed: derive_seed(seed, k as u64),
         };
-        let data = exp.run();
+        let data = exp.run_columns(Columns::DELAYS);
         let len = |est: csmaprobe_stats::transient::TransientEstimate| {
             est.first_within.map(|v| (v + 1) as f64).unwrap_or(n as f64)
         };

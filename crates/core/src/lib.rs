@@ -60,5 +60,5 @@ pub use rate_response::{
 };
 pub use sweep::{run_sweep, RateResponseSweep, SweepRunner, SweepScenario};
 pub use transient::{
-    run_dense, run_summary, Scenario, TransientData, TransientExperiment, TransientSummary,
+    run_dense, run_summary, Columns, Scenario, TransientData, TransientExperiment, TransientSummary,
 };

@@ -19,6 +19,13 @@
 //! Both modes are deterministic in `(seed, reps)` — bit-identical
 //! across repeated runs and across worker counts, because the
 //! underlying reduce merges chunk accumulators in fixed chunk order.
+//!
+//! Both modes are also **demand-driven**: a caller declares the
+//! [`Columns`] it reads besides the access delays — the contending
+//! queue occupancy and the streamed p95 — and the engine neither
+//! reconstructs nor accumulates the others, which stay empty. Each
+//! accumulator is a pure function of its own push sequence, so a kept
+//! column is bit-identical whatever else was requested.
 
 use crate::link::{WlanLink, WlanTrainRun};
 use csmaprobe_desim::replicate;
@@ -75,6 +82,32 @@ impl Scenario for TransientExperiment {
 /// tracks the transient's effect on the tail, not just the mean).
 pub const TAIL_QUANTILE: f64 = 0.95;
 
+/// The per-index columns a run accumulates besides the access delays,
+/// which every run keeps. A column not requested costs nothing and is
+/// left empty in the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Columns {
+    /// The first contending station's queue length at each probe
+    /// arrival (`queue_sizes`; stays empty without contenders).
+    pub queue: bool,
+    /// The streamed per-index access-delay p95 (`delay_p95`).
+    pub p95: bool,
+}
+
+impl Columns {
+    /// Every column: what [`TransientExperiment::run`] and
+    /// [`TransientExperiment::run_dense`] accumulate.
+    pub const ALL: Columns = Columns {
+        queue: true,
+        p95: true,
+    };
+    /// The access delays alone.
+    pub const DELAYS: Columns = Columns {
+        queue: false,
+        p95: false,
+    };
+}
+
 /// Streaming accumulator of one scenario: per-index delay and
 /// queue-size moments plus the streamed per-index delay p95. Moments
 /// merge exactly (up to rounding), the p95 by the deterministic P²
@@ -123,36 +156,54 @@ impl Accumulate for DenseAcc {
     }
 }
 
-/// Run one replication of `scenario` and feed it to `consume` as
-/// `(delays, queue_sizes)` iterators; the simulation buffers are
+/// Run one replication of `scenario` and feed `consume` each probe
+/// packet as `(index, access delay, queue)`: the first contender's
+/// queue length at the packet's arrival when `queue` is requested and
+/// the link has a contender, else `None`. The simulation buffers are
 /// recycled afterwards.
 fn replicate_once(
     scenario: &(impl Scenario + ?Sized),
     seed: u64,
+    queue: bool,
     mut consume: impl FnMut(usize, f64, Option<f64>),
 ) {
-    let has_contender = !scenario.link().config().contending.is_empty();
     let run: WlanTrainRun = scenario.link().send_train(scenario.train(), seed);
-    for (i, r) in run.probe.iter().enumerate() {
-        let queue = if has_contender {
-            Some(run.output.queue_len_at(run.contending[0], r.arrival) as f64)
-        } else {
-            None
-        };
-        consume(i, r.access_delay().as_secs_f64(), queue);
+    let delays = run.probe.iter().map(|r| r.access_delay().as_secs_f64());
+    match run.contending.first().filter(|_| queue) {
+        Some(&contender) => {
+            // Probe records come out in FIFO order, so their arrivals
+            // ascend: one merge walk serves the whole train.
+            let arrivals = run.probe.iter().map(|r| r.arrival);
+            let queues = run.output.queue_lens_at(contender, arrivals);
+            for (i, (delay, q)) in delays.zip(queues).enumerate() {
+                consume(i, delay, Some(q as f64));
+            }
+        }
+        None => {
+            for (i, delay) in delays.enumerate() {
+                consume(i, delay, None);
+            }
+        }
     }
     run.recycle();
 }
 
-/// Execute a scenario in streaming-summary mode (see module docs).
-pub fn run_summary(scenario: &(impl Scenario + ?Sized), seed: u64) -> TransientSummary {
+/// Execute a scenario in streaming-summary mode (see module docs),
+/// accumulating the delay moments plus the requested `cols`.
+pub fn run_summary(
+    scenario: &(impl Scenario + ?Sized),
+    seed: u64,
+    cols: Columns,
+) -> TransientSummary {
     let acc = replicate::run_reduce(
         scenario.reps(),
         seed,
         |_, s, acc: &mut SummaryAcc| {
-            replicate_once(scenario, s, |i, delay, queue| {
+            replicate_once(scenario, s, cols.queue, |i, delay, queue| {
                 acc.delays.push(i, delay);
-                acc.delay_p95.push(i, delay);
+                if cols.p95 {
+                    acc.delay_p95.push(i, delay);
+                }
                 if let Some(q) = queue {
                     acc.queues.push(i, q);
                 }
@@ -170,22 +221,30 @@ pub fn run_summary(scenario: &(impl Scenario + ?Sized), seed: u64) -> TransientS
 }
 
 /// Execute a scenario in dense mode, retaining at most `cap` raw
-/// samples per packet index (deterministic decimation beyond that).
-pub fn run_dense(scenario: &(impl Scenario + ?Sized), seed: u64, cap: usize) -> TransientData {
+/// samples per packet index (deterministic decimation beyond that),
+/// plus the requested `cols`.
+pub fn run_dense(
+    scenario: &(impl Scenario + ?Sized),
+    seed: u64,
+    cap: usize,
+    cols: Columns,
+) -> TransientData {
     let acc = replicate::run_reduce(
         scenario.reps(),
         seed,
         |_, s, acc: &mut DenseAcc| {
             let mut delays = Vec::with_capacity(scenario.train().n);
             let mut queues = Vec::new();
-            replicate_once(scenario, s, |_, delay, queue| {
+            replicate_once(scenario, s, cols.queue, |_, delay, queue| {
                 delays.push(delay);
                 if let Some(q) = queue {
                     queues.push(q);
                 }
             });
             acc.delays.push_replication(&delays);
-            acc.delay_p95.push_replication(&delays);
+            if cols.p95 {
+                acc.delay_p95.push_replication(&delays);
+            }
             if !queues.is_empty() {
                 acc.queues.push_replication(&queues);
             }
@@ -207,15 +266,41 @@ pub fn run_dense(scenario: &(impl Scenario + ?Sized), seed: u64, cap: usize) -> 
 impl TransientExperiment {
     /// Run all replications in streaming mode (thread-parallel,
     /// deterministic): per-index moments only, O(train length) memory.
+    /// Accumulates every column ([`Columns::ALL`]).
     pub fn run(&self) -> TransientSummary {
-        run_summary(self, self.seed)
+        self.run_columns(Columns::ALL)
+    }
+
+    /// [`TransientExperiment::run`] accumulating only the delay moments
+    /// and the requested `cols`.
+    pub fn run_columns(&self, cols: Columns) -> TransientSummary {
+        run_summary(self, self.seed, cols)
     }
 
     /// Run all replications retaining raw per-index samples (for KS
     /// profiles and histograms), capped at `cap` samples per index.
+    /// Accumulates every column ([`Columns::ALL`]).
     pub fn run_dense(&self, cap: usize) -> TransientData {
-        run_dense(self, self.seed, cap)
+        self.run_dense_columns(cap, Columns::ALL)
     }
+
+    /// [`TransientExperiment::run_dense`] accumulating only the delay
+    /// samples and the requested `cols`.
+    pub fn run_dense_columns(&self, cap: usize, cols: Columns) -> TransientData {
+        run_dense(self, self.seed, cap, cols)
+    }
+}
+
+/// The streamed p95 profile, refusing a run that did not accumulate it
+/// (an empty profile next to non-empty delays would read as "no
+/// packets" rather than "not requested").
+fn requested_p95(delay_p95: &IndexedQuantile, delays_len: usize) -> Vec<f64> {
+    assert!(
+        !delay_p95.is_empty() || delays_len == 0,
+        "p95_profile: the delay_p95 column was not accumulated \
+         (run with Columns {{ p95: true, .. }})"
+    );
+    delay_p95.values()
 }
 
 /// Streaming result of a [`Scenario`]: per-index moments of the access
@@ -225,9 +310,10 @@ pub struct TransientSummary {
     /// Per-index access-delay moments (seconds).
     pub delays: IndexedStats,
     /// Per-index contending-queue-size moments (empty when the link has
-    /// no contenders).
+    /// no contenders or the run did not request [`Columns::queue`]).
     pub queue_sizes: IndexedStats,
-    /// Streamed per-index access-delay p95 ([`TAIL_QUANTILE`]), seconds.
+    /// Streamed per-index access-delay p95 ([`TAIL_QUANTILE`]), seconds
+    /// (empty when the run did not request [`Columns::p95`]).
     pub delay_p95: IndexedQuantile,
     /// Replications executed.
     pub reps: usize,
@@ -274,8 +360,10 @@ impl TransientSummary {
     }
 
     /// Streamed per-index p95 access delay ([`TAIL_QUANTILE`]), seconds.
+    ///
+    /// Panics when the run did not request [`Columns::p95`].
     pub fn p95_profile(&self) -> Vec<f64> {
-        self.delay_p95.values()
+        requested_p95(&self.delay_p95, self.delays.len())
     }
 }
 
@@ -286,11 +374,13 @@ pub struct TransientData {
     /// Access delay (seconds) of packet index `i` across replications.
     pub delays: IndexedSeries,
     /// Queue length of the first contending station sampled at each
-    /// probe packet's arrival (empty when the link has no contenders).
+    /// probe packet's arrival (empty when the link has no contenders or
+    /// the run did not request [`Columns::queue`]).
     pub queue_sizes: IndexedSeries,
     /// Streamed per-index access-delay p95 ([`TAIL_QUANTILE`]), seconds
     /// — P²-estimated over **all** replications, independent of the
-    /// reservoir cap.
+    /// reservoir cap (empty when the run did not request
+    /// [`Columns::p95`]).
     pub delay_p95: IndexedQuantile,
 }
 
@@ -345,8 +435,10 @@ impl TransientData {
     }
 
     /// Streamed per-index p95 access delay ([`TAIL_QUANTILE`]), seconds.
+    ///
+    /// Panics when the run did not request [`Columns::p95`].
     pub fn p95_profile(&self) -> Vec<f64> {
-        self.delay_p95.values()
+        requested_p95(&self.delay_p95, self.delays.len())
     }
 }
 
@@ -544,6 +636,114 @@ mod tests {
         );
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every per-index moment accumulator's state, by bits.
+    fn moments_bits(v: &IndexedStats) -> Vec<[u64; 5]> {
+        v.stats()
+            .iter()
+            .map(|o| {
+                let [mean, var, min, max] =
+                    [o.mean(), o.variance(), o.min(), o.max()].map(f64::to_bits);
+                [o.count(), mean, var, min, max]
+            })
+            .collect()
+    }
+
+    /// Dropping a column cannot move a kept one: for every column set
+    /// the figures and the example declare, summary and dense runs
+    /// reproduce the all-column runs bit for bit on each column they
+    /// keep, and leave the others empty — under one worker and four.
+    #[test]
+    fn column_sets_keep_their_columns_bitwise() {
+        let exp = TransientExperiment {
+            link: WlanLink::new(LinkConfig::default().contending_bps(3_000_000.0)),
+            train: ProbeTrain::from_rate(40, 1500, 5_000_000.0),
+            // Not a multiple of the chunk size: a partial chunk merges.
+            reps: 70,
+            seed: 0xC01,
+        };
+        let cap = 24;
+        let sets = [
+            Columns::DELAYS,
+            Columns {
+                queue: false,
+                p95: true,
+            },
+            Columns {
+                queue: true,
+                p95: false,
+            },
+            Columns::ALL,
+        ];
+        for workers in [1, 4] {
+            replicate::set_worker_limit(workers);
+            let all = exp.run();
+            let all_dense = exp.run_dense(cap);
+            for cols in sets {
+                let s = exp.run_columns(cols);
+                let d = exp.run_dense_columns(cap, cols);
+                assert_eq!(
+                    moments_bits(&s.delays),
+                    moments_bits(&all.delays),
+                    "{cols:?}"
+                );
+                for i in 0..exp.train.n {
+                    assert_eq!(
+                        bits(d.delays.sample(i)),
+                        bits(all_dense.delays.sample(i)),
+                        "{cols:?} index {i}"
+                    );
+                }
+                if cols.queue {
+                    assert_eq!(moments_bits(&s.queue_sizes), moments_bits(&all.queue_sizes));
+                    for i in 0..exp.train.n {
+                        assert_eq!(
+                            bits(d.queue_sizes.sample(i)),
+                            bits(all_dense.queue_sizes.sample(i)),
+                            "{cols:?} queue index {i}"
+                        );
+                    }
+                } else {
+                    assert!(s.queue_sizes.is_empty() && d.queue_sizes.is_empty());
+                }
+                if cols.p95 {
+                    assert_eq!(bits(&s.p95_profile()), bits(&all.p95_profile()));
+                    assert_eq!(bits(&d.p95_profile()), bits(&all_dense.p95_profile()));
+                } else {
+                    assert!(s.delay_p95.is_empty() && d.delay_p95.is_empty());
+                }
+            }
+        }
+        replicate::set_worker_limit(0);
+    }
+
+    /// A small cell for the refusal tests below.
+    fn small_exp() -> TransientExperiment {
+        TransientExperiment {
+            link: WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0)),
+            train: ProbeTrain::from_rate(10, 1500, 4_000_000.0),
+            reps: 4,
+            seed: 9,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delay_p95 column was not accumulated")]
+    fn p95_profile_refuses_a_run_without_the_column() {
+        small_exp().run_columns(Columns::DELAYS).p95_profile();
+    }
+
+    #[test]
+    #[should_panic(expected = "delay_p95 column was not accumulated")]
+    fn dense_p95_profile_refuses_a_run_without_the_column() {
+        small_exp()
+            .run_dense_columns(8, Columns::DELAYS)
+            .p95_profile();
+    }
+
     #[test]
     fn scenario_trait_is_object_usable() {
         let link = WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0));
@@ -556,7 +756,7 @@ mod tests {
         let s: &dyn Scenario = &exp;
         assert_eq!(s.name(), "transient");
         assert_eq!(s.reps(), 8);
-        let summary = run_summary(s, 5);
+        let summary = run_summary(s, 5, Columns::DELAYS);
         assert_eq!(summary.mean_profile().len(), 10);
     }
 }

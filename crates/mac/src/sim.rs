@@ -199,12 +199,6 @@ impl Station {
     }
 }
 
-/// One collision-domain WLAN simulation.
-///
-/// Build with [`WlanSim::new`], attach stations ([`WlanSim::add_station`]),
-/// then [`WlanSim::run`]. Each station's RNG stream is derived from the
-/// master seed and the station index, so results are a pure function of
-/// `(phy, sources, seed)`.
 /// Early-termination rule: stop once a station has completed a number
 /// of packets of one flow.
 #[derive(Debug, Clone, Copy)]
@@ -214,6 +208,12 @@ struct StopRule {
     remaining: usize,
 }
 
+/// One collision-domain WLAN simulation.
+///
+/// Build with [`WlanSim::new`], attach stations ([`WlanSim::add_station`]),
+/// then [`WlanSim::run`]. Each station's RNG stream is derived from the
+/// master seed and the station index, so results are a pure function of
+/// `(phy, sources, seed)`.
 pub struct WlanSim {
     phy: Phy,
     seed: u64,
@@ -343,6 +343,16 @@ impl WlanSim {
     pub fn run(mut self, horizon: Time) -> SimOutput {
         let slot = self.phy.slot;
         let difs = self.phy.difs();
+        // Per-run constants of the transmission step.
+        let sifs_ack = self.phy.sifs + self.phy.ack_airtime();
+        let ack_timeout = self.phy.ack_timeout();
+        let rts_preface = self.phy.rts_cts_preface();
+        let rts_airtime = self.phy.rts_airtime();
+        let retry_limit = self.phy.retry_limit;
+        let cw0 = self.phy.cw_at_stage(0) as u64;
+        // The stations whose transmission is due at the earliest
+        // candidate instant, in index order; one buffer for the run.
+        let mut winners: Vec<usize> = Vec::with_capacity(self.stations.len());
         let mut channel_free_at = Time::ZERO;
         let mut last_done = Time::ZERO;
         let mut channel = ChannelStats::default();
@@ -373,13 +383,19 @@ impl WlanSim {
                 }
             }
 
-            // Earliest candidate transmission across contending stations.
+            // Earliest candidate transmission across contending stations,
+            // and every station due at it.
             let mut next_tx = Time::MAX;
-            for st in &self.stations {
+            winners.clear();
+            for (i, st) in self.stations.iter().enumerate() {
                 if st.contending {
                     let t = st.tx_time(slot);
                     if t < next_tx {
                         next_tx = t;
+                        winners.clear();
+                    }
+                    if t == next_tx {
+                        winners.push(i);
                     }
                 }
             }
@@ -408,8 +424,7 @@ impl WlanSim {
                     if pkt.time < channel_free_at {
                         // Medium busy: classic backoff, counted from the
                         // next idle period.
-                        st.slots_left =
-                            st.rng.range_inclusive(0, self.phy.cw_at_stage(0) as u64) as u32;
+                        st.slots_left = st.rng.range_inclusive(0, cw0) as u32;
                         st.count_start = channel_free_at + difs;
                     } else {
                         // Medium idle: immediate access after DIFS,
@@ -419,7 +434,7 @@ impl WlanSim {
                         st.slots_left = if self.options.immediate_access {
                             0
                         } else {
-                            st.rng.range_inclusive(0, self.phy.cw_at_stage(0) as u64) as u32
+                            st.rng.range_inclusive(0, cw0) as u32
                         };
                         st.count_start = Self::align_up(anchor, slot, pkt.time + difs);
                     }
@@ -429,18 +444,11 @@ impl WlanSim {
 
             // ---- transmission(s) at next_tx ----
             let t = next_tx;
-            let winners: Vec<usize> = self
-                .stations
-                .iter()
-                .enumerate()
-                .filter(|(_, st)| st.contending && st.tx_time(slot) == t)
-                .map(|(i, _)| i)
-                .collect();
             debug_assert!(!winners.is_empty());
 
             // Freeze every other contending station.
-            for (i, st) in self.stations.iter_mut().enumerate() {
-                if !st.contending || winners.contains(&i) {
+            for st in &mut self.stations {
+                if !st.contending || st.tx_time(slot) == t {
                     continue;
                 }
                 if st.count_start <= t {
@@ -461,25 +469,19 @@ impl WlanSim {
             }
 
             let busy_end;
-            if winners.len() == 1 {
-                let w = winners[0];
+            if let [w] = winners[..] {
                 let failed = self.options.frame_error_rate > 0.0
                     && self.stations[w].rng.f64() < self.options.frame_error_rate;
                 let st = &mut self.stations[w];
                 let (arrival, bytes, flow) = *st.queue.front().expect("winner with empty queue");
                 let uses_rts = self.options.uses_rts(bytes);
-                let preface = if uses_rts {
-                    self.phy.rts_cts_preface()
-                } else {
-                    Dur::ZERO
-                };
+                let preface = if uses_rts { rts_preface } else { Dur::ZERO };
                 let data = self.phy.data_airtime(bytes);
                 if failed {
                     // ---- corrupted data frame: no ACK, BEB retry ----
                     channel.frame_errors += 1;
-                    let fail_end = t + preface + data + self.phy.ack_timeout();
+                    let fail_end = t + preface + data + ack_timeout;
                     channel.error_time += fail_end - t;
-                    let retry_limit = self.phy.retry_limit;
                     st.retries += 1;
                     st.stage += 1;
                     if st.retries > retry_limit {
@@ -500,7 +502,7 @@ impl WlanSim {
                         }
                         last_done = last_done.max(fail_end);
                         st.queue.pop_front();
-                        Self::rearm_after_completion(st, &self.phy, fail_end);
+                        Self::rearm_after_completion(st, cw0, fail_end);
                     } else {
                         let cw = self.phy.cw_at_stage(st.stage);
                         st.slots_left = st.rng.range_inclusive(0, cw as u64) as u32;
@@ -509,7 +511,7 @@ impl WlanSim {
                 } else {
                     // ---- success ----
                     let rx_end = t + preface + data;
-                    let done = rx_end + self.phy.sifs + self.phy.ack_airtime();
+                    let done = rx_end + sifs_ack;
                     channel.success_time += done - t;
                     st.records.push(PacketRecord {
                         arrival,
@@ -528,7 +530,7 @@ impl WlanSim {
                     }
                     last_done = last_done.max(done);
                     st.queue.pop_front();
-                    Self::rearm_after_completion(st, &self.phy, done);
+                    Self::rearm_after_completion(st, cw0, done);
                     busy_end = done;
                 }
             } else {
@@ -541,7 +543,7 @@ impl WlanSim {
                         let (_, bytes, _) = *self.stations[i].queue.front().unwrap();
                         if self.options.uses_rts(bytes) {
                             // RTS/CTS: only the short RTS collides.
-                            self.phy.rts_airtime()
+                            rts_airtime
                         } else {
                             self.phy.data_airtime(bytes)
                         }
@@ -550,10 +552,9 @@ impl WlanSim {
                     .unwrap();
                 // The channel is unusable for the longest frame plus the
                 // ACK/CTS-timeout the colliders observe before resuming.
-                busy_end = t + max_frame + self.phy.sifs + self.phy.ack_airtime();
+                busy_end = t + max_frame + sifs_ack;
                 channel.collision_time += busy_end - t;
                 for &i in &winners {
-                    let retry_limit = self.phy.retry_limit;
                     let st = &mut self.stations[i];
                     st.retries += 1;
                     st.stage += 1;
@@ -577,7 +578,7 @@ impl WlanSim {
                         }
                         last_done = last_done.max(busy_end);
                         st.queue.pop_front();
-                        Self::rearm_after_completion(st, &self.phy, busy_end);
+                        Self::rearm_after_completion(st, cw0, busy_end);
                     } else {
                         let cw = self.phy.cw_at_stage(st.stage);
                         st.slots_left = st.rng.range_inclusive(0, cw as u64) as u32;
@@ -619,15 +620,16 @@ impl WlanSim {
 
     /// After the head packet completes (success or drop): reset the
     /// contention window and arm the next head, if any, with a fresh
-    /// post-transmission backoff.
-    fn rearm_after_completion(st: &mut Station, phy: &Phy, done: Time) {
+    /// post-transmission backoff drawn from `[0, cw0]` (the stage-0
+    /// window).
+    fn rearm_after_completion(st: &mut Station, cw0: u64, done: Time) {
         st.stage = 0;
         st.retries = 0;
         if st.queue.is_empty() {
             st.contending = false;
         } else {
             st.head_since = done;
-            st.slots_left = st.rng.range_inclusive(0, phy.cw_at_stage(0) as u64) as u32;
+            st.slots_left = st.rng.range_inclusive(0, cw0) as u32;
             st.contending = true;
             // count_start is set by the caller's re-anchoring pass.
         }
@@ -692,7 +694,9 @@ impl SimOutput {
     /// Queue length (packets in the station's transmission queue,
     /// including the head in contention/service) at time `t`.
     ///
-    /// Reconstructed from arrivals and completions; `O(log n)`.
+    /// Reconstructed from arrivals and completions; `O(log n)`. For a
+    /// whole ascending sequence of instants, [`SimOutput::queue_lens_at`]
+    /// gives the same counts in one pass.
     pub fn queue_len_at(&self, id: StationId, t: Time) -> usize {
         let recs = &self.station_records[id.0];
         // Arrivals of completed packets are sorted (per-station FIFO);
@@ -701,6 +705,37 @@ impl SimOutput {
         let departed = recs.partition_point(|r| r.done <= t);
         let unfinished_arrived = self.unfinished[id.0].partition_point(|&a| a <= t);
         completed_arrived + unfinished_arrived - departed
+    }
+
+    /// [`SimOutput::queue_len_at`] at every instant of the ascending
+    /// sequence `times`, by one merge walk: three cursors — over the
+    /// completed packets' arrivals, their completions, and the
+    /// unfinished packets' arrivals — only move forward, so the whole
+    /// sequence costs `O(records + instants)` instead of three binary
+    /// searches per instant.
+    pub fn queue_lens_at<'a>(
+        &'a self,
+        id: StationId,
+        times: impl IntoIterator<Item = Time> + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let recs = &self.station_records[id.0];
+        let unfinished = &self.unfinished[id.0];
+        let (mut arrived, mut departed, mut pending) = (0, 0, 0);
+        let mut prev = Time::ZERO;
+        times.into_iter().map(move |t| {
+            debug_assert!(t >= prev, "queue_lens_at: instants must ascend");
+            prev = t;
+            while arrived < recs.len() && recs[arrived].arrival <= t {
+                arrived += 1;
+            }
+            while departed < recs.len() && recs[departed].done <= t {
+                departed += 1;
+            }
+            while pending < unfinished.len() && unfinished[pending] <= t {
+                pending += 1;
+            }
+            arrived + pending - departed
+        })
     }
 
     /// The PHY the simulation used.
@@ -909,8 +944,12 @@ mod tests {
     #[test]
     fn queue_len_reconstruction() {
         let mut sim = WlanSim::new(phy(), 17);
-        let st = sim.add_station(trace(&[0, 10, 20, 30], 1500));
+        let st = sim.add_station(trace(&[5, 10, 20, 30], 1500));
         let out = sim.run(Time::MAX);
+        // Before anything arrives: empty.
+        assert_eq!(out.queue_len_at(st, Time::from_micros(4)), 0);
+        // An arrival counts from its own instant on.
+        assert_eq!(out.queue_len_at(st, Time::from_micros(5)), 1);
         // All four arrive before the first completes (~1.6ms).
         assert_eq!(out.queue_len_at(st, Time::from_micros(35)), 4);
         let recs = out.records(st);
@@ -918,8 +957,16 @@ mod tests {
         assert_eq!(out.queue_len_at(st, recs[0].done), 3);
         // After the last completion: empty.
         assert_eq!(out.queue_len_at(st, recs[3].done), 0);
-        // Before anything arrives: empty.
-        assert_eq!(out.queue_len_at(st, Time::ZERO.max(Time::ZERO)), 1); // t=0 includes the t=0 arrival
+        // The merge walk agrees at every one of those instants.
+        let at = [
+            Time::from_micros(4),
+            Time::from_micros(5),
+            Time::from_micros(35),
+            recs[0].done,
+            recs[3].done,
+        ];
+        let walked: Vec<usize> = out.queue_lens_at(st, at).collect();
+        assert_eq!(walked, [0, 1, 4, 3, 0]);
     }
 
     #[test]

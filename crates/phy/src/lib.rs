@@ -15,7 +15,8 @@
 //!   §17.3.2.
 //!
 //! All durations are integer nanoseconds ([`Dur`]); airtime division is
-//! done in 128-bit arithmetic and rounded **up** to whole nanoseconds
+//! exact integer arithmetic (64-bit, widened to 128-bit only when the
+//! product would overflow) rounded **up** to whole nanoseconds
 //! (transmissions can only end on or after the last bit).
 
 pub mod ofdm;
@@ -38,11 +39,18 @@ pub const MAC_DATA_OVERHEAD_BYTES: u32 = 28;
 
 /// Airtime of `bits` transmitted at `rate_bps`, rounded up to whole
 /// nanoseconds.
+///
+/// Computed in 64-bit arithmetic whenever `bits · 10⁹` fits (every
+/// frame up to ~2 GB does); larger products fall back to 128-bit. Both
+/// paths are the same exact ceiling division.
 #[inline]
 pub fn serialization_time(bits: u64, rate_bps: u64) -> Dur {
     debug_assert!(rate_bps > 0);
-    let ns = (bits as u128 * 1_000_000_000u128).div_ceil(rate_bps as u128);
-    Dur::from_nanos(ns as u64)
+    let ns = match bits.checked_mul(1_000_000_000) {
+        Some(scaled) => scaled.div_ceil(rate_bps),
+        None => (bits as u128 * 1_000_000_000u128).div_ceil(rate_bps as u128) as u64,
+    };
+    Dur::from_nanos(ns)
 }
 
 /// The preamble variants defined for DSSS/HR-DSSS PHYs.
@@ -251,6 +259,34 @@ mod tests {
         assert_eq!(serialization_time(1, 3_000_000_000), Dur::from_nanos(1));
         // 8000 bits at 1 Mb/s = 8 ms exactly.
         assert_eq!(serialization_time(8000, 1_000_000), Dur::from_millis(8));
+    }
+
+    /// The 128-bit formula the 64-bit fast path must reproduce.
+    fn serialization_time_u128(bits: u64, rate_bps: u64) -> Dur {
+        let ns = (bits as u128 * 1_000_000_000u128).div_ceil(rate_bps as u128);
+        Dur::from_nanos(ns as u64)
+    }
+
+    #[test]
+    fn serialization_u64_path_equals_u128_formula() {
+        let rates = [
+            1_000_000, 2_000_000, 5_500_000, 11_000_000, 6_000_000, 9_000_000, 12_000_000,
+            18_000_000, 24_000_000, 36_000_000, 48_000_000, 54_000_000,
+        ];
+        // Every length up to 2^20 bits, then the overflow edge: the largest
+        // product that fits in u64, the first that does not, and far
+        // past it (where both forms truncate the same way).
+        let edge = u64::MAX / 1_000_000_000;
+        let overflow = [edge, edge + 1, u64::MAX / 2, u64::MAX];
+        for rate in rates {
+            for bits in (0..=1u64 << 20).chain(overflow) {
+                assert_eq!(
+                    serialization_time(bits, rate),
+                    serialization_time_u128(bits, rate),
+                    "{bits} bits at {rate} bit/s"
+                );
+            }
+        }
     }
 
     #[test]

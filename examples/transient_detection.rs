@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example transient_detection`
 
 use csmaprobe::core::link::{LinkConfig, WlanLink};
-use csmaprobe::core::transient::TransientExperiment;
+use csmaprobe::core::transient::{Columns, TransientExperiment};
 use csmaprobe::traffic::probe::ProbeTrain;
 
 fn main() {
@@ -21,8 +21,15 @@ fn main() {
     println!("running {} replications of a 300-packet train...", exp.reps);
     // Dense mode: the KS profile below needs raw per-index samples.
     // (`exp.run()` gives the O(train-length) streaming summary when
-    // only mean profiles are needed.)
-    let data = exp.run_dense(25_000);
+    // only mean profiles are needed.) Besides the delays this example
+    // reads the contender's queue, so it asks for that column alone.
+    let data = exp.run_dense_columns(
+        25_000,
+        Columns {
+            queue: true,
+            p95: false,
+        },
+    );
 
     let profile = data.mean_profile();
     let steady = data.steady_mean(150);

@@ -25,7 +25,7 @@
 //! All rates are Mb/s on the command line; output is plain text.
 
 use csmaprobe::core::link::{LinkConfig, ProbeTarget, WiredLink, WlanLink};
-use csmaprobe::core::transient::TransientExperiment;
+use csmaprobe::core::transient::{Columns, TransientExperiment};
 use csmaprobe::desim::time::Dur;
 use csmaprobe::mac::measured_standalone_capacity_bps;
 use csmaprobe::phy::Phy;
@@ -272,7 +272,7 @@ fn main() {
                 reps: args.reps,
                 seed: args.seed,
             };
-            let data = exp.run();
+            let data = exp.run_columns(Columns::DELAYS);
             let steady = data.steady_mean(args.n / 2);
             let profile = data.mean_profile();
             println!("steady-state mean access delay: {:.4} ms", steady * 1e3);

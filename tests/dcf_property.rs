@@ -11,11 +11,17 @@
 //! arithmetic or in the contention-window schedule moves those instants
 //! and fails here.
 
+use csmaprobe::core::link::{
+    CrossShape, CrossSpec, LinkConfig, WlanLink, FLOW_FIFO_CROSS, FLOW_PROBE,
+};
 use csmaprobe::desim::rng::{derive_seed, SimRng};
 use csmaprobe::desim::time::{Dur, Time};
-use csmaprobe::mac::{saturated_source, MacOptions, PacketRecord, WlanSim};
+use csmaprobe::mac::{saturated_source, MacOptions, PacketRecord, StationId, WlanSim};
 use csmaprobe::phy::Phy;
-use csmaprobe::traffic::{PacketArrival, TraceSource};
+use csmaprobe::traffic::probe::ProbeTrain;
+use csmaprobe::traffic::{
+    CbrSource, MergeSource, PacketArrival, PoissonSource, SizeModel, Source, TraceSource,
+};
 use proptest::prelude::*;
 
 /// Frames per lone-station run.
@@ -126,6 +132,82 @@ proptest! {
     }
 }
 
+/// Payload sizes the queue-walk regimes draw contender frames from.
+const SIZES: [u32; 4] = [40, 576, 1000, 1500];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The one-pass merge walk is `queue_len_at` at every instant: at
+    // each probe arrival (how the transient profiles sample it) and at
+    // every arrival and completion instant of the contender itself,
+    // where the `<=` edges decide the count. The regimes mix 1-5
+    // Poisson or CBR contenders of assorted frame sizes, optional FIFO
+    // cross-traffic in the probe queue, retry limit 0 (collisions drop
+    // frames), and horizons that cut the run with packets still queued.
+    #[test]
+    fn queue_merge_walk_matches_queue_len_at(
+        seed in 0u64..1_000_000,
+        rates in prop::collection::vec(200_000.0f64..3_500_000.0, 1..6),
+        shapes in prop::collection::vec(0u64..8, 5),
+        fifo_bps in 0.0f64..2_000_000.0,
+        zero_retry in any::<bool>(),
+        horizon_ms in 20u64..250,
+    ) {
+        let mut phy = Phy::dsss_11mbps();
+        if zero_retry {
+            phy.retry_limit = 0;
+        }
+        let horizon = Time::from_millis(horizon_ms);
+        let start = Time::from_millis(10);
+        let train = ProbeTrain {
+            flow: FLOW_PROBE,
+            ..ProbeTrain::from_rate(60, 1500, 4_000_000.0)
+        };
+        let probe_arrivals: Vec<Time> = train.arrivals(start).iter().map(|p| p.time).collect();
+
+        let mut sim = WlanSim::new(phy, seed);
+        let trace: Box<dyn Source> = Box::new(TraceSource::new(train.arrivals(start)));
+        // Below 0.5 Mb/s the probe queue carries no FIFO cross-traffic.
+        let probe_source = if fifo_bps < 500_000.0 {
+            trace
+        } else {
+            let sizes = SizeModel::Fixed(1500);
+            let fifo = PoissonSource::from_bitrate(fifo_bps, sizes, Time::ZERO, horizon)
+                .with_flow(FLOW_FIFO_CROSS);
+            Box::new(MergeSource::new(vec![trace, Box::new(fifo)]))
+        };
+        sim.add_station(probe_source);
+        // `shape % 4` picks a contender's frame size, `shape < 4` makes
+        // it Poisson and the rest CBR.
+        let contenders: Vec<StationId> = rates
+            .iter()
+            .zip(&shapes)
+            .map(|(&rate, &shape)| {
+                let sizes = SizeModel::Fixed(SIZES[(shape % 4) as usize]);
+                let source: Box<dyn Source> = if shape < 4 {
+                    Box::new(PoissonSource::from_bitrate(rate, sizes, Time::ZERO, horizon))
+                } else {
+                    Box::new(CbrSource::from_bitrate(rate, sizes, Time::ZERO, horizon))
+                };
+                sim.add_station(source)
+            })
+            .collect();
+        let out = sim.run(horizon);
+
+        for &c in &contenders {
+            let mut edges: Vec<Time> = probe_arrivals.clone();
+            edges.extend(out.records(c).iter().flat_map(|r| [r.arrival, r.done]));
+            edges.sort();
+            for at in [&probe_arrivals, &edges] {
+                let walked: Vec<usize> = out.queue_lens_at(c, at.iter().copied()).collect();
+                let searched: Vec<usize> = at.iter().map(|&t| out.queue_len_at(c, t)).collect();
+                prop_assert_eq!(walked, searched, "station {}", c.0);
+            }
+        }
+    }
+}
+
 /// The first stage-0 backoff draw of station `station` under `seed`.
 fn first_draw(phy: &Phy, seed: u64, station: u64) -> u32 {
     SimRng::new(derive_seed(seed, station + 1)).range_inclusive(0, phy.cw_at_stage(0) as u64) as u32
@@ -194,4 +276,141 @@ fn frozen_backoff_resumes_exactly() {
         exercised >= 10,
         "only {exercised}/60 seeds hit the freeze shape"
     );
+}
+
+/// FNV-1a fold of one 64-bit word.
+fn fold(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Fingerprint of `seeds` probe-train runs over `link`: every field of
+/// every station's packet records, plus the collision count, the
+/// channel accounting and the last completion of each run. Also returns
+/// the `(collisions, frame errors, drops, FIFO cross packets)` the runs
+/// saw, so a regime can show it reaches the branch it is there for.
+fn kernel_fingerprint(
+    link: &WlanLink,
+    train: ProbeTrain,
+    seeds: std::ops::Range<u64>,
+) -> (u64, [u64; 4]) {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut seen = [0u64; 4];
+    for seed in seeds {
+        let run = link.send_train(train, seed);
+        let out = &run.output;
+        for s in 0..out.station_count() {
+            for r in out.records(StationId(s)) {
+                for t in [r.arrival, r.head, r.rx_end, r.done] {
+                    fold(&mut h, t.as_nanos());
+                }
+                fold(&mut h, u64::from(r.bytes));
+                fold(&mut h, u64::from(r.retries));
+                fold(&mut h, u64::from(r.dropped));
+                fold(&mut h, u64::from(r.flow));
+                seen[2] += u64::from(r.dropped);
+                seen[3] += u64::from(r.flow == FLOW_FIFO_CROSS);
+            }
+        }
+        let c = out.channel;
+        fold(&mut h, out.collisions);
+        for d in [c.success_time, c.collision_time, c.error_time] {
+            fold(&mut h, d.as_nanos());
+        }
+        fold(&mut h, c.collisions);
+        fold(&mut h, c.frame_errors);
+        fold(&mut h, out.last_done.as_nanos());
+        seen[0] += c.collisions;
+        seen[1] += c.frame_errors;
+        run.recycle();
+    }
+    (h, seen)
+}
+
+/// The kernel's fixed-seed output, frozen: a change to the transmission
+/// step that moves any record, collision or airtime total fails here.
+/// The regimes cover every transmission branch — success, collision,
+/// corrupted frame, drop after a collision and after a corrupted frame,
+/// RTS/CTS and plain access mixed in one channel, FIFO cross-traffic
+/// sharing the probe queue — on both PHY families.
+#[test]
+fn kernel_fingerprint_is_frozen() {
+    let train = |n, rate| ProbeTrain::from_rate(n, 1500, rate);
+    let mut zero_retry = Phy::dsss_11mbps();
+    zero_retry.retry_limit = 0;
+    // (name, link, train, frozen fingerprint, needs frame errors,
+    // needs drops, needs FIFO cross-traffic); every regime collides.
+    let regimes = [
+        (
+            "fig09 heterogeneous contenders",
+            LinkConfig::default()
+                .contending(CrossSpec::poisson_sized(100_000.0, 40))
+                .contending(CrossSpec::poisson_sized(500_000.0, 576))
+                .contending(CrossSpec::poisson_sized(750_000.0, 1000))
+                .contending(CrossSpec::poisson_sized(2_000_000.0, 1500)),
+            train(80, 3e6),
+            0x6ac8_4d9a_a1fa_c91d_u64,
+            [false, false, false],
+        ),
+        (
+            "frame errors",
+            LinkConfig::default()
+                .contending_bps(3_000_000.0)
+                .mac_options(MacOptions::default().with_frame_error_rate(0.3)),
+            train(80, 5e6),
+            0x1e94_8562_62a0_9cac,
+            [true, false, false],
+        ),
+        (
+            "rts below the frame size",
+            LinkConfig::default()
+                .contending(CrossSpec::poisson_sized(2_000_000.0, 500))
+                .contending_bps(2_000_000.0)
+                .mac_options(MacOptions::default().with_rts_cts(1000)),
+            train(80, 5e6),
+            0x7fd2_612e_1fc5_4ca2,
+            [false, false, false],
+        ),
+        (
+            "retry limit 0",
+            LinkConfig::default()
+                .phy(zero_retry)
+                .contending_bps(3_000_000.0)
+                .contending_bps(3_000_000.0)
+                .mac_options(MacOptions::default().with_frame_error_rate(0.05)),
+            train(80, 5e6),
+            0x00b9_5470_9bce_004a,
+            [true, true, false],
+        ),
+        (
+            "fifo cross-traffic",
+            LinkConfig::default()
+                .fifo_cross_bps(1_500_000.0)
+                .contending(CrossSpec::shaped(2_000_000.0, CrossShape::Cbr)),
+            train(80, 3e6),
+            0x4180_2b2f_5fa0_ff68,
+            [false, false, true],
+        ),
+        (
+            "ofdm",
+            LinkConfig::default()
+                .phy(Phy::ofdm_g(54_000_000))
+                .contending_bps(12_000_000.0)
+                .contending_bps(8_000_000.0),
+            train(80, 20e6),
+            0xf5c6_efd0_1dd7_70d2,
+            [false, false, false],
+        ),
+    ];
+    for (name, cfg, train, frozen, needs) in regimes {
+        let (fp, [collisions, errors, drops, fifo]) =
+            kernel_fingerprint(&WlanLink::new(cfg), train, 0..6);
+        assert!(collisions > 0, "{name}: no collision");
+        assert!(!needs[0] || errors > 0, "{name}: no frame error");
+        assert!(!needs[1] || drops > 0, "{name}: no drop");
+        assert!(!needs[2] || fifo > 0, "{name}: no FIFO cross packet");
+        assert_eq!(fp, frozen, "{name}: fingerprint {fp:#018x}");
+    }
 }
