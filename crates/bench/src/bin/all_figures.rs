@@ -2,7 +2,9 @@
 //! `experiments.json` next to the workspace root.
 //!
 //! Usage: `cargo run --release -p csmaprobe-bench --bin all_figures
-//! [--scale F] [--seed N] [--only fig08,fig13] [--list] [--jobs N]`
+//! [--scale F] [--seed N] [--only fig08,fig13] [--list] [--jobs N]`.
+//! An unknown flag or a bad value exits 2 with one stderr line naming
+//! the flag, before any output (`csmaprobe_bench::cli_options_from`).
 //!
 //! Figures come from `figures::REGISTRY` and are submitted — by
 //! descending cost weight — as one task batch to the process-wide
@@ -22,11 +24,13 @@ use csmaprobe_core::engine;
 use csmaprobe_desim::replicate;
 
 fn main() {
-    if let Err(e) = engine::check_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    let opts = csmaprobe_bench::cli_options();
+    let args: Vec<String> = std::env::args().collect();
+    let opts = engine::check_env()
+        .and_then(|()| csmaprobe_bench::cli_options_from(&args))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
 
     if opts.list {
         for d in figures::REGISTRY {

@@ -49,10 +49,9 @@
 //! Exit codes: 0 done, 2 usage/configuration error, 3 interrupted
 //! (cells or shards still pending).
 
-use csmaprobe_bench::campaign::CampaignManifest;
+use csmaprobe_bench::campaign::{host_fingerprint, CampaignManifest};
 use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains, BiasGrid, GridRow};
 use csmaprobe_bench::report::{row_cell, RowSink};
-use csmaprobe_bench::trend::host_fingerprint;
 use csmaprobe_core::engine;
 use csmaprobe_core::grid::{shard_members, GridRunner, GridScenario, ShardSpec};
 use csmaprobe_desim::replicate;

@@ -225,6 +225,17 @@ impl CampaignManifest {
     }
 }
 
+/// The hardware fingerprint recorded with each shard session:
+/// `<logical cores>x<arch>` — coarse on purpose (it must be stable
+/// across reboots of the same runner class), but enough to separate a
+/// 2-core shared runner from an 8-core one.
+pub fn host_fingerprint() -> String {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    format!("{cores}x{}", std::env::consts::ARCH)
+}
+
 /// The string value following `pat` (up to the closing quote).
 fn scan_str<'a>(text: &'a str, pat: &str) -> Option<&'a str> {
     let at = text.find(pat)? + pat.len();
@@ -312,6 +323,15 @@ mod tests {
         m.save(&path).unwrap();
         assert_eq!(CampaignManifest::load(&path).unwrap(), Some(m));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn host_fingerprint_is_stable_and_shaped() {
+        let a = host_fingerprint();
+        assert_eq!(a, host_fingerprint());
+        let (cores, arch) = a.split_once('x').expect("cores x arch");
+        assert!(cores.parse::<usize>().unwrap() >= 1);
+        assert!(!arch.is_empty());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! simulator vs the analytic tier on representative steady-state
 //! cells, and across a finite-load rate-response sweep.
 //!
-//! Timings go into the report's non-deterministic `wallclock` channel
-//! (and, via the scheduler's `elapsed_s`, into `BENCH_history.jsonl`),
+//! Timings go into the report's non-deterministic `wallclock` channel,
 //! never into the deterministic rows: `tests/determinism.rs` compares
 //! `experiments.json` byte-for-byte modulo exactly those fields. The
 //! pass/fail checks only assert *robust* margins — the analytic tier
@@ -11,9 +10,8 @@
 //! ≥10× margin holds on any host. Check outcomes are part of the
 //! byte-compared deterministic payload, so no check may gate on a
 //! host-dependent timing: a sub-millisecond margin flips under the
-//! determinism suite's 8× oversubscribed leg. The perf trajectory
-//! (`BENCH_history.jsonl` via `elapsed_s`) is what watches for
-//! wall-clock regressions.
+//! determinism suite's 8× oversubscribed leg. The benchmark
+//! (`perfbench/run.py`) is what watches for wall-clock regressions.
 
 use crate::report::FigureReport;
 use crate::tier::regime_matrix;

@@ -3,28 +3,26 @@
 //! The figure-regeneration harness: one module per data figure of the
 //! paper (there are no tables), each producing a [`report::FigureReport`]
 //! with the same series the paper plots plus automated qualitative
-//! checks ("who wins, where the knee is"). Thin binaries under
-//! `src/bin/` print the reports as TSV; `all_figures` runs every entry
-//! of [`figures::REGISTRY`] — scheduling whole figures concurrently
-//! on the shared work-stealing executor — and writes `experiments.json` for
-//! `EXPERIMENTS.md`.
+//! checks ("who wins, where the knee is"). The `all_figures` binary
+//! runs every entry of [`figures::REGISTRY`] (or the `--only` subset) —
+//! scheduling whole figures concurrently on the shared work-stealing
+//! executor — prints each report as TSV and writes `experiments.json`
+//! for `EXPERIMENTS.md`.
 //!
 //! Scaling: every experiment takes a `scale` factor multiplying its
 //! replication counts (default 1.0; the paper used up to 25 000 NS2
 //! repetitions — `scale = 10.0` gets close at proportional runtime).
-//! Set via `--scale <f>` argv or the `SCALE` env var in the binaries.
+//! Set via `all_figures --scale <f>`.
 
-pub mod bench_support;
 pub mod campaign;
 pub mod figures;
 pub mod grid;
 pub mod report;
 pub mod scenarios;
 pub mod tier;
-pub mod trend;
 
-/// Default master seed for every figure binary (overridable via
-/// `--seed` / `SEED`).
+/// Default master seed of `all_figures` and `grid` (overridable via
+/// `--seed`).
 pub const DEFAULT_SEED: u64 = 0xC5AA_2009;
 
 /// Default replication-budget multiplier.
@@ -34,100 +32,81 @@ pub const DEFAULT_SCALE: f64 = 1.0;
 /// experiment still runs at least a handful of replications.
 pub const MIN_SCALE: f64 = 0.01;
 
-/// Largest accepted scale; anything higher (including `inf`) is clamped
-/// so a typo can never produce an effectively unbounded replication
-/// budget.
+/// Largest accepted scale; anything higher is clamped so a typo can
+/// never produce an effectively unbounded replication budget.
 pub const MAX_SCALE: f64 = 10_000.0;
 
-/// Common options of every figure binary.
+/// The options of `all_figures`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
-    /// Replication-budget multiplier (sanitised into
+    /// Replication-budget multiplier (clamped into
     /// `[MIN_SCALE, MAX_SCALE]`).
     pub scale: f64,
     /// Master seed.
     pub seed: u64,
-    /// `--list`: print the figure registry and exit (`all_figures`).
+    /// `--list`: print the figure registry and exit.
     pub list: bool,
-    /// `--only fig08,fig13`: run a subset of the registry
-    /// (`all_figures`); `None` means everything.
+    /// `--only fig08,fig13`: run a subset of the registry; `None` means
+    /// everything.
     pub only: Option<Vec<String>>,
-    /// `--jobs N`: upper bound on figures executing concurrently
-    /// (`all_figures`); defaults to the available parallelism. Figures
-    /// are one submission to the process-wide work-stealing executor,
-    /// so any value — including oversubscribed ones — only caps the
+    /// `--jobs N`: upper bound on figures executing concurrently;
+    /// defaults to the available parallelism. Figures are one
+    /// submission to the process-wide work-stealing executor, so any
+    /// value — including oversubscribed ones — only caps the
     /// submission's width; the pool itself never exceeds the
     /// `CSMAPROBE_WORKERS`/hardware concurrency ceiling.
     pub jobs: usize,
 }
 
-/// Parse the common CLI knobs: `--scale`/`SCALE`, `--seed`/`SEED`,
-/// `--only`/`ONLY`, `--list`, `--jobs`.
+/// Parse `all_figures`' argv (`args[0]` is the program name):
+/// `--scale F`, `--seed N`, `--only ids`, `--jobs N`, `--list`.
 ///
-/// Precedence: argv beats environment beats default. Unparseable
-/// values fall back to the next source in that order (with a warning
-/// on stderr) rather than aborting the run.
-pub fn cli_options() -> CliOptions {
-    let args: Vec<String> = std::env::args().collect();
-    cli_options_from(
-        &args,
-        std::env::var("SCALE").ok().as_deref(),
-        std::env::var("SEED").ok().as_deref(),
-        std::env::var("ONLY").ok().as_deref(),
-    )
-}
-
-/// Testable core of [`cli_options`]: same semantics, with argv and the
-/// `SCALE`/`SEED`/`ONLY` environment values passed in explicitly.
-pub fn cli_options_from(
-    args: &[String],
-    env_scale: Option<&str>,
-    env_seed: Option<&str>,
-    env_only: Option<&str>,
-) -> CliOptions {
-    let mut scale: f64 = parse_or("SCALE", env_scale, DEFAULT_SCALE);
-    let mut seed: u64 = parse_or("SEED", env_seed, DEFAULT_SEED);
-    let mut only: Option<Vec<String>> = env_only.map(parse_only);
-    let mut list = false;
-    let mut jobs = default_jobs();
-    // The value of a `--flag value` pair; another flag is never
-    // swallowed as a value.
-    let value_of = |i: usize| -> Option<&str> {
-        args.get(i + 1)
-            .map(String::as_str)
-            .filter(|v| !v.starts_with("--"))
+/// Strict: an unknown flag, a missing or unparseable value, `--jobs 0`
+/// or a non-finite or non-positive `--scale` is an `Err` naming the
+/// flag, which the binary prints before exiting 2. A finite positive
+/// scale clamps into `[MIN_SCALE, MAX_SCALE]`.
+pub fn cli_options_from(args: &[String]) -> Result<CliOptions, String> {
+    let mut opts = CliOptions {
+        scale: DEFAULT_SCALE,
+        seed: DEFAULT_SEED,
+        list: false,
+        only: None,
+        jobs: default_jobs(),
     };
-    let mut i = 1;
-    while i < args.len() {
-        match (args[i].as_str(), value_of(i)) {
-            ("--list", _) => list = true,
-            ("--scale", Some(v)) => {
-                scale = parse_or("--scale", Some(v), scale);
-                i += 1;
+    let mut it = args.iter().skip(1).map(String::as_str);
+    while let Some(flag) = it.next() {
+        // Another flag is never swallowed as a value.
+        let mut value = || {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--list" => opts.list = true,
+            "--scale" => {
+                let v = value()?;
+                let scale: f64 = parse_value(flag, v)?;
+                if !scale.is_finite() || scale <= 0.0 {
+                    return Err(format!("{flag} must be finite and positive, got {v:?}"));
+                }
+                opts.scale = sanitize_scale(scale);
             }
-            ("--seed", Some(v)) => {
-                seed = parse_or("--seed", Some(v), seed);
-                i += 1;
+            "--seed" => opts.seed = parse_value(flag, value()?)?,
+            "--only" => opts.only = Some(parse_only(value()?)),
+            "--jobs" => {
+                opts.jobs = parse_value(flag, value()?)?;
+                if opts.jobs == 0 {
+                    return Err(format!("{flag} must be at least 1"));
+                }
             }
-            ("--only", Some(v)) => {
-                only = Some(parse_only(v));
-                i += 1;
+            other => {
+                return Err(format!(
+                    "unknown flag {other:?} (accepted: --scale, --seed, --only, --jobs, --list)"
+                ))
             }
-            ("--jobs", Some(v)) => {
-                jobs = parse_or("--jobs", Some(v), jobs).max(1);
-                i += 1;
-            }
-            _ => {}
         }
-        i += 1;
     }
-    CliOptions {
-        scale: sanitize_scale(scale),
-        seed,
-        list,
-        only,
-        jobs,
-    }
+    Ok(opts)
 }
 
 /// Split a `fig08,fig13`-style list into trimmed, non-empty ids.
@@ -146,16 +125,9 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parse `value` if present, warning and falling back to `fallback` on
-/// a malformed string.
-fn parse_or<T: std::str::FromStr + Copy>(what: &str, value: Option<&str>, fallback: T) -> T {
-    match value {
-        None => fallback,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("warning: ignoring unparseable {what} value {s:?}");
-            fallback
-        }),
-    }
+/// Parse the value `v` of `flag`.
+fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid {flag} value {v:?}"))
 }
 
 /// Force `scale` into the sane band `[MIN_SCALE, MAX_SCALE]`.
@@ -185,20 +157,26 @@ pub fn scaled(base: usize, scale: f64, min: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn argv(parts: &[&str]) -> Vec<String> {
+    /// `all_figures` followed by the whitespace-separated `line`.
+    fn argv(line: &str) -> Vec<String> {
         std::iter::once("all_figures")
-            .chain(parts.iter().copied())
+            .chain(line.split_whitespace())
             .map(String::from)
             .collect()
     }
 
-    fn opts(parts: &[&str], env_scale: Option<&str>, env_seed: Option<&str>) -> CliOptions {
-        cli_options_from(&argv(parts), env_scale, env_seed, None)
+    fn opts(line: &str) -> CliOptions {
+        cli_options_from(&argv(line)).expect("valid argv")
+    }
+
+    /// The refusal message for `line`.
+    fn refused(line: &str) -> String {
+        cli_options_from(&argv(line)).expect_err("argv must be refused")
     }
 
     #[test]
     fn defaults_when_nothing_is_set() {
-        let o = opts(&[], None, None);
+        let o = opts("");
         assert_eq!(o.scale, DEFAULT_SCALE);
         assert_eq!(o.seed, DEFAULT_SEED);
         assert!(!o.list);
@@ -207,98 +185,62 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_defaults() {
-        let o = opts(&[], Some("2.5"), Some("77"));
-        assert_eq!(o.scale, 2.5);
-        assert_eq!(o.seed, 77);
-    }
-
-    #[test]
-    fn argv_beats_env() {
-        let o = opts(
-            &["--scale", "4.0", "--seed", "123"],
-            Some("2.5"),
-            Some("77"),
-        );
-        assert_eq!(o.scale, 4.0);
-        assert_eq!(o.seed, 123);
-    }
-
-    #[test]
-    fn argv_knobs_are_independent() {
-        let o = opts(&["--seed", "9"], Some("3.0"), None);
-        assert_eq!(o.scale, 3.0, "env scale survives a seed-only argv");
-        assert_eq!(o.seed, 9);
-    }
-
-    #[test]
-    fn bad_env_falls_back_to_default() {
-        let o = opts(&[], Some("fast"), Some("0x12"));
-        assert_eq!(o.scale, DEFAULT_SCALE);
-        assert_eq!(o.seed, DEFAULT_SEED, "hex strings are not accepted");
-    }
-
-    #[test]
-    fn bad_argv_falls_back_to_env_then_default() {
-        let o = opts(&["--scale", "huge", "--seed", "-1"], Some("2.0"), None);
-        assert_eq!(o.scale, 2.0, "bad argv scale falls back to env");
-        assert_eq!(o.seed, DEFAULT_SEED, "negative seed falls back to default");
-    }
-
-    #[test]
-    fn scale_is_clamped_to_minimum() {
-        assert_eq!(opts(&["--scale", "0.0001"], None, None).scale, MIN_SCALE);
-        assert_eq!(opts(&["--scale", "-3"], None, None).scale, MIN_SCALE);
-    }
-
-    #[test]
-    fn nonsense_scales_are_sanitised() {
-        // `"NaN"`, `"inf"` and `"-inf"` all parse as f64 — they must
-        // never survive into a replication budget.
-        assert_eq!(opts(&["--scale", "NaN"], None, None).scale, MIN_SCALE);
-        assert_eq!(opts(&["--scale", "inf"], None, None).scale, MIN_SCALE);
-        assert_eq!(opts(&["--scale", "-inf"], None, None).scale, MIN_SCALE);
-        assert_eq!(opts(&["--scale", "1e99"], None, None).scale, MAX_SCALE);
-        assert_eq!(opts(&[], Some("inf"), None).scale, MIN_SCALE);
-    }
-
-    #[test]
-    fn trailing_flag_without_value_is_ignored() {
-        let o = opts(&["--seed"], None, None);
-        assert_eq!(o.scale, DEFAULT_SCALE);
-        assert_eq!(o.seed, DEFAULT_SEED);
-    }
-
-    #[test]
-    fn list_flag_and_jobs() {
-        let o = opts(&["--list", "--jobs", "3"], None, None);
+    fn flags_set_every_option() {
+        // The perfbench invocation shape.
+        let o = opts("--only fig06,fig10 --scale 1 --jobs 1 --seed 7");
+        assert_eq!(o.only, Some(vec!["fig06".to_string(), "fig10".to_string()]));
+        assert_eq!(o.scale, 1.0);
+        assert_eq!(o.jobs, 1);
+        assert_eq!(o.seed, 7);
+        let o = opts("--list --scale 0.05 --seed 42 --jobs 8");
         assert!(o.list);
-        assert_eq!(o.jobs, 3);
-        let o = opts(&["--jobs", "0"], None, None);
-        assert!(o.jobs >= 1, "jobs floor at 1");
+        assert_eq!(o.scale, 0.05);
+        assert_eq!(o.seed, 42);
+        assert_eq!(o.jobs, 8);
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        assert!(refused("--scael 0.05").contains("--scael"));
+        assert!(refused("fig06").contains("fig06"));
+        assert!(refused("--list -v").contains("-v"));
+    }
+
+    #[test]
+    fn unparseable_values_are_refused_naming_the_flag() {
+        assert!(refused("--scale fast").contains("--scale"));
+        let e = refused("--seed -1");
+        assert!(e.contains("--seed") && e.contains("-1"), "{e}");
+        assert!(refused("--seed 0x12").contains("--seed"), "no hex");
+        assert!(refused("--jobs two").contains("--jobs"));
+        assert!(refused("--jobs 0").contains("--jobs"));
+    }
+
+    #[test]
+    fn missing_values_are_refused() {
+        assert!(refused("--seed").contains("--seed needs a value"));
+        // `--scale --seed 7` must not consume `--seed` as the scale's
+        // value.
+        assert!(refused("--scale --seed 7").contains("--scale needs a value"));
+    }
+
+    #[test]
+    fn scale_clamps_finite_and_refuses_nonsense() {
+        assert_eq!(opts("--scale 0.0001").scale, MIN_SCALE);
+        assert_eq!(opts("--scale 1e99").scale, MAX_SCALE);
+        // `"NaN"` and `"inf"` parse as f64; they and non-positive
+        // scales must never reach a replication budget.
+        for bad in ["NaN", "inf", "-inf", "0", "-3"] {
+            let e = refused(&format!("--scale {bad}"));
+            assert!(e.contains("--scale"), "{e}");
+        }
     }
 
     #[test]
     fn only_parses_comma_list() {
-        let o = opts(&["--only", "fig08, fig13,,"], None, None);
+        assert_eq!(parse_only("fig08, fig13,,"), vec!["fig08", "fig13"]);
+        let o = opts("--only fig08,fig13");
         assert_eq!(o.only, Some(vec!["fig08".to_string(), "fig13".to_string()]));
-    }
-
-    #[test]
-    fn only_argv_beats_env() {
-        let o = cli_options_from(&argv(&["--only", "fig06"]), None, None, Some("fig08"));
-        assert_eq!(o.only, Some(vec!["fig06".to_string()]));
-        let o = cli_options_from(&argv(&[]), None, None, Some("fig08,fig10"));
-        assert_eq!(o.only, Some(vec!["fig08".to_string(), "fig10".to_string()]));
-    }
-
-    #[test]
-    fn flag_value_pairs_cannot_be_swallowed() {
-        // `--scale --seed 7` must not consume `--seed` as the scale's
-        // value and then skip the seed.
-        let o = opts(&["--scale", "--seed", "7"], None, None);
-        assert_eq!(o.scale, DEFAULT_SCALE, "bad scale value falls back");
-        assert_eq!(o.seed, 7);
     }
 
     #[test]

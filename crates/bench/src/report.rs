@@ -97,7 +97,7 @@ impl FigureReport {
         self.checks.iter().all(|c| c.passed)
     }
 
-    /// Render as TSV + check summary (what the figure binaries print).
+    /// Render as TSV + check summary (what `all_figures` prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {} — {}", self.id, self.title);
@@ -199,36 +199,6 @@ pub fn reports_to_json(reports: &[FigureReport]) -> String {
     }
     out.push(']');
     out.push('\n');
-    out
-}
-
-/// Extract `(id, elapsed_s)` pairs from an `experiments.json` payload
-/// (this crate's own serialisation; entries without an `elapsed_s`
-/// field are skipped). The inverse of [`reports_to_json`] for exactly
-/// the two fields the timing-trend check needs — a full JSON parser
-/// would be overkill for the hand-rolled writer's fixed layout.
-pub fn parse_figure_timings(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("{\"id\":\"") {
-        rest = &rest[at + "{\"id\":\"".len()..];
-        let Some(id_end) = rest.find('"') else { break };
-        let id = &rest[..id_end];
-        // elapsed_s is the last field of its report object; stop the
-        // search at the next report's id so a missing field cannot
-        // steal the neighbour's timing.
-        let scope_end = rest.find("{\"id\":\"").unwrap_or(rest.len());
-        if let Some(e) = rest[..scope_end].find("\"elapsed_s\":") {
-            let tail = &rest[e + "\"elapsed_s\":".len()..scope_end];
-            let num_end = tail
-                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                .unwrap_or(tail.len());
-            if let Ok(v) = tail[..num_end].parse::<f64>() {
-                out.push((id.to_string(), v));
-            }
-        }
-        rest = &rest[id_end..];
-    }
     out
 }
 
@@ -713,34 +683,6 @@ mod tests {
         assert!(j.contains("\"wallclock\":[[\"event_s\",0.5],[\"analytic_s\",0.25]]"));
         // It must never leak into the deterministic scalar channel.
         assert!(j.contains("\"scalars\":[]"));
-    }
-
-    #[test]
-    fn parse_figure_timings_round_trips() {
-        let mut a = FigureReport::new("fig01", "t", "p", &["x"]);
-        a.elapsed_s = Some(1.25);
-        let mut b = FigureReport::new("fig02", "t", "p", &["x"]);
-        b.elapsed_s = Some(0.5);
-        let untimed = FigureReport::new("fig03", "t", "p", &["x"]);
-        let json = reports_to_json(&[a, b, untimed]);
-        let timings = parse_figure_timings(&json);
-        assert_eq!(
-            timings,
-            vec![("fig01".to_string(), 1.25), ("fig02".to_string(), 0.5)]
-        );
-    }
-
-    #[test]
-    fn parse_figure_timings_survives_string_noise() {
-        // ids embedded in titles/details must not confuse the scan.
-        let mut r = FigureReport::new("figX", "has \"elapsed_s\": in title", "p", &["x"]);
-        r.check("c", true, "{\"id\":\"fake\" inside a detail".into());
-        r.elapsed_s = Some(2.0);
-        let json = reports_to_json(&[r]);
-        let timings = parse_figure_timings(&json);
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].0, "figX");
-        assert_eq!(timings[0].1, 2.0);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -1,8 +1,9 @@
-//! CLI contract for `CSMAPROBE_ENGINE`: the figure and grid entry
-//! points accept exactly `auto|event|analytic` and refuse anything else
-//! — the retired `slotted` tier and typos alike — at start-up, with
-//! exit code 2 and one line naming the accepted values, before any
-//! figure runs or any row file is written.
+//! Start-up contract of the figure and grid entry points. They accept
+//! exactly `auto|event|analytic` for `CSMAPROBE_ENGINE` and refuse
+//! anything else — the retired `slotted` tier and typos alike — and
+//! `all_figures` refuses an unknown flag or a bad flag value. A refusal
+//! is exit code 2 and one stderr line naming the offending value or
+//! flag, before any figure runs or any row file is written.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -27,20 +28,17 @@ fn run(bin: &str, dir: &PathBuf, engine: &str, args: &[&str]) -> Output {
         .expect("spawn binary")
 }
 
-fn assert_refused(out: &Output, engine: &str) {
-    assert_eq!(out.status.code(), Some(2), "{engine}: {out:?}");
+/// Exit 2, nothing on stdout, and one stderr line containing every
+/// `needle`.
+fn assert_refused(out: &Output, case: &str, needles: &[&str]) {
+    assert_eq!(out.status.code(), Some(2), "{case}: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     let lines: Vec<&str> = err.lines().collect();
-    assert_eq!(lines.len(), 1, "{engine}: one line, got {err:?}");
-    assert!(
-        lines[0].contains(engine),
-        "{engine}: names the value: {err}"
-    );
-    assert!(
-        lines[0].contains("auto|event|analytic"),
-        "{engine}: names the accepted values: {err}"
-    );
-    assert!(out.stdout.is_empty(), "{engine}: no work before refusing");
+    assert_eq!(lines.len(), 1, "{case}: one line, got {err:?}");
+    for needle in needles {
+        assert!(lines[0].contains(needle), "{case}: names {needle}: {err}");
+    }
+    assert!(out.stdout.is_empty(), "{case}: no work before refusing");
 }
 
 #[test]
@@ -53,7 +51,7 @@ fn all_figures_refuses_retired_and_misspelt_engines() {
             engine,
             &["--only", "fig01", "--scale", "0.02"],
         );
-        assert_refused(&out, engine);
+        assert_refused(&out, engine, &[engine, "auto|event|analytic"]);
         assert!(!dir.join("experiments.json").exists(), "{engine}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -69,8 +67,27 @@ fn grid_refuses_retired_and_misspelt_engines() {
             engine,
             &["--links", "wired", "--trains", "short", "--tools", "train"],
         );
-        assert_refused(&out, engine);
+        assert_refused(&out, engine, &[engine, "auto|event|analytic"]);
         assert!(!dir.join("grid_rows.jsonl").exists(), "{engine}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn all_figures_refuses_bad_flags() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--list", "--scael", "2"], "--scael"),
+        (&["--list", "--scale", "fast"], "--scale"),
+        (&["--list", "--seed", "-1"], "--seed"),
+        (&["--list", "--jobs", "0"], "--jobs"),
+        (&["--only", "fig01", "--scale", "0.02", "--seed"], "--seed"),
+    ];
+    for (i, (args, flag)) in cases.into_iter().enumerate() {
+        let dir = scratch(&format!("flag-{i}"));
+        let out = run(env!("CARGO_BIN_EXE_all_figures"), &dir, "auto", args);
+        let case = args.join(" ");
+        assert_refused(&out, &case, &[flag]);
+        assert!(!dir.join("experiments.json").exists(), "{case}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -33,7 +33,6 @@
 //! materialises a million accumulators. This is what makes incremental,
 //! crash-tolerant persistence (the `bench` JSONL row sink) possible.
 
-use crate::sweep::SweepScenario;
 use csmaprobe_desim::replicate;
 use csmaprobe_stats::accumulate::Accumulate;
 
@@ -146,11 +145,6 @@ impl GridShape {
         &self.dims
     }
 
-    /// Number of axes.
-    pub fn ndim(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Total number of cells (product of extents; 1 for a zero-axis
     /// grid, 0 if any axis is empty).
     pub fn len(&self) -> usize {
@@ -200,11 +194,12 @@ impl GridShape {
 /// A parameterised *grid* of scenarios — one cell per coordinate of the
 /// product space of independent axes.
 ///
-/// The contract mirrors [`SweepScenario`] with multi-dimensional cell
-/// addressing: [`GridScenario::replicate`] must be a pure function of
-/// `(coord, rep)` (derive all randomness from them), and
-/// [`GridScenario::Acc`] must satisfy the [`Accumulate`] merge law, so
-/// the runner may execute cells in any order on any worker.
+/// The contract mirrors [`SweepScenario`](crate::sweep::SweepScenario)
+/// with multi-dimensional cell addressing: [`GridScenario::replicate`]
+/// must be a pure function of `(coord, rep)` (derive all randomness
+/// from them), and [`GridScenario::Acc`] must satisfy the
+/// [`Accumulate`] merge law, so the runner may execute cells in any
+/// order on any worker.
 pub trait GridScenario: Sync {
     /// Streaming per-cell accumulator.
     type Acc: Accumulate + Send;
@@ -230,46 +225,6 @@ pub trait GridScenario: Sync {
 
     /// Turn a fully-reduced cell into its row.
     fn finish(&self, coord: &[usize], acc: Self::Acc) -> Self::Row;
-}
-
-/// Adapter presenting a [`GridScenario`]'s flattened cell space as a
-/// [`SweepScenario`] — the compatibility bridge that lets grid cells
-/// ride every scheduling path built for sweeps.
-pub struct GridSweep<'a, G: GridScenario + ?Sized> {
-    grid: &'a G,
-    shape: GridShape,
-}
-
-impl<'a, G: GridScenario + ?Sized> GridSweep<'a, G> {
-    /// Wrap `grid` (snapshots its shape).
-    pub fn new(grid: &'a G) -> Self {
-        let shape = grid.shape();
-        GridSweep { grid, shape }
-    }
-}
-
-impl<G: GridScenario + ?Sized> SweepScenario for GridSweep<'_, G> {
-    type Acc = G::Acc;
-    type Row = G::Row;
-
-    fn name(&self) -> &str {
-        self.grid.name()
-    }
-    fn points(&self) -> usize {
-        self.shape.len()
-    }
-    fn reps(&self, point: usize) -> usize {
-        self.grid.reps(&self.shape.unflatten(point))
-    }
-    fn identity(&self, point: usize) -> Self::Acc {
-        self.grid.identity(&self.shape.unflatten(point))
-    }
-    fn replicate(&self, point: usize, rep: usize, acc: &mut Self::Acc) {
-        self.grid.replicate(&self.shape.unflatten(point), rep, acc)
-    }
-    fn finish(&self, point: usize, acc: Self::Acc) -> Self::Row {
-        self.grid.finish(&self.shape.unflatten(point), acc)
-    }
 }
 
 /// Schedules the cells of a [`GridScenario`] through the shared
@@ -457,22 +412,6 @@ mod tests {
             assert_eq!(coord, rc);
             assert_eq!(count, rn);
             assert_eq!(mean.to_bits(), rm.to_bits(), "cell {flat}");
-        }
-    }
-
-    #[test]
-    fn grid_as_sweep_equals_run_grid() {
-        let g = Synthetic {
-            dims: vec![2, 2, 3],
-            seed: 0xA11,
-        };
-        let direct = run_grid(&g);
-        let swept = crate::sweep::run_sweep(&GridSweep::new(&g));
-        assert_eq!(direct.len(), swept.len());
-        for ((dc, dn, dm), (sc, sn, sm)) in direct.iter().zip(&swept) {
-            assert_eq!(dc, sc);
-            assert_eq!(dn, sn);
-            assert_eq!(dm.to_bits(), sm.to_bits());
         }
     }
 

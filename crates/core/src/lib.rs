@@ -51,7 +51,7 @@ pub mod transient;
 
 pub use bounds::{dispersion_bounds, TransientBounds};
 pub use engine::{EnginePolicy, EngineTier};
-pub use grid::{run_grid, GridRunner, GridScenario, GridShape, GridSweep};
+pub use grid::{run_grid, GridRunner, GridScenario, GridShape};
 pub use link::{CrossSpec, LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink};
 pub use multihop::{Hop, WiredPath};
 pub use rate_response::{

@@ -3,12 +3,10 @@
 //!
 //! The paper's results are averages over very many independent
 //! repetitions (80 testbed runs; 25 000 NS2 runs; 70 000 Matlab runs).
-//! Three entry points share one chunked execution core:
+//! Two entry points share one chunked execution core:
 //!
 //! * [`run`] — materialise every per-replication output in replication
 //!   order (for analyses that need raw samples).
-//! * [`run_fold`] — fold per-replication outputs into an accumulator in
-//!   replication order, without holding all outputs at once.
 //! * [`run_reduce`] — fully streaming map-reduce: each worker folds its
 //!   replications directly into a chunk accumulator and chunk
 //!   accumulators are merged **in deterministic chunk order**, so peak
@@ -297,37 +295,6 @@ where
     out
 }
 
-/// Run `reps` replications and fold the per-replication outputs into an
-/// accumulator, in replication order.
-///
-/// Streaming: only one chunk of outputs ([`CHUNK`] replications) is
-/// buffered per worker, never the whole result set.
-pub fn run_fold<T, A, F, G>(reps: usize, master_seed: u64, f: F, init: A, mut fold: G) -> A
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize, u64) -> T + Sync,
-    G: FnMut(A, T) -> A + Send,
-{
-    let mut acc = Some(init);
-    run_chunks(
-        reps,
-        |range| {
-            range
-                .map(|i| f(i, derive_seed(master_seed, i as u64)))
-                .collect::<Vec<T>>()
-        },
-        |chunk| {
-            let mut a = acc.take().expect("fold accumulator present");
-            for t in chunk {
-                a = fold(a, t);
-            }
-            acc = Some(a);
-        },
-    );
-    acc.expect("fold accumulator present")
-}
-
 /// Fully streaming map-reduce over `reps` replications.
 ///
 /// Each worker folds replications straight into a chunk accumulator
@@ -422,25 +389,8 @@ mod tests {
     fn zero_reps_is_empty() {
         let out: Vec<u64> = run(0, 1, |_, s| s);
         assert!(out.is_empty());
-        let folded = run_fold(0, 1, |_, s| s, 17u64, |a, b| a + b);
-        assert_eq!(folded, 17);
         let reduced = run_reduce(0, 1, |_, _, a: &mut u64| *a += 1, || 0u64, |a, b| *a += b);
         assert_eq!(reduced, 0);
-    }
-
-    #[test]
-    fn run_fold_accumulates_in_order() {
-        let s = run_fold(
-            10,
-            3,
-            |i, _| i as u64,
-            Vec::new(),
-            |mut acc, v| {
-                acc.push(v);
-                acc
-            },
-        );
-        assert_eq!(s, (0..10).collect::<Vec<u64>>());
     }
 
     #[test]

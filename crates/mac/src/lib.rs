@@ -70,7 +70,7 @@ pub use sim::{ChannelStats, PacketRecord, SimOutput, StationId, WlanSim};
 
 use csmaprobe_desim::time::{Dur, Time};
 use csmaprobe_phy::Phy;
-use csmaprobe_traffic::{PacketArrival, SizeModel, TraceSource};
+use csmaprobe_traffic::{PacketArrival, TraceSource};
 
 /// Measure the stand-alone saturation throughput (the paper's capacity
 /// `C`) of one station sending `bytes`-byte frames: simulate `packets`
@@ -109,10 +109,4 @@ pub fn saturated_source(bytes: u32, packets: usize) -> Box<TraceSource> {
 pub fn standalone_cycle(phy: &Phy, bytes: u32) -> Dur {
     let mean_backoff = phy.slot * (phy.cw_min as u64) / 2;
     phy.difs() + mean_backoff + phy.success_exchange(bytes)
-}
-
-/// Helper: a [`SizeModel`] matching the paper's common 1500-byte probe
-/// and cross-traffic frames.
-pub fn paper_frame() -> SizeModel {
-    SizeModel::Fixed(1500)
 }

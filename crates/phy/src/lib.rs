@@ -189,12 +189,6 @@ impl Phy {
         self.rts_airtime() + self.sifs + self.cts_airtime() + self.sifs
     }
 
-    /// How long an RTS transmitter waits for the CTS before declaring
-    /// the attempt failed: SIFS + CTS airtime + one slot of slack.
-    pub fn cts_timeout(&self) -> Dur {
-        self.sifs + self.cts_airtime() + self.slot
-    }
-
     fn ack_airtime_at(&self, rate_bps: u64) -> Dur {
         self.frame_airtime(ACK_BYTES, rate_bps)
     }

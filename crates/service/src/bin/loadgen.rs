@@ -5,9 +5,7 @@
 //! deterministic mix of `--sessions` sessions (see
 //! [`csmaprobe_service::mix`]), polls them to completion, and reports
 //! submit/poll/complete latency percentiles plus sustained
-//! sessions/sec. `--out` writes the two cost-shaped trend metrics in
-//! the same `{"id":…,"elapsed_s":…}` shape the figure runners emit, so
-//! `bench_trend` ingests them unchanged.
+//! sessions/sec.
 //!
 //! `--batch --table <path>` skips the server entirely: it computes the
 //! *same* session mix through one-shot `run_reduce` and finalizes one
@@ -26,7 +24,7 @@ use std::time::{Duration, Instant};
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT | --port-file PATH] [--sessions N] [--conns C]\n\
-         \x20              [--reps R] [--seed S] [--out FILE.json]\n\
+         \x20              [--reps R] [--seed S]\n\
          \x20      loadgen --batch --table FILE.jsonl [--sessions N] [--reps R] [--seed S]\n\
          \n\
          Client mode drives a running `csmaprobe serve`; batch mode writes the\n\
@@ -42,7 +40,6 @@ struct Args {
     conns: usize,
     reps: usize,
     seed: u64,
-    out: Option<PathBuf>,
     batch: bool,
     table: Option<PathBuf>,
 }
@@ -55,7 +52,6 @@ fn parse_args() -> Args {
         conns: 4,
         reps: 32,
         seed: 2009,
-        out: None,
         batch: false,
         table: None,
     };
@@ -74,7 +70,6 @@ fn parse_args() -> Args {
             "--conns" => args.conns = val("--conns").parse().unwrap_or_else(|_| usage()),
             "--reps" => args.reps = val("--reps").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = Some(PathBuf::from(val("--out"))),
             "--batch" => args.batch = true,
             "--table" => args.table = Some(PathBuf::from(val("--table"))),
             "--help" | "-h" => usage(),
@@ -241,20 +236,6 @@ fn run_client(args: &Args, mix: &MixConfig, addr: &str) {
         "loadgen: complete       p50 {:.6}s p99 {:.6}s",
         cmp50, cmp99
     );
-    if let Some(out) = &args.out {
-        // Cost-shaped (lower = better), in the figure-runner timing
-        // shape `parse_figure_timings` scans for.
-        let json = format!(
-            "[\n  {{\"id\":\"service_session_cost_s\",\"elapsed_s\":{}}},\n  \
-             {{\"id\":\"service_poll_p99_s\",\"elapsed_s\":{}}}\n]\n",
-            csmaprobe_bench::report::json_f64(wall / done.max(1) as f64),
-            csmaprobe_bench::report::json_f64(poll99),
-        );
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("loadgen: cannot write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
     if done as u64 != args.sessions {
         eprintln!("loadgen: only {done}/{} sessions completed", args.sessions);
         std::process::exit(1);
