@@ -49,11 +49,12 @@
 //! Exit codes: 0 done, 2 usage/configuration error, 3 interrupted
 //! (cells or shards still pending).
 
-use csmaprobe_bench::campaign::{host_fingerprint, CampaignManifest};
+use csmaprobe_bench::campaign::{host_fingerprint, shard_members, CampaignManifest, ShardSpec};
 use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains, BiasGrid, GridRow};
 use csmaprobe_bench::report::{row_cell, RowSink};
+use csmaprobe_bench::{parse_scale, parse_value};
 use csmaprobe_core::engine;
-use csmaprobe_core::grid::{shard_members, GridRunner, GridScenario, ShardSpec};
+use csmaprobe_core::sweep::{run_sweep_cells, SweepScenario};
 use csmaprobe_desim::replicate;
 
 const DEFAULT_LINKS: &str = "wired,wlan_low,wlan_mid";
@@ -135,15 +136,15 @@ fn parse_options() -> Options {
                 i += 1;
             }
             "--scale" => {
-                o.scale = value().parse().unwrap_or_else(|_| usage());
+                o.scale = parse_scale(&value()).unwrap_or_else(|e| usage_error(e));
                 i += 1;
             }
             "--seed" => {
-                o.seed = value().parse().unwrap_or_else(|_| usage());
+                o.seed = parse_value("--seed", &value()).unwrap_or_else(|e| usage_error(e));
                 i += 1;
             }
             "--jobs" => {
-                o.jobs = value().parse().unwrap_or_else(|_| usage());
+                o.jobs = parse_value("--jobs", &value()).unwrap_or_else(|e| usage_error(e));
                 if o.jobs == 0 {
                     usage_error("--jobs must be at least 1".to_string());
                 }
@@ -158,7 +159,8 @@ fn parse_options() -> Options {
                 i += 1;
             }
             "--max-cells" => {
-                o.max_cells = value().parse().unwrap_or_else(|_| usage());
+                o.max_cells =
+                    parse_value("--max-cells", &value()).unwrap_or_else(|e| usage_error(e));
                 if o.max_cells == 0 {
                     // A zero budget used to be accepted as a silent
                     // no-op run that still exited 3 ("interrupted") —
@@ -187,7 +189,6 @@ fn parse_options() -> Options {
         }
         i += 1;
     }
-    o.scale = csmaprobe_bench::sanitize_scale(o.scale);
     o
 }
 
@@ -331,7 +332,7 @@ fn list(grid: &BiasGrid, opts: &Options) -> ! {
          wired:capacity=<bps>,cross=<bps>; --trains n=<packets>"
     );
 
-    let total = grid.shape().len();
+    let total = grid.points();
     let count = opts.shard.count;
     // Owning shard of every flat cell, from the same name-keyed
     // round-robin the runner schedules by.
@@ -387,7 +388,7 @@ fn main() {
     }
 
     let grid = BiasGrid::new(links, trains, tools, opts.scale, opts.seed).with_shard(opts.shard);
-    let total = grid.shape().len();
+    let total = grid.points();
 
     if opts.list {
         list(&grid, &opts);
@@ -473,7 +474,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut done = 0usize;
     let mut io_error: Option<std::io::Error> = None;
-    GridRunner::new().run_cells_with(&grid, budgeted, |flat, row: GridRow| {
+    run_sweep_cells(&grid, budgeted, |flat, row: GridRow| {
         if io_error.is_some() {
             return;
         }

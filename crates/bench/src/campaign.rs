@@ -1,4 +1,11 @@
-//! The **campaign manifest**: provenance of a sharded grid campaign.
+//! Sharded grid campaigns: the shard partition of the cell space and
+//! the **campaign manifest** that records its provenance.
+//!
+//! A [`ShardSpec`] `i/n` names one shard; [`shard_members`] gives the
+//! cells it owns, by round-robin over the **name-keyed** cell order, so
+//! membership never depends on how an operator ordered the axes. Only
+//! the `grid` binary and [`BiasGrid`] shard; every other runner schedules
+//! its whole cell space.
 //!
 //! A campaign is one grid configuration (one [`BiasGrid::fingerprint`])
 //! partitioned over `n` shards, each persisting rows to its own JSONL
@@ -17,9 +24,102 @@
 //! never contain quotes, which keeps the parser honest.
 //!
 //! [`BiasGrid::fingerprint`]: crate::grid::BiasGrid::fingerprint
+//! [`BiasGrid`]: crate::grid::BiasGrid
 
 use crate::report::json_str;
 use std::path::Path;
+
+/// One shard of a sharded grid campaign: this process owns the cells at
+/// positions `index`, `index + count`, `index + 2·count`, … of the
+/// campaign's **name-keyed** cell order (see [`shard_members`]).
+///
+/// `0/1` (the [`ShardSpec::solo`] default) is the unsharded campaign:
+/// one shard owning every cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// This shard's index, `0 <= index < count`.
+    pub index: usize,
+    /// Total number of shards in the campaign, `>= 1`.
+    pub count: usize,
+}
+
+impl ShardSpec {
+    /// The unsharded campaign: one shard owning everything.
+    pub fn solo() -> Self {
+        ShardSpec { index: 0, count: 1 }
+    }
+
+    /// Is this the unsharded `0/1` campaign?
+    pub fn is_solo(&self) -> bool {
+        self.count == 1
+    }
+
+    /// Parse an `i/n` CLI spec (`--shard 0/4`): both integers, `n >= 1`
+    /// and `i < n`.
+    pub fn parse(s: &str) -> Result<ShardSpec, String> {
+        let (i, n) = s
+            .trim()
+            .split_once('/')
+            .ok_or_else(|| format!("malformed shard spec {s:?} (expected i/n, e.g. 0/4)"))?;
+        let index: usize = i
+            .trim()
+            .parse()
+            .map_err(|_| format!("shard index {i:?} is not an integer"))?;
+        let count: usize = n
+            .trim()
+            .parse()
+            .map_err(|_| format!("shard count {n:?} is not an integer"))?;
+        if count == 0 {
+            return Err("shard count must be at least 1".to_string());
+        }
+        if index >= count {
+            return Err(format!(
+                "shard index {index} out of range (must be below the count {count})"
+            ));
+        }
+        Ok(ShardSpec { index, count })
+    }
+}
+
+impl std::fmt::Display for ShardSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}", self.index, self.count)
+    }
+}
+
+/// The flat cell indices owned by `shard` out of `total` cells, in
+/// **ascending flat order** (ready for
+/// [`run_sweep_cells`](csmaprobe_core::sweep::run_sweep_cells)).
+///
+/// Membership is decided by round-robin over the cells sorted by
+/// `key_of` (ties broken by flat index): the cell at sorted position
+/// `p` belongs to shard `p % shard.count`. With a *name* key (as the
+/// bench grid uses) shard membership depends only on the set of cell
+/// names in the campaign — never on axis selection order — so two
+/// operators spelling the same campaign differently still agree on who
+/// owns which cell.
+///
+/// # Panics
+/// If `shard.count == 0` or `shard.index >= shard.count`.
+pub fn shard_members<K: Ord>(
+    total: usize,
+    shard: ShardSpec,
+    key_of: impl Fn(usize) -> K,
+) -> Vec<usize> {
+    assert!(shard.count >= 1, "shard count must be at least 1");
+    assert!(shard.index < shard.count, "shard index out of range");
+    let keys: Vec<K> = (0..total).map(&key_of).collect();
+    let mut order: Vec<usize> = (0..total).collect();
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+    let mut members: Vec<usize> = order
+        .iter()
+        .enumerate()
+        .filter(|(pos, _)| pos % shard.count == shard.index)
+        .map(|(_, &flat)| flat)
+        .collect();
+    members.sort_unstable();
+    members
+}
 
 /// One shard's slot in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -338,5 +438,63 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(CampaignManifest::parse("").is_err());
         assert!(CampaignManifest::parse("{\"run\": \"zzz\"}").is_err());
+    }
+
+    #[test]
+    fn shard_spec_parses_and_rejects() {
+        assert_eq!(
+            ShardSpec::parse("0/4").unwrap(),
+            ShardSpec { index: 0, count: 4 }
+        );
+        assert_eq!(
+            ShardSpec::parse(" 3/8 ").unwrap(),
+            ShardSpec { index: 3, count: 8 }
+        );
+        assert!(
+            ShardSpec::parse("4/4").is_err(),
+            "index must be below count"
+        );
+        assert!(ShardSpec::parse("0/0").is_err(), "count must be >= 1");
+        assert!(ShardSpec::parse("0").is_err(), "missing slash");
+        assert!(ShardSpec::parse("a/b").is_err(), "non-numeric");
+        assert!(ShardSpec::parse("-1/2").is_err(), "negative index");
+        assert_eq!(ShardSpec::solo().to_string(), "0/1");
+        assert!(ShardSpec::solo().is_solo());
+        assert!(!ShardSpec::parse("0/2").unwrap().is_solo());
+    }
+
+    #[test]
+    fn shard_members_partition_the_cell_space() {
+        let key = |f: usize| format!("cell-{f:03}");
+        for total in [0usize, 1, 5, 24] {
+            for count in 1..=8usize {
+                let mut seen = vec![false; total];
+                for index in 0..count {
+                    let members = shard_members(total, ShardSpec { index, count }, key);
+                    assert!(
+                        members.windows(2).all(|w| w[0] < w[1]),
+                        "ascending flat order"
+                    );
+                    for &f in &members {
+                        assert!(!seen[f], "cell {f} owned by two shards");
+                        seen[f] = true;
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "union covers every cell");
+            }
+        }
+        // Solo shard owns everything.
+        assert_eq!(shard_members(4, ShardSpec::solo(), key), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn shard_membership_follows_the_key_order_not_the_flat_order() {
+        // Reverse the key order: sorted position of flat f is 3 - f, so
+        // shard 0 of 2 owns sorted positions {0, 2} = flat cells {3, 1}.
+        let key = |f: usize| 3 - f;
+        let s0 = shard_members(4, ShardSpec { index: 0, count: 2 }, key);
+        let s1 = shard_members(4, ShardSpec { index: 1, count: 2 }, key);
+        assert_eq!(s0, vec![1, 3]);
+        assert_eq!(s1, vec![0, 2]);
     }
 }

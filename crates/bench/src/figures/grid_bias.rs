@@ -1,7 +1,8 @@
 //! Cross-tool grid experiment (extra experiment E14): the paper's
 //! §7.2 tool-bias comparison as **one** link × train × tool grid
-//! invocation — 3 links × 3 train shapes × 2 tools through
-//! `core::grid`, instead of one hand-written experiment per pairing.
+//! invocation — 3 links × 3 train shapes × 2 tools as one
+//! `core::sweep` run of [`BiasGrid`], instead of one hand-written
+//! experiment per pairing.
 //!
 //! The claims it pins, per axis:
 //! * on the wired link both tools read the FIFO quantities they were
@@ -16,7 +17,7 @@
 
 use crate::grid::{find_link, find_train, BiasGrid, GridRow};
 use crate::report::FigureReport;
-use csmaprobe_core::grid::run_grid;
+use csmaprobe_core::sweep::run_sweep;
 use csmaprobe_probe::tool::ToolKind;
 
 /// Run the experiment.
@@ -50,7 +51,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     ];
     let tools = vec![ToolKind::Train, ToolKind::Slops];
     let grid = BiasGrid::new(links.clone(), trains, tools, scale, seed);
-    let rows = run_grid(&grid);
+    let rows = run_sweep(&grid);
 
     for row in &rows {
         let coord = [

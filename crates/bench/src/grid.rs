@@ -4,17 +4,20 @@
 //!
 //! This is the paper's experiment matrix as one schedulable object:
 //! every cell is "run tool T with train shape N over link L", the axes
-//! are independently enumerable (and CLI-selectable by name), and the
-//! flattened cell space runs through [`csmaprobe_core::grid`] with the
-//! engine's per-cell bit-identity — so any subset of cells (a resumed
-//! run) reproduces exactly the rows of an uninterrupted run.
+//! are independently enumerable (and CLI-selectable by name), and
+//! [`BiasGrid`] is a [`SweepScenario`] over the flattened cell space
+//! (link-major, tool fastest). Cells are seeded by name, so no runner
+//! needs their axis coordinates, and the engine's per-cell bit-identity
+//! makes any subset of cells (a resumed run, one shard) reproduce
+//! exactly the rows of an uninterrupted run.
 
+use crate::campaign::{shard_members, ShardSpec};
 use crate::report::{json_f64, json_str};
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::engine;
-use csmaprobe_core::grid::{shard_members, GridScenario, GridShape, ShardSpec};
 use csmaprobe_core::link::{LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink};
+use csmaprobe_core::sweep::SweepScenario;
 use csmaprobe_desim::rng::derive_seed;
 use csmaprobe_desim::time::Dur;
 use csmaprobe_probe::tool::{ToolKind, ToolProbe};
@@ -496,7 +499,7 @@ impl Accumulate for EstimateAcc {
 /// statistics and the link's ground truth.
 #[derive(Debug, Clone)]
 pub struct GridRow {
-    /// Flat (row-major) cell index in the scheduled grid.
+    /// Flat cell index in the grid (link-major, tool fastest).
     pub cell: usize,
     /// Link-axis point name.
     pub link: &'static str,
@@ -586,8 +589,9 @@ impl GridRow {
     }
 }
 
-/// The link × train × tool grid as a [`GridScenario`]: one cell per
-/// coordinate, one independent tool run per replication.
+/// The link × train × tool grid as a [`SweepScenario`]: one cell per
+/// axis combination, flattened link-major with the tool fastest, and
+/// one independent tool run per replication.
 pub struct BiasGrid {
     links: Vec<&'static LinkPoint>,
     trains: Vec<&'static TrainPoint>,
@@ -639,29 +643,34 @@ impl BiasGrid {
     }
 
     /// The flat cell indices this shard owns, ascending: round-robin
-    /// over the **name-keyed** cell order
-    /// ([`csmaprobe_core::grid::shard_members`]), so membership depends
-    /// only on the campaign's cell-name set — two shards of one
-    /// campaign partition the same space no matter how each operator
-    /// spelled the axis lists.
+    /// over the **name-keyed** cell order ([`shard_members`]), so
+    /// membership depends only on the campaign's cell-name set — two
+    /// shards of one campaign partition the same space no matter how
+    /// each operator spelled the axis lists.
     pub fn shard_cells(&self) -> Vec<usize> {
-        shard_members(self.shape().len(), self.shard, |f| self.key_of(f))
+        shard_members(self.points(), self.shard, |f| self.key_of(f))
     }
 
-    /// The axes, in coordinate order (link, train, tool — tool fastest).
+    /// The axes, in flattening order (link, train, tool — tool fastest).
     pub fn axes(&self) -> (&[&'static LinkPoint], &[&'static TrainPoint], &[ToolKind]) {
         (&self.links, &self.trains, &self.tools)
+    }
+
+    /// The `(link, train, tool)` axis indices of the flat cell `flat`.
+    fn coord(&self, flat: usize) -> (usize, usize, usize) {
+        let (trains, tools) = (self.trains.len(), self.tools.len());
+        (flat / (trains * tools), flat / tools % trains, flat % tools)
     }
 
     /// The cell key of the flat cell `flat` (what the persisted row
     /// will carry) — lets a resuming caller enumerate expected keys
     /// without running anything.
     pub fn key_of(&self, flat: usize) -> String {
-        let coord = self.shape().unflatten(flat);
+        let (link, train, tool) = self.coord(flat);
         GridRow::cell_key(
-            self.links[coord[0]].name,
-            self.trains[coord[1]].name,
-            self.tools[coord[2]],
+            self.links[link].name,
+            self.trains[train].name,
+            self.tools[tool],
         )
     }
 
@@ -729,24 +738,9 @@ impl BiasGrid {
             GridTarget::Wlan(l) => engine::train_tier(l.config()).token(),
         }
     }
-
-    /// Engine-tier provenance of the cell at `coord` (see
-    /// [`GridRow::tier`]).
-    pub fn cell_tier(&self, coord: &[usize]) -> &'static str {
-        self.link_tier(coord[0])
-    }
-
-    fn tool_probe(&self, coord: &[usize]) -> ToolProbe {
-        ToolProbe::new(
-            self.tools[coord[2]],
-            self.trains[coord[1]].n,
-            FRAME,
-            TRAIN_TOOL_RATE_BPS,
-        )
-    }
 }
 
-impl GridScenario for BiasGrid {
+impl SweepScenario for BiasGrid {
     type Acc = EstimateAcc;
     type Row = GridRow;
 
@@ -754,36 +748,41 @@ impl GridScenario for BiasGrid {
         "bias_grid"
     }
 
-    fn shape(&self) -> GridShape {
-        GridShape::new(vec![self.links.len(), self.trains.len(), self.tools.len()])
+    fn points(&self) -> usize {
+        self.links.len() * self.trains.len() * self.tools.len()
     }
 
-    fn reps(&self, coord: &[usize]) -> usize {
+    fn reps(&self, cell: usize) -> usize {
         // Budget per tool family: single trains are cheap, a searching
         // tool run is dozens of trains.
         // Floors keep smoke-scale grids statistically meaningful: a
         // single train is ~ms of simulation, so 24 of them is still
         // the cheapest cell by far.
-        match self.tools[coord[2]] {
+        match self.tools[self.coord(cell).2] {
             ToolKind::Train => scaled(40, self.scale, 24),
             ToolKind::Chirp => scaled(20, self.scale, 8),
             ToolKind::Slops | ToolKind::Topp => scaled(4, self.scale, 1),
         }
     }
 
-    fn identity(&self, _coord: &[usize]) -> EstimateAcc {
+    fn identity(&self, _cell: usize) -> EstimateAcc {
         EstimateAcc::default()
     }
 
-    fn replicate(&self, coord: &[usize], rep: usize, acc: &mut EstimateAcc) {
+    fn replicate(&self, cell: usize, rep: usize, acc: &mut EstimateAcc) {
         // Pure function of (cell *identity*, rep): the seed chains the
-        // cell's name key, not its positional coordinate, so the same
-        // named cell produces the same data no matter which other axis
+        // cell's name key, not its flat position, so the same named
+        // cell produces the same data no matter which other axis
         // points were selected or in what order.
-        let s = derive_seed(self.seed, fnv1a(&self.key_of(self.shape().flatten(coord))));
-        let est = self
-            .tool_probe(coord)
-            .estimate_once(&self.targets[coord[0]], derive_seed(s, rep as u64));
+        let (link, train, tool) = self.coord(cell);
+        let s = derive_seed(self.seed, fnv1a(&self.key_of(cell)));
+        let probe = ToolProbe::new(
+            self.tools[tool],
+            self.trains[train].n,
+            FRAME,
+            TRAIN_TOOL_RATE_BPS,
+        );
+        let est = probe.estimate_once(&self.targets[link], derive_seed(s, rep as u64));
         if est.is_finite() {
             acc.est.push(est);
         } else {
@@ -791,15 +790,16 @@ impl GridScenario for BiasGrid {
         }
     }
 
-    fn finish(&self, coord: &[usize], acc: EstimateAcc) -> GridRow {
+    fn finish(&self, cell: usize, acc: EstimateAcc) -> GridRow {
+        let (link, train, tool) = self.coord(cell);
         GridRow {
-            cell: self.shape().flatten(coord),
-            link: self.links[coord[0]].name,
-            train: self.trains[coord[1]].name,
-            tool: self.tools[coord[2]],
-            n: self.trains[coord[1]].n,
-            tier: self.cell_tier(coord),
-            reps: self.reps(coord),
+            cell,
+            link: self.links[link].name,
+            train: self.trains[train].name,
+            tool: self.tools[tool],
+            n: self.trains[train].n,
+            tier: self.link_tier(link),
+            reps: self.reps(cell),
             failed: acc.failed,
             mean_bps: if acc.est.count() > 0 {
                 acc.est.mean()
@@ -808,7 +808,7 @@ impl GridScenario for BiasGrid {
             },
             sd_bps: acc.est.std_dev(),
             ci95_bps: acc.est.ci_half_width(0.95),
-            available_bps: self.available[coord[0]],
+            available_bps: self.available[link],
             run: self.fingerprint(),
             shard: self.shard_token(),
         }
@@ -819,7 +819,7 @@ impl GridScenario for BiasGrid {
 mod tests {
     use super::*;
     use crate::report::row_key;
-    use csmaprobe_core::grid::run_grid;
+    use csmaprobe_core::sweep::{run_sweep, run_sweep_cells};
 
     /// Hold the engine policy at auto: run fingerprints fold the
     /// process-wide policy in, and another test in this binary pins a
@@ -921,7 +921,7 @@ mod tests {
             "a changed parameter must be rejected on resume"
         );
         // And inline cells produce data like any catalog cell.
-        let rows = run_grid(&grid_of("wlan:cross=2e6"));
+        let rows = run_sweep(&grid_of("wlan:cross=2e6"));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].link, "wlan:cross=2000000,fifo=0");
         assert!(rows[0].mean_bps.is_finite());
@@ -948,7 +948,7 @@ mod tests {
             0.05,
             42,
         );
-        let rows = run_grid(&grid);
+        let rows = run_sweep(&grid);
         assert_eq!(rows.len(), 2);
         let mut keys = std::collections::BTreeSet::new();
         for (flat, row) in rows.iter().enumerate() {
@@ -965,8 +965,8 @@ mod tests {
     #[test]
     fn cell_data_independent_of_axis_selection() {
         // The wired/short/train cell must produce identical data
-        // whether it sits at coord [0,0,0] or [1,0,0]: seeds chain the
-        // cell's *name*, not its position.
+        // whether it sits at flat cell 0 or 1: seeds chain the cell's
+        // *name*, not its position.
         let solo = BiasGrid::new(
             vec![find_link("wired").unwrap()],
             vec![find_train("short").unwrap()],
@@ -981,8 +981,8 @@ mod tests {
             0.05,
             42,
         );
-        let a = &run_grid(&solo)[0];
-        let b = &run_grid(&moved)[1];
+        let a = &run_sweep(&solo)[0];
+        let b = &run_sweep(&moved)[1];
         assert_eq!(a.key(), b.key());
         assert_eq!(a.mean_bps.to_bits(), b.mean_bps.to_bits());
         assert_eq!(a.sd_bps.to_bits(), b.sd_bps.to_bits());
@@ -1019,14 +1019,14 @@ mod tests {
         );
         assert_ne!(a.fingerprint(), other_axis.fingerprint());
         // The fingerprint lands in every row and parses back out.
-        let row = &run_grid(&a)[0];
+        let row = &run_sweep(&a)[0];
         assert_eq!(row.run, a.fingerprint());
         assert_eq!(GridRow::run_of(&row.to_json()), Some(a.fingerprint()));
     }
 
     #[test]
     fn fingerprint_tracks_engine_policy_and_rows_carry_tier() {
-        use csmaprobe_core::engine::{test_guard, EnginePolicy, EngineTier};
+        use csmaprobe_core::engine::{test_guard, EnginePolicy};
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap(), find_link("wlan_low").unwrap()],
@@ -1038,11 +1038,11 @@ mod tests {
         };
         let (auto_fp, auto_rows) = {
             let _g = test_guard(EnginePolicy::Auto);
-            (make().fingerprint(), run_grid(&make()))
+            (make().fingerprint(), run_sweep(&make()))
         };
         let (event_fp, event_rows) = {
-            let _g = test_guard(EnginePolicy::Forced(EngineTier::Event));
-            (make().fingerprint(), run_grid(&make()))
+            let _g = test_guard(EnginePolicy::Event);
+            (make().fingerprint(), run_sweep(&make()))
         };
         // Trains run on the simulator under every policy, so the WLAN
         // rows carry `event` either way; the run fingerprint still
@@ -1110,7 +1110,7 @@ mod tests {
         assert!(s0.shard_token().starts_with("0/2:"));
         assert!(solo.shard_token().starts_with("0/1:"));
         // Rows carry the token, and it parses back out.
-        let rows = run_grid(&solo);
+        let rows = run_sweep(&solo);
         assert_eq!(rows[0].shard, solo.shard_token());
         assert_eq!(
             GridRow::shard_of(&rows[0].to_json()),
@@ -1131,7 +1131,7 @@ mod tests {
             .with_shard(shard)
         };
         // Disjoint cover of the full cell space.
-        let total = grid_with("wired,wlan_mid", ShardSpec::solo()).shape().len();
+        let total = grid_with("wired,wlan_mid", ShardSpec::solo()).points();
         let mut seen = vec![false; total];
         for index in 0..3 {
             let g = grid_with("wired,wlan_mid", ShardSpec { index, count: 3 });
@@ -1178,8 +1178,8 @@ mod tests {
         let full_table = {
             let mut sink = RowSink::create(&full_path).unwrap();
             let grid = make();
-            let cells: Vec<usize> = (0..grid.shape().len()).collect();
-            csmaprobe_core::grid::GridRunner::new().run_cells_with(&grid, &cells, |_, row| {
+            let cells: Vec<usize> = (0..grid.points()).collect();
+            run_sweep_cells(&grid, &cells, |_, row| {
                 sink.append(&row.to_json()).unwrap();
             });
             sink.finalize().unwrap()
@@ -1190,11 +1190,9 @@ mod tests {
         for (i, path) in shard_paths.iter().enumerate() {
             let grid = make().with_shard(ShardSpec { index: i, count: 2 });
             let mut sink = RowSink::create(path).unwrap();
-            csmaprobe_core::grid::GridRunner::new().run_cells_with(
-                &grid,
-                &grid.shard_cells(),
-                |_, row| sink.append(&row.to_json()).unwrap(),
-            );
+            run_sweep_cells(&grid, &grid.shard_cells(), |_, row| {
+                sink.append(&row.to_json()).unwrap()
+            });
         }
         let merged = RowSink::finalize_merged(&shard_paths).unwrap();
         assert_eq!(
@@ -1219,8 +1217,8 @@ mod tests {
                 7,
             )
         };
-        let a = run_grid(&make());
-        let b = run_grid(&make());
+        let a = run_sweep(&make());
+        let b = run_sweep(&make());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_json(), y.to_json());
         }

@@ -62,9 +62,8 @@ pub struct CliOptions {
 /// `--scale F`, `--seed N`, `--only ids`, `--jobs N`, `--list`.
 ///
 /// Strict: an unknown flag, a missing or unparseable value, `--jobs 0`
-/// or a non-finite or non-positive `--scale` is an `Err` naming the
-/// flag, which the binary prints before exiting 2. A finite positive
-/// scale clamps into `[MIN_SCALE, MAX_SCALE]`.
+/// or a `--scale` that [`parse_scale`] refuses is an `Err` naming the
+/// flag, which the binary prints before exiting 2.
 pub fn cli_options_from(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions {
         scale: DEFAULT_SCALE,
@@ -83,14 +82,7 @@ pub fn cli_options_from(args: &[String]) -> Result<CliOptions, String> {
         };
         match flag {
             "--list" => opts.list = true,
-            "--scale" => {
-                let v = value()?;
-                let scale: f64 = parse_value(flag, v)?;
-                if !scale.is_finite() || scale <= 0.0 {
-                    return Err(format!("{flag} must be finite and positive, got {v:?}"));
-                }
-                opts.scale = sanitize_scale(scale);
-            }
+            "--scale" => opts.scale = parse_scale(value()?)?,
             "--seed" => opts.seed = parse_value(flag, value()?)?,
             "--only" => opts.only = Some(parse_only(value()?)),
             "--jobs" => {
@@ -125,9 +117,20 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parse the value `v` of `flag`.
-fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+/// Parse the value `v` of `flag`; the error names both.
+pub fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {flag} value {v:?}"))
+}
+
+/// Parse a `--scale` value, the one rule `all_figures` and `grid`
+/// share: finite and positive, then clamped into
+/// `[MIN_SCALE, MAX_SCALE]`. Anything else is an `Err` naming the flag.
+pub fn parse_scale(v: &str) -> Result<f64, String> {
+    let scale: f64 = parse_value("--scale", v)?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(format!("--scale must be finite and positive, got {v:?}"));
+    }
+    Ok(scale.clamp(MIN_SCALE, MAX_SCALE))
 }
 
 /// Force `scale` into the sane band `[MIN_SCALE, MAX_SCALE]`.

@@ -5,12 +5,11 @@
 //! ones), and across figure-level concurrency (`--jobs`, which turns
 //! every figure into a task on the shared work-stealing executor) —
 //! modulo the wall-clock `elapsed_s` and `wallclock` fields. A second
-//! leg pins the engine router against its two forced policies:
-//! `CSMAPROBE_ENGINE=analytic` reproduces the auto payload byte for
-//! byte (auto promotes exactly what the tier certifies), and
-//! `CSMAPROBE_ENGINE=event` reproduces it on every figure except the
-//! analytic-promoted rate-response sweep (`fig01`), which must differ
-//! — the fixed point replacing the simulation there is the point.
+//! leg pins the engine router against its forced policy:
+//! `CSMAPROBE_ENGINE=event` reproduces the auto payload on every figure
+//! except the analytic-promoted rate-response sweep (`fig01`), which
+//! must differ — the fixed point replacing the simulation there is the
+//! point.
 //!
 //! This is the executable form of what README/rustdoc promise in
 //! prose: chunk-gridded reduction makes floating-point results
@@ -153,28 +152,18 @@ fn figure_lines(payload: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Engine-routing transparency, end to end: auto against each of the
-/// two forced policies.
-///
-/// * **auto vs forced-analytic**: byte-identical (modulo timing
-///   fields) on the *whole* payload — both route analytic exactly
-///   where the tier certifies a cell and run the simulator everywhere
-///   else, so forcing `analytic` is a provable no-op against auto.
-/// * **auto vs forced-event**: byte-identical on every figure except
-///   `fig01` — the paper's rate-response sweep, whose Poisson
-///   finite-load cells the non-saturated fixed point certifies, so
-///   auto takes the whole curve off the simulator. That figure MUST
-///   differ (the promotion being a silent no-op would mean the fixed
-///   point never engaged); its own 5 % tolerance gates live in the
-///   oracle tests and the `tier_equivalence` figure, not here.
+/// Engine-routing transparency, end to end: auto against forced
+/// `event`, byte-identical (modulo timing fields) on every figure
+/// except `fig01` — the paper's rate-response sweep, whose Poisson
+/// finite-load cells the non-saturated fixed point certifies, so auto
+/// takes the whole curve off the simulator. That figure MUST differ
+/// (the promotion being a silent no-op would mean the fixed point
+/// never engaged); its own 5 % tolerance gates live in the oracle tests
+/// and the `tier_equivalence` figure, not here.
 #[test]
 fn experiments_json_identical_with_forced_engines() {
     let base = std::env::temp_dir().join(format!("csmaprobe-engine-{}", std::process::id()));
-    let legs: [(&str, Option<&str>); 3] = [
-        ("auto", None),
-        ("event", Some("event")),
-        ("analytic", Some("analytic")),
-    ];
+    let legs: [(&str, Option<&str>); 2] = [("auto", None), ("event", Some("event"))];
     let payloads: Vec<String> = legs
         .iter()
         .map(|&(label, engine)| {
@@ -194,12 +183,6 @@ fn experiments_json_identical_with_forced_engines() {
     assert!(payloads[0].contains("\"wallclock\":["), "wallclock gone?");
     let auto = strip_elapsed(&payloads[0]);
     let event = strip_elapsed(&payloads[1]);
-    let analytic = strip_elapsed(&payloads[2]);
-    assert_eq!(
-        auto, analytic,
-        "forcing the analytic tier changed the payload: auto promotion \
-         and the forced tier disagree on some cell"
-    );
     let auto_figs = figure_lines(&auto);
     let event_figs = figure_lines(&event);
     assert_eq!(auto_figs.len(), event_figs.len(), "figure sets differ");

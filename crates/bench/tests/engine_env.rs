@@ -1,7 +1,7 @@
 //! Start-up contract of the figure and grid entry points. They accept
-//! exactly `auto|event|analytic` for `CSMAPROBE_ENGINE` and refuse
-//! anything else — the retired `slotted` tier and typos alike — and
-//! `all_figures` refuses an unknown flag or a bad flag value. A refusal
+//! exactly `auto|event` for `CSMAPROBE_ENGINE` and refuse anything
+//! else — the retired `slotted` and `analytic` values and typos alike —
+//! and `all_figures` refuses an unknown flag or a bad flag value. A refusal
 //! is exit code 2 and one stderr line naming the offending value or
 //! flag, before any figure runs or any row file is written.
 
@@ -43,7 +43,7 @@ fn assert_refused(out: &Output, case: &str, needles: &[&str]) {
 
 #[test]
 fn all_figures_refuses_retired_and_misspelt_engines() {
-    for engine in ["slotted", "evnet"] {
+    for engine in ["slotted", "analytic", "evnet"] {
         let dir = scratch(&format!("figs-{engine}"));
         let out = run(
             env!("CARGO_BIN_EXE_all_figures"),
@@ -51,7 +51,7 @@ fn all_figures_refuses_retired_and_misspelt_engines() {
             engine,
             &["--only", "fig01", "--scale", "0.02"],
         );
-        assert_refused(&out, engine, &[engine, "auto|event|analytic"]);
+        assert_refused(&out, engine, &[engine, "auto|event"]);
         assert!(!dir.join("experiments.json").exists(), "{engine}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -59,7 +59,7 @@ fn all_figures_refuses_retired_and_misspelt_engines() {
 
 #[test]
 fn grid_refuses_retired_and_misspelt_engines() {
-    for engine in ["slotted", "evnet"] {
+    for engine in ["slotted", "analytic", "evnet"] {
         let dir = scratch(&format!("grid-{engine}"));
         let out = run(
             env!("CARGO_BIN_EXE_grid"),
@@ -67,7 +67,7 @@ fn grid_refuses_retired_and_misspelt_engines() {
             engine,
             &["--links", "wired", "--trains", "short", "--tools", "train"],
         );
-        assert_refused(&out, engine, &[engine, "auto|event|analytic"]);
+        assert_refused(&out, engine, &[engine, "auto|event"]);
         assert!(!dir.join("grid_rows.jsonl").exists(), "{engine}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -94,7 +94,7 @@ fn all_figures_refuses_bad_flags() {
 
 #[test]
 fn accepted_engine_values_run() {
-    for engine in ["auto", "event", "analytic"] {
+    for engine in ["auto", "event"] {
         let dir = scratch(&format!("ok-{engine}"));
         let out = run(env!("CARGO_BIN_EXE_all_figures"), &dir, engine, &["--list"]);
         assert_eq!(out.status.code(), Some(0), "{engine}: {out:?}");

@@ -66,9 +66,7 @@ fn zero_max_cells_is_a_usage_error_not_a_silent_no_op() {
 fn malformed_flag_values_exit_2() {
     let dir = scratch("badflags");
     for args in [
-        &["--max-cells", "nope"][..],
         &["--jobs", "0"][..],
-        &["--scale", "abc"][..],
         &["--shard", "2/2"][..],
         &["--shard", "0/0"][..],
         &["--shard", "x"][..],
@@ -77,6 +75,31 @@ fn malformed_flag_values_exit_2() {
     ] {
         let out = grid(&dir, args);
         assert_eq!(code(&out), 2, "args {args:?}; stderr: {}", stderr(&out));
+    }
+    // Unparseable numbers and nonsensical scales are refused the way
+    // `all_figures` refuses them: one error line naming the flag, then
+    // the usage text. A wrongly accepted value would let `--list` exit
+    // 0 at once.
+    for args in [
+        ["--max-cells", "nope"],
+        ["--seed", "-1"],
+        ["--jobs", "two"],
+        ["--scale", "abc"],
+        ["--scale", "nan"],
+        ["--scale", "inf"],
+        ["--scale", "-1"],
+        ["--scale", "0"],
+    ] {
+        let out = grid(&dir, &[args[0], args[1], "--list"]);
+        let err = stderr(&out);
+        assert_eq!(code(&out), 2, "args {args:?}; stderr: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error:") && first.contains(args[0]),
+            "args {args:?}: the first line names the flag: {err}"
+        );
+        assert!(err.contains("usage:"), "args {args:?} shows usage: {err}");
+        assert!(out.stdout.is_empty(), "args {args:?}: nothing listed");
     }
 }
 

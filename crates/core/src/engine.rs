@@ -21,19 +21,18 @@
 //! # Selection policy
 //!
 //! The process-wide policy follows the `CSMAPROBE_ENGINE` environment
-//! variable at first use (`auto`, `event` or `analytic`; anything else
-//! is refused by [`check_env`]), overridable at runtime with
-//! [`set_policy`] — the same read-env-once-then-atomic pattern as the
-//! executor's `CSMAPROBE_WORKERS`.
+//! variable at first use (`auto` or `event`; anything else, the retired
+//! `slotted` and `analytic` included, is refused by [`check_env`]),
+//! overridable at runtime with [`set_policy`] — the same
+//! read-env-once-then-atomic pattern as the executor's
+//! `CSMAPROBE_WORKERS`.
 //!
 //! * **Auto** (default): steady-state cells route to `Analytic` when
 //!   [`analytic_covers`] holds, else to `Event`. Probe-train cells
 //!   always run on `Event`.
-//! * **Forced `event`**: everything runs the simulator — the routing
-//!   layer is provably a no-op on every figure but the analytic-served
-//!   fig01 (`crates/bench/tests/determinism.rs`).
-//! * **Forced `analytic`**: analytic where covered, else `Event` — the
-//!   same routing as auto.
+//! * **Event**: everything runs the simulator — the routing layer is
+//!   provably a no-op on every figure but the analytic-served fig01
+//!   (`crates/bench/tests/determinism.rs`).
 
 use crate::link::{CrossShape, LinkConfig};
 use csmaprobe_mac::{NonSatModel, NonSatStation};
@@ -45,12 +44,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 pub enum EngineTier {
     /// The DCF simulator (`WlanSim`).
     Event,
-    /// Retired: the slot-quantised kernel this named is gone and no
-    /// route returns it. The variant stays only because the benchmark's
-    /// per-layer replay names it; [`set_policy`] treats
-    /// `Forced(Slotted)` as forced `Event` (an uncovered forced tier
-    /// falls back to the simulator). Delete with the next benchmark
-    /// revision.
+    /// Retired: the slot-quantised kernel this named is gone; no route
+    /// returns it and no policy names it. The variant stays only because
+    /// the benchmark's per-layer replay names it. Delete with the next
+    /// benchmark revision.
     Slotted,
     /// Closed-form Bianchi saturation model.
     Analytic,
@@ -73,20 +70,19 @@ impl EngineTier {
 pub enum EnginePolicy {
     /// Route each cell to the cheapest covered tier (the default).
     Auto,
-    /// Pin one tier; uncovered cells still fall back to `Event`.
-    Forced(EngineTier),
+    /// Run every cell on the simulator.
+    Event,
 }
 
 const POLICY_UNSET: u8 = 0;
 const POLICY_AUTO: u8 = 1;
 const POLICY_EVENT: u8 = 2;
-const POLICY_ANALYTIC: u8 = 3;
 
 /// Runtime override; `POLICY_UNSET` defers to the environment.
 static POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
 
 /// The values `CSMAPROBE_ENGINE` accepts.
-const POLICY_VALUES: &str = "auto|event|analytic";
+const POLICY_VALUES: &str = "auto|event";
 
 /// `CSMAPROBE_ENGINE` as a policy code: unset is auto, an unknown
 /// value is an error naming the accepted values.
@@ -97,7 +93,6 @@ fn env_value() -> Result<u8, String> {
     match raw.to_str() {
         Some("auto") => Ok(POLICY_AUTO),
         Some("event") => Ok(POLICY_EVENT),
-        Some("analytic") => Ok(POLICY_ANALYTIC),
         _ => Err(format!(
             "CSMAPROBE_ENGINE={raw:?} is not one of {POLICY_VALUES}"
         )),
@@ -106,8 +101,8 @@ fn env_value() -> Result<u8, String> {
 
 /// Validate `CSMAPROBE_ENGINE` up front. Entry points call this at
 /// start-up and exit with the message on `Err`, so a typo'd or retired
-/// value (`slotted`) is refused before any work runs instead of
-/// silently routing as `auto`.
+/// value (`slotted`, `analytic`) is refused before any work runs
+/// instead of silently routing as `auto`.
 pub fn check_env() -> Result<(), String> {
     env_value().map(|_| ())
 }
@@ -122,14 +117,11 @@ fn env_policy() -> u8 {
 /// Pin the process-wide engine policy (tests, tools). Passing
 /// [`EnginePolicy::Auto`] restores automatic routing; the
 /// `CSMAPROBE_ENGINE` environment variable is only consulted while no
-/// explicit policy has been set. The retired
-/// `Forced(EngineTier::Slotted)` pins the simulator, like
-/// `Forced(EngineTier::Event)`.
+/// explicit policy has been set.
 pub fn set_policy(policy: EnginePolicy) {
     let v = match policy {
         EnginePolicy::Auto => POLICY_AUTO,
-        EnginePolicy::Forced(EngineTier::Event | EngineTier::Slotted) => POLICY_EVENT,
-        EnginePolicy::Forced(EngineTier::Analytic) => POLICY_ANALYTIC,
+        EnginePolicy::Event => POLICY_EVENT,
     };
     POLICY.store(v, Ordering::Relaxed);
 }
@@ -144,14 +136,13 @@ pub fn set_policy(policy: EnginePolicy) {
 /// even when the per-cell tier resolution happens to agree.
 pub const ROUTER_REVISION: &str = "r3-one-kernel";
 
-/// Stable lowercase token naming the active policy (`auto`, `event`,
-/// `analytic`) — folded into run-config fingerprints so resumable
-/// campaigns refuse to silently mix rows produced under different
-/// routing policies.
+/// Stable lowercase token naming the active policy (`auto`, `event`)
+/// — folded into run-config fingerprints so resumable campaigns refuse
+/// to silently mix rows produced under different routing policies.
 pub fn policy_token() -> &'static str {
     match policy() {
         EnginePolicy::Auto => "auto",
-        EnginePolicy::Forced(t) => t.token(),
+        EnginePolicy::Event => "event",
     }
 }
 
@@ -163,8 +154,7 @@ pub fn policy() -> EnginePolicy {
         v => v,
     };
     match v {
-        POLICY_EVENT => EnginePolicy::Forced(EngineTier::Event),
-        POLICY_ANALYTIC => EnginePolicy::Forced(EngineTier::Analytic),
+        POLICY_EVENT => EnginePolicy::Event,
         _ => EnginePolicy::Auto,
     }
 }
@@ -290,8 +280,7 @@ pub fn analytic_covers(cfg: &LinkConfig, ri_bps: f64) -> bool {
 /// forced), else `Event`.
 pub fn steady_tier(cfg: &LinkConfig, ri_bps: f64) -> EngineTier {
     match policy() {
-        EnginePolicy::Forced(EngineTier::Event) => EngineTier::Event,
-        _ if analytic_covers(cfg, ri_bps) => EngineTier::Analytic,
+        EnginePolicy::Auto if analytic_covers(cfg, ri_bps) => EngineTier::Analytic,
         _ => EngineTier::Event,
     }
 }
@@ -331,22 +320,8 @@ mod tests {
     }
 
     #[test]
-    fn retired_slotted_policy_acts_as_forced_event() {
-        let _g = test_guard(EnginePolicy::Forced(EngineTier::Slotted));
-        assert_eq!(policy(), EnginePolicy::Forced(EngineTier::Event));
-        assert_eq!(policy_token(), "event");
-        assert_eq!(steady_tier(&saturated_cfg(), 9e6), EngineTier::Event);
-        assert_eq!(steady_tier(&steady_cfg(), 1.5e6), EngineTier::Event);
-        assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
-    }
-
-    #[test]
     fn policy_token_names_every_policy() {
-        for (p, tok) in [
-            (EnginePolicy::Auto, "auto"),
-            (EnginePolicy::Forced(EngineTier::Event), "event"),
-            (EnginePolicy::Forced(EngineTier::Analytic), "analytic"),
-        ] {
+        for (p, tok) in [(EnginePolicy::Auto, "auto"), (EnginePolicy::Event, "event")] {
             let _g = test_guard(p);
             assert_eq!(policy_token(), tok);
         }
@@ -419,18 +394,9 @@ mod tests {
 
     #[test]
     fn forced_event_pins_everything() {
-        let _g = test_guard(EnginePolicy::Forced(EngineTier::Event));
+        let _g = test_guard(EnginePolicy::Event);
         assert_eq!(steady_tier(&saturated_cfg(), 9e6), EngineTier::Event);
         assert_eq!(steady_tier(&steady_cfg(), 1.5e6), EngineTier::Event);
-        assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
-    }
-
-    #[test]
-    fn forced_analytic_routes_like_auto() {
-        let _g = test_guard(EnginePolicy::Forced(EngineTier::Analytic));
-        assert_eq!(steady_tier(&saturated_cfg(), 9e6), EngineTier::Analytic);
-        let cbr = LinkConfig::default().contending(CrossSpec::shaped(2e6, CrossShape::Cbr));
-        assert_eq!(steady_tier(&cbr, 1.5e6), EngineTier::Event);
         assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
     }
 

@@ -17,21 +17,17 @@
 //! * [`transient`] — the §4 experiment machinery: replicated probing
 //!   trains, per-index access-delay distributions, KS profiles and the
 //!   tolerance-based transient length (Fig 10).
-//! * [`sweep`] — the sweep scenario subsystem: parameterised families
-//!   of scenarios ([`sweep::SweepScenario`], e.g. one cell per probing
-//!   rate) scheduled by [`sweep::SweepRunner`] as one streaming
-//!   map-reduce on the shared work-stealing executor, with per-cell results
-//!   bit-identical to a standalone per-point reduce.
-//! * [`grid`] — the scenario grid subsystem: independent parameter
-//!   axes (link × train × tool) composed into one flattened cell space
-//!   ([`grid::GridScenario`]) scheduled by [`grid::GridRunner`], with
-//!   streaming row emission in cell order and bit-identical per-cell
-//!   results for any worker count or scheduled subset (the resume
-//!   contract).
+//! * [`sweep`] — the scenario engine: a parameterised family of
+//!   scenarios ([`sweep::SweepScenario`], one cell per probing rate or
+//!   per link × train × tool combination) run by [`sweep::run_sweep`],
+//!   or over a subset of its cells by [`sweep::run_sweep_cells`], as one
+//!   streaming map-reduce on the shared work-stealing executor, with
+//!   per-cell results bit-identical to a standalone per-cell reduce for
+//!   any worker count or scheduled subset (the resume contract).
 //! * [`engine`] — the engine router: steady-state cells an analytic
 //!   model certifies (Bianchi saturation or the finite-load fixed
 //!   point) skip simulation, every other cell runs the DCF simulator;
-//!   `CSMAPROBE_ENGINE` (`auto|event|analytic`) forces a policy.
+//!   `CSMAPROBE_ENGINE` (`auto|event`) picks the policy.
 //! * [`link`] — runnable link models: [`link::WlanLink`] (Fig 3: a
 //!   FIFO transmission queue feeding a CSMA/CA virtual scheduler, with
 //!   contending stations) and [`link::WiredLink`] (the classic FIFO
@@ -41,7 +37,6 @@
 
 pub mod bounds;
 pub mod engine;
-pub mod grid;
 pub mod link;
 pub mod multihop;
 pub mod rate_response;
@@ -51,14 +46,11 @@ pub mod transient;
 
 pub use bounds::{dispersion_bounds, TransientBounds};
 pub use engine::{EnginePolicy, EngineTier};
-pub use grid::{run_grid, GridRunner, GridScenario, GridShape};
 pub use link::{CrossSpec, LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink};
 pub use multihop::{Hop, WiredPath};
 pub use rate_response::{
     achievable_from_curve, achievable_throughput, complete_rate_response, csma_rate_response,
     fifo_rate_response,
 };
-pub use sweep::{run_sweep, RateResponseSweep, SweepRunner, SweepScenario};
-pub use transient::{
-    run_dense, run_summary, Columns, Scenario, TransientData, TransientExperiment, TransientSummary,
-};
+pub use sweep::{run_sweep, run_sweep_cells, RateResponseSweep, SweepScenario};
+pub use transient::{Columns, TransientData, TransientExperiment, TransientSummary};

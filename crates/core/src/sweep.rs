@@ -1,16 +1,17 @@
-//! The sweep scenario subsystem: parameterised families of scenarios
-//! (one cell per sweep point — e.g. per probing rate) scheduled as one
-//! streaming map-reduce on the shared work-stealing executor.
+//! The scenario engine: a parameterised family of scenarios (one cell
+//! per sweep point — a probing rate, or a link × train × tool
+//! combination) scheduled as one streaming map-reduce on the shared
+//! work-stealing executor.
 //!
-//! PR 2's scenario engine made single replicated experiments stream
-//! through `csmaprobe_desim::replicate::run_reduce`; the rate-response
-//! sweeps of Figs 1/4/13/15/17 still hand-rolled their loops, so a
-//! sweep figure occupied one worker while its ~20 rate points ran
-//! serially. [`SweepScenario`] + [`SweepRunner`] lift those sweeps onto
-//! the engine: every `(point × replication)` cell is an independent
-//! unit of work, scheduled through
-//! [`csmaprobe_desim::replicate::run_cells`], streamed into a per-cell
-//! [`Accumulate`] reducer, and returned as registry-ordered rows.
+//! A [`SweepScenario`] describes what one replication of one cell does
+//! and how its observations accumulate; [`run_sweep`] runs every cell
+//! and [`run_sweep_cells`] a strictly ascending subset of them (the
+//! resume and shard path of the `grid` binary). Both schedule every
+//! `(cell × replication)` pair through
+//! [`csmaprobe_desim::replicate::run_cells_emit`], stream it into a
+//! per-cell [`Accumulate`] reducer, and return the finished rows in
+//! cell order, so a figure's ~20 rate points run concurrently instead
+//! of serially.
 //!
 //! # Trait contract
 //!
@@ -24,20 +25,20 @@
 //!   merging two accumulators equals having pushed both observation
 //!   streams into one (exactly or up to documented rounding).
 //! * [`SweepScenario::finish`] turns a fully-reduced cell into its row;
-//!   it runs once per point, in no particular order, after all
-//!   replications of that point completed.
+//!   it runs once per point, after all replications of that point
+//!   completed.
 //!
 //! # Determinism guarantees
 //!
-//! The runner inherits `run_cells`' bit-compatibility contract: each
-//! cell's replications fold on the cell-local [`CHUNK`] grid and merge
-//! in ascending chunk order, so every cell's accumulator is
-//! **bit-identical** to a standalone
-//! `run_reduce(reps(point), …)` over the same replications — for any
-//! worker count, any surrounding grid, and any scheduling order. Rows
-//! always come back in point order. A figure ported from a hand-rolled
-//! loop of per-point `run_reduce` calls therefore reproduces its old
-//! output exactly, while its points now run concurrently.
+//! The runners inherit `run_cells_emit`'s bit-compatibility contract:
+//! each cell's replications fold on the cell-local [`CHUNK`] grid and
+//! merge in ascending chunk order, so every cell's accumulator is
+//! **bit-identical** to a standalone `run_reduce(reps(point), …)` over
+//! the same replications — for any worker count, any scheduling order
+//! and any subset of scheduled cells. A resumed run therefore writes
+//! exactly the rows an uninterrupted run would have written, and a
+//! figure ported from a hand-rolled loop of per-point `run_reduce`
+//! calls reproduces its old output exactly.
 //!
 //! [`CHUNK`]: csmaprobe_desim::replicate::CHUNK
 
@@ -50,8 +51,9 @@ use csmaprobe_stats::accumulate::Accumulate;
 /// A parameterised family of scenarios — one cell per sweep point.
 ///
 /// Implementors describe *what* one replication of one point does and
-/// how its observations accumulate; [`SweepRunner`] decides *how* the
-/// `(point × replication)` grid is scheduled.
+/// how its observations accumulate; [`run_sweep`] and
+/// [`run_sweep_cells`] decide *how* the `(point × replication)` grid is
+/// scheduled.
 pub trait SweepScenario: Sync {
     /// Streaming per-cell accumulator (one per sweep point).
     type Acc: Accumulate + Send;
@@ -79,41 +81,49 @@ pub trait SweepScenario: Sync {
     fn finish(&self, point: usize, acc: Self::Acc) -> Self::Row;
 }
 
-/// Schedules every `(point × replication)` cell of a [`SweepScenario`]
-/// through the shared work-stealing chunk executor.
-///
-/// Stateless today; a value (rather than a free function) so future
-/// scheduling knobs — per-sweep worker caps, progress callbacks — have
-/// a home that doesn't churn every call site.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepRunner;
-
-impl SweepRunner {
-    /// A runner with default scheduling.
-    pub fn new() -> Self {
-        SweepRunner
-    }
-
-    /// Run every cell of `scenario` and return one row per point, in
-    /// point order. See the module docs for the determinism contract.
-    pub fn run<S: SweepScenario + ?Sized>(&self, scenario: &S) -> Vec<S::Row> {
-        let cells: Vec<usize> = (0..scenario.points()).map(|p| scenario.reps(p)).collect();
-        let accs = replicate::run_cells(
-            &cells,
-            |point, rep, acc: &mut S::Acc| scenario.replicate(point, rep, acc),
-            |point| scenario.identity(point),
-            |a, b| a.merge(b),
-        );
-        accs.into_iter()
-            .enumerate()
-            .map(|(point, acc)| scenario.finish(point, acc))
-            .collect()
-    }
+/// Run every cell of `scenario` and return one row per point, in
+/// point order. See the module docs for the determinism contract.
+pub fn run_sweep<S: SweepScenario + ?Sized>(scenario: &S) -> Vec<S::Row> {
+    let all: Vec<usize> = (0..scenario.points()).collect();
+    let mut rows = Vec::with_capacity(all.len());
+    run_sweep_cells(scenario, &all, |_, row| rows.push(row));
+    rows
 }
 
-/// Convenience: run `scenario` with a default [`SweepRunner`].
-pub fn run_sweep<S: SweepScenario + ?Sized>(scenario: &S) -> Vec<S::Row> {
-    SweepRunner::new().run(scenario)
+/// Run only the points listed in `cells` (strictly ascending), handing
+/// each finished row to `emit(point, row)` in ascending point order as
+/// soon as its cell completes.
+///
+/// This is the resume path: an interrupted run re-schedules exactly
+/// the cells missing from its persisted row set, and — by the engine's
+/// cell-local chunk-grid contract — produces rows bit-identical to what
+/// the uninterrupted run would have written. At most one finished cell
+/// waits for emission, so a huge cell space never materialises.
+///
+/// # Panics
+/// If `cells` is not strictly ascending (a duplicate would run and
+/// emit a cell twice) or indexes past `scenario.points()`.
+pub fn run_sweep_cells<S, E>(scenario: &S, cells: &[usize], mut emit: E)
+where
+    S: SweepScenario + ?Sized,
+    E: FnMut(usize, S::Row) + Send,
+{
+    assert!(
+        cells.windows(2).all(|w| w[0] < w[1]),
+        "cell list must be strictly ascending"
+    );
+    if let Some(&last) = cells.last() {
+        let points = scenario.points();
+        assert!(last < points, "cell {last} out of range {points}");
+    }
+    let budgets: Vec<usize> = cells.iter().map(|&p| scenario.reps(p)).collect();
+    replicate::run_cells_emit(
+        &budgets,
+        |i, rep, acc: &mut S::Acc| scenario.replicate(cells[i], rep, acc),
+        |i| scenario.identity(cells[i]),
+        |a, b| a.merge(b),
+        |i, acc| emit(cells[i], scenario.finish(cells[i], acc)),
+    );
 }
 
 /// The steady-state rate-response sweep of Figs 1/4: one long-flow
@@ -268,6 +278,28 @@ mod tests {
                 "point {i}"
             );
         }
+    }
+
+    /// The resume path's guard against running or emitting a cell
+    /// twice: a repeated index is refused before anything runs.
+    #[test]
+    #[should_panic(expected = "cell list must be strictly ascending")]
+    fn subset_runner_refuses_a_repeated_cell() {
+        let s = Synthetic {
+            reps: vec![2, 2, 2],
+            seed: 1,
+        };
+        run_sweep_cells(&s, &[0, 2, 2], |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 3 out of range 3")]
+    fn subset_runner_refuses_an_out_of_range_cell() {
+        let s = Synthetic {
+            reps: vec![2, 2, 2],
+            seed: 1,
+        };
+        run_sweep_cells(&s, &[1, 3], |_, _| {});
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! §4 — the transient-state experiments: replicated probing trains,
 //! per-index access-delay statistics, KS profiles, and the §4.1
-//! transient-length estimator — run by the **scenario engine**.
+//! transient-length estimator.
 //!
-//! A [`Scenario`] names a link, a probing train, and a replication
-//! budget; the engine executes it in one of two modes:
+//! A [`TransientExperiment`] names a link, a probing train, a
+//! replication budget and a seed, and runs in one of two modes:
 //!
-//! * [`run_summary`] (and [`TransientExperiment::run`]) — fully
-//!   streaming: every replication folds straight into per-index
-//!   [`OnlineStats`] via `replicate::run_reduce`, so peak memory is
-//!   O(train length × accumulator) no matter the replication count.
-//!   This serves Figs 6 and 10 and every mean-profile analysis.
-//! * [`run_dense`] (and [`TransientExperiment::run_dense`]) — the
-//!   escape hatch for analyses that genuinely need raw per-index
-//!   samples (the KS profiles of Figs 7–9), with an **explicit
-//!   per-index reservoir cap** bounding memory at O(train length ×
-//!   cap).
+//! * [`TransientExperiment::run`] — fully streaming: every replication
+//!   folds straight into per-index [`OnlineStats`] via
+//!   `replicate::run_reduce`, so peak memory is O(train length ×
+//!   accumulator) no matter the replication count. This serves Figs 6
+//!   and 10 and every mean-profile analysis.
+//! * [`TransientExperiment::run_dense`] — the escape hatch for analyses
+//!   that genuinely need raw per-index samples (the KS profiles of
+//!   Figs 7–9), with an **explicit per-index reservoir cap** bounding
+//!   memory at O(train length × cap).
 //!
 //! Both modes are deterministic in `(seed, reps)` — bit-identical
 //! across repeated runs and across worker counts, because the
@@ -22,7 +21,9 @@
 //!
 //! Both modes are also **demand-driven**: a caller declares the
 //! [`Columns`] it reads besides the access delays — the contending
-//! queue occupancy and the streamed p95 — and the engine neither
+//! queue occupancy and the streamed p95 — through
+//! [`TransientExperiment::run_columns`] and
+//! [`TransientExperiment::run_dense_columns`], and the engine neither
 //! reconstructs nor accumulates the others, which stay empty. Each
 //! accumulator is a pure function of its own push sequence, so a kept
 //! column is bit-identical whatever else was requested.
@@ -35,21 +36,7 @@ use csmaprobe_stats::online::OnlineStats;
 use csmaprobe_stats::transient::{IndexedQuantile, IndexedSeries, IndexedStats, TransientEstimate};
 use csmaprobe_traffic::probe::ProbeTrain;
 
-/// One replicated probing scenario: everything the engine needs to run
-/// it, independent of *how* (streaming summary or dense samples).
-pub trait Scenario: Sync {
-    /// Short identifier (for registries and logs).
-    fn name(&self) -> &str;
-    /// The link (probe + cross-traffic configuration).
-    fn link(&self) -> &WlanLink;
-    /// The probing train sent in every replication.
-    fn train(&self) -> ProbeTrain;
-    /// Replication budget.
-    fn reps(&self) -> usize;
-}
-
-/// A replicated transient-probing experiment (the canonical
-/// [`Scenario`]).
+/// A replicated transient-probing experiment.
 #[derive(Debug, Clone)]
 pub struct TransientExperiment {
     /// The link (probe + cross-traffic configuration).
@@ -60,21 +47,6 @@ pub struct TransientExperiment {
     pub reps: usize,
     /// Master seed; replication `k` uses seed `derive(seed, k)`.
     pub seed: u64,
-}
-
-impl Scenario for TransientExperiment {
-    fn name(&self) -> &str {
-        "transient"
-    }
-    fn link(&self) -> &WlanLink {
-        &self.link
-    }
-    fn train(&self) -> ProbeTrain {
-        self.train
-    }
-    fn reps(&self) -> usize {
-        self.reps
-    }
 }
 
 /// The tail percentile both execution modes stream per packet index
@@ -156,18 +128,18 @@ impl Accumulate for DenseAcc {
     }
 }
 
-/// Run one replication of `scenario` and feed `consume` each probe
-/// packet as `(index, access delay, queue)`: the first contender's
-/// queue length at the packet's arrival when `queue` is requested and
-/// the link has a contender, else `None`. The simulation buffers are
+/// Run one replication of `exp` and feed `consume` each probe packet
+/// as `(index, access delay, queue)`: the first contender's queue
+/// length at the packet's arrival when `queue` is requested and the
+/// link has a contender, else `None`. The simulation buffers are
 /// recycled afterwards.
 fn replicate_once(
-    scenario: &(impl Scenario + ?Sized),
+    exp: &TransientExperiment,
     seed: u64,
     queue: bool,
     mut consume: impl FnMut(usize, f64, Option<f64>),
 ) {
-    let run: WlanTrainRun = scenario.link().send_train(scenario.train(), seed);
+    let run: WlanTrainRun = exp.link.send_train(exp.train, seed);
     let delays = run.probe.iter().map(|r| r.access_delay().as_secs_f64());
     match run.contending.first().filter(|_| queue) {
         Some(&contender) => {
@@ -188,81 +160,6 @@ fn replicate_once(
     run.recycle();
 }
 
-/// Execute a scenario in streaming-summary mode (see module docs),
-/// accumulating the delay moments plus the requested `cols`.
-pub fn run_summary(
-    scenario: &(impl Scenario + ?Sized),
-    seed: u64,
-    cols: Columns,
-) -> TransientSummary {
-    let acc = replicate::run_reduce(
-        scenario.reps(),
-        seed,
-        |_, s, acc: &mut SummaryAcc| {
-            replicate_once(scenario, s, cols.queue, |i, delay, queue| {
-                acc.delays.push(i, delay);
-                if cols.p95 {
-                    acc.delay_p95.push(i, delay);
-                }
-                if let Some(q) = queue {
-                    acc.queues.push(i, q);
-                }
-            });
-        },
-        SummaryAcc::default,
-        Accumulate::merge,
-    );
-    TransientSummary {
-        delays: acc.delays,
-        queue_sizes: acc.queues,
-        delay_p95: acc.delay_p95,
-        reps: scenario.reps(),
-    }
-}
-
-/// Execute a scenario in dense mode, retaining at most `cap` raw
-/// samples per packet index (deterministic decimation beyond that),
-/// plus the requested `cols`.
-pub fn run_dense(
-    scenario: &(impl Scenario + ?Sized),
-    seed: u64,
-    cap: usize,
-    cols: Columns,
-) -> TransientData {
-    let acc = replicate::run_reduce(
-        scenario.reps(),
-        seed,
-        |_, s, acc: &mut DenseAcc| {
-            let mut delays = Vec::with_capacity(scenario.train().n);
-            let mut queues = Vec::new();
-            replicate_once(scenario, s, cols.queue, |_, delay, queue| {
-                delays.push(delay);
-                if let Some(q) = queue {
-                    queues.push(q);
-                }
-            });
-            acc.delays.push_replication(&delays);
-            if cols.p95 {
-                acc.delay_p95.push_replication(&delays);
-            }
-            if !queues.is_empty() {
-                acc.queues.push_replication(&queues);
-            }
-        },
-        || DenseAcc {
-            delays: IndexedSeries::with_cap(cap),
-            queues: IndexedSeries::with_cap(cap),
-            delay_p95: IndexedQuantile::new(TAIL_QUANTILE),
-        },
-        Accumulate::merge,
-    );
-    TransientData {
-        delays: acc.delays,
-        queue_sizes: acc.queues,
-        delay_p95: acc.delay_p95,
-    }
-}
-
 impl TransientExperiment {
     /// Run all replications in streaming mode (thread-parallel,
     /// deterministic): per-index moments only, O(train length) memory.
@@ -274,7 +171,29 @@ impl TransientExperiment {
     /// [`TransientExperiment::run`] accumulating only the delay moments
     /// and the requested `cols`.
     pub fn run_columns(&self, cols: Columns) -> TransientSummary {
-        run_summary(self, self.seed, cols)
+        let acc = replicate::run_reduce(
+            self.reps,
+            self.seed,
+            |_, s, acc: &mut SummaryAcc| {
+                replicate_once(self, s, cols.queue, |i, delay, queue| {
+                    acc.delays.push(i, delay);
+                    if cols.p95 {
+                        acc.delay_p95.push(i, delay);
+                    }
+                    if let Some(q) = queue {
+                        acc.queues.push(i, q);
+                    }
+                });
+            },
+            SummaryAcc::default,
+            Accumulate::merge,
+        );
+        TransientSummary {
+            delays: acc.delays,
+            queue_sizes: acc.queues,
+            delay_p95: acc.delay_p95,
+            reps: self.reps,
+        }
     }
 
     /// Run all replications retaining raw per-index samples (for KS
@@ -285,9 +204,41 @@ impl TransientExperiment {
     }
 
     /// [`TransientExperiment::run_dense`] accumulating only the delay
-    /// samples and the requested `cols`.
+    /// samples and the requested `cols`. Beyond `cap` samples per
+    /// packet index the reservoir decimates deterministically.
     pub fn run_dense_columns(&self, cap: usize, cols: Columns) -> TransientData {
-        run_dense(self, self.seed, cap, cols)
+        let acc = replicate::run_reduce(
+            self.reps,
+            self.seed,
+            |_, s, acc: &mut DenseAcc| {
+                let mut delays = Vec::with_capacity(self.train.n);
+                let mut queues = Vec::new();
+                replicate_once(self, s, cols.queue, |_, delay, queue| {
+                    delays.push(delay);
+                    if let Some(q) = queue {
+                        queues.push(q);
+                    }
+                });
+                acc.delays.push_replication(&delays);
+                if cols.p95 {
+                    acc.delay_p95.push_replication(&delays);
+                }
+                if !queues.is_empty() {
+                    acc.queues.push_replication(&queues);
+                }
+            },
+            || DenseAcc {
+                delays: IndexedSeries::with_cap(cap),
+                queues: IndexedSeries::with_cap(cap),
+                delay_p95: IndexedQuantile::new(TAIL_QUANTILE),
+            },
+            Accumulate::merge,
+        );
+        TransientData {
+            delays: acc.delays,
+            queue_sizes: acc.queues,
+            delay_p95: acc.delay_p95,
+        }
     }
 }
 
@@ -303,7 +254,7 @@ fn requested_p95(delay_p95: &IndexedQuantile, delays_len: usize) -> Vec<f64> {
     delay_p95.values()
 }
 
-/// Streaming result of a [`Scenario`]: per-index moments of the access
+/// Streaming result of a [`TransientExperiment`]: per-index moments of the access
 /// delay and of the first contending station's queue size.
 #[derive(Debug, Clone)]
 pub struct TransientSummary {
@@ -367,7 +318,7 @@ impl TransientSummary {
     }
 }
 
-/// Dense per-index data from a [`Scenario`] (raw samples, reservoir
+/// Dense per-index data from a [`TransientExperiment`] (raw samples, reservoir
 /// capped): what the KS analyses of Figs 7–9 need.
 #[derive(Debug, Clone)]
 pub struct TransientData {
@@ -742,21 +693,5 @@ mod tests {
         small_exp()
             .run_dense_columns(8, Columns::DELAYS)
             .p95_profile();
-    }
-
-    #[test]
-    fn scenario_trait_is_object_usable() {
-        let link = WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0));
-        let exp = TransientExperiment {
-            link,
-            train: ProbeTrain::from_rate(10, 1500, 4_000_000.0),
-            reps: 8,
-            seed: 5,
-        };
-        let s: &dyn Scenario = &exp;
-        assert_eq!(s.name(), "transient");
-        assert_eq!(s.reps(), 8);
-        let summary = run_summary(s, 5, Columns::DELAYS);
-        assert_eq!(summary.mean_profile().len(), 10);
     }
 }

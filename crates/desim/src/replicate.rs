@@ -3,27 +3,25 @@
 //!
 //! The paper's results are averages over very many independent
 //! repetitions (80 testbed runs; 25 000 NS2 runs; 70 000 Matlab runs).
-//! Two entry points share one chunked execution core:
+//! One chunked reduction core serves every one of them:
 //!
-//! * [`run`] — materialise every per-replication output in replication
-//!   order (for analyses that need raw samples).
-//! * [`run_reduce`] — fully streaming map-reduce: each worker folds its
-//!   replications directly into a chunk accumulator and chunk
-//!   accumulators are merged **in deterministic chunk order**, so peak
-//!   memory is O(workers × accumulator) instead of O(reps × output).
+//! * [`run_cells_emit`] — streaming map-reduce over a list of
+//!   independently accumulated **cells** (one per sweep point or grid
+//!   cell). Each worker folds its replications directly into a chunk
+//!   accumulator, chunk accumulators merge **in deterministic chunk
+//!   order**, and each finished cell is handed to a consumer in
+//!   ascending cell order — so peak memory is O(workers × accumulator),
+//!   never O(reps × output) or O(cells × accumulator).
+//! * [`run_reduce`] — the one-cell case, with replication `i` seeded
+//!   `derive_seed(master, i)`: the hot path behind every transient
+//!   experiment and probing tool.
 //!
-//! [`run_cells`] generalises the same core to a grid of independently
-//! accumulated cells (one per sweep point), with per-cell results
-//! bit-identical to a standalone [`run_reduce`] per cell;
-//! [`run_cells_emit`] is its streaming form, handing each finished cell
-//! to a consumer in ascending cell order so arbitrarily large grids
-//! never materialise all their accumulators at once.
-//!
-//! Determinism: replication `i` always receives `derive_seed(master, i)`
-//! and chunk accumulators are always merged in ascending chunk index,
-//! regardless of which thread executes what. The result is a pure
-//! function of `(master_seed, reps)` — bit-identical across repeated
-//! runs and across differing worker counts.
+//! Determinism: every cell's replications fold on the cell-local
+//! [`CHUNK`] grid and its chunk accumulators merge in ascending chunk
+//! index, regardless of which thread executes what. A cell's result is
+//! a pure function of its replications — bit-identical across repeated
+//! runs, across differing worker counts and whatever other cells share
+//! the call.
 //!
 //! Execution: every runner submits its chunk tasks to the process-wide
 //! **work-stealing chunk executor** ([`crate::executor`]). One pool of
@@ -35,12 +33,10 @@
 //! (or the `CSMAPROBE_WORKERS` environment variable) pins the
 //! process-wide concurrency ceiling explicitly — useful for tests and
 //! for reproducing scheduling-sensitive timings; results never depend
-//! on it. The acquire/release worker-budget API this replaced is gone:
-//! there is nothing to borrow or hand back any more.
+//! on it.
 
 use crate::executor;
 use crate::rng::derive_seed;
-use std::ops::Range;
 use std::sync::Mutex;
 
 /// Replications per chunk. The chunk grid is what makes streaming
@@ -59,34 +55,6 @@ pub const CHUNK: usize = 32;
 /// [`executor::set_worker_limit`].
 pub fn set_worker_limit(n: usize) {
     executor::set_worker_limit(n);
-}
-
-/// The replication index range of chunk `c`.
-fn chunk_range(c: usize, reps: usize) -> Range<usize> {
-    let start = c * CHUNK;
-    start..((start + CHUNK).min(reps))
-}
-
-/// Chunked execution core: produce one `C` per chunk of replication
-/// indices and hand the chunk outputs to `consume` **in ascending chunk
-/// order** — one submission to the process-wide work-stealing executor
-/// ([`executor::submit`]).
-///
-/// `consume` runs under the submission's sink lock from whichever
-/// worker completes the next-in-order chunk; out-of-order chunk outputs
-/// are parked in a bounded reorder window (at most ~one entry per
-/// worker in practice).
-fn run_chunks<C, F, G>(reps: usize, make: F, consume: G)
-where
-    C: Send,
-    F: Fn(Range<usize>) -> C + Sync + Send,
-    G: FnMut(C) + Send,
-{
-    if reps == 0 {
-        return;
-    }
-    let chunks = reps.div_ceil(CHUNK);
-    executor::submit(chunks, usize::MAX, |c| make(chunk_range(c, reps)), consume);
 }
 
 /// Run `tasks` as one executor submission — the figure-level scheduling
@@ -124,8 +92,8 @@ where
     out
 }
 
-/// Streaming map-reduce over a **grid of cells** — the scheduling
-/// primitive behind `csmaprobe_core::sweep`.
+/// Streaming map-reduce over a list of **cells** — the one chunked
+/// reduction core every runner shares.
 ///
 /// `cells[c]` is the replication count of cell `c` (e.g. one cell per
 /// probing rate of a rate-response sweep). Every `(cell, replication)`
@@ -136,61 +104,27 @@ where
 ///
 /// `map(c, r, &mut acc)` folds replication `r` of cell `c` into that
 /// cell's accumulator (created by `identity(c)`); per-cell accumulators
-/// are combined with `merge` and the finished cells are returned in
-/// cell order. Seed derivation is the caller's job (`map` receives the
-/// raw `(c, r)` pair), which lets a ported sweep reproduce the exact
-/// seeds its hand-rolled loop used.
+/// are combined with `merge`, and each fully-reduced cell is handed to
+/// `emit(cell, acc)` in ascending cell order as soon as its last chunk
+/// has merged. Zero-replication cells emit `identity(cell)` at their
+/// position in the order. Seed derivation is the caller's job (`map`
+/// receives the raw `(c, r)` pair), which lets a ported sweep reproduce
+/// the exact seeds its hand-rolled loop used.
 ///
-/// **Bit-compatibility contract:** each cell's index range is padded to
-/// a [`CHUNK`] boundary, so cell-local chunk boundaries — and therefore
-/// the merge tree — are identical to a standalone
-/// [`run_reduce`]`(cells[c], …)` over the same replications. The result
-/// for cell `c` is bit-identical to that standalone reduce, for any
-/// worker count and any surrounding grid.
+/// Streaming: a huge cell list holds O(workers) in-flight chunk
+/// accumulators plus at most one pending cell, never one accumulator
+/// per cell, and a crash loses only cells not yet emitted — the basis
+/// of incremental grid persistence. `merge` and `emit` run under the
+/// submission's sink lock ([`executor::submit`]), on whichever worker
+/// completes the next chunk in order; out-of-order chunk outputs wait
+/// in a bounded reorder window (about one entry per worker).
 ///
-/// ```
-/// use csmaprobe_desim::replicate;
-///
-/// // Three cells with different replication budgets; each counts its
-/// // own replications.
-/// let counts = replicate::run_cells(
-///     &[5, 0, 70],
-///     |_c, _r, acc: &mut u64| *acc += 1,
-///     |_c| 0u64,
-///     |a, b| *a += b,
-/// );
-/// assert_eq!(counts, vec![5, 0, 70]);
-/// ```
-pub fn run_cells<A, F, I, M>(cells: &[usize], map: F, identity: I, merge: M) -> Vec<A>
-where
-    A: Send,
-    F: Fn(usize, usize, &mut A) + Sync,
-    I: Fn(usize) -> A + Sync,
-    M: Fn(&mut A, A) + Send + Sync,
-{
-    let mut out: Vec<A> = Vec::with_capacity(cells.len());
-    run_cells_emit(cells, map, identity, merge, |cell, acc| {
-        debug_assert_eq!(out.len(), cell, "cells emitted in ascending order");
-        out.push(acc);
-    });
-    out
-}
-
-/// [`run_cells`] with **streaming emission**: each cell's fully-reduced
-/// accumulator is handed to `emit(cell, acc)` in ascending cell order,
-/// as soon as its last chunk has merged — instead of materialising one
-/// accumulator per cell for the whole grid.
-///
-/// This is the primitive behind incremental grid persistence
-/// (`csmaprobe_core::grid`): a huge grid holds O(workers) in-flight
-/// chunk accumulators plus at most one pending cell, never the full
-/// cell space, and a crash loses only cells not yet emitted.
-///
-/// Reduction is identical to [`run_cells`] — same chunk grid, same
-/// ascending-chunk merge order — so every emitted accumulator is
-/// bit-identical to the corresponding [`run_cells`] (and standalone
-/// [`run_reduce`]) result, for any worker count. Zero-replication cells
-/// emit `identity(cell)` at their position in the order.
+/// **Bit-compatibility contract:** each cell's replications are chunked
+/// on its own [`CHUNK`] grid, so the cell-local chunk boundaries — and
+/// therefore the merge tree — do not depend on the surrounding cells.
+/// The result for cell `c` is bit-identical to a one-cell call over the
+/// same replications (a [`run_reduce`] with the same seeds), for any
+/// worker count and any surrounding cell list.
 pub fn run_cells_emit<A, F, I, M, E>(cells: &[usize], map: F, identity: I, merge: M, mut emit: E)
 where
     A: Send,
@@ -200,8 +134,8 @@ where
     E: FnMut(usize, A) + Send,
 {
     // Chunk-count prefix sums: cell `c` owns global chunks
-    // `chunk_offset[c] .. chunk_offset[c + 1]`, each padded range fully
-    // inside one cell so the cell-local chunk grid matches run_reduce's.
+    // `chunk_offset[c] .. chunk_offset[c + 1]`, each fully inside one
+    // cell so the cell-local chunk grid never depends on its neighbours.
     let mut chunk_offset = Vec::with_capacity(cells.len() + 1);
     let mut total_chunks = 0usize;
     chunk_offset.push(0);
@@ -211,7 +145,7 @@ where
     }
 
     // Chunk outputs arrive in ascending global-chunk order (the
-    // run_chunks contract) and each cell's chunks are contiguous, so
+    // executor's contract) and each cell's chunks are contiguous, so
     // incoming cell indices are non-decreasing: one pending cell
     // suffices. `next_cell` is the lowest not-yet-emitted cell;
     // zero-rep cells produce no chunks and are emitted as identities
@@ -231,20 +165,17 @@ where
                 next_cell += 1;
             }
         };
-        run_chunks(
-            total_chunks * CHUNK,
-            |range| {
-                let gchunk = range.start / CHUNK;
+        executor::submit(
+            total_chunks,
+            usize::MAX,
+            |gchunk| {
                 // The owning cell: last offset <= gchunk. Zero-rep cells
                 // contribute no chunks and are skipped by partition_point.
                 let cell = chunk_offset.partition_point(|&o| o <= gchunk) - 1;
-                let base = chunk_offset[cell] * CHUNK;
+                let first = (gchunk - chunk_offset[cell]) * CHUNK;
                 let mut acc = identity(cell);
-                for g in range {
-                    let r = g - base;
-                    if r < cells[cell] {
-                        map(cell, r, &mut acc);
-                    }
+                for r in first..(first + CHUNK).min(cells[cell]) {
+                    map(cell, r, &mut acc);
                 }
                 (cell, acc)
             },
@@ -260,49 +191,17 @@ where
     }
 }
 
-/// Run `reps` independent replications of `f` in parallel.
-///
-/// `f` is called with `(replication_index, seed)` where `seed` is derived
-/// deterministically from `master_seed`. Results are returned in index
-/// order.
-///
-/// ```
-/// use csmaprobe_desim::replicate;
-///
-/// // Estimate E[U] for U ~ Uniform[0,1) with 1000 replications.
-/// let xs = replicate::run(1000, 42, |_, seed| {
-///     let mut rng = csmaprobe_desim::rng::SimRng::new(seed);
-///     rng.f64()
-/// });
-/// let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-/// assert!((mean - 0.5).abs() < 0.05);
-/// ```
-pub fn run<T, F>(reps: usize, master_seed: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    let mut out: Vec<T> = Vec::with_capacity(reps);
-    run_chunks(
-        reps,
-        |range| {
-            range
-                .map(|i| f(i, derive_seed(master_seed, i as u64)))
-                .collect::<Vec<T>>()
-        },
-        |chunk| out.extend(chunk),
-    );
-    out
-}
-
-/// Fully streaming map-reduce over `reps` replications.
+/// Fully streaming map-reduce over `reps` replications: the one-cell
+/// [`run_cells_emit`], with replication `i` seeded
+/// `derive_seed(master_seed, i)`.
 ///
 /// Each worker folds replications straight into a chunk accumulator
 /// (`map(i, seed, &mut acc)`) created by `identity()`; chunk
 /// accumulators are merged with `merge` in **deterministic chunk
 /// order**. Nothing per-replication is ever materialised, so peak
 /// memory is O(workers × accumulator) — this is the hot path behind
-/// every transient experiment.
+/// every transient experiment. An accumulator that collects per-chunk
+/// `Vec`s receives them in replication order.
 ///
 /// The result is bit-identical across worker counts because the chunk
 /// grid ([`CHUNK`]) and the merge order are fixed.
@@ -335,22 +234,15 @@ where
     I: Fn() -> A + Sync,
     M: Fn(&mut A, A) + Send + Sync,
 {
-    let mut global: Option<A> = None;
-    run_chunks(
-        reps,
-        |range| {
-            let mut acc = identity();
-            for i in range {
-                map(i, derive_seed(master_seed, i as u64), &mut acc);
-            }
-            acc
-        },
-        |chunk| match &mut global {
-            None => global = Some(chunk),
-            Some(g) => merge(g, chunk),
-        },
+    let mut out = None;
+    run_cells_emit(
+        &[reps],
+        |_, r, acc: &mut A| map(r, derive_seed(master_seed, r as u64), acc),
+        |_| identity(),
+        merge,
+        |_, acc| out = Some(acc),
     );
-    global.unwrap_or_else(identity)
+    out.expect("a one-cell call emits its cell")
 }
 
 #[cfg(test)]
@@ -360,35 +252,7 @@ mod tests {
     use crate::rng::SimRng;
 
     #[test]
-    fn results_in_replication_order() {
-        let out = run(257, 7, |i, _| i * 2);
-        assert_eq!(out.len(), 257);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn deterministic_across_calls() {
-        let a = run(100, 99, |_, seed| SimRng::new(seed).next_u64());
-        let b = run(100, 99, |_, seed| SimRng::new(seed).next_u64());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Force the sequential path by reps=1 comparisons of per-index seeds.
-        let par = run(64, 5, |i, seed| (i, seed));
-        for (i, (idx, seed)) in par.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*seed, derive_seed(5, i as u64));
-        }
-    }
-
-    #[test]
     fn zero_reps_is_empty() {
-        let out: Vec<u64> = run(0, 1, |_, s| s);
-        assert!(out.is_empty());
         let reduced = run_reduce(0, 1, |_, _, a: &mut u64| *a += 1, || 0u64, |a, b| *a += b);
         assert_eq!(reduced, 0);
     }
@@ -455,11 +319,13 @@ mod tests {
     #[test]
     fn run_cells_counts_and_orders_every_cell() {
         let cells = [5usize, 0, 70, 1];
-        let out = run_cells(
+        let mut out = Vec::new();
+        run_cells_emit(
             &cells,
             |c, r, acc: &mut Vec<(usize, usize)>| acc.push((c, r)),
             |_| Vec::new(),
             |a, b| a.extend(b),
+            |_, acc| out.push(acc),
         );
         assert_eq!(out.len(), 4);
         for (c, pairs) in out.iter().enumerate() {
@@ -499,7 +365,8 @@ mod tests {
             .collect();
         for workers in [1usize, 3] {
             set_worker_limit(workers);
-            let grid = run_cells(
+            let mut grid = Vec::new();
+            run_cells_emit(
                 &cell_reps,
                 |c, r, acc: &mut (f64, f64)| {
                     let seed = derive_seed(derive_seed(0xCE11, c as u64), r as u64);
@@ -512,6 +379,7 @@ mod tests {
                     a.0 += b.0;
                     a.1 += b.1;
                 },
+                |_, acc| grid.push(acc),
             );
             set_worker_limit(0);
             for (c, (g, s)) in grid.iter().zip(&standalone).enumerate() {
@@ -552,61 +420,6 @@ mod tests {
                 assert_eq!(acc & 0xFFFF_FFFF, cells[i] as u64, "replication count");
             }
         }
-    }
-
-    #[test]
-    fn run_cells_emit_matches_run_cells_bitwise() {
-        let cells = [33usize, 0, 100, 64, 1];
-        let reference = run_cells(
-            &cells,
-            |c, r, acc: &mut (f64, f64)| {
-                let x = SimRng::new(derive_seed(c as u64, r as u64)).f64();
-                acc.0 += x;
-                acc.1 += x * x;
-            },
-            |_| (0.0f64, 0.0f64),
-            |a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-            },
-        );
-        for workers in [1usize, 3] {
-            set_worker_limit(workers);
-            let mut streamed = Vec::new();
-            run_cells_emit(
-                &cells,
-                |c, r, acc: &mut (f64, f64)| {
-                    let x = SimRng::new(derive_seed(c as u64, r as u64)).f64();
-                    acc.0 += x;
-                    acc.1 += x * x;
-                },
-                |_| (0.0f64, 0.0f64),
-                |a, b| {
-                    a.0 += b.0;
-                    a.1 += b.1;
-                },
-                |_, acc| streamed.push(acc),
-            );
-            set_worker_limit(0);
-            for (c, (s, r)) in streamed.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    s.0.to_bits(),
-                    r.0.to_bits(),
-                    "cell {c} sum, {workers} workers"
-                );
-                assert_eq!(
-                    s.1.to_bits(),
-                    r.1.to_bits(),
-                    "cell {c} sumsq, {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_cells_empty_grid_is_empty() {
-        let out: Vec<u64> = run_cells(&[], |_, _, _| {}, |_| 0, |a, b| *a += b);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -653,16 +466,5 @@ mod tests {
             .collect();
         set_worker_limit(0);
         assert_eq!(nested, solo);
-    }
-
-    #[test]
-    fn run_bit_identical_across_worker_counts() {
-        let job = || run(300, 77, |_, seed| SimRng::new(seed).next_u64());
-        set_worker_limit(1);
-        let solo = job();
-        set_worker_limit(3);
-        let tri = job();
-        set_worker_limit(0);
-        assert_eq!(solo, tri);
     }
 }

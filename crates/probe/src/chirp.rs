@@ -125,10 +125,16 @@ impl ChirpProbe {
     pub fn measure<T: ProbeTarget + ?Sized>(&self, target: &T, seed: u64) -> ChirpResult {
         let offsets = self.offsets();
         let probe = *self;
-        let per_chirp: Vec<f64> = replicate::run(self.chirps, seed, |_, s| {
-            let obs = target.probe_sequence(&offsets, probe.bytes, s);
-            probe.turning_point(&obs)
-        });
+        let per_chirp = replicate::run_reduce(
+            self.chirps,
+            seed,
+            |_, s, acc: &mut Vec<f64>| {
+                let obs = target.probe_sequence(&offsets, probe.bytes, s);
+                acc.push(probe.turning_point(&obs));
+            },
+            Vec::new,
+            |a, b| a.extend(b),
+        );
         let mut stats = OnlineStats::new();
         let mut hi = 0;
         let mut lo = 0;

@@ -30,8 +30,9 @@
 //!   estimate.
 //! * [`tool`] — the tool **axis**: every family above behind one
 //!   uniform [`tool::ToolProbe::estimate_once`] interface, so the
-//!   scenario grid (`csmaprobe_core::grid`) can enumerate tools as a
-//!   dimension of the link × train × tool product space.
+//!   link × train × tool grid (`csmaprobe_bench::grid::BiasGrid`, a
+//!   `csmaprobe_core::sweep` scenario) can enumerate tools as one of
+//!   its axes.
 
 pub mod chirp;
 pub mod mser;

@@ -43,10 +43,13 @@ impl PacketPairProbe {
     /// Run the measurement.
     pub fn measure<T: ProbeTarget + ?Sized>(&self, target: &T, seed: u64) -> PairMeasurement {
         let train = ProbeTrain::packet_pair(self.bytes);
-        let gaps: Vec<Option<f64>> = replicate::run(self.pairs, seed, |_, s| {
-            target.probe_train(train, s).output_gap_s()
-        });
-        let samples: Vec<f64> = gaps.into_iter().flatten().collect();
+        let samples = replicate::run_reduce(
+            self.pairs,
+            seed,
+            |_, s, acc: &mut Vec<f64>| acc.extend(target.probe_train(train, s).output_gap_s()),
+            Vec::new,
+            |a, b| a.extend(b),
+        );
         PairMeasurement {
             bytes: self.bytes,
             dispersion: OnlineStats::from_slice(&samples),

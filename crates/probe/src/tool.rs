@@ -3,11 +3,12 @@
 //!
 //! The paper's §7.2 claim — FIFO-era tools read the achievable
 //! throughput `B` instead of the available bandwidth `A` on CSMA/CA
-//! links — is a statement *across tool families*. The scenario grid
-//! (`csmaprobe_core::grid`) therefore needs tools as an enumerable
-//! axis: [`ToolKind`] names the families, [`ToolProbe`] binds one to a
-//! train shape and budget, and [`ToolProbe::estimate_once`] runs one
-//! independent, seeded estimate — the grid cell's unit of replication.
+//! links — is a statement *across tool families*. The link × train ×
+//! tool grid (`csmaprobe_bench::grid::BiasGrid`) therefore needs tools
+//! as an enumerable axis: [`ToolKind`] names the families,
+//! [`ToolProbe`] binds one to a train shape and budget, and
+//! [`ToolProbe::estimate_once`] runs one independent, seeded estimate —
+//! the grid cell's unit of replication.
 //!
 //! One grid replication = one *complete* tool run (a full SLoPS binary
 //! search, a full TOPP regression, one chirp, one train). Tool runs are

@@ -3,9 +3,9 @@
 //! policy is active.
 //!
 //! **The analytic tier never reaches the tools** — the finite-load
-//! fixed point serves steady-state cells only; forcing it on trains or
-//! SLoPS degrades to the simulator, bit for bit, on certified and
-//! uncertified shapes alike, and auto does the same.
+//! fixed point serves steady-state cells only; under auto, trains and
+//! SLoPS run the simulator, bit for bit as under forced `event`, on
+//! certified and uncertified shapes alike.
 
 use csmaprobe_core::engine::{test_guard, train_tier, EnginePolicy, EngineTier};
 use csmaprobe_core::link::{CrossShape, CrossSpec, LinkConfig, WlanLink};
@@ -63,14 +63,13 @@ fn train_fingerprint(
 #[test]
 fn forced_analytic_never_leaks_into_trains() {
     // Trains are per-frame trajectories no closed form reproduces, so
-    // `train_tier` must refuse the analytic tier even when it is
-    // forced, on every shape: the FIFO cell the tier does not certify
-    // AND the Poisson cell whose steady points it does. The forced-
-    // analytic fingerprint therefore equals the forced-event one, bit
-    // for bit.
+    // `train_tier` must refuse the analytic tier under auto on every
+    // shape: the FIFO cell the tier does not certify AND the Poisson
+    // cell whose steady points it does. The auto fingerprint therefore
+    // equals the forced-event one, bit for bit.
     for (name, link) in all_links() {
         {
-            let _g = test_guard(EnginePolicy::Forced(EngineTier::Analytic));
+            let _g = test_guard(EnginePolicy::Auto);
             assert_eq!(
                 train_tier(link.config()),
                 EngineTier::Event,
@@ -78,9 +77,7 @@ fn forced_analytic_never_leaks_into_trains() {
             );
         }
         let auto = train_fingerprint(&link, EnginePolicy::Auto, 8);
-        let forced = train_fingerprint(&link, EnginePolicy::Forced(EngineTier::Analytic), 8);
-        let event = train_fingerprint(&link, EnginePolicy::Forced(EngineTier::Event), 8);
-        assert_eq!(forced, event, "{name}: forced-analytic vs forced-event");
+        let event = train_fingerprint(&link, EnginePolicy::Event, 8);
         assert_eq!(auto, event, "{name}: auto vs forced-event");
     }
 }
@@ -95,10 +92,7 @@ fn forced_analytic_slops_identical_to_oracle() {
             SlopsEstimator::default().run(&link, 0xBEA7)
         };
         let auto = run(EnginePolicy::Auto);
-        let forced = run(EnginePolicy::Forced(EngineTier::Analytic));
-        let event = run(EnginePolicy::Forced(EngineTier::Event));
-        assert_eq!(forced.estimate_bps, event.estimate_bps, "{name}");
-        assert_eq!(forced.trace, event.trace, "{name}");
+        let event = run(EnginePolicy::Event);
         assert_eq!(auto.estimate_bps, event.estimate_bps, "{name}");
         assert_eq!(auto.trace, event.trace, "{name}");
     }

@@ -1,14 +1,13 @@
-//! Property tests of the scenario-grid subsystem (`core::grid`) and
-//! the crash-tolerant JSONL row sink (`bench::report::RowSink`).
+//! Property tests of grid-campaign scheduling: the subset runner
+//! (`core::sweep::run_sweep_cells`) the `grid` binary resumes and
+//! shards through, the shard partition (`bench::campaign`), and the
+//! crash-tolerant JSONL row sink (`bench::report::RowSink`).
 //!
-//! The properties pin the two contracts the grid runner advertises:
+//! The properties pin the contracts a campaign relies on:
 //!
-//! 1. **Nested-sequential equivalence** — for arbitrary axis counts,
-//!    extents and replication budgets, `GridRunner` output equals a
-//!    plain nested-loop fold over the coordinates (and each cell is
-//!    *bit-identical* to a standalone `run_reduce`), and scheduling any
-//!    subset of cells reproduces exactly the full run's rows for those
-//!    cells — the resume contract.
+//! 1. **Subset equivalence** — scheduling any ascending subset of a
+//!    sweep's cells reproduces exactly the full run's rows for those
+//!    cells, bit for bit and in ascending order — the resume contract.
 //! 2. **Truncation recovery** — a `RowSink` file truncated at *any*
 //!    byte offset resumes to the longest complete-row prefix, and
 //!    re-appending the missing rows reconstructs the original file
@@ -23,62 +22,46 @@
 //!    their rows is bitwise identical to the unsharded run — the
 //!    sharded-campaign contract.
 
-use csmaprobe::core::grid::{
-    run_grid, shard_members, GridRunner, GridScenario, GridShape, ShardSpec,
-};
+use csmaprobe::core::sweep::{run_sweep, run_sweep_cells, SweepScenario};
 use csmaprobe::desim::replicate;
 use csmaprobe::desim::rng::{derive_seed, SimRng};
-use csmaprobe::stats::accumulate::Accumulate;
 use csmaprobe::stats::online::OnlineStats;
+use csmaprobe_bench::campaign::{shard_members, ShardSpec};
 use csmaprobe_bench::report::{row_key, RowSink};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A synthetic grid: the cell at `coord` folds a coordinate-dependent
-/// number of pseudorandom observations (pure functions of
-/// `(seed, coord, rep)`) into `OnlineStats`.
-struct SyntheticGrid {
-    dims: Vec<usize>,
+/// A synthetic campaign: cell `c` folds a cell-dependent number of
+/// pseudorandom observations (pure functions of `(seed, c, rep)`) into
+/// `OnlineStats`.
+struct SyntheticCampaign {
+    cells: usize,
     seed: u64,
 }
 
-impl SyntheticGrid {
-    fn cell_seed(&self, coord: &[usize]) -> u64 {
-        coord
-            .iter()
-            .fold(self.seed, |s, &c| derive_seed(s, c as u64))
-    }
-}
-
-impl GridScenario for SyntheticGrid {
+impl SweepScenario for SyntheticCampaign {
     type Acc = OnlineStats;
     type Row = OnlineStats;
 
     fn name(&self) -> &str {
         "synthetic"
     }
-    fn shape(&self) -> GridShape {
-        GridShape::new(self.dims.clone())
+    fn points(&self) -> usize {
+        self.cells
     }
-    fn reps(&self, coord: &[usize]) -> usize {
-        // Coordinate-dependent budgets spanning zero, sub-chunk and
+    fn reps(&self, cell: usize) -> usize {
+        // Cell-dependent budgets spanning zero, sub-chunk and
         // multi-chunk cells (CHUNK = 32).
-        (coord
-            .iter()
-            .enumerate()
-            .map(|(a, &c)| (a + 2) * c)
-            .sum::<usize>()
-            * 7)
-            % 71
+        (cell * 23) % 71
     }
-    fn identity(&self, _coord: &[usize]) -> OnlineStats {
+    fn identity(&self, _cell: usize) -> OnlineStats {
         OnlineStats::new()
     }
-    fn replicate(&self, coord: &[usize], rep: usize, acc: &mut OnlineStats) {
-        let s = derive_seed(self.cell_seed(coord), rep as u64);
+    fn replicate(&self, cell: usize, rep: usize, acc: &mut OnlineStats) {
+        let s = derive_seed(derive_seed(self.seed, cell as u64), rep as u64);
         acc.push(SimRng::new(s).f64());
     }
-    fn finish(&self, _coord: &[usize], acc: OnlineStats) -> OnlineStats {
+    fn finish(&self, _cell: usize, acc: OnlineStats) -> OnlineStats {
         acc
     }
 }
@@ -86,78 +69,22 @@ impl GridScenario for SyntheticGrid {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // GridRunner == nested sequential loops, for arbitrary axis sizes.
-    #[test]
-    fn grid_runner_matches_nested_sequential_reference(
-        dims in prop::collection::vec(0usize..4, 1..4),
-        seed in any::<u64>(),
-    ) {
-        let grid = SyntheticGrid { dims: dims.clone(), seed };
-        let rows = run_grid(&grid);
-        let shape = grid.shape();
-        prop_assert_eq!(rows.len(), shape.len());
-        // Independent row-major enumeration: a hand-rolled odometer,
-        // last axis fastest (nested `for` loops of arbitrary depth).
-        let mut coords: Vec<Vec<usize>> = Vec::new();
-        if dims.iter().all(|&d| d > 0) {
-            let mut coord = vec![0usize; dims.len()];
-            'odometer: loop {
-                coords.push(coord.clone());
-                let mut axis = dims.len();
-                while axis > 0 {
-                    axis -= 1;
-                    coord[axis] += 1;
-                    if coord[axis] < dims[axis] {
-                        continue 'odometer;
-                    }
-                    coord[axis] = 0;
-                }
-                break;
-            }
-        }
-        prop_assert_eq!(coords.len(), shape.len(), "visited every cell");
-        for (flat, coord) in coords.iter().enumerate() {
-            prop_assert_eq!(&shape.unflatten(flat), coord);
-            let mut reference = OnlineStats::new();
-            for rep in 0..grid.reps(coord) {
-                grid.replicate(coord, rep, &mut reference);
-            }
-            prop_assert_eq!(rows[flat].count(), reference.count());
-            if reference.count() > 0 {
-                prop_assert!((rows[flat].mean() - reference.mean()).abs() <= 1e-12);
-            }
-            // Standalone run_reduce over the same cell: bit-identical
-            // (the engine's advertised contract).
-            let standalone = replicate::run_reduce(
-                grid.reps(coord),
-                grid.cell_seed(coord),
-                |_, s, acc: &mut OnlineStats| acc.push(SimRng::new(s).f64()),
-                OnlineStats::new,
-                Accumulate::merge,
-            );
-            prop_assert_eq!(rows[flat].mean().to_bits(), standalone.mean().to_bits());
-            prop_assert_eq!(
-                rows[flat].variance().to_bits(),
-                standalone.variance().to_bits()
-            );
-        }
-    }
-
     // Scheduling any subset of cells reproduces the full run's rows
     // bit-for-bit — the resume contract.
     #[test]
     fn grid_subset_scheduling_is_bit_identical(
-        dims in prop::collection::vec(1usize..4, 1..4),
+        cells in 0usize..40,
         seed in any::<u64>(),
         mask in any::<u64>(),
     ) {
-        let grid = SyntheticGrid { dims: dims.clone(), seed };
-        let full = run_grid(&grid);
-        let subset: Vec<usize> = (0..grid.shape().len())
+        let campaign = SyntheticCampaign { cells, seed };
+        let full = run_sweep(&campaign);
+        prop_assert_eq!(full.len(), cells);
+        let subset: Vec<usize> = (0..cells)
             .filter(|f| mask >> (f % 64) & 1 == 1)
             .collect();
         let mut got = Vec::new();
-        GridRunner::new().run_cells_with(&grid, &subset, |flat, row| got.push((flat, row)));
+        run_sweep_cells(&campaign, &subset, |flat, row| got.push((flat, row)));
         prop_assert_eq!(got.len(), subset.len());
         let mut previous = None;
         for (flat, row) in &got {
@@ -165,6 +92,7 @@ proptest! {
             previous = Some(*flat);
             prop_assert_eq!(row.count(), full[*flat].count());
             prop_assert_eq!(row.mean().to_bits(), full[*flat].mean().to_bits());
+            prop_assert_eq!(row.variance().to_bits(), full[*flat].variance().to_bits());
         }
     }
 }
@@ -176,26 +104,16 @@ proptest! {
     // count and any per-shard worker count.
     #[test]
     fn shard_union_covers_disjointly_and_merges_bit_identical(
-        dims in prop::collection::vec(1usize..4, 1..4),
+        total in 1usize..40,
         seed in any::<u64>(),
         n in 1usize..9,
         workers in 1usize..5,
     ) {
-        let grid = SyntheticGrid { dims: dims.clone(), seed };
-        let shape = grid.shape();
-        let total = shape.len();
-        // A name-like key (reversed coordinates) whose sort order
-        // deliberately differs from flat order, as axis-name keys do.
-        let key_of = |f: usize| {
-            let coord = shape.unflatten(f);
-            coord
-                .iter()
-                .rev()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join("/")
-        };
-        let full = run_grid(&grid);
+        let campaign = SyntheticCampaign { cells: total, seed };
+        // A name-like key (the reversed decimal index) whose sort order
+        // deliberately differs from flat order, as cell-name keys do.
+        let key_of = |f: usize| f.to_string().chars().rev().collect::<String>();
+        let full = run_sweep(&campaign);
 
         let mut owner: Vec<Option<usize>> = vec![None; total];
         let mut merged: Vec<Option<OnlineStats>> = (0..total).map(|_| None).collect();
@@ -212,7 +130,7 @@ proptest! {
             // Each shard may run on a host with a different worker
             // count; the merged result must not care.
             replicate::set_worker_limit(workers);
-            GridRunner::new().run_cells_with(&grid, &members, |flat, row| {
+            run_sweep_cells(&campaign, &members, |flat, row| {
                 merged[flat] = Some(row);
             });
         }
@@ -307,8 +225,7 @@ proptest! {
 /// data.
 #[test]
 fn resume_rejects_rows_from_a_different_engine_policy() {
-    use csmaprobe::core::engine::{test_guard, EnginePolicy, EngineTier};
-    use csmaprobe::core::grid::run_grid;
+    use csmaprobe::core::engine::{test_guard, EnginePolicy};
     use csmaprobe_bench::grid::{find_link, find_train, BiasGrid, GridRow};
     use csmaprobe_probe::tool::ToolKind;
 
@@ -327,10 +244,10 @@ fn resume_rejects_rows_from_a_different_engine_policy() {
     // Persist one cell under the forced-event policy.
     let path = scratch_path();
     let event_fingerprint = {
-        let _g = test_guard(EnginePolicy::Forced(EngineTier::Event));
+        let _g = test_guard(EnginePolicy::Event);
         let grid = make();
         let mut sink = RowSink::create(&path).unwrap();
-        for row in run_grid(&grid) {
+        for row in run_sweep(&grid) {
             sink.append(&row.to_json()).unwrap();
         }
         grid.fingerprint()
@@ -357,7 +274,7 @@ fn resume_rejects_rows_from_a_different_engine_policy() {
 
     // Same policy, same grid: every row passes the gate (control).
     {
-        let _g = test_guard(EnginePolicy::Forced(EngineTier::Event));
+        let _g = test_guard(EnginePolicy::Event);
         let grid = make();
         let sink = RowSink::resume(&path).unwrap();
         for line in &sink.read_rows().unwrap() {

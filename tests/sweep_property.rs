@@ -4,7 +4,7 @@
 //! The properties pin the two contracts the sweep engine advertises:
 //!
 //! 1. **Sequential equivalence** — for arbitrary grids of points and
-//!    replication budgets, `SweepRunner` output equals a plain
+//!    replication budgets, `run_sweep` output equals a plain
 //!    sequential per-point fold (and is *bit-identical* to a standalone
 //!    per-point `run_reduce`).
 //! 2. **Grid hardening** — `rate_sweep_mbps` never emits non-monotone
@@ -89,7 +89,7 @@ impl SweepScenario for OrderSweep {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // SweepRunner == sequential reference, for arbitrary grids.
+    // run_sweep == sequential reference, for arbitrary grids.
     #[test]
     fn sweep_runner_matches_sequential_reference(
         reps in prop::collection::vec(0usize..120, 1..12),

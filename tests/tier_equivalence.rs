@@ -4,7 +4,8 @@
 //! * the finite-load fixed point lands within 5 % of a seed-averaged
 //!   event mean on every `nonsat-*` cell the router certifies;
 //! * uncertified cells stay on the simulator, bit for bit;
-//! * the retired `slotted` policy is an inert alias of forced `event`.
+//! * the retired `slotted` tier is inert: no policy routes to it, and
+//!   trains are the one simulator's trajectories under every policy.
 //!
 //! Run with `--nocapture` to print the per-regime tolerance table that
 //! `EXPERIMENTS.md` ("Engine tiers" section) records:
@@ -148,10 +149,12 @@ fn uncertified_cells_stay_on_simulation() {
     }
 }
 
-/// The retired `slotted` policy: `EngineTier::Slotted` survives only as
-/// a name, and forcing it pins the simulator — trains and steady cells
-/// are bit-identical to forced `event`, including on cells the analytic
-/// tier would otherwise serve.
+/// The retired `slotted` tier: `EngineTier::Slotted` survives only as
+/// a name that no policy can force and no route returns, so every
+/// train is the one simulator's trajectory — bit-identical under auto
+/// and forced `event`, including on cells the analytic tier would
+/// otherwise serve — and a forced-event steady cell is exactly the
+/// simulator's.
 #[test]
 fn forced_slotted_trains_are_trajectory_exact() {
     let links = [
@@ -163,27 +166,32 @@ fn forced_slotted_trains_are_trajectory_exact() {
         ),
     ];
     let train = ProbeTrain::from_rate(50, 1500, 5_000_000.0);
+    let duration = Dur::from_secs_f64(0.5);
     for (k, link) in links.iter().enumerate() {
-        let run = |tier: EngineTier| {
-            let _g = engine::test_guard(EnginePolicy::Forced(tier));
+        let run = |policy: EnginePolicy| {
+            let _g = engine::test_guard(policy);
             (
                 engine::steady_tier(link.config(), 1_500_000.0),
+                engine::train_tier(link.config()),
                 link.probe_train(train, 0xE1),
-                link.steady_state(1_500_000.0, Dur::from_secs_f64(0.5), 0xE1),
+                link.steady_state(1_500_000.0, duration, 0xE1),
             )
         };
-        let (ev_tier, ev, ev_pt) = run(EngineTier::Event);
-        let (sl_tier, sl, sl_pt) = run(EngineTier::Slotted);
-        assert_eq!(sl_tier, EngineTier::Event, "link {k}");
-        assert_eq!(ev_tier, sl_tier, "link {k}");
-        assert_eq!(ev.arrivals, sl.arrivals, "link {k}");
-        assert_eq!(ev.rx_times, sl.rx_times, "link {k}");
-        assert_eq!(ev.access_delays, sl.access_delays, "link {k}");
+        let (auto_tier, auto_train_tier, auto, _) = run(EnginePolicy::Auto);
+        let (ev_tier, ev_train_tier, ev, ev_pt) = run(EnginePolicy::Event);
+        assert_ne!(auto_tier, EngineTier::Slotted, "link {k}");
+        assert_eq!(ev_tier, EngineTier::Event, "link {k}");
+        assert_eq!(auto_train_tier, EngineTier::Event, "link {k}");
+        assert_eq!(ev_train_tier, EngineTier::Event, "link {k}");
+        assert_eq!(ev.arrivals, auto.arrivals, "link {k}");
+        assert_eq!(ev.rx_times, auto.rx_times, "link {k}");
+        assert_eq!(ev.access_delays, auto.access_delays, "link {k}");
+        let sim_pt = link.steady_state_event(1_500_000.0, duration, 0xE1);
         assert_eq!(
             ev_pt.output_rate_bps.to_bits(),
-            sl_pt.output_rate_bps.to_bits(),
+            sim_pt.output_rate_bps.to_bits(),
             "link {k}"
         );
-        assert_eq!(ev_pt.contending_bps, sl_pt.contending_bps, "link {k}");
+        assert_eq!(ev_pt.contending_bps, sim_pt.contending_bps, "link {k}");
     }
 }
