@@ -28,6 +28,23 @@ use csmaprobe_stats::online::OnlineStats;
 /// dispersion reads the achievable throughput (§5.2).
 pub const TRAIN_TOOL_RATE_BPS: f64 = 10e6;
 
+/// Largest bits/s value an inline link spec accepts (10 Gb/s).
+/// Poisson cross-traffic draws whole-nanosecond gaps: far above this
+/// bound the mean gap rounds to 0 ns, simulated time stops, and the run
+/// never ends while its queue grows. `wlan:cross=1e10` costs tens of
+/// milliseconds per replication.
+pub const MAX_INLINE_BPS: f64 = 1e10;
+
+/// Smallest capacity an inline wired link spec accepts (1 kb/s). Far
+/// below it a frame's service time overflows the nanosecond clock, and
+/// departure sums wrap.
+pub const MIN_WIRED_CAPACITY_BPS: f64 = 1e3;
+
+/// Most packets an inline train spec accepts: ten times the paper's
+/// longest trains of 1000 packets. Every run materialises its train, so
+/// an unbounded count allocates until the process aborts.
+pub const MAX_TRAIN_PACKETS: usize = 10_000;
+
 /// A link either tool family can probe (the link axis currency).
 #[derive(Clone)]
 pub enum GridTarget {
@@ -204,14 +221,19 @@ fn parse_bps(what: &str, part: &str) -> Result<(String, f64), String> {
     let (key, value) = part
         .split_once('=')
         .ok_or_else(|| format!("malformed {what} parameter {part:?} (expected key=value)"))?;
+    let (key, value) = (key.trim(), value.trim());
     let bps: f64 = value
-        .trim()
         .parse()
         .map_err(|_| format!("{what} parameter {key}={value:?} is not a number"))?;
     if !bps.is_finite() || bps < 0.0 {
-        return Err(format!("{what} parameter {key}={bps} out of range"));
+        return Err(format!("{what} parameter {key}={value} out of range"));
     }
-    Ok((key.trim().to_ascii_lowercase(), bps))
+    if bps > MAX_INLINE_BPS {
+        return Err(format!(
+            "{what} parameter {key}={value} is above the bound of {MAX_INLINE_BPS:e} bits/s"
+        ));
+    }
+    Ok((key.to_ascii_lowercase(), bps))
 }
 
 /// An inline link spec under construction: `wlan:cross=6e6,fifo=1e6` or
@@ -273,6 +295,12 @@ impl InlineLink {
             "wired" => {
                 let capacity = self.get("capacity", 10e6);
                 let cross = self.get("cross", 0.0);
+                if capacity < MIN_WIRED_CAPACITY_BPS {
+                    return Err(format!(
+                        "wired capacity {capacity} is below the bound of \
+                         {MIN_WIRED_CAPACITY_BPS:e} bits/s"
+                    ));
+                }
                 if cross >= capacity {
                     return Err(format!(
                         "wired cross {cross} must be below capacity {capacity}"
@@ -300,15 +328,6 @@ impl InlineLink {
     }
 }
 
-/// Parse a `--links` comma list: catalog names ([`LINKS`]) and **inline
-/// specs** — `wlan:cross=<bps>,fifo=<bps>` or
-/// `wired:capacity=<bps>,cross=<bps>` — freely mixed. A `kind:` part
-/// opens an inline spec; bare `key=value` parts extend the one being
-/// built; anything else is a catalog name. Inline points get canonical
-/// parameter-spelling names, so they fold into the run-config
-/// fingerprint (and the cells' seed derivation) exactly like catalog
-/// points — resume rejects a mismatched spec the same way it rejects a
-/// changed axis selection.
 /// Shared scaffolding of the `--links`/`--trains`/`--tools` CSV axes:
 /// split the comma list, hand each non-empty part to `parse_part`
 /// (which pushes the points it yields), run `finish` (e.g. flushing a
@@ -343,6 +362,19 @@ fn unknown_axis_point(what: &str, part: &str, catalog: &[&str], hint: &str) -> S
     )
 }
 
+/// Parse a `--links` comma list: catalog names ([`LINKS`]) and **inline
+/// specs** — `wlan:cross=<bps>,fifo=<bps>` or
+/// `wired:capacity=<bps>,cross=<bps>` — freely mixed. A `kind:` part
+/// opens an inline spec; bare `key=value` parts extend the one being
+/// built; anything else is a catalog name. Inline points get canonical
+/// parameter-spelling names, so they fold into the run-config
+/// fingerprint (and the cells' seed derivation) exactly like catalog
+/// points — resume rejects a mismatched spec the same way it rejects a
+/// changed axis selection.
+///
+/// Every inline bits/s value must lie in 0 ..= [`MAX_INLINE_BPS`], and a
+/// wired capacity must be at least [`MIN_WIRED_CAPACITY_BPS`]: these
+/// specs arrive from the command line and the wire.
 pub fn parse_links(csv: &str) -> Result<Vec<&'static LinkPoint>, String> {
     let catalog: Vec<&str> = LINKS.iter().map(|l| l.name).collect();
     // The inline spec being built, shared by the per-part closure and
@@ -407,7 +439,8 @@ pub fn parse_links(csv: &str) -> Result<Vec<&'static LinkPoint>, String> {
 /// Parse a `--trains` comma list: catalog names ([`TRAINS`]) and inline
 /// `n=<packets>` specs, freely mixed. Inline points are named
 /// canonically (`n=50`), so they participate in seeds and the
-/// run-config fingerprint like catalog points.
+/// run-config fingerprint like catalog points. An inline count must lie
+/// in 1 ..= [`MAX_TRAIN_PACKETS`].
 pub fn parse_trains(csv: &str) -> Result<Vec<&'static TrainPoint>, String> {
     let catalog: Vec<&str> = TRAINS.iter().map(|t| t.name).collect();
     parse_axis(
@@ -422,6 +455,11 @@ pub fn parse_trains(csv: &str) -> Result<Vec<&'static TrainPoint>, String> {
                     .map_err(|_| format!("train packet count n={value:?} is not an integer"))?;
                 if n == 0 {
                     return Err("train packet count n=0 is empty".to_string());
+                }
+                if n > MAX_TRAIN_PACKETS {
+                    return Err(format!(
+                        "train packet count n={n} is above the bound of {MAX_TRAIN_PACKETS}"
+                    ));
                 }
                 out.push(&*Box::leak(Box::new(TrainPoint {
                     name: Box::leak(format!("n={n}").into_boxed_str()),
@@ -883,6 +921,21 @@ mod tests {
             parse_links("wired:capacity=1e6,cross=2e6").is_err(),
             "cross above capacity"
         );
+        // Values that stop simulated time or overflow it name the bound.
+        for spec in [
+            "wlan:cross=1e300",
+            "wlan:fifo=1e300",
+            "wlan:cross=1e13",
+            "wired:capacity=1e300",
+        ] {
+            let err = parse_links(spec).unwrap_err();
+            assert!(err.contains("bound of 1e10 bits/s"), "{spec}: {err}");
+        }
+        let err = parse_links("wired:capacity=1e-9,cross=0").unwrap_err();
+        assert!(err.contains("bound of 1e3 bits/s"), "{err}");
+        // The bounds themselves are accepted.
+        assert!(parse_links("wlan:cross=1e10,fifo=1e10").is_ok());
+        assert!(parse_links("wired:capacity=1e3,cross=0").is_ok());
     }
 
     #[test]
@@ -893,6 +946,11 @@ mod tests {
         assert_eq!(trains[1].n, 50);
         assert!(parse_trains("n=0").is_err());
         assert!(parse_trains("n=five").is_err());
+        for spec in ["n=10001", "n=10000000000", "n=18446744073709551615"] {
+            let err = parse_trains(spec).unwrap_err();
+            assert!(err.contains("bound of 10000"), "{spec}: {err}");
+        }
+        assert_eq!(parse_trains("n=10000").unwrap()[0].n, MAX_TRAIN_PACKETS);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use csmaprobe_mac::options::MacOptions;
 use csmaprobe_mac::sim::{PacketRecord, StationId, WlanSim};
 use csmaprobe_mac::{BianchiModel, NonSatModel};
 use csmaprobe_phy::Phy;
-use csmaprobe_queueing::fifo::{fifo_serve, Job};
+use csmaprobe_queueing::fifo::{probe_departures, Job};
 use csmaprobe_traffic::probe::ProbeTrain;
 use csmaprobe_traffic::{CbrSource, MergeSource, PoissonSource, SizeModel, Source, TraceSource};
 
@@ -567,6 +567,14 @@ impl ProbeTarget for WlanLink {
 /// The wired baseline: a single FIFO queue served at a constant
 /// `capacity_bps`, with Poisson cross-traffic — the system eq (1)
 /// describes exactly.
+///
+/// Each train is served in one pass: cross-traffic arrives from t = 0
+/// (so the queue is stationary when probing starts after `warmup`) up
+/// to the last probe, since nothing that arrives later can delay a
+/// probe. A cross packet that arrives at a probe's instant queues
+/// behind that probe. Probe offsets must not decrease: like
+/// [`WlanLink`], this link panics with "trace arrivals must be
+/// time-ordered" otherwise.
 #[derive(Debug, Clone)]
 pub struct WiredLink {
     /// Link capacity, bits/s.
@@ -602,55 +610,30 @@ impl WiredLink {
     fn service_time(&self, bytes: u32) -> Dur {
         Dur::from_secs_f64(bytes as f64 * 8.0 / self.capacity_bps)
     }
-}
 
-impl WiredLink {
     fn run_sequence(
         &self,
-        probe: &[(Time, u32)],
+        arrivals: Vec<Time>,
         seed: u64,
         g_i: Dur,
         bytes: u32,
     ) -> TrainObservation {
-        let last = probe.last().map(|&(t, _)| t).unwrap_or(Time::ZERO);
-        let horizon =
-            last + self.service_time(bytes) * (probe.len() as u64 + 8) + Dur::from_secs(2);
-
-        // Cross-traffic jobs from t=0 so the queue is stationary when
-        // probing starts.
+        let last = arrivals.last().copied().unwrap_or(Time::ZERO);
         let mut rng = SimRng::new(derive_seed(seed, 0x51ED));
         let mut cross = PoissonSource::from_bitrate(
             self.cross_rate_bps,
             SizeModel::Fixed(self.cross_bytes),
             Time::ZERO,
-            horizon,
+            last,
         );
-        let mut jobs: Vec<(Time, u32, bool)> = Vec::new();
-        while let Some(p) = cross.next_packet(&mut rng) {
-            jobs.push((p.time, p.bytes, false));
-        }
-        for &(t, b) in probe {
-            jobs.push((t, b, true));
-        }
-        jobs.sort_by_key(|&(t, _, is_probe)| (t, !is_probe));
-
-        let plain: Vec<Job> = jobs
-            .iter()
-            .map(|&(t, bytes, _)| Job {
-                arrival: t,
-                service: self.service_time(bytes),
+        let cross_service = self.service_time(self.cross_bytes);
+        let cross_jobs = std::iter::from_fn(|| {
+            cross.next_packet(&mut rng).map(|p| Job {
+                arrival: p.time,
+                service: cross_service,
             })
-            .collect();
-        let served = fifo_serve(&plain);
-
-        let mut arrivals = Vec::with_capacity(probe.len());
-        let mut rx_times = Vec::with_capacity(probe.len());
-        for (s, &(_, _, is_probe)) in served.iter().zip(&jobs) {
-            if is_probe {
-                arrivals.push(s.arrival);
-                rx_times.push(s.depart);
-            }
-        }
+        });
+        let rx_times = probe_departures(&arrivals, self.service_time(bytes), cross_jobs);
         TrainObservation {
             arrivals,
             rx_times,
@@ -664,18 +647,14 @@ impl WiredLink {
 impl ProbeTarget for WiredLink {
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let probe: Vec<(Time, u32)> = train
-            .arrivals(start)
-            .iter()
-            .map(|p| (p.time, p.bytes))
-            .collect();
-        self.run_sequence(&probe, seed, train.gap, train.bytes)
+        let arrivals = train.arrivals(start).iter().map(|p| p.time).collect();
+        self.run_sequence(arrivals, seed, train.gap, train.bytes)
     }
 
     fn probe_sequence(&self, offsets: &[Dur], bytes: u32, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let probe: Vec<(Time, u32)> = offsets.iter().map(|&o| (start + o, bytes)).collect();
-        self.run_sequence(&probe, seed, Dur::ZERO, bytes)
+        let arrivals = offsets.iter().map(|&o| start + o).collect();
+        self.run_sequence(arrivals, seed, Dur::ZERO, bytes)
     }
 
     fn probe_bytes(&self) -> u32 {

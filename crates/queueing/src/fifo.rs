@@ -13,6 +13,21 @@ pub struct Job {
     pub service: Dur,
 }
 
+impl Job {
+    /// The Lindley step: serve this job on a server that is free from
+    /// `free` on. It starts at `max(arrival, free)` and departs one
+    /// service time later.
+    #[inline]
+    fn serve(self, free: Time) -> Served {
+        let start = self.arrival.max(free);
+        Served {
+            arrival: self.arrival,
+            start,
+            depart: start + self.service,
+        }
+    }
+}
+
 /// A served job with its schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Served {
@@ -76,16 +91,45 @@ pub fn fifo_serve(jobs: &[Job]) -> Vec<Served> {
             "fifo_serve requires time-ordered arrivals"
         );
         prev_arrival = job.arrival;
-        let start = job.arrival.max(server_free);
-        let depart = start + job.service;
-        server_free = depart;
-        out.push(Served {
-            arrival: job.arrival,
-            start,
-            depart,
-        });
+        let served = job.serve(server_free);
+        server_free = served.depart;
+        out.push(served);
     }
     out
+}
+
+/// Departures of probes arriving at the time-ordered `probes`, each
+/// needing `service`, from a FIFO server they share with the
+/// time-ordered `cross` jobs, in one pass over both.
+///
+/// A cross job is served only if it arrives strictly before the next
+/// probe: one arriving at a probe's instant queues behind that probe,
+/// and none is served after the last probe, since it cannot delay any
+/// probe. `cross` is pulled at most one job past the last probe, so a
+/// lazily generated cross-traffic stream stays finite.
+///
+/// Panics if `probes` decreases.
+pub fn probe_departures(
+    probes: &[Time],
+    service: Dur,
+    cross: impl IntoIterator<Item = Job>,
+) -> Vec<Time> {
+    assert!(
+        probes.windows(2).all(|w| w[0] <= w[1]),
+        "trace arrivals must be time-ordered"
+    );
+    let mut cross = cross.into_iter().peekable();
+    let mut free = Time::ZERO;
+    probes
+        .iter()
+        .map(|&arrival| {
+            while let Some(job) = cross.next_if(|job| job.arrival < arrival) {
+                free = job.serve(free).depart;
+            }
+            free = Job { arrival, service }.serve(free).depart;
+            free
+        })
+        .collect()
 }
 
 /// The workload (virtual waiting time) found by each job **just before**
@@ -174,6 +218,22 @@ mod tests {
     #[should_panic(expected = "time-ordered")]
     fn unordered_arrivals_panic() {
         fifo_serve(&[j(10, 1), j(5, 1)]);
+    }
+
+    #[test]
+    fn cross_at_a_probe_instant_queues_behind_it() {
+        let probe = [Time::from_micros(100)];
+        let service = Dur::from_micros(10);
+        // Same instant: the probe is served first.
+        let tie = probe_departures(&probe, service, [j(100, 7)]);
+        assert_eq!(tie, [Time::from_micros(110)]);
+        // 1 ns earlier: the cross job is served ahead of the probe.
+        let early = Job {
+            arrival: Time::from_nanos(99_999),
+            service: Dur::from_micros(7),
+        };
+        let ahead = probe_departures(&probe, service, [early]);
+        assert_eq!(ahead, [Time::from_nanos(99_999 + 17_000)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`fifo`] — exact Lindley-recursion service of a time-ordered job
 //!   trace, with per-job start/departure records and queue-length
-//!   observation.
+//!   observation, and the one-pass probe departures of the wired link.
 //! * [`workload`] — the sample-path processes of §5.1.4: hop workload
 //!   `W(t)`, utilisation `U(t)` and its window averages
 //!   `u_fifo(t, t+τ)`, offered workload `X(t)` and `Y(t, t+τ)`.

@@ -30,8 +30,11 @@ pub struct MixConfig {
 impl Default for MixConfig {
     fn default() -> Self {
         MixConfig {
-            // "wired" repeated to weight it: WLAN cells cost orders of
-            // magnitude more, so they get a small deterministic share.
+            // "wired" repeated to weight it 7/8. Per session (32 reps,
+            // one core of a 2-core x86-64 Xeon) wired costs ~3 ms on
+            // average (train and chirp ~0.2, slops ~3, topp 7-10 ms)
+            // and wlan_low ~4 ms (train and chirp ~0.3, slops ~5, topp
+            // ~11 ms), so wired sessions carry ~83% of the compute.
             links: vec![
                 "wired".into(),
                 "wired".into(),

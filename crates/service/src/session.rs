@@ -643,6 +643,16 @@ mod tests {
         req.link = "wired".to_string();
         req.tool = "pathload".to_string();
         assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
+        // Axis values that would wedge a session, wrap its clock or
+        // abort the daemon.
+        req.tool = "train".to_string();
+        for link in ["wlan:cross=1e300", "wired:capacity=1e-9,cross=0"] {
+            req.link = link.to_string();
+            assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
+        }
+        req.link = "wired".to_string();
+        req.train = "n=10000000000".to_string();
+        assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
     }
 
     #[test]
