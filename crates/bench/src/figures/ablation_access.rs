@@ -1,8 +1,8 @@
 //! Ablation A1 — where does the first-packet acceleration come from?
 //!
-//! DESIGN.md calls out the DCF *immediate-access* rule (transmit after
-//! DIFS when the medium is idle at arrival, no backoff) as one of the
-//! mechanisms behind §4's accelerated first packets; the other is the
+//! The DCF *immediate-access* rule (transmit after DIFS when the
+//! medium is idle at arrival, no backoff) is one of the mechanisms
+//! behind §4's accelerated first packets; the other is the
 //! contention/queue build-up of the cross-traffic. This ablation reruns
 //! the Fig 6 experiment with immediate access disabled
 //! ([`csmaprobe_mac::MacOptions::without_immediate_access`]): the

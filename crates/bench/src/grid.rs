@@ -16,7 +16,10 @@ use crate::report::{json_f64, json_str};
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::engine;
-use csmaprobe_core::link::{LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink};
+use csmaprobe_core::link::{
+    LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink, MAX_INLINE_BPS,
+    MAX_TRAIN_PACKETS, MIN_WIRED_CAPACITY_BPS,
+};
 use csmaprobe_core::sweep::SweepScenario;
 use csmaprobe_desim::rng::derive_seed;
 use csmaprobe_desim::time::Dur;
@@ -27,23 +30,6 @@ use csmaprobe_stats::online::OnlineStats;
 /// Probing rate of the plain train tool, bits/s: saturating, so its
 /// dispersion reads the achievable throughput (§5.2).
 pub const TRAIN_TOOL_RATE_BPS: f64 = 10e6;
-
-/// Largest bits/s value an inline link spec accepts (10 Gb/s).
-/// Poisson cross-traffic draws whole-nanosecond gaps: far above this
-/// bound the mean gap rounds to 0 ns, simulated time stops, and the run
-/// never ends while its queue grows. `wlan:cross=1e10` costs tens of
-/// milliseconds per replication.
-pub const MAX_INLINE_BPS: f64 = 1e10;
-
-/// Smallest capacity an inline wired link spec accepts (1 kb/s). Far
-/// below it a frame's service time overflows the nanosecond clock, and
-/// departure sums wrap.
-pub const MIN_WIRED_CAPACITY_BPS: f64 = 1e3;
-
-/// Most packets an inline train spec accepts: ten times the paper's
-/// longest trains of 1000 packets. Every run materialises its train, so
-/// an unbounded count allocates until the process aborts.
-pub const MAX_TRAIN_PACKETS: usize = 10_000;
 
 /// A link either tool family can probe (the link axis currency).
 #[derive(Clone)]

@@ -5,7 +5,7 @@
 //! cross-traffic. Its headline numbers — C ≈ 6.5, A ≈ 2, B ≈ 3.4 Mb/s
 //! (Fig 1) — correspond to ≈4.5 Mb/s of offered contending traffic; our
 //! stock-timing DCF gives C ≈ 6.2 Mb/s, so knees land a few percent
-//! lower at identical offered loads (shape-preserving; see DESIGN.md).
+//! lower at identical offered loads (shape-preserving).
 
 use csmaprobe_core::link::{LinkConfig, ProbeTarget, WlanLink};
 use csmaprobe_core::sweep::SweepScenario;

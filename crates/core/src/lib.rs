@@ -38,7 +38,6 @@
 pub mod bounds;
 pub mod engine;
 pub mod link;
-pub mod multihop;
 pub mod rate_response;
 pub mod sample_path;
 pub mod sweep;
@@ -47,7 +46,6 @@ pub mod transient;
 pub use bounds::{dispersion_bounds, TransientBounds};
 pub use engine::{EnginePolicy, EngineTier};
 pub use link::{CrossSpec, LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink};
-pub use multihop::{Hop, WiredPath};
 pub use rate_response::{
     achievable_from_curve, achievable_throughput, complete_rate_response, csma_rate_response,
     fifo_rate_response,

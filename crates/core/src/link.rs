@@ -35,6 +35,24 @@ pub const FLOW_PROBE: u16 = 1;
 /// Flow tag of FIFO cross-traffic packets sharing the probe queue.
 pub const FLOW_FIFO_CROSS: u16 = 2;
 
+/// Largest bits/s value a link or probe spec from outside the program
+/// may ask for (10 Gb/s). Poisson cross-traffic draws whole-nanosecond
+/// gaps: far above this bound the mean gap rounds to 0 ns, simulated
+/// time stops, and the run never ends while its queue grows. A
+/// 1e10 b/s contender costs tens of milliseconds per replication.
+pub const MAX_INLINE_BPS: f64 = 1e10;
+
+/// Smallest [`WiredLink`] capacity a spec from outside the program may
+/// ask for (1 kb/s). Far below it a frame's service time overflows the
+/// nanosecond clock, and departure sums wrap.
+pub const MIN_WIRED_CAPACITY_BPS: f64 = 1e3;
+
+/// Most packets a spec from outside the program may put in one probe
+/// train: ten times the paper's longest trains of 1000 packets. Every
+/// run materialises its train, so an unbounded count allocates until
+/// the process aborts.
+pub const MAX_TRAIN_PACKETS: usize = 10_000;
+
 /// Arrival-process shape of a cross-traffic flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrossShape {

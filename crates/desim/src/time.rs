@@ -95,12 +95,6 @@ impl Time {
         Dur(self.0 - earlier.0)
     }
 
-    /// Duration since `earlier`, or [`Dur::ZERO`] if `earlier` is later.
-    #[inline]
-    pub fn saturating_since(self, earlier: Time) -> Dur {
-        Dur(self.0.saturating_sub(earlier.0))
-    }
-
     /// The earlier of two instants.
     #[inline]
     pub fn min(self, other: Time) -> Time {
@@ -366,7 +360,6 @@ mod tests {
         let a = Time::from_micros(10);
         let b = Time::from_micros(25);
         assert_eq!(b.since(a), Dur::from_micros(15));
-        assert_eq!(a.saturating_since(b), Dur::ZERO);
         assert_eq!(
             Dur::from_micros(5).saturating_sub(Dur::from_micros(9)),
             Dur::ZERO

@@ -34,8 +34,8 @@
 //! completely transmitted (i.e. scheduling + transmission time)" — is
 //! [`PacketRecord::access_delay`].
 //!
-//! Modelling simplifications (all documented in `DESIGN.md`): EIFS
-//! after collisions is folded into a common channel-busy interval of
+//! Modelling simplifications: EIFS after collisions is folded into a
+//! common channel-busy interval of
 //! `max(colliding airtimes) + SIFS + ACK`, so all stations stay on one
 //! slot grid; a station whose queue empties does not carry residual
 //! post-backoff to the next packet (NS2 2.29's stock MAC behaves the

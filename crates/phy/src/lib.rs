@@ -154,13 +154,6 @@ impl Phy {
         self.sifs + self.slot * 2
     }
 
-    /// Extended interframe space, used after an erroneous reception:
-    /// `SIFS + ACK-at-lowest-rate + DIFS` (802.11-2007 §9.2.3.5).
-    #[inline]
-    pub fn eifs(&self) -> Dur {
-        self.sifs + self.ack_airtime_at(1_000_000) + self.difs()
-    }
-
     /// Airtime of a data MPDU carrying `payload_bytes` of higher-layer
     /// payload (MAC header and FCS are added internally).
     pub fn data_airtime(&self, payload_bytes: u32) -> Dur {
@@ -338,12 +331,6 @@ mod tests {
         // Paper reports ~6.5 Mb/s on the testbed; stock-timing estimate
         // lands slightly lower. Accept the 5.9..6.8 window.
         assert!((5.9..6.8).contains(&c), "capacity {c} Mb/s");
-    }
-
-    #[test]
-    fn eifs_exceeds_difs() {
-        let phy = Phy::dsss_11mbps();
-        assert!(phy.eifs() > phy.difs());
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! * [`pair`] — the packet-pair capacity technique (Dovrolis et al.,
 //!   the paper's ref \[23\]); §7.3 shows it tracks (and over-estimates)
 //!   the achievable throughput on CSMA/CA links (Fig 16).
-//! * [`scan`] — rate-response curve scanning and achievable-throughput
-//!   extraction per eq (2).
 //! * [`mser`] — the paper's §7.4 improvement: MSER-m truncation of the
 //!   receiver inter-arrivals removes the transient-tainted prefix and
 //!   recovers the steady-state curve without longer trains (Fig 17).
@@ -37,7 +35,6 @@
 pub mod chirp;
 pub mod mser;
 pub mod pair;
-pub mod scan;
 pub mod slops;
 pub mod tool;
 pub mod topp;
@@ -46,7 +43,6 @@ pub mod train;
 pub use chirp::ChirpProbe;
 pub use mser::MserProbe;
 pub use pair::PacketPairProbe;
-pub use scan::RateScan;
 pub use slops::SlopsEstimator;
 pub use tool::{ToolKind, ToolProbe};
 pub use topp::ToppEstimator;

@@ -10,25 +10,19 @@
 //! sending more packets** — and, because FIFO queues have their own
 //! (opposite-sign) transient, it helps on wired paths too.
 //!
-//! Two application modes are provided:
+//! MSER runs on the *across-replication mean* gap profile, where the
+//! transient ramp is clean, and every replication is truncated at that
+//! common point: a measurement aggregates many trains (the paper's `m`
+//! probing sequences), and a single train's DCF backoff variance often
+//! swamps the drift.
 //!
-//! * [`MserMode::PooledProfile`] (default) — run MSER on the
-//!   *across-replication mean* gap profile, where the transient ramp is
-//!   clean, then truncate every replication at that common point. This
-//!   is the right estimator when a measurement aggregates many trains
-//!   (the paper's `m` probing sequences).
-//! * [`MserMode::PerReplication`] — run MSER independently on each
-//!   train's own gap series (what a single-shot tool would do). Noisier:
-//!   individual DCF backoff variance often swamps the drift.
-//!
-//! Both modes stream. `PooledProfile` needs two passes (the truncation
-//! point depends on the across-replication profile), so it runs as a
-//! **two-phase reduce**: a profile pass folds every replication into
-//! per-position [`IndexedStats`] (O(train length) memory), MSER picks
-//! the cut on the resulting mean profile, and a second, truncated pass
-//! re-runs the same seeds and accumulates the corrected gap. No
-//! replication's gap vector is ever materialised — previously this mode
-//! held all `reps × (n−1)` gaps at once. The phase pieces
+//! The truncation point depends on the across-replication profile, so
+//! the measurement streams as a **two-phase reduce**: a profile pass
+//! folds every replication into per-position [`IndexedStats`]
+//! (O(train length) memory), MSER picks the cut on the resulting mean
+//! profile, and a second, truncated pass re-runs the same seeds and
+//! accumulates the corrected gap. No replication's gap vector is ever
+//! materialised. The phase pieces
 //! ([`MserProbe::profile_rep`], [`MserProbe::truncation_point`],
 //! [`MserProbe::corrected_rep`]) are public so sweep scenarios can
 //! schedule them as cells; [`measure_rate_sweep`] does exactly that for
@@ -44,18 +38,6 @@ use csmaprobe_stats::online::OnlineStats;
 use csmaprobe_stats::transient::IndexedStats;
 use csmaprobe_traffic::probe::ProbeTrain;
 
-/// How the MSER truncation point is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MserMode {
-    /// Truncate at the point MSER finds on the across-replication mean
-    /// gap profile (recommended).
-    #[default]
-    PooledProfile,
-    /// Truncate each replication at the point MSER finds on its own
-    /// gap series.
-    PerReplication,
-}
-
 /// An MSER-corrected packet-train probe.
 #[derive(Debug, Clone, Copy)]
 pub struct MserProbe {
@@ -63,8 +45,6 @@ pub struct MserProbe {
     pub train: ProbeTrain,
     /// MSER batch size (2 in the paper).
     pub m: usize,
-    /// Truncation-point selection mode.
-    pub mode: MserMode,
 }
 
 /// Result of an MSER-corrected measurement.
@@ -117,19 +97,12 @@ impl Accumulate for MserCorrectedAcc {
 
 impl MserProbe {
     /// An MSER-`m` corrected probe of `n` packets of `bytes` at
-    /// `rate_bps`, in the default pooled-profile mode.
+    /// `rate_bps`.
     pub fn new(n: usize, bytes: u32, rate_bps: f64, m: usize) -> Self {
         MserProbe {
             train: ProbeTrain::from_rate(n, bytes, rate_bps),
             m,
-            mode: MserMode::PooledProfile,
         }
-    }
-
-    /// Switch truncation mode.
-    pub fn with_mode(mut self, mode: MserMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Phase 1, one replication: send the train with `seed` and fold
@@ -191,63 +164,31 @@ impl MserProbe {
         }
     }
 
-    /// Run `reps` replications against `target`.
-    ///
-    /// `PooledProfile` runs the two-phase streaming reduce described in
-    /// the module docs; `PerReplication` needs no shared profile and
-    /// streams in a single pass. Peak memory is O(train length) either
-    /// way.
+    /// Run `reps` replications against `target` as the two-phase
+    /// streaming reduce described in the module docs. Peak memory is
+    /// O(train length).
     pub fn measure<T: ProbeTarget + ?Sized>(
         &self,
         target: &T,
         reps: usize,
         seed: u64,
     ) -> MserMeasurement {
-        match self.mode {
-            MserMode::PooledProfile => {
-                let profile = replicate::run_reduce(
-                    reps,
-                    seed,
-                    |_, s, acc: &mut MserProfileAcc| self.profile_rep(target, s, acc),
-                    MserProfileAcc::default,
-                    Accumulate::merge,
-                );
-                let cut = self.truncation_point(&profile);
-                let corrected = replicate::run_reduce(
-                    reps,
-                    seed,
-                    |_, s, acc: &mut MserCorrectedAcc| self.corrected_rep(target, cut, s, acc),
-                    MserCorrectedAcc::default,
-                    Accumulate::merge,
-                );
-                self.assemble(reps, profile, corrected)
-            }
-            MserMode::PerReplication => {
-                let (profile, corrected) = replicate::run_reduce(
-                    reps,
-                    seed,
-                    |_, s, (profile, corrected): &mut (MserProfileAcc, MserCorrectedAcc)| {
-                        let gaps = target.probe_train(self.train, s).receiver_gaps_s();
-                        if !gaps.is_empty() {
-                            profile
-                                .raw_gap
-                                .push(gaps.iter().sum::<f64>() / gaps.len() as f64);
-                        }
-                        let cut = mser_m(&gaps, self.m).map(|r| r.truncate_raw).unwrap_or(0);
-                        let kept = &gaps[cut..];
-                        if !kept.is_empty() {
-                            corrected
-                                .corrected_gap
-                                .push(kept.iter().sum::<f64>() / kept.len() as f64);
-                            corrected.truncated += cut;
-                        }
-                    },
-                    Default::default,
-                    Accumulate::merge,
-                );
-                self.assemble(reps, profile, corrected)
-            }
-        }
+        let profile = replicate::run_reduce(
+            reps,
+            seed,
+            |_, s, acc: &mut MserProfileAcc| self.profile_rep(target, s, acc),
+            MserProfileAcc::default,
+            Accumulate::merge,
+        );
+        let cut = self.truncation_point(&profile);
+        let corrected = replicate::run_reduce(
+            reps,
+            seed,
+            |_, s, acc: &mut MserCorrectedAcc| self.corrected_rep(target, cut, s, acc),
+            MserCorrectedAcc::default,
+            Accumulate::merge,
+        );
+        self.assemble(reps, profile, corrected)
     }
 }
 
@@ -333,24 +274,15 @@ impl<T: ProbeTarget + ?Sized> SweepScenario for TruncatedSweep<'_, T> {
     }
 }
 
-/// Measure a family of pooled-profile MSER probes (e.g. one per probing
-/// rate of Fig 17) through the sweep engine: two passes, each
-/// scheduling every `(cell × replication)` concurrently over the shared
-/// work-stealing executor. Cell `c`'s result is bit-identical to
-/// `cells[c].probe.measure(target, cells[c].reps, cells[c].seed)` in
-/// `PooledProfile` mode (per-replication modes are ignored).
+/// Measure a family of MSER probes (e.g. one per probing rate of
+/// Fig 17) through the sweep engine: two passes, each scheduling every
+/// `(cell × replication)` concurrently over the shared work-stealing
+/// executor. Cell `c`'s result is bit-identical to
+/// `cells[c].probe.measure(target, cells[c].reps, cells[c].seed)`.
 pub fn measure_rate_sweep<T: ProbeTarget + ?Sized>(
     cells: &[MserCell],
     target: &T,
 ) -> Vec<MserMeasurement> {
-    debug_assert!(
-        cells
-            .iter()
-            .all(|c| c.probe.mode == MserMode::PooledProfile),
-        "measure_rate_sweep applies PooledProfile semantics; a \
-         PerReplication probe would silently measure differently than \
-         its own measure()"
-    );
     let profiles = run_sweep(&ProfileSweep { cells, target });
     let cuts: Vec<usize> = cells
         .iter()
@@ -435,15 +367,5 @@ mod tests {
         assert_eq!(m.raw_gap.count(), m.corrected_gap.count());
         assert!((m.raw_gap.mean() - m.corrected_gap.mean()).abs() < 1e-12);
         assert_eq!(m.mean_truncated, 0.0);
-    }
-
-    #[test]
-    fn per_replication_mode_runs() {
-        let link = WlanLink::new(LinkConfig::default().contending_bps(3e6));
-        let m = MserProbe::new(20, 1500, 5e6, 2)
-            .with_mode(MserMode::PerReplication)
-            .measure(&link, 40, 13);
-        assert!(m.corrected_gap.count() > 0);
-        assert!(m.corrected_rate_bps() > 0.0);
     }
 }

@@ -30,7 +30,7 @@ pub struct PairMeasurement {
     pub bytes: u32,
     /// Statistics of the pair dispersions, seconds.
     pub dispersion: OnlineStats,
-    /// All pair dispersions (for mode/median analyses), seconds.
+    /// All pair dispersions (for the median estimate), seconds.
     pub samples: Vec<f64>,
 }
 
@@ -76,40 +76,6 @@ impl PairMeasurement {
     /// interference" filter).
     pub fn rate_from_min_bps(&self) -> f64 {
         self.bytes as f64 * 8.0 / self.dispersion.min()
-    }
-
-    /// Dovrolis-style histogram-mode analysis: convert every pair
-    /// dispersion to a rate, bin the rates, and return the bin-centre
-    /// rates of the local maxima (strongest first).
-    ///
-    /// On a wired path the *capacity mode* (a spike at `C`) survives
-    /// cross-traffic that drags the mean down; on CSMA/CA links the
-    /// modes track the contention structure instead.
-    pub fn rate_modes_bps(&self, bins: usize) -> Vec<f64> {
-        if self.samples.len() < 4 {
-            return vec![self.rate_from_mean_bps()];
-        }
-        let rates: Vec<f64> = self
-            .samples
-            .iter()
-            .map(|g| self.bytes as f64 * 8.0 / g)
-            .collect();
-        let hist = csmaprobe_stats::histogram::Histogram::from_sample(&rates, bins);
-        let counts = hist.counts();
-        let mut modes: Vec<(u64, f64)> = Vec::new();
-        for i in 0..counts.len() {
-            let left = if i == 0 { 0 } else { counts[i - 1] };
-            let right = if i + 1 == counts.len() {
-                0
-            } else {
-                counts[i + 1]
-            };
-            if counts[i] > 0 && counts[i] >= left && counts[i] >= right {
-                modes.push((counts[i], hist.bin_center(i)));
-            }
-        }
-        modes.sort_by_key(|m| std::cmp::Reverse(m.0));
-        modes.into_iter().map(|(_, rate)| rate).collect()
     }
 }
 
@@ -157,39 +123,5 @@ mod tests {
         let link = WiredLink::new(10e6, 0.0);
         let m = PacketPairProbe::new(1000, 11).measure(&link, 5);
         assert!((m.rate_from_mean_bps() - m.rate_from_median_bps()).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_mode_recovers_capacity_under_cross_traffic() {
-        // Pair expansion needs the pair to be spread out before meeting
-        // cross-traffic (on a single hop, back-to-back packets can never
-        // be split in FIFO order): probe a 2-hop path whose first hop
-        // spaces the pair and whose second (narrow, loaded) hop lets
-        // cross packets slip in between. Expanded pairs drag the mean
-        // down, but untouched pairs spike exactly at C: the strongest
-        // histogram mode still reads the narrow-link capacity.
-        use csmaprobe_core::multihop::{Hop, WiredPath};
-        let path = WiredPath::new(vec![Hop::new(20e6, 0.0), Hop::new(10e6, 6e6)]);
-        let m = PacketPairProbe::new(1500, 500).measure(&path, 7);
-        assert!(
-            m.rate_from_mean_bps() < 9.5e6,
-            "mean should be dragged down, got {:.0}",
-            m.rate_from_mean_bps()
-        );
-        let modes = m.rate_modes_bps(40);
-        assert!(!modes.is_empty());
-        let top = modes[0];
-        assert!(
-            (top - 10e6).abs() / 10e6 < 0.05,
-            "capacity mode {top:.0} should be ~10 Mb/s (modes: {modes:?})"
-        );
-    }
-
-    #[test]
-    fn modes_fall_back_for_tiny_samples() {
-        let link = WiredLink::new(10e6, 0.0);
-        let m = PacketPairProbe::new(1500, 2).measure(&link, 9);
-        let modes = m.rate_modes_bps(10);
-        assert_eq!(modes.len(), 1);
     }
 }

@@ -151,24 +151,6 @@ pub fn workload_at_arrivals(jobs: &[Job]) -> Vec<Dur> {
     out
 }
 
-/// Number of jobs in the system (queued + in service) found by each job
-/// at its arrival instant, **excluding itself**.
-pub fn queue_len_at_arrivals(served: &[Served]) -> Vec<usize> {
-    // Job j is in the system at time t iff arrival_j <= t < depart_j.
-    // Arrivals are sorted; departures are sorted too (FIFO). Two-pointer
-    // scan: at arrival_i, the jobs still present among 0..i are those
-    // with depart > arrival_i.
-    let mut out = Vec::with_capacity(served.len());
-    let mut head = 0usize; // first of the earlier jobs not yet departed
-    for (i, s) in served.iter().enumerate() {
-        while head < i && served[head].depart <= s.arrival {
-            head += 1;
-        }
-        out.push(i - head);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,14 +228,6 @@ mod tests {
         for (s, w) in served.iter().zip(&wl) {
             assert_eq!(s.wait(), *w);
         }
-    }
-
-    #[test]
-    fn queue_len_counts_jobs_in_system() {
-        let jobs = vec![j(0, 10), j(1, 10), j(2, 10), j(100, 10)];
-        let served = fifo_serve(&jobs);
-        let lens = queue_len_at_arrivals(&served);
-        assert_eq!(lens, vec![0, 1, 2, 0]);
     }
 
     #[test]

@@ -25,23 +25,6 @@ impl Histogram {
         }
     }
 
-    /// Build a histogram spanning the sample's own min/max.
-    ///
-    /// Panics if the sample is empty or degenerate (all values equal —
-    /// the range would be empty; callers should special-case that).
-    pub fn from_sample(sample: &[f64], bins: usize) -> Self {
-        assert!(!sample.is_empty(), "histogram of empty sample");
-        let lo = sample.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = sample.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(lo < hi, "degenerate sample (all values equal)");
-        // Widen the top edge slightly so the maximum lands inside.
-        let mut h = Histogram::new(lo, hi + (hi - lo) * 1e-9, bins);
-        for &x in sample {
-            h.add(x);
-        }
-        h
-    }
-
     /// Insert one observation.
     pub fn add(&mut self, x: f64) {
         debug_assert!(!x.is_nan());
@@ -69,18 +52,6 @@ impl Histogram {
     pub fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// Bin width.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Normalised density per bin (integrates to 1 over the range).
-    pub fn density(&self) -> Vec<f64> {
-        let w = self.bin_width();
-        let n = self.total.max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / (n * w)).collect()
     }
 
     /// `(bin_center, count)` rows — what the figure harness prints.
@@ -176,27 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn from_sample_covers_extremes() {
-        let xs = vec![1.0, 2.0, 3.0, 4.0];
-        let h = Histogram::from_sample(&xs, 3);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.counts().iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn density_integrates_to_one() {
-        let xs: Vec<f64> = (0..1000).map(|i| i as f64 / 100.0).collect();
-        let h = Histogram::from_sample(&xs, 20);
-        let integral: f64 = h.density().iter().map(|d| d * h.bin_width()).sum();
-        assert!((integral - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn bin_centers_are_centred() {
         let h = Histogram::new(0.0, 10.0, 5);
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
         assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-        assert!((h.bin_width() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -219,11 +173,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], (0.5, 1));
         assert_eq!(rows[1], (1.5, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_sample_panics() {
-        Histogram::from_sample(&[], 3);
     }
 }

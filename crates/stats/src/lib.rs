@@ -22,7 +22,6 @@
 //!   scenario engine's streaming reduce is built on.
 
 pub mod accumulate;
-pub mod autocorr;
 pub mod ecdf;
 pub mod histogram;
 pub mod ks;

@@ -95,15 +95,6 @@ pub fn mser_m(series: &[f64], m: usize) -> Option<MserResult> {
     })
 }
 
-/// Convenience: return `series` with the MSER-m warm-up removed (the
-/// whole series if it is too short to analyse).
-pub fn truncate_warmup(series: &[f64], m: usize) -> Vec<f64> {
-    match mser_m(series, m) {
-        Some(r) => series[r.truncate_raw..].to_vec(),
-        None => series.to_vec(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,17 +155,5 @@ mod tests {
         let r = mser_m(&xs, 1).unwrap();
         assert_eq!(r.truncate_raw, r.truncate_batches);
         assert!(r.truncate_raw >= 3);
-    }
-
-    #[test]
-    fn truncate_warmup_helper() {
-        let mut xs = vec![100.0; 4];
-        xs.extend(std::iter::repeat(1.0).take(40));
-        let out = truncate_warmup(&xs, 2);
-        assert!(out.len() <= 40 + 1);
-        assert!(out.iter().all(|&x| x < 100.0));
-        // Short series: unchanged.
-        let short = vec![1.0, 2.0];
-        assert_eq!(truncate_warmup(&short, 2), short);
     }
 }

@@ -106,16 +106,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (divides by `n`).
-    #[inline]
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
     #[inline]
     pub fn std_dev(&self) -> f64 {
@@ -240,8 +230,6 @@ mod tests {
         let s = OnlineStats::from_slice(&xs);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        // population variance of this classic example is 4.
-        assert!((s.variance_population() - 4.0).abs() < 1e-12);
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);

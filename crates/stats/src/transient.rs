@@ -148,11 +148,6 @@ impl IndexedSeries {
         out
     }
 
-    /// Mean over the pooled observations of indices `[from, to)`.
-    pub fn pooled_mean(&self, from: usize, to: usize) -> f64 {
-        OnlineStats::from_slice(&self.pooled(from, to)).mean()
-    }
-
     /// KS-test every index against a reference sample (§4, Figs 8/9):
     /// returns one [`KsOutcome`] per index, comparing the per-index
     /// sample (step ECDF) with the reference (interpolated ECDF).
@@ -468,7 +463,7 @@ mod tests {
         s.push_replication(&[2.0, 20.0, 200.0]);
         let pool = s.pooled(1, 3);
         assert_eq!(pool.len(), 4);
-        assert!((s.pooled_mean(1, 3) - 82.5).abs() < 1e-12);
+        assert!((OnlineStats::from_slice(&pool).mean() - 82.5).abs() < 1e-12);
         // Out-of-range `to` clamps.
         assert_eq!(s.pooled(0, 99).len(), 6);
     }
@@ -574,7 +569,8 @@ mod tests {
         }
         // Pooled stats over a range match the pooled-sample mean.
         let pooled = stats.pooled_stats(2, 5);
-        assert!((pooled.mean() - series.pooled_mean(2, 5)).abs() < 1e-9);
+        let pooled_mean = OnlineStats::from_slice(&series.pooled(2, 5)).mean();
+        assert!((pooled.mean() - pooled_mean).abs() < 1e-9);
         assert_eq!(pooled.count(), 3 * 30);
     }
 

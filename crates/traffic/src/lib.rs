@@ -14,19 +14,15 @@
 //! * [`PoissonSource`] — exponential interarrivals (the paper's
 //!   cross-traffic: "the cross-traffic generated follows a Poisson
 //!   distribution").
-//! * [`CbrSource`] — periodic (constant bit rate) arrivals with optional
-//!   uniform jitter.
+//! * [`CbrSource`] — periodic (constant bit rate) arrivals.
 //! * [`OnOffSource`] — exponential on/off bursty traffic for the
 //!   burstiness discussions of §6.3.
 //! * [`TraceSource`] — replay of an explicit arrival list.
-//! * [`probe::ProbeTrain`] / [`probe::TrainSchedule`] — the probing
-//!   sequences of §5.1.2 (n packets at fixed gap `gI`, m trains with
-//!   Poisson train spacing).
+//! * [`probe::ProbeTrain`] — the probing sequence of §5.1.2 (n packets
+//!   at fixed gap `gI`).
 //!
-//! Packet sizes come from a [`SizeModel`]; offered-load conversions
-//! (b/s ↔ packets/s ↔ Erlang) live in [`load`].
+//! Packet sizes come from a [`SizeModel`].
 
-pub mod load;
 pub mod probe;
 
 use csmaprobe_desim::rng::SimRng;
@@ -251,45 +247,27 @@ impl Source for PoissonSource {
     }
 }
 
-/// Constant-bit-rate (periodic) arrivals with optional uniform jitter.
+/// Constant-bit-rate (periodic) arrivals.
 #[derive(Debug, Clone)]
 pub struct CbrSource {
     interval: Dur,
-    jitter: Dur,
     sizes: SizeModel,
-    next_nominal: Time,
+    next_time: Time,
     until: Time,
-    remaining: u64,
     flow: u16,
 }
 
 impl CbrSource {
     /// A CBR source offering `rate_bps` with packets from `sizes`,
-    /// active on `[start, until)`, unlimited packet count.
+    /// active on `[start, until)`.
     pub fn from_bitrate(rate_bps: f64, sizes: SizeModel, start: Time, until: Time) -> Self {
         debug_assert!(rate_bps > 0.0);
         let interval = Dur::from_secs_f64(8.0 * sizes.mean_bytes() / rate_bps);
         CbrSource {
             interval,
-            jitter: Dur::ZERO,
             sizes,
-            next_nominal: start,
+            next_time: start,
             until,
-            remaining: u64::MAX,
-            flow: 0,
-        }
-    }
-
-    /// A CBR source with an explicit inter-packet interval and packet
-    /// budget.
-    pub fn with_interval(interval: Dur, sizes: SizeModel, start: Time, count: u64) -> Self {
-        CbrSource {
-            interval,
-            jitter: Dur::ZERO,
-            sizes,
-            next_nominal: start,
-            until: Time::MAX,
-            remaining: count,
             flow: 0,
         }
     }
@@ -299,25 +277,15 @@ impl CbrSource {
         self.flow = flow;
         self
     }
-
-    /// Add uniform jitter in `[0, jitter)` to every nominal send time.
-    pub fn with_jitter(mut self, jitter: Dur) -> Self {
-        self.jitter = jitter;
-        self
-    }
 }
 
 impl Source for CbrSource {
     fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival> {
-        if self.remaining == 0 || self.next_nominal >= self.until {
+        if self.next_time >= self.until {
             return None;
         }
-        self.remaining -= 1;
-        let mut time = self.next_nominal;
-        self.next_nominal += self.interval;
-        if self.jitter > Dur::ZERO {
-            time += Dur::from_nanos(rng.below(self.jitter.as_nanos()));
-        }
+        let time = self.next_time;
+        self.next_time += self.interval;
         let bytes = self.sizes.sample(rng);
         Some(PacketArrival {
             time,
@@ -560,17 +528,6 @@ impl Source for TraceSource {
     }
 }
 
-/// A source that never offers any packet (placeholder for stations that
-/// only receive).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SilentSource;
-
-impl Source for SilentSource {
-    fn next_packet(&mut self, _rng: &mut SimRng) -> Option<PacketArrival> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,46 +593,18 @@ mod tests {
     #[test]
     fn cbr_is_periodic() {
         let mut rng = SimRng::new(4);
-        let mut src = CbrSource::with_interval(
-            Dur::from_micros(500),
-            SizeModel::Fixed(1500),
-            Time::from_micros(100),
-            5,
-        );
-        let pkts = drain(&mut src, &mut rng, usize::MAX);
-        assert_eq!(pkts.len(), 5);
-        for (i, p) in pkts.iter().enumerate() {
-            assert_eq!(p.time, Time::from_micros(100 + 500 * i as u64));
-            assert_eq!(p.bytes, 1500);
-        }
-    }
-
-    #[test]
-    fn cbr_bitrate_interval() {
-        let mut rng = SimRng::new(5);
         // 1 Mb/s with 1000-byte packets -> one packet every 8 ms.
         let mut src = CbrSource::from_bitrate(
             1_000_000.0,
             SizeModel::Fixed(1000),
-            Time::ZERO,
+            Time::from_micros(100),
             Time::from_secs_f64(1.0),
         );
         let pkts = drain(&mut src, &mut rng, usize::MAX);
         assert_eq!(pkts.len(), 125);
-        assert_eq!(pkts[1].time - pkts[0].time, Dur::from_millis(8));
-    }
-
-    #[test]
-    fn cbr_jitter_stays_in_bound() {
-        let mut rng = SimRng::new(6);
-        let mut src =
-            CbrSource::with_interval(Dur::from_millis(1), SizeModel::Fixed(64), Time::ZERO, 1000)
-                .with_jitter(Dur::from_micros(100));
-        let pkts = drain(&mut src, &mut rng, usize::MAX);
         for (i, p) in pkts.iter().enumerate() {
-            let nominal = Time::from_millis(i as u64);
-            assert!(p.time >= nominal);
-            assert!(p.time < nominal + Dur::from_micros(100));
+            assert_eq!(p.time, Time::from_micros(100 + 8_000 * i as u64));
+            assert_eq!(p.bytes, 1000);
         }
     }
 
@@ -758,12 +687,6 @@ mod tests {
             let v = uni.sample(&mut rng);
             assert!((40..=60).contains(&v));
         }
-    }
-
-    #[test]
-    fn silent_source_is_silent() {
-        let mut rng = SimRng::new(10);
-        assert!(SilentSource.next_packet(&mut rng).is_none());
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! A *probing sequence* (train) is `n` packets of `l` bytes entering the
 //! transmission queue at fixed input gap `gI`: arrivals
-//! `a_i = a_1 + (i−1)·gI`. A *measurement* sends `m` such trains with
-//! Poisson spacing between trains "in order to assure complete
-//! interaction with the system".
+//! `a_i = a_1 + (i−1)·gI`. A *measurement* sends `m` such trains; the
+//! tools run each one as an independent seeded replication.
 
-use crate::{PacketArrival, Source};
-use csmaprobe_desim::rng::SimRng;
+use crate::PacketArrival;
 use csmaprobe_desim::time::{Dur, Time};
 
 /// One probing train: `n` packets of `bytes` payload at input gap `gap`.
@@ -80,84 +78,6 @@ impl ProbeTrain {
     }
 }
 
-/// A schedule of `m` probing trains with Poisson-distributed idle gaps
-/// between the end of one train and the start of the next.
-///
-/// Implements [`Source`] so a whole measurement session can be fed to
-/// the MAC simulator as a single flow; [`TrainSchedule::train_of`]
-/// recovers which train a packet index belongs to.
-#[derive(Debug, Clone)]
-pub struct TrainSchedule {
-    /// Train shape.
-    pub train: ProbeTrain,
-    /// Number of trains (`m`).
-    pub trains: usize,
-    /// Mean idle gap between trains (exponentially distributed).
-    pub mean_spacing: Dur,
-    /// Start of the first train.
-    pub start: Time,
-    // iteration state
-    cur_train: usize,
-    cur_pkt: usize,
-    train_start: Time,
-}
-
-impl TrainSchedule {
-    /// Create a schedule of `trains` repetitions of `train`, separated
-    /// by exponential gaps with mean `mean_spacing`, starting at
-    /// `start`.
-    pub fn new(train: ProbeTrain, trains: usize, mean_spacing: Dur, start: Time) -> Self {
-        TrainSchedule {
-            train,
-            trains,
-            mean_spacing,
-            start,
-            cur_train: 0,
-            cur_pkt: 0,
-            train_start: start,
-        }
-    }
-
-    /// Which train (0-based) the `k`-th emitted packet belongs to.
-    pub fn train_of(&self, packet_index: usize) -> usize {
-        packet_index / self.train.n
-    }
-
-    /// Index of a packet within its train (0-based).
-    pub fn index_in_train(&self, packet_index: usize) -> usize {
-        packet_index % self.train.n
-    }
-
-    /// Total number of packets this schedule will emit.
-    pub fn total_packets(&self) -> usize {
-        self.trains * self.train.n
-    }
-}
-
-impl Source for TrainSchedule {
-    fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival> {
-        if self.cur_train >= self.trains {
-            return None;
-        }
-        let time = self.train_start + self.train.gap * self.cur_pkt as u64;
-        let arrival = PacketArrival {
-            time,
-            bytes: self.train.bytes,
-            flow: self.train.flow,
-        };
-        self.cur_pkt += 1;
-        if self.cur_pkt == self.train.n {
-            // Next train starts after this one's last arrival plus an
-            // exponential spacing.
-            let spacing = Dur::from_secs_f64(rng.exp(self.mean_spacing.as_secs_f64()));
-            self.train_start = time + spacing;
-            self.cur_pkt = 0;
-            self.cur_train += 1;
-        }
-        Some(arrival)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,79 +113,5 @@ mod tests {
             assert_eq!(p.bytes, 100);
         }
         assert_eq!(t.span(), Dur::from_micros(750));
-    }
-
-    #[test]
-    fn schedule_emits_all_trains_in_order() {
-        let train = ProbeTrain {
-            n: 3,
-            bytes: 200,
-            gap: Dur::from_micros(100),
-            flow: 0,
-        };
-        let mut sched = TrainSchedule::new(train, 5, Dur::from_millis(1), Time::ZERO);
-        let mut rng = SimRng::new(11);
-        let mut all = Vec::new();
-        while let Some(p) = sched.next_packet(&mut rng) {
-            all.push(p);
-        }
-        assert_eq!(all.len(), 15);
-        // Monotone arrivals; intra-train gaps exactly gI.
-        for w in all.windows(2) {
-            assert!(w[1].time >= w[0].time);
-        }
-        for tr in 0..5 {
-            let base = all[tr * 3].time;
-            assert_eq!(all[tr * 3 + 1].time, base + Dur::from_micros(100));
-            assert_eq!(all[tr * 3 + 2].time, base + Dur::from_micros(200));
-        }
-        // Inter-train spacing is strictly positive.
-        for tr in 1..5 {
-            assert!(all[tr * 3].time > all[tr * 3 - 1].time);
-        }
-    }
-
-    #[test]
-    fn schedule_indexing_helpers() {
-        let train = ProbeTrain {
-            n: 4,
-            bytes: 1,
-            gap: Dur::ZERO,
-            flow: 0,
-        };
-        let sched = TrainSchedule::new(train, 3, Dur::from_micros(1), Time::ZERO);
-        assert_eq!(sched.total_packets(), 12);
-        assert_eq!(sched.train_of(0), 0);
-        assert_eq!(sched.train_of(7), 1);
-        assert_eq!(sched.index_in_train(7), 3);
-        assert_eq!(sched.train_of(11), 2);
-    }
-
-    #[test]
-    fn mean_train_spacing_is_respected() {
-        let train = ProbeTrain {
-            n: 2,
-            bytes: 1,
-            gap: Dur::from_micros(10),
-            flow: 0,
-        };
-        let mut sched = TrainSchedule::new(train, 20_000, Dur::from_millis(5), Time::ZERO);
-        let mut rng = SimRng::new(12);
-        let mut starts = Vec::new();
-        let mut idx = 0usize;
-        while let Some(p) = sched.next_packet(&mut rng) {
-            if idx % 2 == 0 {
-                starts.push(p.time);
-            }
-            idx += 1;
-        }
-        let gaps: Vec<f64> = starts
-            .windows(2)
-            .map(|w| (w[1] - w[0]).as_secs_f64())
-            .collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        // Expected spacing = train span (10 us) + 5 ms mean idle.
-        let expect = 10e-6 + 5e-3;
-        assert!((mean - expect).abs() / expect < 0.05, "mean {mean}");
     }
 }

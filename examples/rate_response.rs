@@ -9,14 +9,15 @@
 //! Run with: `cargo run --release --example rate_response`
 
 use csmaprobe::core::link::{LinkConfig, WlanLink};
+use csmaprobe::core::rate_response::achievable_from_curve;
 use csmaprobe::desim::derive_seed;
-use csmaprobe::probe::scan::achievable_throughput_bps;
-use csmaprobe::probe::scan::RateScan;
 use csmaprobe::probe::train::TrainProbe;
 
-fn sweep(link: &WlanLink, label: &str) {
+/// Print the table and return the steady-state `(ri, ro)` curve.
+fn sweep(link: &WlanLink, label: &str) -> Vec<(f64, f64)> {
     println!("## {label}");
     println!("ri_mbps\tsteady\ttrain3\ttrain10\ttrain50");
+    let mut curve = Vec::new();
     for k in 1..=10 {
         let ri = k as f64 * 1e6;
         let steady = TrainProbe::new(1000, 1500, ri)
@@ -32,20 +33,20 @@ fn sweep(link: &WlanLink, label: &str) {
             row += &format!("\t{:.3}", m.output_rate_bps() / 1e6);
         }
         println!("{row}");
+        curve.push((ri, steady));
     }
+    curve
 }
 
 fn main() {
     // Part I (Fig 13): contention only.
     let contention_only = WlanLink::new(LinkConfig::default().contending_bps(4.5e6));
-    sweep(&contention_only, "no FIFO cross-traffic (Fig 13 scenario)");
+    let steady = sweep(&contention_only, "no FIFO cross-traffic (Fig 13 scenario)");
 
-    // The eq (2) achievable throughput from a dedicated long-train scan.
-    let scan = RateScan::new(vec![2e6, 2.5e6, 3e6, 3.5e6, 4e6], 600, 1500, 5);
-    let pts = scan.run(&contention_only, 99);
+    // The eq (2) achievable throughput from the steady-state column.
     println!(
         "# achievable throughput B (eq 2, 5% tolerance): {:.2} Mb/s\n",
-        achievable_throughput_bps(&pts, 0.05) / 1e6
+        achievable_from_curve(&steady, 0.05) / 1e6
     );
 
     // Part II (Fig 15): FIFO cross-traffic reintroduced.

@@ -22,9 +22,14 @@
 //!   --seed <u64>         master seed (default 0xC5AA)
 //! ```
 //!
-//! All rates are Mb/s on the command line; output is plain text.
+//! All rates are Mb/s on the command line; output is plain text. A
+//! value the models cannot run is refused with exit 2, under the bounds
+//! `grid` and the daemon's wire apply to the same quantities.
 
-use csmaprobe::core::link::{LinkConfig, ProbeTarget, WiredLink, WlanLink};
+use csmaprobe::core::link::{
+    LinkConfig, ProbeTarget, WiredLink, WlanLink, MAX_INLINE_BPS, MAX_TRAIN_PACKETS,
+    MIN_WIRED_CAPACITY_BPS,
+};
 use csmaprobe::core::transient::{Columns, TransientExperiment};
 use csmaprobe::desim::time::Dur;
 use csmaprobe::mac::measured_standalone_capacity_bps;
@@ -34,6 +39,7 @@ use csmaprobe::probe::pair::PacketPairProbe;
 use csmaprobe::probe::slops::SlopsEstimator;
 use csmaprobe::probe::topp::ToppEstimator;
 use csmaprobe::probe::train::TrainProbe;
+use csmaprobe::service::wire::MAX_REPS;
 use csmaprobe::traffic::probe::ProbeTrain;
 
 struct Args {
@@ -153,6 +159,54 @@ fn parse() -> Args {
     args
 }
 
+/// `Err` naming `flag` and its bound unless `lo <= v <= hi` (NaN is
+/// out of every bound).
+fn bounded<T: PartialOrd + std::fmt::Debug>(
+    flag: &str,
+    v: T,
+    lo: T,
+    hi: T,
+    unit: &str,
+) -> Result<(), String> {
+    if lo <= v && v <= hi {
+        Ok(())
+    } else {
+        Err(format!(
+            "{flag} must be in {lo:?}..={hi:?}{unit} (got {v:?})"
+        ))
+    }
+}
+
+/// Refuse values out of the bounds the models run under; the flags
+/// are in Mb/s, the bounds in bits/s.
+fn check(args: &Args) -> Result<(), String> {
+    let max = MAX_INLINE_BPS / 1e6;
+    for &c in &args.cross_mbps {
+        bounded("--cross", c, 0.0, max, " Mb/s")?;
+    }
+    if let Some(f) = args.fifo_cross_mbps {
+        bounded("--fifo-cross", f, 0.0, max, " Mb/s")?;
+    }
+    if !(args.rate_mbps > 0.0 && args.rate_mbps <= max) {
+        let rate = args.rate_mbps;
+        return Err(format!(
+            "--rate must be in (0, {max:?}] Mb/s (got {rate:?})"
+        ));
+    }
+    if let Some(c) = args.wired_mbps {
+        bounded("--wired", c, MIN_WIRED_CAPACITY_BPS / 1e6, max, " Mb/s")?;
+        let cross: f64 = args.cross_mbps.iter().sum();
+        if cross >= c {
+            return Err(format!(
+                "--cross must total below the --wired capacity {c:?} Mb/s (got {cross:?})"
+            ));
+        }
+    }
+    bounded("--n", args.n, 2, MAX_TRAIN_PACKETS, "")?;
+    bounded("--reps", args.reps, 1, MAX_REPS, "")?;
+    bounded("--pairs", args.pairs, 1, MAX_REPS, "")
+}
+
 fn build_wlan(args: &Args) -> WlanLink {
     let mut cfg = LinkConfig::default().probe_bytes(args.bytes);
     for &c in &args.cross_mbps {
@@ -180,6 +234,10 @@ fn main() {
         std::process::exit(2);
     }
     let args = parse();
+    if let Err(e) = check(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     match args.cmd.as_str() {
         "capacity" => {
             let c =

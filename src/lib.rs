@@ -11,11 +11,11 @@
 //! | [`desim`] | discrete-event engine, integer time, seeded RNG, replication |
 //! | [`phy`] | IEEE 802.11b/g PHY timing (airtimes, SIFS/DIFS/slots, CW) |
 //! | [`mac`] | DCF CSMA/CA simulator + Bianchi saturation model |
-//! | [`traffic`] | Poisson/CBR/on-off/trace sources, probe trains, loads |
-//! | [`queueing`] | FIFO substrate, Lindley trace simulator, sample paths |
+//! | [`traffic`] | Poisson/CBR/on-off/trace sources, probe trains |
+//! | [`queueing`] | FIFO substrate: Lindley-recursion service, wired probe departures |
 //! | [`stats`] | KS test, MSER-m, histograms, transient-length estimation |
 //! | [`core`] | the paper's models: rate-response curves, dispersion bounds |
-//! | [`probe`] | measurement tools: packet pair/train, scanners, estimators |
+//! | [`probe`] | measurement tools: packet pair/train, chirps, MSER, SLoPS/TOPP |
 //! | [`service`] | resident probe-session daemon (`csmaprobe serve`) |
 //!
 //! ## Quickstart

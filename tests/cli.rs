@@ -1,0 +1,86 @@
+//! The `csmaprobe` CLI refuses flag values the models cannot run: each
+//! one exits 2 with a message naming the flag, instead of hanging,
+//! aborting on an allocation, panicking or printing NaN.
+
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::thread::sleep;
+use std::time::{Duration, Instant};
+
+/// Long enough for a valid debug-build run; a refusal takes
+/// milliseconds.
+const DEADLINE: Duration = Duration::from_secs(10);
+
+/// Run `csmaprobe args…` and return its exit code (`None` if it was
+/// killed at the deadline or died on a signal) and its stderr.
+///
+/// The child's address space is capped at 4 GB, so a run whose queue
+/// grows without bound aborts instead of exhausting the host's memory
+/// before the deadline.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_csmaprobe"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn csmaprobe");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll csmaprobe") {
+            break Some(status);
+        }
+        if started.elapsed() > DEADLINE {
+            child.kill().expect("kill csmaprobe");
+            child.wait().expect("reap csmaprobe");
+            break None;
+        }
+        sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr is piped")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    (status.and_then(|s| s.code()), stderr)
+}
+
+#[test]
+fn out_of_bound_values_exit_2_naming_the_flag() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["train", "--cross", "1e300", "--n", "5", "--reps", "1"],
+            "--cross",
+        ),
+        (&["steady", "--rate", "1e300"], "--rate"),
+        (&["train", "--n", "10000000000", "--reps", "1"], "--n"),
+        (
+            &["train", "--wired", "1e-15", "--n", "5", "--reps", "2"],
+            "--wired",
+        ),
+        (&["train", "--wired", "10", "--cross", "20"], "--cross"),
+        (&["train", "--rate", "nan"], "--rate"),
+        (&["train", "--reps", "0"], "--reps"),
+        (&["train", "--n", "0"], "--n"),
+        (&["train", "--n", "1"], "--n"),
+        (&["train", "--cross", "-3"], "--cross"),
+        (&["pair", "--pairs", "0"], "--pairs"),
+    ];
+    for &(args, flag) in cases {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "csmaprobe {args:?}: stderr {stderr:?}");
+        assert_eq!(stderr.lines().count(), 1, "csmaprobe {args:?}: {stderr:?}");
+        assert!(stderr.contains(flag), "csmaprobe {args:?}: {stderr:?}");
+    }
+}
+
+#[test]
+fn a_valid_run_exits_0() {
+    let (code, stderr) = run(&[
+        "train", "--wired", "10", "--cross", "4", "--n", "5", "--reps", "2",
+    ]);
+    assert_eq!(code, Some(0), "stderr {stderr:?}");
+}

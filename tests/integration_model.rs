@@ -1,68 +1,67 @@
-//! Exact validation of the §5 sample-path framework against the
-//! trace-driven FIFO simulator: the intrusion-residual recursion
-//! (eq 14) and the delay decomposition (eq 15) must hold *exactly*
-//! (integer-nanosecond arithmetic) on real queue sample paths, not
-//! just on synthetic series.
+//! Exact validation of the §5 sample-path framework on a FIFO sample
+//! path: the intrusion-residual recursion (eq 14), the delay
+//! decomposition (eq 15) and the output-gap identities (eqs 16–18)
+//! must hold *exactly* (integer-nanosecond arithmetic) on real queue
+//! sample paths, not just on synthetic series.
 
-use csmaprobe::core::sample_path::{intrusion_residuals, total_delays};
+use csmaprobe::core::sample_path::{
+    intrusion_residuals, output_gap, output_gap_decomposed, output_gap_from_delays, total_delays,
+};
 use csmaprobe::desim::rng::SimRng;
 use csmaprobe::desim::time::{Dur, Time};
-use csmaprobe::queueing::trace_sim::{merge_arrivals, simulate, FlowTag, TaggedJob};
+use csmaprobe::queueing::fifo::{fifo_serve, Job, Served};
 use csmaprobe::traffic::{PoissonSource, SizeModel, Source};
 
-/// Build a probe+cross trace, serve it, and return everything the
-/// framework needs.
+/// A probe train and Poisson cross-traffic served through one FIFO
+/// queue.
 struct Scenario {
-    /// Merged, served outcome.
-    outcome: csmaprobe::queueing::trace_sim::TraceOutcome,
-    /// The merged arrival sequence (aligned with outcome.served).
-    jobs: Vec<TaggedJob>,
+    /// Every job in arrival order, probes first on equal arrivals.
+    jobs: Vec<Job>,
+    /// Whether each job of `jobs` is a probe packet.
+    is_probe: Vec<bool>,
+    /// The FIFO schedule of `jobs`.
+    served: Vec<Served>,
 }
 
 fn build(probe_n: usize, g_i: Dur, probe_service: Dur, cross_bps: f64, seed: u64) -> Scenario {
     let start = Time::from_millis(200);
-    let probe: Vec<TaggedJob> = (0..probe_n)
-        .map(|i| TaggedJob {
-            arrival: start + g_i * i as u64,
-            tag: FlowTag::Probe,
-            bytes: 1500,
+    let mut tagged: Vec<(Job, bool)> = (0..probe_n)
+        .map(|i| {
+            let arrival = start + g_i * i as u64;
+            let probe = Job {
+                arrival,
+                service: probe_service,
+            };
+            (probe, true)
         })
         .collect();
     let horizon = start + g_i * probe_n as u64 + Dur::from_secs(2);
     let mut rng = SimRng::new(seed);
     let mut src =
         PoissonSource::from_bitrate(cross_bps, SizeModel::Fixed(1500), Time::ZERO, horizon);
-    let mut cross = Vec::new();
     while let Some(p) = src.next_packet(&mut rng) {
-        cross.push(TaggedJob {
+        // Cross packets take a size-proportional wire time at 10 Mb/s.
+        let cross = Job {
             arrival: p.time,
-            tag: FlowTag::Cross,
-            bytes: p.bytes,
-        });
+            service: Dur::from_secs_f64(p.bytes as f64 * 8.0 / 10e6),
+        };
+        tagged.push((cross, false));
     }
-    let jobs = merge_arrivals(&probe, &cross);
-    // Service: probe packets take `probe_service`; cross packets take a
-    // size-proportional wire time at 10 Mb/s.
-    let services: Vec<Dur> = jobs
-        .iter()
-        .map(|j| match j.tag {
-            FlowTag::Probe => probe_service,
-            FlowTag::Cross => Dur::from_secs_f64(j.bytes as f64 * 8.0 / 10e6),
-        })
-        .collect();
-    let outcome = simulate(&jobs, move |i, _| services[i]);
-    Scenario { outcome, jobs }
+    // A stable sort keeps each flow's order and puts probes first on ties.
+    tagged.sort_by_key(|&(job, is_probe)| (job.arrival, !is_probe));
+    let (jobs, is_probe): (Vec<Job>, Vec<bool>) = tagged.into_iter().unzip();
+    let served = fifo_serve(&jobs);
+    Scenario {
+        jobs,
+        is_probe,
+        served,
+    }
 }
 
 impl Scenario {
     /// Probe indices into the merged arrays.
     fn probe_idx(&self) -> Vec<usize> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.tag == FlowTag::Probe)
-            .map(|(i, _)| i)
-            .collect()
+        (0..self.jobs.len()).filter(|&i| self.is_probe[i]).collect()
     }
 
     /// Actual probe-work residual `R_i` at each probe arrival: the
@@ -73,11 +72,7 @@ impl Scenario {
             .map(|&i| {
                 let a_i = self.jobs[i].arrival;
                 let mut ns: u64 = 0;
-                for (&j, s) in idx.iter().zip(idx.iter().map(|&j| &self.outcome.served[j])) {
-                    if j >= i {
-                        break;
-                    }
-                    let served = s;
+                for served in idx.iter().take_while(|&&j| j < i).map(|&j| &self.served[j]) {
                     if served.depart > a_i {
                         // Remaining service: full if not started, else
                         // the part after a_i.
@@ -90,14 +85,20 @@ impl Scenario {
             .collect()
     }
 
+    /// Schedules of the cross-traffic jobs.
+    fn cross_served(&self) -> impl Iterator<Item = &Served> {
+        self.served
+            .iter()
+            .zip(&self.is_probe)
+            .filter(|&(_, &is_probe)| !is_probe)
+            .map(|(served, _)| served)
+    }
+
     /// Cross-traffic busy time of the server within `(from, to]`,
     /// as a fraction of the window.
     fn cross_utilisation(&self, from: Time, to: Time) -> f64 {
         let mut ns = 0u64;
-        for (j, served) in self.jobs.iter().zip(&self.outcome.served) {
-            if j.tag != FlowTag::Cross {
-                continue;
-            }
+        for served in self.cross_served() {
             if served.depart <= from || served.start >= to {
                 continue;
             }
@@ -111,10 +112,7 @@ impl Scenario {
     /// Cross-traffic workload (remaining cross service) at `t⁻`.
     fn cross_workload_at(&self, t: Time) -> f64 {
         let mut ns = 0u64;
-        for (j, served) in self.jobs.iter().zip(&self.outcome.served) {
-            if j.tag != FlowTag::Cross || j.arrival >= t {
-                continue;
-            }
+        for served in self.cross_served().filter(|s| s.arrival < t) {
             if served.depart > t {
                 let rem_start = served.start.max(t);
                 ns += (served.depart - rem_start).as_nanos();
@@ -124,6 +122,8 @@ impl Scenario {
     }
 }
 
+/// Eqs (14) and (15) per probe packet, then the output gap of eqs
+/// (16), (17) and (18), on one sample path.
 fn validate_eq14_and_eq15(probe_n: usize, g_i_us: u64, service_us: u64, cross_bps: f64, seed: u64) {
     let g_i = Dur::from_micros(g_i_us);
     let service = Dur::from_micros(service_us);
@@ -160,14 +160,43 @@ fn validate_eq14_and_eq15(probe_n: usize, g_i_us: u64, service_us: u64, cross_bp
         .map(|&i| sc.cross_workload_at(sc.jobs[i].arrival))
         .collect();
     let z = total_delays(&mu, &predicted, &w);
-    for (k, &i) in idx.iter().enumerate() {
-        let sojourn = sc.outcome.served[i].sojourn().as_secs_f64();
+    let sojourns: Vec<f64> = idx
+        .iter()
+        .map(|&i| sc.served[i].sojourn().as_secs_f64())
+        .collect();
+    for (k, (z_k, sojourn)) in z.iter().zip(&sojourns).enumerate() {
         assert!(
-            (z[k] - sojourn).abs() < 1e-9,
-            "Z_{k}: eq(15) {:.9} vs measured {sojourn:.9}",
-            z[k]
+            (z_k - sojourn).abs() < 1e-9,
+            "Z_{k}: eq(15) {z_k:.9} vs measured {sojourn:.9}"
         );
     }
+
+    // eq (16) from the departures must equal eq (17) from the sojourns
+    // and eq (18) from R_n, W(a_1), W(a_n), μ_1 and μ_n.
+    let departures: Vec<f64> = idx
+        .iter()
+        .map(|&i| sc.served[i].depart.as_secs_f64())
+        .collect();
+    let g_o = output_gap(&departures);
+    let g_o_delays = output_gap_from_delays(g_i.as_secs_f64(), &sojourns);
+    let last = probe_n - 1;
+    let g_o_decomposed = output_gap_decomposed(
+        g_i.as_secs_f64(),
+        predicted[last],
+        w[0],
+        w[last],
+        mu[0],
+        mu[last],
+        probe_n,
+    );
+    assert!(
+        (g_o - g_o_delays).abs() < 1e-9,
+        "gO: eq(16) {g_o:.9} vs eq(17) {g_o_delays:.9}"
+    );
+    assert!(
+        (g_o - g_o_decomposed).abs() < 1e-9,
+        "gO: eq(16) {g_o:.9} vs eq(18) {g_o_decomposed:.9}"
+    );
 }
 
 #[test]

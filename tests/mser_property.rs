@@ -1,4 +1,4 @@
-//! MSER equivalence tests: the two-phase **streaming** `PooledProfile`
+//! MSER equivalence tests: the two-phase **streaming** pooled-profile
 //! implementation must produce the same corrected rate as the
 //! historical **materialising** implementation (which held every
 //! replication's gap vector at once), on arbitrary randomised gap
@@ -68,7 +68,7 @@ impl ProbeTarget for ReplayTarget {
     }
 }
 
-/// The historical materialising PooledProfile algorithm, verbatim:
+/// The historical materialising pooled-profile algorithm, verbatim:
 /// collect every replication's gaps, run MSER on the across-replication
 /// mean profile, truncate every replication at the common cut.
 fn materialising_reference(per_rep: &[Vec<f64>], m: usize) -> (f64, f64, usize) {

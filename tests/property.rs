@@ -314,44 +314,6 @@ proptest! {
         prop_assert!(m.mean_access_delay_s > 0.0);
     }
 
-    // ---------- queueing::workload vs fifo ----------
-
-    #[test]
-    fn workload_process_matches_lindley(
-        gaps in prop::collection::vec(0u64..3_000u64, 1..80),
-        services in prop::collection::vec(1u64..2_000u64, 80),
-    ) {
-        use csmaprobe::queueing::fifo::Job;
-        use csmaprobe::queueing::workload::WorkloadProcess;
-        let mut t = 0u64;
-        let jobs: Vec<Job> = gaps
-            .iter()
-            .zip(&services)
-            .map(|(&g, &s)| {
-                t += g;
-                Job { arrival: Time::from_micros(t), service: Dur::from_micros(s) }
-            })
-            .collect();
-        let wp = WorkloadProcess::from_jobs(&jobs);
-        let waits = workload_at_arrivals(&jobs);
-        // W(a_i^-) from the continuous process equals the Lindley wait —
-        // except for simultaneous arrivals, where the left limit
-        // excludes ALL jobs at that instant (the paper's a⁻ semantics)
-        // while the FIFO wait includes earlier-queued ties.
-        for (i, (job, w)) in jobs.iter().zip(&waits).enumerate() {
-            let tied = i > 0 && jobs[i - 1].arrival == job.arrival;
-            if tied {
-                prop_assert!(wp.eval_left(job.arrival) <= *w);
-            } else {
-                prop_assert_eq!(wp.eval_left(job.arrival), *w);
-            }
-        }
-        // The workload right after the last arrival drains to zero.
-        let last = jobs.last().unwrap();
-        let after = last.arrival + wp.eval(last.arrival) + Dur::from_micros(1);
-        prop_assert_eq!(wp.eval(after), Dur::ZERO);
-    }
-
     // ---------- traffic::MergeSource ----------
 
     #[test]
@@ -386,16 +348,6 @@ proptest! {
         prop_assert_eq!(count, total);
         prop_assert_eq!(flows[1], a_gaps.len());
         prop_assert_eq!(flows[2], b_gaps.len());
-    }
-
-    // ---------- stats::autocorr ----------
-
-    #[test]
-    fn autocorr_bounded(xs in prop::collection::vec(-1e3f64..1e3, 10..200), k in 1usize..8) {
-        use csmaprobe::stats::autocorr::{autocorrelation, integrated_autocorr_time};
-        let r = autocorrelation(&xs, k);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "rho = {r}");
-        prop_assert!(integrated_autocorr_time(&xs) >= 1.0);
     }
 }
 
