@@ -8,7 +8,6 @@
 //!    [--links wired,wlan_low,wlan_mid] [--trains short,mid,long]
 //!    [--tools train,slops] [--scale F] [--seed N] [--jobs N]
 //!    [--out grid_rows.jsonl] [--table grid.json] [--resume]
-//!    [--shard I/N] [--manifest campaign.json] [--merge]
 //!    [--max-cells K] [--list]`
 //!
 //! `--links` and `--trains` accept **inline specs** alongside catalog
@@ -29,27 +28,17 @@
 //! row set. The finalize step assembles the rows (sorted by cell, so
 //! completion order never shows) into the `--table` JSON array.
 //!
-//! # Sharded campaigns
-//!
-//! `--shard I/N` restricts this process to one shard of the campaign:
-//! the cells at positions `I, I+N, I+2N, …` of the **name-keyed** cell
-//! order (so membership never depends on axis selection order). Each
-//! shard persists to its own `--out` file and records itself in the
-//! campaign manifest (`--manifest`, default `campaign.json`): shard →
-//! host fingerprint → row counts → session history. Every row carries a
-//! shard-folded fingerprint, so `--resume` refuses a row file written
-//! under a different `--shard` spec. When all shards are complete,
-//! `grid --merge --manifest campaign.json --table grid.json` reads the
-//! shard files **read-only**, verifies one campaign fingerprint and
-//! pairwise-disjoint coverage, and assembles the byte-identical table
-//! the unsharded run would have produced.
+//! `--resume` refuses a row file written by a different grid
+//! configuration (its rows carry another run fingerprint) or holding a
+//! row whose key is not a cell of this grid. `--list` prints the cell
+//! space and each cell's status in `--out`, reading the file without
+//! writing to it.
 //!
 //! `--max-cells K` stops after K cells (exit code 3, "interrupted by
 //! budget") — a deterministic interruption for the CI resume proof.
 //! Exit codes: 0 done, 2 usage/configuration error, 3 interrupted
-//! (cells or shards still pending).
+//! (cells still pending).
 
-use csmaprobe_bench::campaign::{host_fingerprint, shard_members, CampaignManifest, ShardSpec};
 use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains, BiasGrid, GridRow};
 use csmaprobe_bench::report::{row_cell, RowSink};
 use csmaprobe_bench::{parse_scale, parse_value};
@@ -60,7 +49,6 @@ use csmaprobe_desim::replicate;
 const DEFAULT_LINKS: &str = "wired,wlan_low,wlan_mid";
 const DEFAULT_TRAINS: &str = "short,mid,long";
 const DEFAULT_TOOLS: &str = "train,slops";
-const DEFAULT_MANIFEST: &str = "campaign.json";
 
 struct Options {
     links: String,
@@ -74,22 +62,15 @@ struct Options {
     resume: bool,
     max_cells: usize,
     list: bool,
-    shard: ShardSpec,
-    manifest: String,
-    /// `--manifest` was given explicitly (solo runs then also record).
-    manifest_set: bool,
-    merge: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: grid [--links a,b] [--trains a,b] [--tools a,b] [--scale F] [--seed N] \
-         [--jobs N] [--out rows.jsonl] [--table grid.json] [--resume] [--shard I/N] \
-         [--manifest campaign.json] [--merge] [--max-cells K] [--list]\n\
+         [--jobs N] [--out rows.jsonl] [--table grid.json] [--resume] [--max-cells K] \
+         [--list]\n\
          inline axis specs: --links wlan:cross=<bps>,fifo=<bps> | \
-         wired:capacity=<bps>,cross=<bps>; --trains n=<packets>\n\
-         sharding: --shard I/N runs one shard of the campaign into its own --out; \
-         --merge assembles the finished campaign from the --manifest record"
+         wired:capacity=<bps>,cross=<bps>; --trains n=<packets>"
     );
     std::process::exit(2);
 }
@@ -114,10 +95,6 @@ fn parse_options() -> Options {
         resume: false,
         max_cells: usize::MAX,
         list: false,
-        shard: ShardSpec::solo(),
-        manifest: DEFAULT_MANIFEST.to_string(),
-        manifest_set: false,
-        merge: false,
     };
     let mut i = 1;
     while i < args.len() {
@@ -173,16 +150,6 @@ fn parse_options() -> Options {
                 }
                 i += 1;
             }
-            "--shard" => {
-                o.shard = ShardSpec::parse(&value()).unwrap_or_else(|e| usage_error(e));
-                i += 1;
-            }
-            "--manifest" => {
-                o.manifest = value();
-                o.manifest_set = true;
-                i += 1;
-            }
-            "--merge" => o.merge = true,
             "--resume" => o.resume = true,
             "--list" => o.list = true,
             _ => usage(),
@@ -240,80 +207,9 @@ fn print_tsv(rows: &[String]) {
     }
 }
 
-/// `--merge`: assemble the finished campaign recorded in the manifest.
-/// Manifest-driven — axis flags are not consulted; the shard files are
-/// opened strictly read-only.
-fn merge(opts: &Options) -> ! {
-    let manifest = CampaignManifest::load(&opts.manifest)
-        .unwrap_or_else(|e| fail(e))
-        .unwrap_or_else(|| {
-            fail(format!(
-                "no campaign manifest at {}; run the shards with --shard I/N first",
-                opts.manifest
-            ))
-        });
-    if !manifest.complete() {
-        eprintln!(
-            "campaign {:016x} is not complete ({} of {} shard(s) recorded):",
-            manifest.run,
-            manifest.entries.len(),
-            manifest.shards
-        );
-        for e in &manifest.entries {
-            eprintln!(
-                "  shard {}/{}: {}/{} row(s) in {} (last host {})",
-                e.index, manifest.shards, e.rows, e.cells, e.out, e.host
-            );
-        }
-        std::process::exit(3);
-    }
-
-    // Pre-merge audit against the manifest: row counts and the campaign
-    // fingerprint, via the same read-only loader the merge itself uses.
-    let mut rows: Vec<String> = Vec::new();
-    for entry in &manifest.entries {
-        let file = RowSink::load(&entry.out)
-            .unwrap_or_else(|e| fail(format!("cannot read shard file {}: {e}", entry.out)));
-        if file.len() != entry.rows {
-            fail(format!(
-                "{} holds {} complete row(s) but the manifest records {}; \
-                 re-run that shard with --resume",
-                entry.out,
-                file.len(),
-                entry.rows
-            ));
-        }
-        for line in file.rows() {
-            if GridRow::run_of(line) != Some(manifest.run) {
-                fail(format!(
-                    "{} carries a row from a different campaign than the manifest \
-                     records ({:016x})",
-                    entry.out, manifest.run
-                ));
-            }
-            rows.push(line.clone());
-        }
-    }
-
-    let outs = manifest.outs();
-    let table = RowSink::finalize_merged(&outs).unwrap_or_else(|e| fail(format!("merge: {e}")));
-    std::fs::write(&opts.table, &table)
-        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", opts.table)));
-    rows.sort_by_key(|l| row_cell(l).unwrap_or(u64::MAX));
-    print_tsv(&rows);
-    eprintln!(
-        "== campaign {:016x}: {} shard(s), {} cell(s) merged into {} ==",
-        manifest.run,
-        manifest.shards,
-        rows.len(),
-        opts.table,
-    );
-    std::process::exit(0);
-}
-
-/// `--list`: the catalogs, then the cell space with each cell's shard
-/// assignment and persistence status — the partition audit. Reads the
-/// `--out` file (if any) strictly read-only.
+/// `--list`: the catalogs, then the cell space with each cell's
+/// persistence status. Reads the `--out` file (if any) strictly
+/// read-only.
 fn list(grid: &BiasGrid, opts: &Options) -> ! {
     println!("links:");
     for l in csmaprobe_bench::grid::LINKS {
@@ -333,40 +229,16 @@ fn list(grid: &BiasGrid, opts: &Options) -> ! {
     );
 
     let total = grid.points();
-    let count = opts.shard.count;
-    // Owning shard of every flat cell, from the same name-keyed
-    // round-robin the runner schedules by.
-    let mut owner = vec![0usize; total];
-    for index in 0..count {
-        for flat in shard_members(total, ShardSpec { index, count }, |f| grid.key_of(f)) {
-            owner[flat] = index;
-        }
-    }
     let persisted = match RowSink::load(&opts.out) {
         Ok(file) => (0..total).map(|f| file.contains(&grid.key_of(f))).collect(),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => vec![false; total],
         Err(e) => fail(format!("cannot read {}: {e}", opts.out)),
     };
-    println!(
-        "cells: {total} total; this process is shard {} ({} cell(s) owned)",
-        opts.shard,
-        grid.shard_cells().len()
-    );
-    println!("cell\tshard\tstatus\tkey");
-    for flat in 0..total {
-        let status = if owner[flat] != opts.shard.index {
-            "other"
-        } else if persisted[flat] {
-            "done"
-        } else {
-            "pending"
-        };
-        println!(
-            "{flat}\t{}/{}\t{status}\t{}",
-            owner[flat],
-            count,
-            grid.key_of(flat)
-        );
+    println!("cells: {total} total");
+    println!("cell\tstatus\tkey");
+    for (flat, done) in persisted.into_iter().enumerate() {
+        let status = if done { "done" } else { "pending" };
+        println!("{flat}\t{status}\t{}", grid.key_of(flat));
     }
     std::process::exit(0);
 }
@@ -374,10 +246,6 @@ fn list(grid: &BiasGrid, opts: &Options) -> ! {
 fn main() {
     engine::check_env().unwrap_or_else(|e| fail(e));
     let opts = parse_options();
-
-    if opts.merge {
-        merge(&opts);
-    }
 
     let links = parse_links(&opts.links).unwrap_or_else(|e| fail(e));
     let trains = parse_trains(&opts.trains).unwrap_or_else(|e| fail(e));
@@ -387,14 +255,12 @@ fn main() {
         replicate::set_worker_limit(opts.jobs);
     }
 
-    let grid = BiasGrid::new(links, trains, tools, opts.scale, opts.seed).with_shard(opts.shard);
+    let grid = BiasGrid::new(links, trains, tools, opts.scale, opts.seed);
     let total = grid.points();
 
     if opts.list {
         list(&grid, &opts);
     }
-
-    let owned = grid.shard_cells();
 
     let mut sink = if opts.resume {
         RowSink::resume(&opts.out)
@@ -403,17 +269,15 @@ fn main() {
     }
     .unwrap_or_else(|e| fail(format!("cannot open {}: {e}", opts.out)));
 
-    // A resumed file must come from this exact grid configuration AND
-    // this exact shard spec: every persisted row must carry this run's
-    // fingerprint (axes, order, scale, seed, engine policy), this
-    // shard's token, and a key this shard owns. Anything else would
-    // silently mix statistical populations — or shard coverages — in
-    // the final table.
+    // A resumed file must come from this exact grid configuration:
+    // every persisted row must carry this run's fingerprint (axes,
+    // order, scale, seed, engine policy) and a key of this grid.
+    // Anything else would silently mix statistical populations in the
+    // final table.
     if opts.resume && !sink.is_empty() {
         let expected: std::collections::BTreeSet<String> =
-            owned.iter().map(|&f| grid.key_of(f)).collect();
+            (0..total).map(|f| grid.key_of(f)).collect();
         let fingerprint = grid.fingerprint();
-        let shard_token = grid.shard_token();
         let rows = sink
             .read_rows()
             .unwrap_or_else(|e| fail(format!("reading {}: {e}", opts.out)));
@@ -427,18 +291,9 @@ fn main() {
                     opts.out
                 ));
             }
-            if GridRow::shard_of(line) != Some(shard_token.as_str()) {
-                fail(format!(
-                    "{} row {key} was produced under a different --shard spec than {} \
-                     (its shard fingerprint differs); each shard keeps its own row \
-                     file — delete the file or re-run with the original --shard",
-                    opts.out,
-                    grid.shard()
-                ));
-            }
             if !expected.contains(key) {
                 fail(format!(
-                    "{} row {key} is not a cell this shard owns; delete the file or \
+                    "{} row {key} is not a cell of this grid; delete the file or \
                      re-run with the original axis selection",
                     opts.out
                 ));
@@ -446,23 +301,19 @@ fn main() {
         }
     }
 
-    // Schedule exactly the owned cells whose rows are not yet persisted.
-    let pending: Vec<usize> = owned
-        .iter()
-        .copied()
+    // Schedule exactly the cells whose rows are not yet persisted.
+    let pending: Vec<usize> = (0..total)
         .filter(|&f| !sink.contains(&grid.key_of(f)))
         .collect();
-    let skipped = owned.len() - pending.len();
+    let skipped = total - pending.len();
     let budgeted: &[usize] = &pending[..pending.len().min(opts.max_cells)];
     eprintln!(
         "grid: {total} cell(s) ({} links x {} trains x {} tools) at scale {}; \
-         shard {} owns {}; {skipped} already persisted, running {}{}",
+         {skipped} already persisted, running {}{}",
         grid.axes().0.len(),
         grid.axes().1.len(),
         grid.axes().2.len(),
         opts.scale,
-        grid.shard(),
-        owned.len(),
         budgeted.len(),
         if budgeted.len() < pending.len() {
             format!(" (of {} pending, --max-cells)", pending.len())
@@ -484,9 +335,8 @@ fn main() {
         }
         done += 1;
         eprintln!(
-            "[{}/{}] cell {flat} {}: {:.2} Mb/s (A {:.2}, {} rep(s), {} failed)",
+            "[{}/{total}] cell {flat} {}: {:.2} Mb/s (A {:.2}, {} rep(s), {} failed)",
             skipped + done,
-            owned.len(),
             row.key(),
             row.mean_bps / 1e6,
             row.available_bps / 1e6,
@@ -498,71 +348,13 @@ fn main() {
         fail(format!("writing {}: {e}", opts.out));
     }
 
-    // Record this session in the campaign manifest: always for sharded
-    // runs, and for solo runs when --manifest was given explicitly.
-    if !grid.shard().is_solo() || opts.manifest_set {
-        let mut manifest = CampaignManifest::load(&opts.manifest)
-            .unwrap_or_else(|e| fail(e))
-            .unwrap_or_else(|| {
-                CampaignManifest::new(grid.fingerprint(), grid.shard().count, total)
-            });
-        if manifest.run != grid.fingerprint() {
-            fail(format!(
-                "{} records campaign {:016x} but this run is {:016x} (axes, --scale, \
-                 --seed, engine policy or shard count differ); use another --manifest \
-                 or delete it",
-                opts.manifest,
-                manifest.run,
-                grid.fingerprint()
-            ));
-        }
-        if manifest.shards != grid.shard().count || manifest.cells != total {
-            fail(format!(
-                "{} records a {}-shard, {}-cell campaign but this run is {}-shard, \
-                 {}-cell; use another --manifest or delete it",
-                opts.manifest,
-                manifest.shards,
-                manifest.cells,
-                grid.shard().count,
-                total
-            ));
-        }
-        manifest
-            .record_session(
-                grid.shard().index,
-                &opts.out,
-                &host_fingerprint(),
-                owned.len(),
-                sink.len(),
-            )
-            .unwrap_or_else(|e| fail(format!("{}: {e}", opts.manifest)));
-        manifest
-            .save(&opts.manifest)
-            .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", opts.manifest)));
-    }
-
-    if sink.len() < owned.len() {
+    if sink.len() < total {
         eprintln!(
             "== {done} cell(s) persisted in {:.1}s; {} still pending — re-run with --resume ==",
             t0.elapsed().as_secs_f64(),
-            owned.len() - sink.len(),
+            total - sink.len(),
         );
         std::process::exit(3);
-    }
-
-    if !grid.shard().is_solo() {
-        eprintln!(
-            "== shard {} complete: {} cell(s) in {}; recorded in {}; when every shard \
-             is done, assemble with: grid --merge --manifest {} --table {} ({:.1}s) ==",
-            grid.shard(),
-            owned.len(),
-            opts.out,
-            opts.manifest,
-            opts.manifest,
-            opts.table,
-            t0.elapsed().as_secs_f64(),
-        );
-        return;
     }
 
     let table = sink

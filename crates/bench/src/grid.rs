@@ -8,10 +8,9 @@
 //! [`BiasGrid`] is a [`SweepScenario`] over the flattened cell space
 //! (link-major, tool fastest). Cells are seeded by name, so no runner
 //! needs their axis coordinates, and the engine's per-cell bit-identity
-//! makes any subset of cells (a resumed run, one shard) reproduce
-//! exactly the rows of an uninterrupted run.
+//! makes any subset of cells (a resumed run, a `--max-cells` stop)
+//! reproduce exactly the rows of an uninterrupted run.
 
-use crate::campaign::{shard_members, ShardSpec};
 use crate::report::{json_f64, json_str};
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
@@ -552,15 +551,8 @@ pub struct GridRow {
     /// The producing run's configuration fingerprint
     /// ([`BiasGrid::fingerprint`]): resume refuses to mix rows from a
     /// different grid configuration — including rows produced under a
-    /// different engine policy or tier resolution. Campaign-level: the
-    /// same for every shard of a campaign, so merged tables match the
-    /// unsharded run's.
+    /// different engine policy or tier resolution.
     pub run: u64,
-    /// Shard provenance token ([`BiasGrid::shard_token`],
-    /// `i/n:<shard fingerprint>`): resume refuses rows written under a
-    /// different `--shard` spec. Bookkeeping, not data — stripped by
-    /// both finalize flavours, so the campaign table never shows it.
-    pub shard: String,
 }
 
 impl GridRow {
@@ -579,25 +571,16 @@ impl GridRow {
         crate::report::row_run(line)
     }
 
-    /// The `"shard"` provenance token of a persisted row line, if
-    /// present.
-    pub fn shard_of(line: &str) -> Option<&str> {
-        crate::report::row_shard(line)
-    }
-
     /// Serialize as one [`crate::report::RowSink`] JSONL line
-    /// (`"cell"` and `"key"` first, as the sink requires). The
-    /// `"shard"` field is placed where [`crate::report::strip_shard`]
-    /// removes it at finalize time.
+    /// (`"cell"` and `"key"` first, as the sink requires).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"cell\":{},\"key\":{},\"run\":\"{:016x}\",\"shard\":{},\"link\":{},\"train\":{},\
+            "{{\"cell\":{},\"key\":{},\"run\":\"{:016x}\",\"link\":{},\"train\":{},\
              \"tool\":{},\"tier\":{},\"n\":{},\"reps\":{},\"failed\":{},\"mean_bps\":{},\
              \"sd_bps\":{},\"ci95_bps\":{},\"available_bps\":{}}}",
             self.cell,
             json_str(&self.key()),
             self.run,
-            json_str(&self.shard),
             json_str(self.link),
             json_str(self.train),
             json_str(self.tool.name()),
@@ -624,12 +607,10 @@ pub struct BiasGrid {
     available: Vec<f64>,
     scale: f64,
     seed: u64,
-    shard: ShardSpec,
 }
 
 impl BiasGrid {
-    /// Compose the axes (builds each link's target once). The grid is
-    /// unsharded (`0/1`) until [`BiasGrid::with_shard`].
+    /// Compose the axes (builds each link's target once).
     pub fn new(
         links: Vec<&'static LinkPoint>,
         trains: Vec<&'static TrainPoint>,
@@ -647,32 +628,7 @@ impl BiasGrid {
             available,
             scale,
             seed,
-            shard: ShardSpec::solo(),
         }
-    }
-
-    /// Restrict this process to one shard of the campaign's cell space
-    /// (see [`BiasGrid::shard_cells`]). Sharding never changes a cell's
-    /// data — seeds chain cell *names* — only which cells this process
-    /// owns and the shard provenance its rows carry.
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        assert!(shard.index < shard.count, "invalid shard spec");
-        self.shard = shard;
-        self
-    }
-
-    /// The shard this grid instance runs as (`0/1` when unsharded).
-    pub fn shard(&self) -> ShardSpec {
-        self.shard
-    }
-
-    /// The flat cell indices this shard owns, ascending: round-robin
-    /// over the **name-keyed** cell order ([`shard_members`]), so
-    /// membership depends only on the campaign's cell-name set — two
-    /// shards of one campaign partition the same space no matter how
-    /// each operator spelled the axis lists.
-    pub fn shard_cells(&self) -> Vec<usize> {
-        shard_members(self.points(), self.shard, |f| self.key_of(f))
     }
 
     /// The axes, in flattening order (link, train, tool — tool fastest).
@@ -710,24 +666,8 @@ impl BiasGrid {
         fnv1a(&self.config_desc())
     }
 
-    /// Fingerprint of this grid's configuration **plus its shard spec**
-    /// — what [`GridRow::shard`] embeds. Campaign-identical shards with
-    /// different `i/n` get different values, so `--resume` can refuse a
-    /// row file written under a different `--shard` spec even when the
-    /// persisted keys happen to overlap this shard's cells.
-    pub fn shard_fingerprint(&self) -> u64 {
-        fnv1a(&format!("{};shard={}", self.config_desc(), self.shard))
-    }
-
-    /// The shard provenance token persisted in every row:
-    /// `i/n:<shard fingerprint>`.
-    pub fn shard_token(&self) -> String {
-        format!("{}:{:016x}", self.shard, self.shard_fingerprint())
-    }
-
     /// The canonical configuration description behind
-    /// [`BiasGrid::fingerprint`] (shard-independent: a campaign is the
-    /// same campaign however it is partitioned).
+    /// [`BiasGrid::fingerprint`].
     fn config_desc(&self) -> String {
         let mut desc = format!("scale={};seed={}", self.scale.to_bits(), self.seed);
         for l in &self.links {
@@ -834,7 +774,6 @@ impl SweepScenario for BiasGrid {
             ci95_bps: acc.est.ci_half_width(0.95),
             available_bps: self.available[link],
             run: self.fingerprint(),
-            shard: self.shard_token(),
         }
     }
 }
@@ -843,7 +782,7 @@ impl SweepScenario for BiasGrid {
 mod tests {
     use super::*;
     use crate::report::row_key;
-    use csmaprobe_core::sweep::{run_sweep, run_sweep_cells};
+    use csmaprobe_core::sweep::run_sweep;
 
     /// Hold the engine policy at auto: run fingerprints fold the
     /// process-wide policy in, and another test in this binary pins a
@@ -1127,126 +1066,6 @@ mod tests {
         // match, so its rows cannot resume into this run.
         let old = fnv1a(&desc.replace(&router, ";router=r2-nonsat"));
         assert_ne!(old, auto_fp, "r2-nonsat rows must not resume into r3");
-    }
-
-    #[test]
-    fn shard_fingerprint_splits_on_the_spec_but_run_fingerprint_does_not() {
-        let _policy = auto_policy();
-        let make = || {
-            BiasGrid::new(
-                vec![find_link("wired").unwrap()],
-                vec![find_train("short").unwrap(), find_train("mid").unwrap()],
-                vec![ToolKind::Train],
-                0.05,
-                42,
-            )
-        };
-        let solo = make();
-        let s0 = make().with_shard(ShardSpec { index: 0, count: 2 });
-        let s1 = make().with_shard(ShardSpec { index: 1, count: 2 });
-        // The campaign is the same campaign however it is partitioned —
-        // that is what makes merged tables byte-identical.
-        assert_eq!(solo.fingerprint(), s0.fingerprint());
-        assert_eq!(s0.fingerprint(), s1.fingerprint());
-        // But the shard provenance splits on every spec.
-        assert_ne!(solo.shard_fingerprint(), s0.shard_fingerprint());
-        assert_ne!(s0.shard_fingerprint(), s1.shard_fingerprint());
-        assert!(s0.shard_token().starts_with("0/2:"));
-        assert!(solo.shard_token().starts_with("0/1:"));
-        // Rows carry the token, and it parses back out.
-        let rows = run_sweep(&solo);
-        assert_eq!(rows[0].shard, solo.shard_token());
-        assert_eq!(
-            GridRow::shard_of(&rows[0].to_json()),
-            Some(solo.shard_token().as_str())
-        );
-    }
-
-    #[test]
-    fn shard_partition_covers_disjointly_and_ignores_axis_order() {
-        let grid_with = |links: &str, shard: ShardSpec| {
-            BiasGrid::new(
-                parse_links(links).unwrap(),
-                vec![find_train("short").unwrap(), find_train("long").unwrap()],
-                vec![ToolKind::Train, ToolKind::Slops],
-                0.05,
-                42,
-            )
-            .with_shard(shard)
-        };
-        // Disjoint cover of the full cell space.
-        let total = grid_with("wired,wlan_mid", ShardSpec::solo()).points();
-        let mut seen = vec![false; total];
-        for index in 0..3 {
-            let g = grid_with("wired,wlan_mid", ShardSpec { index, count: 3 });
-            for f in g.shard_cells() {
-                assert!(!seen[f], "cell {f} in two shards");
-                seen[f] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "shards must cover every cell");
-        // Membership by *name*: swapping the link-axis order moves flat
-        // indices but never moves a named cell to another shard.
-        let owner_by_key = |links: &str| -> std::collections::BTreeMap<String, usize> {
-            let mut owners = std::collections::BTreeMap::new();
-            for index in 0..3 {
-                let g = grid_with(links, ShardSpec { index, count: 3 });
-                for f in g.shard_cells() {
-                    owners.insert(g.key_of(f), index);
-                }
-            }
-            owners
-        };
-        assert_eq!(
-            owner_by_key("wired,wlan_mid"),
-            owner_by_key("wlan_mid,wired"),
-            "shard membership must be independent of axis selection order"
-        );
-    }
-
-    #[test]
-    fn sharded_rows_merge_to_the_unsharded_table_byte_for_byte() {
-        let _policy = auto_policy();
-        use crate::report::RowSink;
-        let make = || {
-            BiasGrid::new(
-                vec![find_link("wired").unwrap()],
-                vec![find_train("short").unwrap(), find_train("mid").unwrap()],
-                vec![ToolKind::Train, ToolKind::Slops],
-                0.05,
-                42,
-            )
-        };
-        let dir = std::env::temp_dir();
-        let full_path = dir.join(format!("csmaprobe-shardmerge-full-{}", std::process::id()));
-        let full_table = {
-            let mut sink = RowSink::create(&full_path).unwrap();
-            let grid = make();
-            let cells: Vec<usize> = (0..grid.points()).collect();
-            run_sweep_cells(&grid, &cells, |_, row| {
-                sink.append(&row.to_json()).unwrap();
-            });
-            sink.finalize().unwrap()
-        };
-        let shard_paths: Vec<std::path::PathBuf> = (0..2)
-            .map(|i| dir.join(format!("csmaprobe-shardmerge-{i}-{}", std::process::id())))
-            .collect();
-        for (i, path) in shard_paths.iter().enumerate() {
-            let grid = make().with_shard(ShardSpec { index: i, count: 2 });
-            let mut sink = RowSink::create(path).unwrap();
-            run_sweep_cells(&grid, &grid.shard_cells(), |_, row| {
-                sink.append(&row.to_json()).unwrap()
-            });
-        }
-        let merged = RowSink::finalize_merged(&shard_paths).unwrap();
-        assert_eq!(
-            merged, full_table,
-            "merged shard tables must be byte-identical to the unsharded run"
-        );
-        let _ = std::fs::remove_file(&full_path);
-        for p in &shard_paths {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]

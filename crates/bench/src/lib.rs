@@ -14,7 +14,6 @@
 //! repetitions — `scale = 10.0` gets close at proportional runtime).
 //! Set via `all_figures --scale <f>`.
 
-pub mod campaign;
 pub mod figures;
 pub mod grid;
 pub mod report;

@@ -1,10 +1,11 @@
 //! Figure reports: the common output format of every experiment — plus
 //! [`RowSink`], the incremental, crash-tolerant JSONL persister behind
-//! the scenario grid runner.
+//! the grid runner's one row file per run and the daemon's one session
+//! table.
 
 use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One qualitative reproduction check ("shape" assertion).
 #[derive(Debug, Clone)]
@@ -203,7 +204,8 @@ pub fn reports_to_json(reports: &[FigureReport]) -> String {
 }
 
 /// Append-only JSONL row store with crash-tolerant resume: the
-/// persistence layer of the grid runner (`bin/grid`).
+/// persistence layer of the grid runner (`bin/grid`) and of the
+/// `csmaprobe serve` session table.
 ///
 /// Each row is one line, a JSON object whose **first two fields are**
 /// `"cell":<flat index>` and `"key":"<unique cell key>"` (the rest is
@@ -254,33 +256,6 @@ pub fn row_run(line: &str) -> Option<u64> {
     u64::from_str_radix(rest.get(..16)?, 16).ok()
 }
 
-/// The `"shard"` provenance field of a row line, if present.
-pub fn row_shard(line: &str) -> Option<&str> {
-    let at = line.find(",\"shard\":\"")?;
-    let rest = &line[at + ",\"shard\":\"".len()..];
-    rest.find('"').map(|end| &rest[..end])
-}
-
-/// Remove the `"shard"` provenance field from a row line, if present.
-///
-/// The shard field is resume-time bookkeeping (which `--shard i/n`
-/// spec produced the row); the finalized table is campaign-level, so
-/// [`RowSink::finalize`] and [`RowSink::finalize_merged`] both strip it
-/// — that is what makes a merged shard table byte-identical to the
-/// unsharded run's.
-pub fn strip_shard(line: &str) -> String {
-    if let Some(at) = line.find(",\"shard\":\"") {
-        let value_start = at + ",\"shard\":\"".len();
-        if let Some(end) = line[value_start..].find('"') {
-            let mut out = String::with_capacity(line.len());
-            out.push_str(&line[..at]);
-            out.push_str(&line[value_start + end + 1..]);
-            return out;
-        }
-    }
-    line.to_string()
-}
-
 /// The longest complete-row prefix of a row file's bytes: its byte
 /// length, the rows, and their keys. A malformed or duplicate-key line
 /// ends the prefix — the writer produces neither, so nothing after it
@@ -316,12 +291,11 @@ fn scan_complete_prefix(bytes: &[u8]) -> ScannedPrefix {
 /// A **read-only** snapshot of a row file: the longest complete-row
 /// prefix, loaded without opening the file for writing and without
 /// truncating a torn tail (contrast [`RowSink::resume`], which owns the
-/// file and repairs it in place). This is what the merge and listing
-/// paths use — merging N shard files must never mutate its inputs, and
-/// it works on files the process has no write permission to.
+/// file and repairs it in place). This is what the grid runner's
+/// `--list` uses: listing must never mutate the row file, and it works
+/// on files the process has no write permission to.
 #[derive(Debug)]
 pub struct RowFile {
-    path: PathBuf,
     rows: Vec<String>,
     keys: std::collections::BTreeSet<String>,
 }
@@ -346,11 +320,6 @@ impl RowFile {
     pub fn contains(&self, key: &str) -> bool {
         self.keys.contains(key)
     }
-
-    /// The file the rows were loaded from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl RowSink {
@@ -373,8 +342,8 @@ impl RowSink {
     ///
     /// This opens the file read-write and repairs it in place — it is
     /// the path for a run that will append more rows. Callers that only
-    /// want to *read* rows (merging shard files, listing pending cells)
-    /// must use [`RowSink::load`] instead, which never mutates the file.
+    /// want to *read* rows (listing pending cells) must use
+    /// [`RowSink::load`] instead, which never mutates the file.
     pub fn resume(path: impl Into<PathBuf>) -> std::io::Result<RowSink> {
         let path = path.into();
         let mut file = std::fs::OpenOptions::new()
@@ -403,14 +372,11 @@ impl RowSink {
     /// a torn tail *ignored* rather than truncated. The file is opened
     /// without write access and its bytes are never touched, so this
     /// works on inputs the caller must not (or cannot — `chmod 444`)
-    /// mutate: the shard files of [`RowSink::finalize_merged`] and the
-    /// `--list` audit path.
+    /// mutate, such as the file `grid --list` reports on.
     pub fn load(path: impl Into<PathBuf>) -> std::io::Result<RowFile> {
-        let path = path.into();
-        let bytes = std::fs::read(&path)?;
+        let bytes = std::fs::read(path.into())?;
         let scanned = scan_complete_prefix(&bytes);
         Ok(RowFile {
-            path,
             rows: scanned.rows,
             keys: scanned.keys,
         })
@@ -429,11 +395,6 @@ impl RowSink {
     /// Has a row with this key already been persisted?
     pub fn contains(&self, key: &str) -> bool {
         self.keys.contains(key)
-    }
-
-    /// The path rows are persisted to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one row line (a complete JSON object, no newline) and
@@ -471,9 +432,7 @@ impl RowSink {
     /// A duplicate cell key (impossible through [`RowSink::append`],
     /// but a file edited or concatenated outside the sink can carry
     /// one) keeps the **last** row and logs the collision — in a
-    /// single file the later row is the later re-run. Shard provenance
-    /// fields are stripped ([`strip_shard`]): the table is
-    /// campaign-level.
+    /// single file the later row is the later re-run.
     pub fn finalize(&self) -> std::io::Result<String> {
         let rows = self.read_rows()?;
         let mut latest: std::collections::BTreeMap<String, &String> = Default::default();
@@ -488,94 +447,18 @@ impl RowSink {
         }
         let mut rows: Vec<&String> = latest.into_values().collect();
         rows.sort_by_key(|l| row_cell(l).unwrap_or(u64::MAX));
-        Ok(assemble_table(rows.into_iter()))
-    }
-
-    /// Assemble the rows of N **shard files** into the byte-identical
-    /// table the unsharded run would have produced with
-    /// [`RowSink::finalize`].
-    ///
-    /// Every input is loaded read-only via [`RowSink::load`] — merging
-    /// never truncates a torn tail or otherwise mutates a shard file
-    /// (torn tails are ignored; re-run the shard with `--resume` to
-    /// repair and complete it). Before assembling, the merge verifies:
-    ///
-    /// - **one campaign**: every row carrying a `"run"` fingerprint
-    ///   carries the same one (and files with and without fingerprints
-    ///   don't mix);
-    /// - **pairwise-disjoint coverage**: no cell key and no cell index
-    ///   appears in two inputs — a duplicate here means two shards ran
-    ///   overlapping specs (or one file was merged twice), and unlike
-    ///   the single-file case there is no "later re-run" to prefer, so
-    ///   it is a hard error.
-    ///
-    /// Shard provenance fields are stripped exactly as in
-    /// [`RowSink::finalize`].
-    pub fn finalize_merged(paths: &[impl AsRef<Path>]) -> std::io::Result<String> {
-        let corrupt = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let mut all: Vec<String> = Vec::new();
-        let mut key_owner: std::collections::BTreeMap<String, PathBuf> = Default::default();
-        let mut cell_owner: std::collections::BTreeMap<u64, PathBuf> = Default::default();
-        let mut run: Option<Option<u64>> = None;
-        for path in paths {
-            let file = RowSink::load(path.as_ref())?;
-            for line in file.rows() {
-                let this_run = row_run(line);
-                match run {
-                    None => run = Some(this_run),
-                    Some(first) if first != this_run => {
-                        return Err(corrupt(format!(
-                            "{}: row fingerprint {:016x} does not match the other \
-                             shards' {:016x} — the inputs come from different campaigns",
-                            file.path().display(),
-                            this_run.unwrap_or(0),
-                            first.unwrap_or(0),
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                let key = row_key(line).unwrap_or_default().to_string();
-                if let Some(prev) = key_owner.insert(key.clone(), file.path().to_path_buf()) {
-                    return Err(corrupt(format!(
-                        "cell key {key} appears in both {} and {} — shard coverage \
-                         must be pairwise disjoint",
-                        prev.display(),
-                        file.path().display(),
-                    )));
-                }
-                if let Some(cell) = row_cell(line) {
-                    if let Some(prev) = cell_owner.insert(cell, file.path().to_path_buf()) {
-                        return Err(corrupt(format!(
-                            "cell index {cell} appears in both {} and {} — shard \
-                             coverage must be pairwise disjoint",
-                            prev.display(),
-                            file.path().display(),
-                        )));
-                    }
-                }
-                all.push(line.clone());
+        let mut out = String::from("[\n");
+        for (i, r) in rows.iter().enumerate() {
+            out.push_str("  ");
+            out.push_str(r);
+            if i + 1 < rows.len() {
+                out.push(',');
             }
+            out.push('\n');
         }
-        all.sort_by_key(|l| row_cell(l).unwrap_or(u64::MAX));
-        Ok(assemble_table(all.iter()))
+        out.push_str("]\n");
+        Ok(out)
     }
-}
-
-/// Wrap cell-sorted rows as the finalized JSON array (shard provenance
-/// stripped) — the one serialisation behind both finalize flavours.
-fn assemble_table<S: AsRef<str>>(rows: impl ExactSizeIterator<Item = S>) -> String {
-    let n = rows.len();
-    let mut out = String::from("[\n");
-    for (i, r) in rows.enumerate() {
-        out.push_str("  ");
-        out.push_str(&strip_shard(r.as_ref()));
-        if i + 1 < n {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
 }
 
 /// JSON string literal with the escapes required by RFC 8259.
@@ -768,29 +651,13 @@ mod tests {
         sink.append(&row_line(1, "a", 2.0)).unwrap();
     }
 
-    fn shard_row_line(cell: u64, key: &str, v: f64, shard: &str) -> String {
-        format!(
-            "{{\"cell\":{cell},\"key\":{},\"run\":\"00000000deadbeef\",\"shard\":{},\"v\":{}}}",
-            json_str(key),
-            json_str(shard),
-            json_f64(v)
-        )
-    }
-
     #[test]
-    fn row_run_and_shard_parse_and_strip() {
-        let line = shard_row_line(3, "a/b", 1.5, "1/2:0123456789abcdef");
-        assert_eq!(row_run(&line), Some(0xdead_beef));
-        assert_eq!(row_shard(&line), Some("1/2:0123456789abcdef"));
-        let stripped = strip_shard(&line);
-        assert!(!stripped.contains("shard"));
-        assert_eq!(row_key(&stripped), Some("a/b"));
-        assert_eq!(row_run(&stripped), Some(0xdead_beef));
-        // Rows without the fields are untouched.
-        let bare = row_line(0, "k", 1.0);
-        assert_eq!(row_run(&bare), None);
-        assert_eq!(row_shard(&bare), None);
-        assert_eq!(strip_shard(&bare), bare);
+    fn row_run_parses_the_fingerprint() {
+        let line = "{\"cell\":3,\"key\":\"a/b\",\"run\":\"00000000deadbeef\",\"v\":1.5}";
+        assert_eq!(row_run(line), Some(0xdead_beef));
+        assert_eq!(row_key(line), Some("a/b"));
+        // Rows without the field carry no fingerprint.
+        assert_eq!(row_run(&row_line(0, "k", 1.0)), None);
     }
 
     #[test]
@@ -814,85 +681,6 @@ mod tests {
         let _ = std::fs::remove_file(&p);
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn readonly_shard_files_merge_successfully() {
-        let paths = [tmp("ro-merge-0"), tmp("ro-merge-1")];
-        for (i, p) in paths.iter().enumerate() {
-            let mut sink = RowSink::create(p).unwrap();
-            for cell in [i as u64, (i + 2) as u64] {
-                sink.append(&shard_row_line(
-                    cell,
-                    &format!("cell-{cell}"),
-                    cell as f64,
-                    &format!("{i}/2:{i:016x}"),
-                ))
-                .unwrap();
-            }
-            let mut perms = std::fs::metadata(p).unwrap().permissions();
-            perms.set_readonly(true);
-            std::fs::set_permissions(p, perms).unwrap();
-        }
-        let before: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
-        let table = RowSink::finalize_merged(&paths).unwrap();
-        for key in ["cell-0", "cell-1", "cell-2", "cell-3"] {
-            assert!(table.contains(key), "{key} missing from merged table");
-        }
-        assert!(!table.contains("shard"), "shard provenance stripped");
-        for (p, bytes) in paths.iter().zip(&before) {
-            assert_eq!(&std::fs::read(p).unwrap(), bytes, "merge input mutated");
-            let mut perms = std::fs::metadata(p).unwrap().permissions();
-            #[allow(clippy::permissions_set_readonly_false)]
-            perms.set_readonly(false);
-            std::fs::set_permissions(p, perms).unwrap();
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn merged_table_is_byte_identical_to_the_unsharded_finalize() {
-        // One "campaign" of 5 cells persisted unsharded, and the same
-        // rows split round-robin over 2 shard files: finalize vs
-        // finalize_merged must agree byte-for-byte (shard provenance
-        // differs per file, so only stripping makes this possible).
-        let full_path = tmp("merge-full");
-        let shard_paths = [tmp("merge-s0"), tmp("merge-s1")];
-        let mut full = RowSink::create(&full_path).unwrap();
-        let mut shards: Vec<RowSink> = shard_paths
-            .iter()
-            .map(|p| RowSink::create(p).unwrap())
-            .collect();
-        for cell in 0..5u64 {
-            let key = format!("cell-{cell}");
-            let owner = (cell % 2) as usize;
-            full.append(&shard_row_line(
-                cell,
-                &key,
-                cell as f64,
-                "0/1:aaaaaaaaaaaaaaaa",
-            ))
-            .unwrap();
-            shards[owner]
-                .append(&shard_row_line(
-                    cell,
-                    &key,
-                    cell as f64,
-                    &format!("{owner}/2:{owner:016x}"),
-                ))
-                .unwrap();
-        }
-        let unsharded = full.finalize().unwrap();
-        let merged = RowSink::finalize_merged(&shard_paths).unwrap();
-        assert_eq!(
-            unsharded, merged,
-            "merge must reproduce the unsharded table"
-        );
-        let _ = std::fs::remove_file(&full_path);
-        for p in &shard_paths {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
     #[test]
     fn finalize_keeps_the_last_duplicate_row() {
         // append() forbids duplicates, so plant one behind the sink's
@@ -911,43 +699,6 @@ mod tests {
         assert!(table.contains("\"v\":99.0"), "last row wins");
         assert!(!table.contains("\"v\":1.0"), "first row dropped");
         let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn finalize_merged_rejects_overlapping_coverage() {
-        let paths = [tmp("ovl-0"), tmp("ovl-1")];
-        let mut a = RowSink::create(&paths[0]).unwrap();
-        a.append(&row_line(0, "a", 1.0)).unwrap();
-        let mut b = RowSink::create(&paths[1]).unwrap();
-        b.append(&row_line(1, "a", 2.0)).unwrap();
-        let err = RowSink::finalize_merged(&paths).unwrap_err();
-        assert!(err.to_string().contains("pairwise disjoint"), "{err}");
-        for p in &paths {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn finalize_merged_rejects_mixed_campaign_fingerprints() {
-        let paths = [tmp("fp-0"), tmp("fp-1")];
-        let mut a = RowSink::create(&paths[0]).unwrap();
-        a.append(&shard_row_line(0, "a", 1.0, "0/2:0000000000000000"))
-            .unwrap();
-        let mut b = RowSink::create(&paths[1]).unwrap();
-        // Different "run" fingerprint: hand-written line.
-        b.append("{\"cell\":1,\"key\":\"b\",\"run\":\"00000000cafecafe\",\"v\":2.0}")
-            .unwrap();
-        let err = RowSink::finalize_merged(&paths).unwrap_err();
-        assert!(err.to_string().contains("different campaigns"), "{err}");
-        // A fingerprinted file must not mix with a fingerprint-less one
-        // either.
-        let mut c = RowSink::create(&paths[1]).unwrap();
-        c.append(&row_line(1, "b", 2.0)).unwrap();
-        let err = RowSink::finalize_merged(&paths).unwrap_err();
-        assert!(err.to_string().contains("different campaigns"), "{err}");
-        for p in &paths {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! CLI contract tests for the `grid` binary: exit codes for malformed
 //! flags (the `--max-cells 0` regression in particular), the
-//! shard-fingerprint resume gate, and the end-to-end sharded-campaign
-//! flow — two shards plus `--merge` must reproduce the unsharded
-//! table byte for byte, with the shard row files left untouched.
+//! run-fingerprint gate of `--resume`, and what `--list` reports after
+//! a budget stop.
 //!
 //! Exit-code convention under test: 0 done, 2 usage/configuration
-//! error, 3 interrupted (cells or shards still pending).
+//! error, 3 interrupted (cells still pending).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -38,7 +37,7 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// The cheap 2-cell campaign every end-to-end test below sweeps.
+/// The cheap 2-cell grid every end-to-end test below sweeps.
 const AXES: [&str; 6] = [
     "--links",
     "wired",
@@ -65,14 +64,7 @@ fn zero_max_cells_is_a_usage_error_not_a_silent_no_op() {
 #[test]
 fn malformed_flag_values_exit_2() {
     let dir = scratch("badflags");
-    for args in [
-        &["--jobs", "0"][..],
-        &["--shard", "2/2"][..],
-        &["--shard", "0/0"][..],
-        &["--shard", "x"][..],
-        &["--shard", "1"][..],
-        &["--links", "no_such_link"][..],
-    ] {
+    for args in [&["--jobs", "0"][..], &["--links", "no_such_link"][..]] {
         let out = grid(&dir, args);
         assert_eq!(code(&out), 2, "args {args:?}; stderr: {}", stderr(&out));
     }
@@ -103,135 +95,51 @@ fn malformed_flag_values_exit_2() {
     }
 }
 
-#[test]
-fn list_audits_the_shard_partition() {
-    let dir = scratch("list");
+/// Run the 2-cell grid under `--seed 7` until the budget stops it
+/// after its first cell (exit 3), leaving `rows.jsonl` half done.
+fn budget_stop(dir: &Path) {
     let mut args = AXES.to_vec();
-    args.extend(["--shard", "0/2", "--list"]);
+    args.extend(["--seed", "7", "--out", "rows.jsonl", "--max-cells", "1"]);
+    let out = grid(dir, &args);
+    assert_eq!(code(&out), 3, "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn list_reports_done_and_pending_cells() {
+    let dir = scratch("list");
+    budget_stop(&dir);
+    let mut args = AXES.to_vec();
+    args.extend(["--seed", "7", "--out", "rows.jsonl", "--list"]);
     let out = grid(&dir, &args);
     assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    // Name-keyed order: wired/mid/train sorts before wired/short/train,
-    // so shard 0 owns mid and shard 1 owns short.
     assert!(
-        text.contains("0/2\tpending\twired/mid/train"),
-        "owned cell listed pending: {text}"
+        text.contains("0\tdone\twired/short/train\n"),
+        "the budgeted cell is done: {text}"
     );
     assert!(
-        text.contains("1/2\tother\twired/short/train"),
-        "foreign cell carries its owning shard: {text}"
+        text.contains("1\tpending\twired/mid/train\n"),
+        "the other cell is pending: {text}"
     );
 }
 
 #[test]
-fn resume_refuses_a_row_file_from_a_different_shard_spec() {
-    let dir = scratch("shardgate");
-    let shard0: Vec<&str> = AXES
-        .iter()
-        .copied()
-        .chain([
-            "--shard",
-            "0/2",
-            "--out",
-            "s0.jsonl",
-            "--manifest",
-            "m.json",
-        ])
-        .collect();
-    let out = grid(&dir, &shard0);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-
-    let mut wrong = AXES.to_vec();
-    wrong.extend([
-        "--shard",
-        "1/2",
-        "--out",
-        "s0.jsonl",
-        "--manifest",
-        "m.json",
-        "--resume",
-    ]);
-    let out = grid(&dir, &wrong);
+fn resume_refuses_a_row_file_from_a_different_configuration() {
+    let dir = scratch("fingerprint");
+    budget_stop(&dir);
+    let before = std::fs::read(dir.join("rows.jsonl")).unwrap();
+    let mut args = AXES.to_vec();
+    args.extend(["--seed", "8", "--out", "rows.jsonl", "--resume"]);
+    let out = grid(&dir, &args);
     assert_eq!(code(&out), 2, "stderr: {}", stderr(&out));
     let err = stderr(&out);
     assert!(
-        err.contains("different --shard"),
-        "gate names the shard spec: {err}"
-    );
-}
-
-#[test]
-fn sharded_campaign_merges_byte_identical_to_the_unsharded_run() {
-    let dir = scratch("merge");
-
-    // The unsharded golden table.
-    let full: Vec<&str> = AXES
-        .iter()
-        .copied()
-        .chain(["--out", "full.jsonl", "--table", "full.json"])
-        .collect();
-    let out = grid(&dir, &full);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-
-    // Shard 0 of 2, then a premature merge (campaign incomplete -> 3).
-    let shard0: Vec<&str> = AXES
-        .iter()
-        .copied()
-        .chain([
-            "--shard",
-            "0/2",
-            "--out",
-            "s0.jsonl",
-            "--manifest",
-            "m.json",
-        ])
-        .collect();
-    let out = grid(&dir, &shard0);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-    let out = grid(
-        &dir,
-        &["--merge", "--manifest", "m.json", "--table", "merged.json"],
-    );
-    assert_eq!(code(&out), 3, "incomplete campaign: {}", stderr(&out));
-
-    // Shard 1 of 2, then the real merge.
-    let shard1: Vec<&str> = AXES
-        .iter()
-        .copied()
-        .chain([
-            "--shard",
-            "1/2",
-            "--out",
-            "s1.jsonl",
-            "--manifest",
-            "m.json",
-        ])
-        .collect();
-    let out = grid(&dir, &shard1);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-
-    let s0_before = std::fs::read(dir.join("s0.jsonl")).unwrap();
-    let s1_before = std::fs::read(dir.join("s1.jsonl")).unwrap();
-    let out = grid(
-        &dir,
-        &["--merge", "--manifest", "m.json", "--table", "merged.json"],
-    );
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-
-    let full_table = std::fs::read(dir.join("full.json")).unwrap();
-    let merged_table = std::fs::read(dir.join("merged.json")).unwrap();
-    assert_eq!(
-        full_table, merged_table,
-        "merged table must be byte-identical to the unsharded run"
+        err.contains("different grid configuration"),
+        "the gate names the cause: {err}"
     );
     assert_eq!(
-        std::fs::read(dir.join("s0.jsonl")).unwrap(),
-        s0_before,
-        "merge must leave shard files untouched"
-    );
-    assert_eq!(
-        std::fs::read(dir.join("s1.jsonl")).unwrap(),
-        s1_before,
-        "merge must leave shard files untouched"
+        std::fs::read(dir.join("rows.jsonl")).unwrap(),
+        before,
+        "a refused resume must leave the row file as it was"
     );
 }

@@ -6,7 +6,7 @@
 //! A [`SweepScenario`] describes what one replication of one cell does
 //! and how its observations accumulate; [`run_sweep`] runs every cell
 //! and [`run_sweep_cells`] a strictly ascending subset of them (the
-//! resume and shard path of the `grid` binary). Both schedule every
+//! resume and `--max-cells` path of the `grid` binary). Both schedule every
 //! `(cell × replication)` pair through
 //! [`csmaprobe_desim::replicate::run_cells_emit`], stream it into a
 //! per-cell [`Accumulate`] reducer, and return the finished rows in

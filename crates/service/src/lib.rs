@@ -7,7 +7,7 @@
 //! its replication chunks through the process-wide work-stealing
 //! executor ([`csmaprobe_desim::executor`]), streams partial estimates
 //! into per-session [`csmaprobe_stats::Accumulate`] state, and persists
-//! each finished session as one row of a sharded, crash-tolerant
+//! each finished session as one row of a crash-tolerant
 //! session table ([`csmaprobe_bench::report::RowSink`]). The TCP
 //! front end, graceful SIGTERM drain and the `/metrics` text endpoint
 //! live in [`server`]; live counters in [`metrics`]; the deterministic

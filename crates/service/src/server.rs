@@ -4,18 +4,22 @@
 //! Shutdown contract (what the `service-smoke` CI job pins): on
 //! SIGTERM (or SIGINT), the server stops accepting connections and
 //! sessions, drains every *accepted* session to a terminal phase,
-//! merges the shard files into the finalized session table, audits
+//! finalizes its one session row file into the session table, audits
 //! `accepted == done + cancelled` and `persisted == done`, prints a
 //! one-line summary, and exits 0 — so every session a client got an
 //! `{"ok":true}` submit ack for is either complete (one table row) or
 //! was explicitly cancelled. Connection threads still blocked on reads
-//! are abandoned at exit; shard rows are written line-at-a-time to
-//! unbuffered files, so no acknowledged state is lost.
+//! are abandoned at exit; rows are written line-at-a-time to an
+//! unbuffered file, so no acknowledged state is lost.
+//!
+//! A restarted server resumes `<out-dir>/sessions.jsonl`: the ids and
+//! cells of its rows stay taken, so resubmitting one is refused
+//! (`duplicate_id`, `duplicate_cell`) instead of run twice.
 
 use crate::metrics::Metrics;
 use crate::session::{row_json, Session, SessionManager, SessionSpec};
 use crate::wire::{json_str, read_frame, Request, WireError};
-use csmaprobe_bench::report::RowSink;
+use csmaprobe_bench::report::{row_cell, RowSink};
 use csmaprobe_desim::replicate::CHUNK;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -79,10 +83,9 @@ pub fn request_shutdown() {
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see `port_file`).
     pub addr: String,
-    /// Directory for shard files and the finalized table.
+    /// Directory for the session row file (`sessions.jsonl`) and the
+    /// finalized table.
     pub out_dir: PathBuf,
-    /// Session-table shard count (rows land in shard `cell % shards`).
-    pub shards: usize,
     /// Finalized table path (default `<out_dir>/session_table.jsonl`).
     pub table: Option<PathBuf>,
     /// If set, the actual bound `host:port` is written here once
@@ -97,7 +100,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             out_dir: PathBuf::from("serve-out"),
-            shards: 4,
             table: None,
             port_file: None,
             drivers: 2,
@@ -126,8 +128,7 @@ pub struct ServeSummary {
 struct Shared {
     mgr: SessionManager,
     metrics: Arc<Metrics>,
-    sinks: Arc<Mutex<Vec<RowSink>>>,
-    shards: usize,
+    sink: Arc<Mutex<RowSink>>,
 }
 
 /// Run the server until SIGTERM/SIGINT (or [`request_shutdown`]),
@@ -136,34 +137,27 @@ struct Shared {
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
     sig::install();
     std::fs::create_dir_all(&cfg.out_dir)?;
-    let shards = cfg.shards.max(1);
-    let shard_path = |i: usize| cfg.out_dir.join(format!("sessions-shard-{i:02}.jsonl"));
-    let mut sink_vec = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let p = shard_path(i);
-        // Resume keeps rows from a previous (killed) server run, which
-        // is what makes accepted-then-persisted sessions survive a
-        // crash: their ids are refused as duplicates on resubmit.
-        let sink = if p.exists() {
-            RowSink::resume(&p)?
-        } else {
-            RowSink::create(&p)?
-        };
-        sink_vec.push(sink);
-    }
-    let sinks = Arc::new(Mutex::new(sink_vec));
+    // Resume keeps rows from a previous (killed) server run, which is
+    // what makes accepted-then-persisted sessions survive a crash:
+    // their ids and cells are refused as duplicates on resubmit.
+    let sink = RowSink::resume(cfg.out_dir.join("sessions.jsonl"))?;
+    let held_cells: Vec<u64> = sink
+        .read_rows()?
+        .iter()
+        .filter_map(|l| row_cell(l))
+        .collect();
+    let sink = Arc::new(Mutex::new(sink));
     let metrics = Arc::new(Metrics::default());
 
     let hook: Box<dyn Fn(&Session) + Send + Sync> = {
-        let sinks = Arc::clone(&sinks);
+        let sink = Arc::clone(&sink);
         let metrics = Arc::clone(&metrics);
         Box::new(move |s: &Session| {
             let snap = s.snapshot();
             let line = row_json(s.spec(), &snap.acc);
-            let shard = (s.spec().cell % shards as u64) as usize;
-            let mut sinks = sinks.lock().unwrap_or_else(|e| e.into_inner());
-            if !sinks[shard].contains(&s.spec().id) {
-                match sinks[shard].append(&line) {
+            let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
+            if !sink.contains(&s.spec().id) {
+                match sink.append(&line) {
                     Ok(()) => {
                         metrics.rows_persisted.fetch_add(1, Ordering::Relaxed);
                     }
@@ -182,12 +176,9 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
             metrics.observe_session_latency(snap.elapsed_s);
         })
     };
-    let shared = Arc::new(Shared {
-        mgr: SessionManager::new(cfg.drivers, Some(hook)),
-        metrics,
-        sinks,
-        shards,
-    });
+    let mgr = SessionManager::new(cfg.drivers, Some(hook));
+    mgr.hold_cells(held_cells);
+    let shared = Arc::new(Shared { mgr, metrics, sink });
 
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
@@ -213,28 +204,26 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
     drop(listener);
 
     // Graceful drain: no new sessions, run every accepted one to a
-    // terminal phase (completion hooks persist the rows), then merge
-    // the shards into the finalized table.
+    // terminal phase (completion hooks persist the rows), then finalize
+    // the row file into the table.
     eprintln!("csmaprobe serve: draining");
     shared.mgr.shutdown();
     let counts = shared.mgr.counts();
-    let shard_paths: Vec<PathBuf> = (0..shards).map(shard_path).collect();
-    let table = RowSink::finalize_merged(&shard_paths)?;
+    let (table, rows) = {
+        let sink = shared.sink.lock().unwrap_or_else(|e| e.into_inner());
+        (sink.finalize()?, sink.len())
+    };
     let table_path = cfg
         .table
         .clone()
         .unwrap_or_else(|| cfg.out_dir.join("session_table.jsonl"));
     std::fs::write(&table_path, &table)?;
     let persisted = shared.metrics.rows_persisted.load(Ordering::Relaxed);
-    let resumed: usize = {
-        let sinks = shared.sinks.lock().unwrap_or_else(|e| e.into_inner());
-        sinks.iter().map(|s| s.len()).sum::<usize>()
-    };
-    // `persisted` counts this process's appends; `resumed` is the
-    // total row count including rows inherited from a previous run.
+    // `persisted` counts this process's appends; `rows` is the total
+    // row count including rows inherited from a previous run.
     let consistent = counts.accepted == counts.done + counts.cancelled
         && persisted == counts.done as u64
-        && resumed >= persisted as usize;
+        && rows >= persisted as usize;
     println!(
         "drained: accepted={} done={} cancelled={} persisted={} table={}",
         counts.accepted,
@@ -313,14 +302,16 @@ fn dispatch(line: &str, shared: &Shared) -> Result<String, WireError> {
             let spec = SessionSpec::resolve(&req)?;
             // A row persisted by a previous run of this server owns
             // its id forever — resubmitting it is a duplicate, which
-            // is what makes a killed-and-restarted campaign resumable
-            // without double-running sessions.
+            // is what makes a killed-and-restarted server resumable
+            // without double-running sessions. Its cell is held by the
+            // manager (`hold_cells`).
+            if shared
+                .sink
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .contains(&spec.id)
             {
-                let sinks = shared.sinks.lock().unwrap_or_else(|e| e.into_inner());
-                let shard = (spec.cell % shared.shards as u64) as usize;
-                if sinks[shard].contains(&spec.id) {
-                    return Err(WireError::DuplicateId { id: spec.id });
-                }
+                return Err(WireError::DuplicateId { id: spec.id });
             }
             let id = spec.id.clone();
             shared.mgr.submit(spec)?;

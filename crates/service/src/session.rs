@@ -415,6 +415,13 @@ impl SessionManager {
         Ok(())
     }
 
+    /// Mark `cells` as taken, so a submit for any of them is refused
+    /// with `duplicate_cell` — how a restarted server keeps the cells
+    /// of the rows it resumed.
+    pub fn hold_cells(&self, cells: impl IntoIterator<Item = u64>) {
+        self.lock_table().cells.extend(cells);
+    }
+
     /// Snapshot a session's progress.
     pub fn poll(&self, id: &str) -> Result<SessionSnapshot, WireError> {
         let t = self.lock_table();

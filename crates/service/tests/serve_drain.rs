@@ -24,7 +24,6 @@ fn pipelined_protocol_and_graceful_drain() {
     let port_file = dir.join("port");
     let cfg = ServeConfig {
         out_dir: dir.clone(),
-        shards: 3,
         port_file: Some(port_file.clone()),
         drivers: 2,
         ..ServeConfig::default()

@@ -12,7 +12,7 @@
 //! csmaprobe topp      [link options]
 //! csmaprobe chirp     [link options]
 //! csmaprobe transient --rate 5.0 --n 300 --reps 1000 [link options]
-//! csmaprobe serve     [--addr H:P] [--out-dir D] [--shards K] [--drivers N]
+//! csmaprobe serve     [--addr H:P] [--out-dir D] [--drivers N]
 //!                     [--table FILE] [--port-file FILE] [--workers W]
 //!
 //! link options:
@@ -31,7 +31,7 @@ use csmaprobe::core::link::{
     MIN_WIRED_CAPACITY_BPS,
 };
 use csmaprobe::core::transient::{Columns, TransientExperiment};
-use csmaprobe::desim::time::Dur;
+use csmaprobe::desim::time::{Dur, Time};
 use csmaprobe::mac::measured_standalone_capacity_bps;
 use csmaprobe::phy::Phy;
 use csmaprobe::probe::chirp::ChirpProbe;
@@ -60,7 +60,7 @@ fn usage() -> ! {
         "usage: csmaprobe <capacity|steady|train|pair|slops|topp|chirp|transient> \
          [--cross M]... [--fifo-cross M] [--wired C] [--rate M] [--n N] \
          [--reps R] [--pairs P] [--bytes B] [--seed S]\n\
-         \x20      csmaprobe serve [--addr H:P] [--out-dir D] [--shards K] [--drivers N] \
+         \x20      csmaprobe serve [--addr H:P] [--out-dir D] [--drivers N] \
          [--table FILE] [--port-file FILE] [--workers W]"
     );
     std::process::exit(2);
@@ -83,7 +83,6 @@ fn serve_main(argv: &[String]) -> ! {
         match argv[i].as_str() {
             "--addr" => cfg.addr = need(i).to_string(),
             "--out-dir" => cfg.out_dir = need(i).into(),
-            "--shards" => cfg.shards = need(i).parse().unwrap_or_else(|_| usage()),
             "--drivers" => cfg.drivers = need(i).parse().unwrap_or_else(|_| usage()),
             "--table" => cfg.table = Some(need(i).into()),
             "--port-file" => cfg.port_file = Some(need(i).into()),
@@ -203,6 +202,21 @@ fn check(args: &Args) -> Result<(), String> {
         }
     }
     bounded("--n", args.n, 2, MAX_TRAIN_PACKETS, "")?;
+    bounded("--bytes", args.bytes, 1, u32::MAX, " B")?;
+    // The train's last packet arrives (n − 1) gaps after the warm-up;
+    // that instant must fit the nanosecond clock.
+    let span_s = (args.n - 1) as f64 * 8.0 * f64::from(args.bytes) / (args.rate_mbps * 1e6);
+    let room_s = Time::MAX
+        .since(Time::ZERO + LinkConfig::default().warmup)
+        .as_secs_f64();
+    if span_s >= room_s {
+        let rate = args.rate_mbps;
+        return Err(format!(
+            "--rate {rate:?} Mb/s is too low: a {}-packet train of {} B spans {span_s:.3e} s, \
+             beyond the {room_s:.3e} s the simulation clock holds",
+            args.n, args.bytes
+        ));
+    }
     bounded("--reps", args.reps, 1, MAX_REPS, "")?;
     bounded("--pairs", args.pairs, 1, MAX_REPS, "")
 }

@@ -68,6 +68,23 @@ fn out_of_bound_values_exit_2_naming_the_flag() {
         (&["train", "--n", "1"], "--n"),
         (&["train", "--cross", "-3"], "--cross"),
         (&["pair", "--pairs", "0"], "--pairs"),
+        (&["steady", "--bytes", "0"], "--bytes"),
+        (
+            &["train", "--bytes", "0", "--n", "5", "--reps", "2"],
+            "--bytes",
+        ),
+        (&["pair", "--bytes", "0", "--pairs", "5"], "--bytes"),
+        (&["capacity", "--bytes", "0"], "--bytes"),
+        (
+            &["train", "--rate", "1e-12", "--n", "5", "--reps", "2"],
+            "--rate",
+        ),
+        (
+            &[
+                "train", "--rate", "1e-12", "--n", "5", "--reps", "2", "--wired", "10",
+            ],
+            "--rate",
+        ),
     ];
     for &(args, flag) in cases {
         let (code, stderr) = run(args);

@@ -1,9 +1,9 @@
-//! Property tests of grid-campaign scheduling: the subset runner
+//! Property tests of grid-run scheduling: the subset runner
 //! (`core::sweep::run_sweep_cells`) the `grid` binary resumes and
-//! shards through, the shard partition (`bench::campaign`), and the
-//! crash-tolerant JSONL row sink (`bench::report::RowSink`).
+//! budget-stops through, and the crash-tolerant JSONL row sink
+//! (`bench::report::RowSink`).
 //!
-//! The properties pin the contracts a campaign relies on:
+//! The properties pin the contracts a resumable run relies on:
 //!
 //! 1. **Subset equivalence** — scheduling any ascending subset of a
 //!    sweep's cells reproduces exactly the full run's rows for those
@@ -15,18 +15,10 @@
 //! 3. **Tier-provenance rejection** — rows persisted under one engine
 //!    policy carry a run fingerprint no differently-policied grid will
 //!    accept, so `--resume` refuses to mix engine tiers silently.
-//! 4. **Shard partition soundness** — for any shard count, the
-//!    name-keyed round-robin partition covers the cell space with
-//!    pairwise-disjoint member sets, and running the shards
-//!    independently (each under an arbitrary worker count) then merging
-//!    their rows is bitwise identical to the unsharded run — the
-//!    sharded-campaign contract.
 
 use csmaprobe::core::sweep::{run_sweep, run_sweep_cells, SweepScenario};
-use csmaprobe::desim::replicate;
 use csmaprobe::desim::rng::{derive_seed, SimRng};
 use csmaprobe::stats::online::OnlineStats;
-use csmaprobe_bench::campaign::{shard_members, ShardSpec};
 use csmaprobe_bench::report::{row_key, RowSink};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -93,61 +85,6 @@ proptest! {
             prop_assert_eq!(row.count(), full[*flat].count());
             prop_assert_eq!(row.mean().to_bits(), full[*flat].mean().to_bits());
             prop_assert_eq!(row.variance().to_bits(), full[*flat].variance().to_bits());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // Shard partition soundness + merge bit-identity, for any shard
-    // count and any per-shard worker count.
-    #[test]
-    fn shard_union_covers_disjointly_and_merges_bit_identical(
-        total in 1usize..40,
-        seed in any::<u64>(),
-        n in 1usize..9,
-        workers in 1usize..5,
-    ) {
-        let campaign = SyntheticCampaign { cells: total, seed };
-        // A name-like key (the reversed decimal index) whose sort order
-        // deliberately differs from flat order, as cell-name keys do.
-        let key_of = |f: usize| f.to_string().chars().rev().collect::<String>();
-        let full = run_sweep(&campaign);
-
-        let mut owner: Vec<Option<usize>> = vec![None; total];
-        let mut merged: Vec<Option<OnlineStats>> = (0..total).map(|_| None).collect();
-        for index in 0..n {
-            let members = shard_members(total, ShardSpec { index, count: n }, key_of);
-            prop_assert!(
-                members.windows(2).all(|w| w[0] < w[1]),
-                "members ascending for the runner"
-            );
-            for &f in &members {
-                prop_assert_eq!(owner[f], None, "cell {} owned by two shards", f);
-                owner[f] = Some(index);
-            }
-            // Each shard may run on a host with a different worker
-            // count; the merged result must not care.
-            replicate::set_worker_limit(workers);
-            run_sweep_cells(&campaign, &members, |flat, row| {
-                merged[flat] = Some(row);
-            });
-        }
-        // Restore the ambient process-wide limit for the other tests.
-        replicate::set_worker_limit(
-            std::env::var("CSMAPROBE_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        );
-
-        prop_assert!(owner.iter().all(Option::is_some), "union covers the cell space");
-        for (flat, row) in merged.into_iter().enumerate() {
-            let row = row.expect("covered cell has a row");
-            prop_assert_eq!(row.count(), full[flat].count());
-            prop_assert_eq!(row.mean().to_bits(), full[flat].mean().to_bits());
-            prop_assert_eq!(row.variance().to_bits(), full[flat].variance().to_bits());
         }
     }
 }
