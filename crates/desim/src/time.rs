@@ -26,6 +26,24 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64` for every `f64`, inline: `f64::round` is an
+/// out-of-line call on baseline x86-64, and every Poisson gap passes
+/// through here. Below 2^52 an `f64` may have a fraction; its truncation
+/// and `x - trunc(x)` are exact there, and the fraction rounds half away
+/// from zero as `round` does (negative inputs saturate to 0 either way).
+/// At or above 2^52 every `f64` is an integer, so the plain cast agrees,
+/// and it maps NaN to 0 as the `round` path does.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x < EXACT {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
+    }
+}
+
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// beginning of the simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -66,7 +84,7 @@ impl Time {
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         debug_assert!(secs.is_finite() && secs >= 0.0, "invalid time {secs}");
-        Time((secs * NANOS_PER_SEC as f64).round() as u64)
+        Time(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanosecond count.
@@ -151,7 +169,7 @@ impl Dur {
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         debug_assert!(secs.is_finite() && secs >= 0.0, "invalid duration {secs}");
-        Dur((secs * NANOS_PER_SEC as f64).round() as u64)
+        Dur(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanosecond count.
@@ -327,6 +345,72 @@ impl fmt::Display for Dur {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn assert_rounds_like_round(x: f64) {
+        assert_eq!(
+            round_u64(x),
+            x.round() as u64,
+            "x = {x:e} ({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    /// `x` and the adjacent floats on either side of it (`x` finite and
+    /// positive).
+    fn neighbours(x: f64) -> [f64; 3] {
+        let b = x.to_bits();
+        [f64::from_bits(b - 1), x, f64::from_bits(b + 1)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn round_u64_matches_round_on_any_bit_pattern(bits in any::<u64>()) {
+            assert_rounds_like_round(f64::from_bits(bits));
+        }
+
+        #[test]
+        fn round_u64_matches_round_around_half_integers(k in 0u64..1 << 52, shift in 0u32..53) {
+            // Every magnitude below 2^52, not just the top binades.
+            let h = (k >> shift) as f64 + 0.5;
+            for x in neighbours(h) {
+                assert_rounds_like_round(x);
+                assert_rounds_like_round(-x);
+            }
+        }
+    }
+
+    #[test]
+    fn round_u64_matches_round_on_the_edges() {
+        let p52 = (1u64 << 52) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            -0.5,
+            -1.5,
+            0.49999999999999994,
+            (1u64 << 53) as f64,
+            (1u64 << 63) as f64,
+            2f64.powi(64),
+            u64::MAX as f64,
+            f64::MAX,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for h in [0.5, 1.5, 2.5, 1e9 + 0.5, p52 - 1.5, p52 - 0.5, p52] {
+            edges.extend(neighbours(h));
+        }
+        for x in edges {
+            assert_rounds_like_round(x);
+        }
+    }
 
     #[test]
     fn constructors_round_trip() {

@@ -25,10 +25,17 @@ pub struct Metrics {
     pub requests: AtomicU64,
     /// Requests answered with a typed error.
     pub errors: AtomicU64,
-    /// Replication chunks folded across all sessions.
+    /// Fold chunks of [`CHUNK`] replications (the last one of a
+    /// session may be shorter) across all completed sessions.
+    ///
+    /// [`CHUNK`]: csmaprobe_desim::replicate::CHUNK
     pub chunks: AtomicU64,
-    /// Replications folded across all sessions.
+    /// Replications folded across all completed sessions.
     pub reps: AtomicU64,
+    /// Replications of completed sessions that ran on a thread other
+    /// than their session's driver. Depends on scheduling, so it is
+    /// served here and never written into a session row.
+    pub reps_stolen: AtomicU64,
     /// Session-table rows persisted.
     pub rows_persisted: AtomicU64,
     latency: Mutex<Latency>,
@@ -50,6 +57,7 @@ impl Default for Metrics {
             errors: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             reps: AtomicU64::new(0),
+            reps_stolen: AtomicU64::new(0),
             rows_persisted: AtomicU64::new(0),
             latency: Mutex::new(Latency {
                 p50: P2Quantile::new(0.5),
@@ -111,6 +119,10 @@ impl Metrics {
             self.chunks.load(Ordering::Relaxed).to_string(),
         );
         put("reps_total", self.reps.load(Ordering::Relaxed).to_string());
+        put(
+            "reps_stolen_total",
+            self.reps_stolen.load(Ordering::Relaxed).to_string(),
+        );
         put(
             "rows_persisted_total",
             self.rows_persisted.load(Ordering::Relaxed).to_string(),

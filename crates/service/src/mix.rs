@@ -32,9 +32,10 @@ impl Default for MixConfig {
         MixConfig {
             // "wired" repeated to weight it 7/8. Per session (32 reps,
             // one core of a 2-core x86-64 Xeon) wired costs ~3 ms on
-            // average (train and chirp ~0.2, slops ~3, topp 7-10 ms)
-            // and wlan_low ~4 ms (train and chirp ~0.3, slops ~5, topp
-            // ~11 ms), so wired sessions carry ~83% of the compute.
+            // average (train and chirp ~0.2, slops 3-3.5, topp 7.5-8
+            // ms) and wlan_low 5-6 ms (train 0.3-0.4, chirp ~0.5,
+            // slops 4.6-5.5, topp 13-15 ms), so wired sessions carry
+            // ~80% of the compute.
             links: vec![
                 "wired".into(),
                 "wired".into(),

@@ -173,6 +173,9 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
             metrics
                 .chunks
                 .fetch_add(snap.reps_done.div_ceil(CHUNK) as u64, Ordering::Relaxed);
+            metrics
+                .reps_stolen
+                .fetch_add(s.reps_stolen() as u64, Ordering::Relaxed);
             metrics.observe_session_latency(snap.elapsed_s);
         })
     };

@@ -2,15 +2,16 @@
 //! through the work-stealing executor.
 //!
 //! A session is one probe campaign: `reps` independent runs of one
-//! tool against one link, replicated on the engine-wide
-//! [`CHUNK`] grid. The manager owns a small pool of **driver
+//! tool against one link. The manager owns a small pool of **driver
 //! threads**; each driver takes one queued session at a time and
-//! submits its chunks to [`executor::submit`], so chunk execution is
-//! work-stolen across *all* live sessions (and any concurrent batch
-//! work) while a session's own chunk accumulators always merge in
-//! ascending chunk order into its shared state — which is what [`poll`]
-//! reads mid-flight and what makes the final accumulator bit-identical
-//! to the one-shot [`run_reduce`] reference ([`one_shot`]).
+//! submits one [`executor::submit`] task per replication, so idle pool
+//! workers steal single replications of *any* live session (and any
+//! concurrent batch work), even of a session only one [`CHUNK`] long.
+//! The estimates fold in replication order on the engine-wide
+//! [`CHUNK`] grid, each chunk accumulator merging into the session's
+//! shared state — which is what [`poll`] reads mid-flight — so the
+//! merge tree, and with it the final accumulator, is bit-identical to
+//! the one-shot [`run_reduce`] reference ([`one_shot`]).
 //!
 //! [`poll`]: SessionManager::poll
 
@@ -194,7 +195,7 @@ pub fn row_json(spec: &SessionSpec, acc: &SessionAcc) -> String {
 pub enum Phase {
     /// Accepted, waiting for a driver.
     Queued,
-    /// A driver is replicating its chunks.
+    /// A driver is replicating it.
     Running,
     /// All replications folded; the estimate is final.
     Done,
@@ -226,6 +227,10 @@ struct Progress {
     phase: Phase,
     reps_done: usize,
     acc: SessionAcc,
+    /// Of the `reps_done` folded replications, those that ran on a
+    /// thread other than the session's driver (scheduling-dependent:
+    /// `/metrics` only, never a row).
+    stolen: usize,
     submitted: Instant,
     finished: Option<Instant>,
 }
@@ -242,6 +247,15 @@ impl Session {
     /// The resolved spec.
     pub fn spec(&self) -> &SessionSpec {
         &self.spec
+    }
+
+    /// Folded replications that a thread other than the session's
+    /// driver ran — how much of the session the pool stole.
+    pub(crate) fn reps_stolen(&self) -> usize {
+        self.progress
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .stolen
     }
 
     /// A consistent snapshot for `poll` responses and tests.
@@ -386,6 +400,7 @@ impl SessionManager {
                 phase: Phase::Queued,
                 reps_done: 0,
                 acc: SessionAcc::default(),
+                stolen: 0,
                 submitted: Instant::now(),
                 finished: None,
             }),
@@ -554,15 +569,20 @@ fn driver_loop(inner: &Inner) {
     }
 }
 
-/// Replicate one session's chunks through the executor. Returns
-/// whether the session completed (vs. was cancelled).
+/// Replicate one session through the executor, one task per
+/// replication. Returns whether the session completed (vs. was
+/// cancelled).
 ///
-/// Bit-identity with [`one_shot`]: the chunk grid is the engine-wide
-/// [`CHUNK`] grid over `0..reps`, each chunk folds
-/// [`ToolProbe::estimate_once`] per seed in ascending index order, and
-/// [`executor::submit`] hands chunk outputs to `consume` in ascending
-/// chunk order — the same merge tree [`run_reduce`] builds, starting
-/// from an identity accumulator whose merge is bitwise-absorbing.
+/// Replications are what pool workers steal. The fold is the
+/// `consume` of [`executor::submit`], which sees the estimates in
+/// ascending replication order: it observes them into a chunk
+/// accumulator and merges that into the session's state at every
+/// [`CHUNK`] boundary and at the last replication — the merge tree
+/// [`run_reduce`] builds, starting from an identity accumulator whose
+/// merge is bitwise-absorbing, so the result is bit-identical to
+/// [`one_shot`]. A cancel skips every replication not yet started, and
+/// the fold stops at the first skipped one: a cancelled session keeps
+/// a gap-free prefix of whole chunks.
 fn drive(session: &Session) -> bool {
     {
         let mut p = session.progress.lock().unwrap_or_else(|e| e.into_inner());
@@ -576,36 +596,39 @@ fn drive(session: &Session) -> bool {
     let spec = &session.spec;
     let probe = spec.tool_probe();
     let reps = spec.reps;
-    let chunks = reps.div_ceil(CHUNK);
+    let driver = std::thread::current().id();
+    let mut chunk = SessionAcc::default();
+    let (mut seen, mut stolen, mut cut) = (0, 0, false);
     executor::submit(
-        chunks,
+        reps,
         usize::MAX,
-        |c| {
-            // A cancelled session's remaining chunks become cheap
-            // no-ops; the partial prefix already merged stays valid.
+        |i| {
             if session.cancel.load(Ordering::SeqCst) {
                 return None;
             }
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(reps);
-            let mut acc = SessionAcc::default();
-            for i in lo..hi {
-                acc.observe(probe.estimate_once(&session.target, derive_seed(spec.seed, i as u64)));
-            }
-            Some((hi - lo, acc))
+            let est = probe.estimate_once(&session.target, derive_seed(spec.seed, i as u64));
+            Some((est, std::thread::current().id() != driver))
         },
         |out| {
-            if let Some((n, acc)) = out {
+            let Some((est, away)) = out.filter(|_| !cut) else {
+                cut = true;
+                return;
+            };
+            chunk.observe(est);
+            seen += 1;
+            stolen += usize::from(away);
+            if seen % CHUNK == 0 || seen == reps {
                 let mut p = session.progress.lock().unwrap_or_else(|e| e.into_inner());
-                p.acc.merge(acc);
-                p.reps_done += n;
+                p.acc.merge(std::mem::take(&mut chunk));
+                p.reps_done = seen;
+                p.stolen = stolen;
             }
         },
     );
     let mut p = session.progress.lock().unwrap_or_else(|e| e.into_inner());
     p.finished = Some(Instant::now());
-    // A cancel raced with the final chunks: the session is complete
-    // iff every replication actually folded.
+    // A cancel raced with the last replications: the session is
+    // complete iff every replication actually folded.
     p.phase = if p.reps_done == reps {
         Phase::Done
     } else {

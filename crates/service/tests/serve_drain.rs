@@ -4,8 +4,10 @@
 //! this drives the same shutdown code the `service-smoke` CI job kills
 //! with a real signal).
 //!
-//! Single `#[test]` on purpose: the shutdown flag is process-wide.
+//! Single `#[test]` on purpose: the shutdown flag and the worker limit
+//! are process-wide.
 
+use csmaprobe_desim::executor;
 use csmaprobe_service::server::{request_shutdown, serve, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -28,6 +30,9 @@ fn pipelined_protocol_and_graceful_drain() {
         drivers: 2,
         ..ServeConfig::default()
     };
+    // What `csmaprobe serve --workers 1` sets: every replication runs
+    // on its session's driver, so none is stolen.
+    executor::set_worker_limit(1);
     let server = std::thread::spawn(move || serve(cfg).expect("serve runs"));
 
     // Wait for the bound address.
@@ -105,6 +110,8 @@ fn pipelined_protocol_and_graceful_drain() {
     assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
     assert!(text.contains("csmaprobe_sessions_done 2"), "{text}");
     assert!(text.contains("csmaprobe_sessions_accepted 2"), "{text}");
+    assert!(text.contains("csmaprobe_reps_total 16\n"), "{text}");
+    assert!(text.contains("csmaprobe_reps_stolen_total 0\n"), "{text}");
 
     // Graceful drain: what SIGTERM triggers.
     request_shutdown();

@@ -167,7 +167,10 @@ impl SizeModel {
 /// Poisson arrivals: i.i.d. exponential interarrival times.
 #[derive(Debug, Clone)]
 pub struct PoissonSource {
-    mean_gap: Dur,
+    /// Mean interarrival gap in seconds, `None` for a source that never
+    /// emits. Held as the `f64` each draw scales, so a draw makes no
+    /// conversion of its own.
+    mean_gap_s: Option<f64>,
     sizes: SizeModel,
     next_time: Option<Time>,
     until: Time,
@@ -194,8 +197,11 @@ impl PoissonSource {
         } else {
             Dur::MAX
         };
+        // A zero rate, or one so small its gap saturates the clock,
+        // never emits.
+        let mean_gap_s = (mean_gap != Dur::MAX).then(|| mean_gap.as_secs_f64());
         PoissonSource {
-            mean_gap,
+            mean_gap_s,
             sizes,
             next_time: Some(start),
             until,
@@ -211,10 +217,7 @@ impl PoissonSource {
     }
 
     fn advance(&mut self, rng: &mut SimRng, from: Time) -> Option<Time> {
-        if self.mean_gap == Dur::MAX {
-            return None;
-        }
-        let gap = Dur::from_secs_f64(rng.exp(self.mean_gap.as_secs_f64()));
+        let gap = Dur::from_secs_f64(rng.exp(self.mean_gap_s?));
         let t = from + gap;
         (t < self.until).then_some(t)
     }

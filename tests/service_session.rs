@@ -1,17 +1,22 @@
 //! Golden determinism gate for the serving layer: a session's final
 //! estimate through the resident [`SessionManager`] is **bit-identical**
 //! to the equivalent one-shot `run_reduce` batch — for worker counts 1,
-//! 4 and 8, with well over 100 sessions in flight at once, and with the
-//! chunk pool interleaving every session's chunks freely.
+//! 4 and 8, with well over 100 sessions in flight at once, with the
+//! pool interleaving every session's replications freely, and for
+//! sessions that span several fold chunks. A cancelled session keeps a
+//! prefix of whole chunks that is itself bit-identical to a one-shot
+//! batch of that length.
 //!
-//! This is the acceptance criterion of the serve PR; the `service-smoke`
-//! CI job proves the same thing end-to-end over TCP by byte-comparing
-//! finalized session tables.
+//! The `service-smoke` CI job proves the same thing end-to-end over TCP
+//! by byte-comparing finalized session tables.
 
 use csmaprobe::desim::executor;
+use csmaprobe::desim::replicate::CHUNK;
 use csmaprobe::service::mix::{session_specs, MixConfig};
-use csmaprobe::service::session::{one_shot, Phase, SessionAcc, SessionManager};
+use csmaprobe::service::session::{one_shot, Phase, SessionAcc, SessionManager, SessionSpec};
+use csmaprobe::service::wire::{SubmitRequest, MAX_REPS};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Serializes tests that pin the process-wide worker limit.
 static WORKER_LOCK: Mutex<()> = Mutex::new(());
@@ -37,11 +42,37 @@ fn key_bits(acc: &SessionAcc) -> (u64, u64, u64, u64, u64, usize) {
     )
 }
 
+/// A catalog session; `i` keeps ids and cells clear of the mix's.
+fn spec(i: u64, link: &str, train: &str, tool: &str, reps: usize) -> SessionSpec {
+    SessionSpec::resolve(&SubmitRequest {
+        id: format!("x{i:02}"),
+        cell: 1000 + i,
+        link: link.into(),
+        train: train.into(),
+        tool: tool.into(),
+        reps,
+        seed: 0x70_0000 + i,
+    })
+    .expect("catalog axes resolve")
+}
+
 #[test]
 fn resident_sessions_match_one_shot_bitwise_for_any_worker_count() {
     let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    const SESSIONS: u64 = 120;
-    let specs = session_specs(&mix(), 0xC5AA_2009, SESSIONS).expect("mix resolves");
+    let mut specs = session_specs(&mix(), 0xC5AA_2009, 120).expect("mix resolves");
+    // The mix's sessions are one chunk each. These span two full chunks
+    // and a partial one, over both links, both trains and all four
+    // tools, so every merge the fold makes is compared too.
+    let mut i = 0;
+    for link in ["wired", "wlan_low"] {
+        for train in ["short", "mid"] {
+            for tool in ["train", "slops", "topp", "chirp"] {
+                specs.push(spec(i, link, train, tool, 2 * CHUNK + 6));
+                i += 1;
+            }
+        }
+    }
+    let sessions = specs.len();
 
     // One-shot references, computed under the default worker limit —
     // run_reduce's own contract makes them worker-count independent.
@@ -50,7 +81,7 @@ fn resident_sessions_match_one_shot_bitwise_for_any_worker_count() {
     for workers in [1usize, 4, 8] {
         executor::set_worker_limit(workers);
         // 6 drivers: at least 100 sessions queued (in flight) while
-        // the first ones replicate, and several sessions' chunks
+        // the first ones replicate, and several sessions' replications
         // interleave in the shared pool at any instant.
         let mgr = SessionManager::new(6, None);
         for spec in &specs {
@@ -69,14 +100,54 @@ fn resident_sessions_match_one_shot_bitwise_for_any_worker_count() {
             assert_eq!(
                 key_bits(&snap.acc),
                 key_bits(reference),
-                "session {} diverged from its one-shot reference under {workers} worker(s)",
-                spec.id
+                "session {} ({} {} {}, {} reps) diverged from its one-shot reference under \
+                 {workers} worker(s)",
+                spec.id,
+                spec.link.name,
+                spec.train.name,
+                spec.tool.name(),
+                spec.reps
             );
         }
         let counts = mgr.counts();
-        assert_eq!(counts.accepted, SESSIONS as usize);
-        assert_eq!(counts.done, SESSIONS as usize);
+        assert_eq!(counts.accepted, sessions);
+        assert_eq!(counts.done, sessions);
         assert_eq!(counts.cancelled, 0);
+        mgr.shutdown();
+    }
+    executor::set_worker_limit(0);
+}
+
+#[test]
+fn a_cancelled_session_keeps_a_bit_exact_prefix() {
+    let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for workers in [1usize, 4] {
+        executor::set_worker_limit(workers);
+        let mgr = SessionManager::new(1, None);
+        let long = spec(1, "wired", "short", "train", MAX_REPS);
+        mgr.submit(long.clone()).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while mgr.poll(&long.id).expect("poll").reps_done < CHUNK {
+            assert!(Instant::now() < deadline, "no chunk folded within 60 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        mgr.cancel(&long.id)
+            .expect("a running session can be cancelled");
+        mgr.drain();
+        let snap = mgr.poll(&long.id).expect("poll");
+        assert_eq!(snap.phase, Phase::Cancelled, "under {workers} workers");
+        let done = snap.reps_done;
+        assert!(
+            done >= CHUNK && done % CHUNK == 0 && done < long.reps,
+            "reps_done {done}"
+        );
+        assert_eq!(snap.acc.est.count() as usize + snap.acc.failed, done);
+        let prefix = SessionSpec { reps: done, ..long };
+        assert_eq!(
+            key_bits(&snap.acc),
+            key_bits(&one_shot(&prefix)),
+            "the cancelled prefix of {done} replications under {workers} worker(s)"
+        );
         mgr.shutdown();
     }
     executor::set_worker_limit(0);
