@@ -11,7 +11,7 @@ use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::transient::{Columns, TransientExperiment};
-use csmaprobe_stats::ks::two_sample_ks;
+use csmaprobe_stats::ks::KsReference;
 use csmaprobe_traffic::probe::ProbeTrain;
 
 /// Run the experiment.
@@ -48,17 +48,23 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     );
 
     // Steady-state reference: the pooled delays of the last 500
-    // indices, strided down so each per-index KS test stays cheap.
+    // indices, strided down so each per-index KS test stays cheap, and
+    // sorted once for all of them.
     let pooled = data.steady_sample(500);
     let stride = (pooled.len() / 20_000).max(1);
-    let reference: Vec<f64> = pooled.iter().step_by(stride).cloned().collect();
+    let strided: Vec<f64> = pooled.iter().step_by(stride).cloned().collect();
+    let reference = KsReference::new(&strided);
 
     let queue_profile = data.queue_profile();
     let p95 = data.p95_profile();
     let show = 100;
     let mut first_below: Option<usize> = None;
+    let mut ks1 = None;
     for (i, &queued) in queue_profile.iter().take(show).enumerate() {
-        let ks = two_sample_ks(data.delays.sample(i), &reference, 0.05);
+        let ks = reference.test(data.delays.sample(i), 0.05);
+        if i == 0 {
+            ks1 = Some(ks);
+        }
         if first_below.is_none() && !ks.reject {
             first_below = Some(i + 1);
         }
@@ -77,7 +83,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     );
 
     // Check 1: packet 1 rejected.
-    let ks1 = two_sample_ks(data.delays.sample(0), &reference, 0.05);
+    let ks1 = ks1.expect("the profile has a first packet");
     rep.check(
         "first packet off steady state",
         ks1.reject,

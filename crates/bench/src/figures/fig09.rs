@@ -15,7 +15,7 @@ use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::transient::{Columns, TransientExperiment};
-use csmaprobe_stats::ks::two_sample_ks;
+use csmaprobe_stats::ks::KsReference;
 use csmaprobe_traffic::probe::ProbeTrain;
 
 /// Run the experiment.
@@ -41,12 +41,13 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
 
     let pooled = data.steady_sample(100);
     let stride = (pooled.len() / 20_000).max(1);
-    let reference: Vec<f64> = pooled.iter().step_by(stride).cloned().collect();
+    let strided: Vec<f64> = pooled.iter().step_by(stride).cloned().collect();
+    let reference = KsReference::new(&strided);
 
     let show = 50;
     let mut ks_values = Vec::with_capacity(show);
     for i in 0..show {
-        let ks = two_sample_ks(data.delays.sample(i), &reference, 0.05);
+        let ks = reference.test(data.delays.sample(i), 0.05);
         ks_values.push(ks);
         rep.row(vec![(i + 1) as f64, ks.statistic, ks.threshold]);
     }

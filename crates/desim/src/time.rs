@@ -30,15 +30,18 @@ pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// out-of-line call on baseline x86-64, and every Poisson gap passes
 /// through here. Below 2^52 an `f64` may have a fraction; its truncation
 /// and `x - trunc(x)` are exact there, and the fraction rounds half away
-/// from zero as `round` does (negative inputs saturate to 0 either way).
-/// At or above 2^52 every `f64` is an integer, so the plain cast agrees,
-/// and it maps NaN to 0 as the `round` path does.
+/// from zero as `round` does. That branch truncates through `i64`, whose
+/// conversions are single instructions on x86-64 (`u64`'s take a
+/// two-way sequence each); a negative input (or −∞) truncates to at
+/// most 0, never gains the half, and clamps to 0 as `round` then `as
+/// u64` saturates it. At or above 2^52 every `f64` is an integer, so
+/// the plain cast agrees, and it maps NaN to 0 as the `round` path does.
 #[inline]
 fn round_u64(x: f64) -> u64 {
     const EXACT: f64 = (1u64 << 52) as f64;
     if x < EXACT {
-        let t = x as u64;
-        t + u64::from(x - t as f64 >= 0.5)
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)).max(0) as u64
     } else {
         x as u64
     }

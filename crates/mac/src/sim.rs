@@ -21,6 +21,15 @@
 //!    └─> PacketRecord.arrival └─> access delay μ starts            rx_end = data end
 //!                                                       done = ACK end (μ ends)
 //! ```
+//!
+//! ## Per-event costs
+//!
+//! Every event pays for an arrival scan and a transmission scan, and
+//! most events are cross-traffic arrivals, so the loop keeps per-event
+//! work that is not simulation off its path: each station holds its
+//! arrival look-ahead as plain fields (no `Option` to reload) and
+//! memoises its last data airtime, so the airtime's division runs about
+//! once per station per replication.
 
 use crate::options::MacOptions;
 use csmaprobe_desim::rng::{derive_seed, SimRng};
@@ -172,7 +181,20 @@ impl PacketRecord {
 struct Station {
     source: Box<dyn Source>,
     rng: SimRng,
-    next_arrival: Option<PacketArrival>,
+    /// The source's next arrival, [`Time::MAX`] once it is spent (so a
+    /// source that emitted an arrival at `Time::MAX` ends the run as
+    /// one that stopped). Plain fields rather than an
+    /// `Option<PacketArrival>`: the arrival scan compares `next.time`
+    /// alone, and [`PacketArrival::pull`] stores what the source returns
+    /// field by field, so no arrival pays a failed store-to-load
+    /// forward.
+    next: PacketArrival,
+    /// The last payload size this station put on the air and its data
+    /// airtime. Every path that needs a data airtime (success, frame
+    /// error, collision, drop) reads it here, so the airtime's 64-bit
+    /// division runs once per size change — about once per replication,
+    /// as every source in the program sends one fixed size.
+    airtime_memo: (u32, Dur),
     /// FIFO transmission queue: `(arrival, bytes, flow)`; the head is
     /// the packet currently contending.
     queue: VecDeque<(Time, u32, u16)>,
@@ -196,6 +218,15 @@ impl Station {
     fn tx_time(&self, slot: Dur) -> Time {
         debug_assert!(self.contending);
         self.count_start + slot * self.slots_left as u64
+    }
+
+    /// `phy.data_airtime(bytes)`, through the station's memo.
+    #[inline]
+    fn data_airtime(&mut self, phy: &Phy, bytes: u32) -> Dur {
+        if self.airtime_memo.0 != bytes {
+            self.airtime_memo = (bytes, phy.data_airtime(bytes));
+        }
+        self.airtime_memo.1
     }
 }
 
@@ -317,7 +348,9 @@ impl WlanSim {
         self.stations.push(Station {
             source,
             rng,
-            next_arrival: None,
+            // Both set when the run primes its look-ahead.
+            next: PacketArrival::new(Time::MAX, 0),
+            airtime_memo: (0, Dur::ZERO),
             queue: pool::take_queue(),
             head_since: Time::ZERO,
             slots_left: 0,
@@ -358,9 +391,11 @@ impl WlanSim {
         let mut channel = ChannelStats::default();
         let mut stop = self.stop_rule;
 
-        // Prime every station's arrival look-ahead.
+        // Prime every station's arrival look-ahead, and its airtime memo
+        // with the first arrival's size.
         for st in &mut self.stations {
-            st.next_arrival = st.source.next_packet(&mut st.rng);
+            st.next.pull(st.source.as_mut(), &mut st.rng);
+            st.airtime_memo = (st.next.bytes, self.phy.data_airtime(st.next.bytes));
         }
 
         loop {
@@ -375,11 +410,9 @@ impl WlanSim {
             let mut next_arr = Time::MAX;
             let mut arr_station = usize::MAX;
             for (i, st) in self.stations.iter().enumerate() {
-                if let Some(p) = st.next_arrival {
-                    if p.time < next_arr {
-                        next_arr = p.time;
-                        arr_station = i;
-                    }
+                if st.next.time < next_arr {
+                    next_arr = st.next.time;
+                    arr_station = i;
                 }
             }
 
@@ -408,10 +441,10 @@ impl WlanSim {
             if next_arr <= next_tx {
                 // ---- arrival ----
                 let st = &mut self.stations[arr_station];
-                let pkt = st.next_arrival.take().unwrap();
-                st.next_arrival = st.source.next_packet(&mut st.rng);
+                let pkt = st.next;
+                st.next.pull(st.source.as_mut(), &mut st.rng);
                 debug_assert!(
-                    st.next_arrival.map(|n| n.time >= pkt.time).unwrap_or(true),
+                    st.next.time >= pkt.time,
                     "source emitted decreasing arrival times"
                 );
                 st.queue.push_back((pkt.time, pkt.bytes, pkt.flow));
@@ -476,7 +509,7 @@ impl WlanSim {
                 let (arrival, bytes, flow) = *st.queue.front().expect("winner with empty queue");
                 let uses_rts = self.options.uses_rts(bytes);
                 let preface = if uses_rts { rts_preface } else { Dur::ZERO };
-                let data = self.phy.data_airtime(bytes);
+                let data = st.data_airtime(&self.phy, bytes);
                 if failed {
                     // ---- corrupted data frame: no ACK, BEB retry ----
                     channel.frame_errors += 1;
@@ -537,19 +570,18 @@ impl WlanSim {
                 // ---- collision ----
                 self.collisions += 1;
                 channel.collisions += 1;
-                let max_frame = winners
-                    .iter()
-                    .map(|&i| {
-                        let (_, bytes, _) = *self.stations[i].queue.front().unwrap();
-                        if self.options.uses_rts(bytes) {
-                            // RTS/CTS: only the short RTS collides.
-                            rts_airtime
-                        } else {
-                            self.phy.data_airtime(bytes)
-                        }
-                    })
-                    .max()
-                    .unwrap();
+                let mut max_frame = Dur::ZERO;
+                for &i in &winners {
+                    let st = &mut self.stations[i];
+                    let (_, bytes, _) = *st.queue.front().unwrap();
+                    let frame = if self.options.uses_rts(bytes) {
+                        // RTS/CTS: only the short RTS collides.
+                        rts_airtime
+                    } else {
+                        st.data_airtime(&self.phy, bytes)
+                    };
+                    max_frame = max_frame.max(frame);
+                }
                 // The channel is unusable for the longest frame plus the
                 // ACK/CTS-timeout the colliders observe before resuming.
                 busy_end = t + max_frame + sifs_ack;
@@ -561,10 +593,11 @@ impl WlanSim {
                     if st.retries > retry_limit {
                         // Drop the frame.
                         let (arrival, bytes, flow) = *st.queue.front().unwrap();
+                        let rx_end = t + st.data_airtime(&self.phy, bytes);
                         st.records.push(PacketRecord {
                             arrival,
                             head: st.head_since,
-                            rx_end: t + self.phy.data_airtime(bytes),
+                            rx_end,
                             done: busy_end,
                             bytes,
                             retries: st.retries,
@@ -645,11 +678,11 @@ impl SimOutput {
     /// Records of one flow within a station (probe vs FIFO
     /// cross-traffic sharing the queue), in completion order.
     pub fn flow_records(&self, id: StationId, flow: u16) -> Vec<PacketRecord> {
-        self.station_records[id.0]
-            .iter()
-            .filter(|r| r.flow == flow)
-            .copied()
-            .collect()
+        let recs = &self.station_records[id.0];
+        // Count first, so the copy allocates once and never grows.
+        let mut out = Vec::with_capacity(recs.iter().filter(|r| r.flow == flow).count());
+        out.extend(recs.iter().filter(|r| r.flow == flow));
+        out
     }
 
     /// Number of stations simulated.

@@ -156,6 +156,7 @@ impl Phy {
 
     /// Airtime of a data MPDU carrying `payload_bytes` of higher-layer
     /// payload (MAC header and FCS are added internally).
+    #[inline]
     pub fn data_airtime(&self, payload_bytes: u32) -> Dur {
         let bytes = payload_bytes + MAC_DATA_OVERHEAD_BYTES;
         self.frame_airtime(bytes, self.data_rate_bps)
@@ -188,6 +189,7 @@ impl Phy {
 
     /// Airtime of an arbitrary MPDU of `mpdu_bytes` (already including
     /// MAC overhead) at `rate_bps`, including PLCP overhead.
+    #[inline]
     pub fn frame_airtime(&self, mpdu_bytes: u32, rate_bps: u64) -> Dur {
         if self.ofdm {
             self.plcp + ofdm::symbol_padded_airtime(mpdu_bytes, rate_bps)

@@ -31,11 +31,12 @@ impl Default for MixConfig {
     fn default() -> Self {
         MixConfig {
             // "wired" repeated to weight it 7/8. Per session (32 reps,
-            // one core of a 2-core x86-64 Xeon) wired costs ~3 ms on
-            // average (train and chirp ~0.2, slops 3-3.5, topp 7.5-8
-            // ms) and wlan_low 5-6 ms (train 0.3-0.4, chirp ~0.5,
-            // slops 4.6-5.5, topp 13-15 ms), so wired sessions carry
-            // ~80% of the compute.
+            // one core of a 2-core x86-64 Xeon, median of 15 seeds per
+            // stratum) wired costs ~2.8 ms on average (train and chirp
+            // 0.13-0.26, slops 2.6-3.2, topp 7-8.6 ms) and wlan_low
+            // 4.5-5.3 ms (train and chirp 0.28-0.47, slops 4.8-6.2,
+            // topp 12-18 ms), so wired sessions carry ~80% of the
+            // compute.
             links: vec![
                 "wired".into(),
                 "wired".into(),

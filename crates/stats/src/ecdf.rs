@@ -58,25 +58,9 @@ impl Ecdf {
     /// from `(X_(0) := X_(1))`, i.e. evaluates to values in `(0, 1/n]`
     /// only at `X_(1)` itself (0 below).
     pub fn eval_interpolated(&self, x: f64) -> f64 {
-        let n = self.sorted.len();
-        let first = self.sorted[0];
-        let last = self.sorted[n - 1];
-        if x < first {
-            return 0.0;
-        }
-        if x >= last {
-            return 1.0;
-        }
         // Find the segment [X_(k), X_(k+1)) containing x (1-based k).
         let k = self.sorted.partition_point(|&v| v <= x); // #{X_i <= x}
-        let x_k = self.sorted[k - 1];
-        let x_next = self.sorted[k];
-        let f_k = k as f64 / n as f64;
-        let f_next = (k + 1) as f64 / n as f64;
-        if x_next == x_k {
-            return f_k;
-        }
-        f_k + (f_next - f_k) * (x - x_k) / (x_next - x_k)
+        interpolated_at(&self.sorted, k, x)
     }
 
     /// The `p`-quantile by inverted step ECDF (type-1). `p` in `[0,1]`.
@@ -94,6 +78,27 @@ impl Ecdf {
     pub fn mean(&self) -> f64 {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
+}
+
+/// [`Ecdf::eval_interpolated`] over the sorted sample `sorted`, given
+/// `k = #{X_i ≤ x}`. Callers that know `k` from a forward walk get the
+/// same `f64` as the binary search, bit for bit.
+pub(crate) fn interpolated_at(sorted: &[f64], k: usize, x: f64) -> f64 {
+    let n = sorted.len();
+    if x < sorted[0] {
+        return 0.0;
+    }
+    if x >= sorted[n - 1] {
+        return 1.0;
+    }
+    let x_k = sorted[k - 1];
+    let x_next = sorted[k];
+    let f_k = k as f64 / n as f64;
+    let f_next = (k + 1) as f64 / n as f64;
+    if x_next == x_k {
+        return f_k;
+    }
+    f_k + (f_next - f_k) * (x - x_k) / (x_next - x_k)
 }
 
 #[cfg(test)]

@@ -7,8 +7,15 @@
 //! continuous one by linear interpolation before computing the
 //! statistic; the 95 % critical value is
 //! `c(α)·√((n+m)/(n·m))` with `c(0.05) = 1.358`.
+//!
+//! A profile tests many samples (one per packet index) against one
+//! reference, so [`KsReference`] sorts the reference once and each
+//! [`KsReference::test`] sorts only its sample, then computes the
+//! statistic in one forward walk over both sorted samples.
+//! [`ks_statistic`], which evaluates each ECDF by binary search, is the
+//! definition the walk is tested against, bit for bit.
 
-use crate::ecdf::Ecdf;
+use crate::ecdf::{interpolated_at, Ecdf};
 
 /// Result of a two-sample KS comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,6 +47,10 @@ pub fn ks_critical_value(n: usize, m: usize, alpha: f64) -> f64 {
 /// Two-sample KS statistic between `sample` (step ECDF) and `reference`
 /// (linearly interpolated ECDF), evaluated at the observation points of
 /// both samples including left limits at the step discontinuities.
+///
+/// The reference implementation: two binary searches per evaluation
+/// point. The program goes through [`KsReference`], which must return
+/// the same bits.
 pub fn ks_statistic(sample: &Ecdf, reference: &Ecdf) -> f64 {
     let mut sup: f64 = 0.0;
     let n = sample.len() as f64;
@@ -66,22 +77,142 @@ pub fn ks_statistic(sample: &Ecdf, reference: &Ecdf) -> f64 {
 /// (0.05 for the paper's 95 % confidence threshold).
 ///
 /// `sample` is tested against `reference`; the reference ECDF is the
-/// linearly-interpolated one, per the paper's methodology.
+/// linearly-interpolated one, per the paper's methodology. To test
+/// several samples against one reference, build a [`KsReference`] once.
 pub fn two_sample_ks(sample: &[f64], reference: &[f64], alpha: f64) -> KsOutcome {
-    let s = Ecdf::new(sample.to_vec());
-    let r = Ecdf::new(reference.to_vec());
-    let statistic = ks_statistic(&s, &r);
-    let threshold = ks_critical_value(s.len(), r.len(), alpha);
-    KsOutcome {
-        statistic,
-        threshold,
-        reject: statistic > threshold,
+    KsReference::new(reference).test(sample, alpha)
+}
+
+/// A KS reference sample, sorted once, to test any number of samples
+/// against (the steady-state pool of a per-index KS profile).
+#[derive(Debug, Clone)]
+pub struct KsReference {
+    sorted: Ecdf,
+}
+
+impl KsReference {
+    /// Sort `reference`. Panics if it is empty or contains NaN.
+    pub fn new(reference: &[f64]) -> Self {
+        KsReference {
+            sorted: Ecdf::new(reference.to_vec()),
+        }
+    }
+
+    /// [`two_sample_ks`] of `sample` against this reference: the same
+    /// outcome, bit for bit. Panics if `sample` is empty or contains
+    /// NaN.
+    pub fn test(&self, sample: &[f64], alpha: f64) -> KsOutcome {
+        let s = Ecdf::new(sample.to_vec());
+        let statistic = self.statistic(s.values());
+        let threshold = ks_critical_value(s.len(), self.sorted.len(), alpha);
+        KsOutcome {
+            statistic,
+            threshold,
+            reject: statistic > threshold,
+        }
+    }
+
+    /// [`ks_statistic`] of the sorted sample `s`, in one forward walk.
+    ///
+    /// It visits the points in the order [`ks_statistic`] does: the
+    /// sample's (ascending), then the reference's (ascending). So the
+    /// counts `#{r ≤ x}` and `#{s ≤ x}` the ECDFs need can come from
+    /// cursors that only move forward instead of binary searches; they
+    /// stop at the same indices as `partition_point(|v| v <= x)`, so
+    /// every evaluated `f64` is the same.
+    fn statistic(&self, s: &[f64]) -> f64 {
+        // Advance `k` past every value of `v` at or below `x`.
+        fn count_to(v: &[f64], k: &mut usize, x: f64) -> usize {
+            while *k < v.len() && v[*k] <= x {
+                *k += 1;
+            }
+            *k
+        }
+        let r = self.sorted.values();
+        let nf = s.len() as f64;
+        let mut sup: f64 = 0.0;
+        let (mut kr, mut ks) = (0, 0);
+        for (i, &x) in s.iter().enumerate() {
+            let f_ref = interpolated_at(r, count_to(r, &mut kr, x), x);
+            let f_post = count_to(s, &mut ks, x) as f64 / nf;
+            let f_pre = i as f64 / nf; // left limit of the step function
+            sup = sup.max((f_post - f_ref).abs());
+            sup = sup.max((f_pre - f_ref).abs());
+        }
+        let (mut kr, mut ks) = (0, 0);
+        for &x in r {
+            let f_ref = interpolated_at(r, count_to(r, &mut kr, x), x);
+            let f_s = count_to(s, &mut ks, x) as f64 / nf;
+            sup = sup.max((f_s - f_ref).abs());
+        }
+        sup
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`KsReference::test`] against the oracle: the statistic and the
+    /// threshold bit for bit, and the verdict they give.
+    fn assert_walk_is_oracle(sample: &[f64], reference: &[f64]) {
+        let walked = KsReference::new(reference).test(sample, 0.05);
+        let statistic = ks_statistic(&Ecdf::new(sample.to_vec()), &Ecdf::new(reference.to_vec()));
+        let threshold = ks_critical_value(sample.len(), reference.len(), 0.05);
+        assert_eq!(
+            walked.statistic.to_bits(),
+            statistic.to_bits(),
+            "statistic {} vs oracle {statistic} (n = {}, m = {})",
+            walked.statistic,
+            sample.len(),
+            reference.len()
+        );
+        assert_eq!(walked.threshold.to_bits(), threshold.to_bits());
+        assert_eq!(walked.reject, statistic > threshold);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Values sit on a grid of `levels` points, so ties within and
+        // across the samples are common (one level makes every value
+        // equal); the sample's offset ranges from wholly below the
+        // reference to wholly above it.
+        #[test]
+        fn walk_equals_ks_statistic_bit_for_bit(
+            sample in prop::collection::vec(any::<u64>(), 1..301),
+            reference in prop::collection::vec(any::<u64>(), 1..2001),
+            levels in 1u64..600,
+            offset in 0u64..2400,
+        ) {
+            let at = |v: &u64, shift: f64| (v % levels) as f64 * 0.25 + shift;
+            let shift = (offset as f64 - 1200.0) * 0.25;
+            let s: Vec<f64> = sample.iter().map(|v| at(v, shift)).collect();
+            let r: Vec<f64> = reference.iter().map(|v| at(v, 0.0)).collect();
+            assert_walk_is_oracle(&s, &r);
+        }
+    }
+
+    #[test]
+    fn walk_equals_ks_statistic_on_the_edges() {
+        let grid = uniform_grid(200, 0.0, 1.0);
+        let ties = [0.5, 0.25, 0.5, 0.75, 0.5, 0.25];
+        let cases: [(&[f64], &[f64]); 9] = [
+            (&[0.3], &grid),
+            (&grid, &[0.3]),
+            (&[0.3], &[0.3]),
+            (&[0.3], &[0.7]),
+            (&grid, &grid),
+            (&ties, &ties),
+            (&[-2.0, -1.0, -1.0], &grid),
+            (&[5.0, 5.0, 6.0], &grid),
+            (&[0.5; 7], &[0.5; 3]),
+        ];
+        for (sample, reference) in cases {
+            assert_walk_is_oracle(sample, reference);
+        }
+    }
 
     fn uniform_grid(n: usize, lo: f64, hi: f64) -> Vec<f64> {
         (0..n)

@@ -33,7 +33,7 @@ pub mod transient;
 pub use accumulate::Accumulate;
 pub use ecdf::Ecdf;
 pub use histogram::Histogram;
-pub use ks::{ks_critical_value, two_sample_ks, KsOutcome};
+pub use ks::{ks_critical_value, two_sample_ks, KsOutcome, KsReference};
 pub use mser::{mser_m, MserResult};
 pub use online::OnlineStats;
 pub use p2::P2Quantile;

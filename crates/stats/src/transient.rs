@@ -9,7 +9,7 @@
 //! rule — "the first packet whose average access delay lays within
 //! (tolerance) of the expected access delay in steady-state conditions".
 
-use crate::ks::{two_sample_ks, KsOutcome};
+use crate::ks::{KsOutcome, KsReference};
 use crate::online::OnlineStats;
 use crate::p2::P2Quantile;
 
@@ -150,11 +150,13 @@ impl IndexedSeries {
 
     /// KS-test every index against a reference sample (§4, Figs 8/9):
     /// returns one [`KsOutcome`] per index, comparing the per-index
-    /// sample (step ECDF) with the reference (interpolated ECDF).
+    /// sample (step ECDF) with the reference (interpolated ECDF). The
+    /// reference is sorted once for all indices.
     pub fn ks_profile(&self, reference: &[f64], alpha: f64) -> Vec<KsOutcome> {
+        let reference = KsReference::new(reference);
         self.samples
             .iter()
-            .map(|s| two_sample_ks(s, reference, alpha))
+            .map(|s| reference.test(s, alpha))
             .collect()
     }
 

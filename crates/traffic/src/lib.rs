@@ -53,17 +53,41 @@ impl PacketArrival {
             flow: 0,
         }
     }
+
+    /// Refill this look-ahead slot with `source`'s next arrival; a spent
+    /// source sets `time` to [`Time::MAX`] and leaves the rest.
+    ///
+    /// The fields are copied one at a time on purpose: the callee writes
+    /// the returned arrival with 8-, 4- and 2-byte stores, and copying it
+    /// whole (as assigning an `Option<PacketArrival>` does) reloads it
+    /// with wider loads, which fail store-to-load forwarding on every
+    /// arrival. Field-sized loads forward.
+    #[inline]
+    pub fn pull(&mut self, source: &mut dyn Source, rng: &mut SimRng) {
+        match source.next_packet(rng) {
+            Some(p) => {
+                self.time = p.time;
+                self.bytes = p.bytes;
+                self.flow = p.flow;
+            }
+            None => self.time = Time::MAX,
+        }
+    }
 }
 
 /// Merge several sources into one, preserving global time order (ties
-/// resolved in favour of the earlier-added source).
+/// resolved in favour of the earlier-added source). An arrival at
+/// [`Time::MAX`] counts as the end of its source.
 ///
 /// Used to put probe traffic and FIFO cross-traffic into the *same*
 /// station transmission queue.
 pub struct MergeSource {
     sources: Vec<Box<dyn Source>>,
-    /// One look-ahead packet per source.
-    pending: Vec<Option<PacketArrival>>,
+    /// One look-ahead packet per source, [`Time::MAX`] once that source
+    /// is spent. Plain packets rather than `Option`s: the scan reads
+    /// the times alone, and a refill stores the fields the source
+    /// returned one by one (see [`PacketArrival::pull`]).
+    pending: Vec<PacketArrival>,
     primed: bool,
 }
 
@@ -73,7 +97,7 @@ impl MergeSource {
         let n = sources.len();
         MergeSource {
             sources,
-            pending: vec![None; n],
+            pending: vec![PacketArrival::new(Time::MAX, 0); n],
             primed: false,
         }
     }
@@ -82,25 +106,27 @@ impl MergeSource {
 impl Source for MergeSource {
     fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival> {
         if !self.primed {
-            for (i, s) in self.sources.iter_mut().enumerate() {
-                self.pending[i] = s.next_packet(rng);
+            for (p, s) in self.pending.iter_mut().zip(&mut self.sources) {
+                p.pull(s.as_mut(), rng);
             }
             self.primed = true;
         }
-        // Pick the earliest pending arrival.
-        let mut best: Option<usize> = None;
+        // The earliest pending arrival; strict `<` keeps the
+        // earlier-added source on a tie.
+        let mut best = usize::MAX;
+        let mut best_time = Time::MAX;
         for (i, p) in self.pending.iter().enumerate() {
-            if let Some(pkt) = p {
-                match best {
-                    Some(b) if self.pending[b].unwrap().time <= pkt.time => {}
-                    _ => best = Some(i),
-                }
+            if p.time < best_time {
+                best_time = p.time;
+                best = i;
             }
         }
-        let i = best?;
-        let out = self.pending[i].take();
-        self.pending[i] = self.sources[i].next_packet(rng);
-        out
+        if best == usize::MAX {
+            return None;
+        }
+        let out = self.pending[best];
+        self.pending[best].pull(self.sources[best].as_mut(), rng);
+        Some(out)
     }
 }
 
@@ -128,8 +154,19 @@ pub enum SizeModel {
 }
 
 impl SizeModel {
-    /// Draw one payload size.
+    /// Draw one payload size. A fixed size (what every source in the
+    /// program uses) is read inline; the random models draw out of line.
+    #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
+        match self {
+            SizeModel::Fixed(b) => *b,
+            _ => self.sample_random(rng),
+        }
+    }
+
+    /// [`SizeModel::sample`] for the models that draw.
+    #[inline(never)]
+    fn sample_random(&self, rng: &mut SimRng) -> u32 {
         match self {
             SizeModel::Fixed(b) => *b,
             SizeModel::Choice(items) => {

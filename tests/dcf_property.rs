@@ -414,3 +414,40 @@ fn kernel_fingerprint_is_frozen() {
         assert_eq!(fp, frozen, "{name}: fingerprint {fp:#018x}");
     }
 }
+
+/// A station whose source never emits changes nothing. Appended as the
+/// last station of the fig09 link (its look-ahead spent from the start,
+/// its random stream its own), it leaves every other station's records
+/// and the channel accounting bit for bit as they were, and it neither
+/// completes nor leaves behind a packet.
+#[test]
+fn spent_source_station_changes_nothing() {
+    let fig09 = LinkConfig::default()
+        .contending(CrossSpec::poisson_sized(100_000.0, 40))
+        .contending(CrossSpec::poisson_sized(500_000.0, 576))
+        .contending(CrossSpec::poisson_sized(750_000.0, 1000))
+        .contending(CrossSpec::poisson_sized(2_000_000.0, 1500));
+    let with_spent = fig09
+        .clone()
+        .contending(CrossSpec::poisson_sized(0.0, 1500));
+    let train = ProbeTrain::from_rate(200, 1500, 0.5e6);
+    for seed in 0..4 {
+        let base = WlanLink::new(fig09.clone()).send_train(train, seed);
+        let run = WlanLink::new(with_spent.clone()).send_train(train, seed);
+        let (b, o) = (&base.output, &run.output);
+        assert_eq!(o.station_count(), b.station_count() + 1);
+        for s in 0..b.station_count() {
+            assert_eq!(
+                o.records(StationId(s)),
+                b.records(StationId(s)),
+                "station {s}"
+            );
+        }
+        assert_eq!(run.probe, base.probe);
+        assert_eq!(o.channel, b.channel);
+        assert_eq!(o.last_done, b.last_done);
+        let spent = *run.contending.last().unwrap();
+        assert!(o.records(spent).is_empty());
+        assert_eq!(o.queue_len_at(spent, Time::MAX), 0, "unfinished arrivals");
+    }
+}

@@ -349,6 +349,45 @@ proptest! {
         prop_assert_eq!(flows[1], a_gaps.len());
         prop_assert_eq!(flows[2], b_gaps.len());
     }
+
+    // Gaps of 0-2 µs make equal instants common, within one trace and
+    // across the two; an empty trace sits first, between or last. The
+    // merge is a stable sort of the traces in source order: an earlier
+    // source wins every tie, and a spent one is skipped.
+    #[test]
+    fn merge_source_is_a_stable_sort_in_source_order(
+        a_gaps in prop::collection::vec(0u64..3, 1..40),
+        b_gaps in prop::collection::vec(0u64..3, 1..40),
+        empty_at in 0usize..3,
+    ) {
+        use csmaprobe::traffic::{MergeSource, PacketArrival, Source, TraceSource};
+        // `bytes` numbers the packets within their trace.
+        let mk = |gaps: &[u64], flow: u16| {
+            let mut t = 0u64;
+            gaps.iter()
+                .enumerate()
+                .map(|(i, &g)| {
+                    t += g;
+                    PacketArrival { time: Time::from_micros(t), bytes: i as u32, flow }
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut traces = vec![mk(&a_gaps, 1), mk(&b_gaps, 2)];
+        traces.insert(empty_at, Vec::new());
+        let mut expected = traces.concat();
+        expected.sort_by_key(|p| p.time);
+        let sources = traces
+            .into_iter()
+            .map(|t| Box::new(TraceSource::new(t)) as Box<dyn Source>)
+            .collect();
+        let mut merged = MergeSource::new(sources);
+        let mut rng = SimRng::new(1);
+        // One pull past the end must find the merge spent.
+        let got: Vec<PacketArrival> = std::iter::from_fn(|| merged.next_packet(&mut rng))
+            .take(expected.len() + 1)
+            .collect();
+        prop_assert_eq!(got, expected);
+    }
 }
 
 // MAC invariants need bigger machinery; keep the case count small.
