@@ -25,6 +25,7 @@ use csmaprobe_desim::time::Dur;
 use csmaprobe_probe::tool::{ToolKind, ToolProbe};
 use csmaprobe_stats::accumulate::Accumulate;
 use csmaprobe_stats::online::OnlineStats;
+use std::borrow::Cow;
 
 /// Probing rate of the plain train tool, bits/s: saturating, so its
 /// dispersion reads the achievable throughput (§5.2).
@@ -73,17 +74,33 @@ enum LinkKind {
     Wlan { contending_bps: f64, fifo_bps: f64 },
 }
 
-/// One named point of the link axis.
+/// One named point of the link axis. `N` holds the name: a `&'static
+/// str` for the catalog and for the points [`parse_links`] returns, an
+/// [`OwnedLinkPoint`]'s own name otherwise.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkPoint {
-    /// Catalog name (what `--links` matches).
-    pub name: &'static str,
+pub struct LinkPoint<N = &'static str> {
+    /// Catalog name (what `--links` matches), or an inline spec's
+    /// canonical name.
+    pub name: N,
     /// One-line description.
     pub title: &'static str,
     kind: LinkKind,
 }
 
-impl LinkPoint {
+/// A link point that frees what it holds when dropped: an inline
+/// spec's name is its own, a catalog point's is borrowed.
+pub type OwnedLinkPoint = LinkPoint<Cow<'static, str>>;
+
+impl<N> LinkPoint<N> {
+    /// The same point under its name converted by `f`.
+    fn map_name<M>(self, f: impl FnOnce(N) -> M) -> LinkPoint<M> {
+        LinkPoint {
+            name: f(self.name),
+            title: self.title,
+            kind: self.kind,
+        }
+    }
+
     /// Build the runnable target.
     pub fn build(&self) -> GridTarget {
         match self.kind {
@@ -163,13 +180,34 @@ pub const LINKS: &[LinkPoint] = &[
     },
 ];
 
-/// One named point of the train-shape axis.
+/// One named point of the train-shape axis; `N` holds the name, as for
+/// [`LinkPoint`].
 #[derive(Debug, Clone, Copy)]
-pub struct TrainPoint {
-    /// Catalog name (what `--trains` matches).
-    pub name: &'static str,
+pub struct TrainPoint<N = &'static str> {
+    /// Catalog name (what `--trains` matches), or an inline spec's
+    /// canonical name.
+    pub name: N,
     /// Packets per train.
     pub n: usize,
+}
+
+/// A train point that frees what it holds when dropped (see
+/// [`OwnedLinkPoint`]).
+pub type OwnedTrainPoint = TrainPoint<Cow<'static, str>>;
+
+impl<N> TrainPoint<N> {
+    /// The same point under its name converted by `f`.
+    fn map_name<M>(self, f: impl FnOnce(N) -> M) -> TrainPoint<M> {
+        TrainPoint {
+            name: f(self.name),
+            n: self.n,
+        }
+    }
+}
+
+/// Give `name` the program's lifetime: for axes parsed once per run.
+fn leak_name(name: String) -> &'static str {
+    Box::leak(name.into_boxed_str())
 }
 
 /// The train-shape catalog: the short trains real tools send (and the
@@ -259,12 +297,11 @@ impl InlineLink {
             .unwrap_or(default)
     }
 
-    /// Build the (leaked, CLI-lifetime) catalog point. The name is
-    /// **canonical** — every parameter spelled out from its parsed
-    /// value — so the same spec in any notation (`6e6` vs `6000000`)
-    /// names the same cell, seeds the same replications, and
-    /// fingerprints the same run configuration.
-    fn build(self) -> Result<&'static LinkPoint, String> {
+    /// Build the point. The name is **canonical** — every parameter
+    /// spelled out from its parsed value — so the same spec in any
+    /// notation (`6e6` vs `6000000`) names the same cell, seeds the same
+    /// replications, and fingerprints the same run configuration.
+    fn build(self) -> Result<LinkPoint<String>, String> {
         let (name, kind) = match self.kind.as_str() {
             "wlan" => {
                 let cross = self.get("cross", 0.0);
@@ -305,11 +342,11 @@ impl InlineLink {
                 ))
             }
         };
-        Ok(&*Box::leak(Box::new(LinkPoint {
-            name: Box::leak(name.into_boxed_str()),
+        Ok(LinkPoint {
+            name,
             title: "inline spec",
             kind,
-        })))
+        })
     }
 }
 
@@ -360,14 +397,39 @@ fn unknown_axis_point(what: &str, part: &str, catalog: &[&str], hint: &str) -> S
 /// Every inline bits/s value must lie in 0 ..= [`MAX_INLINE_BPS`], and a
 /// wired capacity must be at least [`MIN_WIRED_CAPACITY_BPS`]: these
 /// specs arrive from the command line and the wire.
+///
+/// Inline points live as long as the program, which suits an axis
+/// parsed once per run; [`parse_owned_links`] is for callers that parse
+/// without end.
 pub fn parse_links(csv: &str) -> Result<Vec<&'static LinkPoint>, String> {
+    parse_link_axis(csv, |p| p, |p| Box::leak(Box::new(p.map_name(leak_name))))
+}
+
+/// [`parse_links`] whose points are dropped with their holder — what a
+/// server resolving every submit uses, so refused and finished sessions
+/// leave nothing behind.
+pub fn parse_owned_links(csv: &str) -> Result<Vec<OwnedLinkPoint>, String> {
+    parse_link_axis(
+        csv,
+        |p| p.map_name(Cow::Borrowed),
+        |p| p.map_name(Cow::Owned),
+    )
+}
+
+/// The `--links` grammar of [`parse_links`], handing each catalog point
+/// to `catalog_point` and each inline point to `inline`.
+fn parse_link_axis<T>(
+    csv: &str,
+    catalog_point: impl Fn(&'static LinkPoint) -> T,
+    inline: impl Fn(LinkPoint<String>) -> T,
+) -> Result<Vec<T>, String> {
     let catalog: Vec<&str> = LINKS.iter().map(|l| l.name).collect();
     // The inline spec being built, shared by the per-part closure and
     // the end-of-axis flush.
     let open: std::cell::RefCell<Option<InlineLink>> = std::cell::RefCell::new(None);
-    let flush = |out: &mut Vec<&'static LinkPoint>| -> Result<(), String> {
+    let flush = |out: &mut Vec<T>| -> Result<(), String> {
         if let Some(spec) = open.borrow_mut().take() {
-            out.push(spec.build()?);
+            out.push(inline(spec.build()?));
         }
         Ok(())
     };
@@ -405,7 +467,7 @@ pub fn parse_links(csv: &str) -> Result<Vec<&'static LinkPoint>, String> {
                 flush(out)?;
                 match find_link(part) {
                     Some(p) => {
-                        out.push(p);
+                        out.push(catalog_point(p));
                         Ok(())
                     }
                     None => Err(unknown_axis_point(
@@ -426,7 +488,30 @@ pub fn parse_links(csv: &str) -> Result<Vec<&'static LinkPoint>, String> {
 /// canonically (`n=50`), so they participate in seeds and the
 /// run-config fingerprint like catalog points. An inline count must lie
 /// in 1 ..= [`MAX_TRAIN_PACKETS`].
+///
+/// Inline points live as long as the program, as in [`parse_links`];
+/// [`parse_owned_trains`] is for callers that parse without end.
 pub fn parse_trains(csv: &str) -> Result<Vec<&'static TrainPoint>, String> {
+    parse_train_axis(csv, |p| p, |p| Box::leak(Box::new(p.map_name(leak_name))))
+}
+
+/// [`parse_trains`] whose points are dropped with their holder (see
+/// [`parse_owned_links`]).
+pub fn parse_owned_trains(csv: &str) -> Result<Vec<OwnedTrainPoint>, String> {
+    parse_train_axis(
+        csv,
+        |p| p.map_name(Cow::Borrowed),
+        |p| p.map_name(Cow::Owned),
+    )
+}
+
+/// The `--trains` grammar of [`parse_trains`], handing each catalog
+/// point to `catalog_point` and each inline point to `inline`.
+fn parse_train_axis<T>(
+    csv: &str,
+    catalog_point: impl Fn(&'static TrainPoint) -> T,
+    inline: impl Fn(TrainPoint<String>) -> T,
+) -> Result<Vec<T>, String> {
     let catalog: Vec<&str> = TRAINS.iter().map(|t| t.name).collect();
     parse_axis(
         "train",
@@ -446,15 +531,15 @@ pub fn parse_trains(csv: &str) -> Result<Vec<&'static TrainPoint>, String> {
                         "train packet count n={n} is above the bound of {MAX_TRAIN_PACKETS}"
                     ));
                 }
-                out.push(&*Box::leak(Box::new(TrainPoint {
-                    name: Box::leak(format!("n={n}").into_boxed_str()),
+                out.push(inline(TrainPoint {
+                    name: format!("n={n}"),
                     n,
-                })));
+                }));
                 Ok(())
             } else {
                 match find_train(part) {
                     Some(p) => {
-                        out.push(p);
+                        out.push(catalog_point(p));
                         Ok(())
                     }
                     None => Err(unknown_axis_point(
@@ -815,6 +900,13 @@ mod tests {
         assert_eq!(links[1].name, "wlan:cross=6000000,fifo=1000000");
         assert!(links[1].is_wlan());
         assert_eq!(links[2].name, "wlan_mid");
+        // The owned parse reads the same points; catalog names stay
+        // borrowed.
+        let owned = parse_owned_links("wired,wlan:cross=6e6,fifo=1e6,wlan_mid").unwrap();
+        let names: Vec<&str> = owned.iter().map(|p| &*p.name).collect();
+        assert_eq!(names, links.iter().map(|p| p.name).collect::<Vec<_>>());
+        assert!(matches!(owned[0].name, Cow::Borrowed("wired")));
+        assert!(owned[1].is_wlan());
         // Canonical naming: notation does not matter.
         let again = parse_links("wlan:cross=6000000,fifo=1000000").unwrap();
         assert_eq!(again[0].name, links[1].name);
@@ -869,6 +961,12 @@ mod tests {
         assert_eq!(trains.len(), 3);
         assert_eq!(trains[1].name, "n=50");
         assert_eq!(trains[1].n, 50);
+        let owned = parse_owned_trains("short,n=50,long").unwrap();
+        let owned: Vec<(&str, usize)> = owned.iter().map(|t| (&*t.name, t.n)).collect();
+        assert_eq!(
+            owned,
+            trains.iter().map(|t| (t.name, t.n)).collect::<Vec<_>>()
+        );
         assert!(parse_trains("n=0").is_err());
         assert!(parse_trains("n=five").is_err());
         for spec in ["n=10001", "n=10000000000", "n=18446744073709551615"] {

@@ -23,7 +23,7 @@ use crate::engine::{self, EngineTier};
 use csmaprobe_desim::rng::{derive_seed, SimRng};
 use csmaprobe_desim::time::{Dur, Time};
 use csmaprobe_mac::options::MacOptions;
-use csmaprobe_mac::sim::{PacketRecord, StationId, WlanSim};
+use csmaprobe_mac::sim::{PacketRecord, SimOutput, StationId, WlanSim};
 use csmaprobe_mac::{BianchiModel, NonSatModel};
 use csmaprobe_phy::Phy;
 use csmaprobe_queueing::fifo::{probe_departures, Job};
@@ -329,14 +329,28 @@ pub struct WlanTrainRun {
     /// Probe-flow packet records, in order.
     pub probe: Vec<PacketRecord>,
     /// The full simulation output (cross stations, queue lengths, …).
-    pub output: csmaprobe_mac::sim::SimOutput,
+    pub output: SimOutput,
     /// The probe station id.
     pub probe_station: StationId,
     /// Contending station ids, in config order.
     pub contending: Vec<StationId>,
 }
 
+/// A probe sequence's simulation output, its probe station and its
+/// contending stations in config order.
+pub(crate) type SimulatedRun = (SimOutput, StationId, Vec<StationId>);
+
 impl WlanTrainRun {
+    /// Copy the probe records out of a simulated run.
+    fn new((output, probe_station, contending): SimulatedRun) -> Self {
+        WlanTrainRun {
+            probe: output.flow_records(probe_station, FLOW_PROBE),
+            output,
+            probe_station,
+            contending,
+        }
+    }
+
     /// Access delays of the probe packets, seconds.
     pub fn access_delays_s(&self) -> Vec<f64> {
         self.probe
@@ -370,21 +384,38 @@ impl WlanLink {
     /// `warmup`; cross-traffic runs from t = 0 until well past the
     /// train's worst-case completion.
     pub fn send_train(&self, train: ProbeTrain, seed: u64) -> WlanTrainRun {
-        let train = ProbeTrain {
-            flow: FLOW_PROBE,
-            ..train
-        };
-        let start = Time::ZERO + self.cfg.warmup;
-        self.send_arrivals(train.arrivals(start), seed)
+        WlanTrainRun::new(self.simulate_train(train, seed))
     }
 
     /// Send an explicit probe arrival sequence (flow tags are
     /// overwritten with the probe tag).
     pub fn send_arrivals(
         &self,
-        mut probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
+        probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
         seed: u64,
     ) -> WlanTrainRun {
+        WlanTrainRun::new(self.simulate_arrivals(probe_arrivals, seed))
+    }
+
+    /// [`WlanLink::send_train`] without copying out the probe records:
+    /// the simulation output, the probe station and the contending
+    /// stations in config order.
+    pub(crate) fn simulate_train(&self, train: ProbeTrain, seed: u64) -> SimulatedRun {
+        let train = ProbeTrain {
+            flow: FLOW_PROBE,
+            ..train
+        };
+        let start = Time::ZERO + self.cfg.warmup;
+        self.simulate_arrivals(train.arrivals(start), seed)
+    }
+
+    /// [`WlanLink::send_arrivals`] without copying out the probe
+    /// records (see [`WlanLink::simulate_train`]).
+    fn simulate_arrivals(
+        &self,
+        mut probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
+        seed: u64,
+    ) -> SimulatedRun {
         for p in &mut probe_arrivals {
             p.flow = FLOW_PROBE;
         }
@@ -414,14 +445,7 @@ impl WlanLink {
         // cross-traffic-only tail (identical records, big CPU saving).
         sim.stop_after_flow(probe_station, FLOW_PROBE, n);
 
-        let output = sim.run(horizon);
-        let probe = output.flow_records(probe_station, FLOW_PROBE);
-        WlanTrainRun {
-            probe,
-            output,
-            probe_station,
-            contending,
-        }
+        (sim.run(horizon), probe_station, contending)
     }
 
     /// Measure one steady-state operating point: a long CBR probe flow
@@ -665,7 +689,7 @@ impl WiredLink {
 impl ProbeTarget for WiredLink {
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let arrivals = train.arrivals(start).iter().map(|p| p.time).collect();
+        let arrivals = (0..train.n).map(|i| start + train.gap * i as u64).collect();
         self.run_sequence(arrivals, seed, train.gap, train.bytes)
     }
 

@@ -28,7 +28,7 @@
 //! accumulator is a pure function of its own push sequence, so a kept
 //! column is bit-identical whatever else was requested.
 
-use crate::link::{WlanLink, WlanTrainRun};
+use crate::link::{WlanLink, FLOW_PROBE};
 use csmaprobe_desim::replicate;
 use csmaprobe_stats::accumulate::Accumulate;
 use csmaprobe_stats::ks::KsOutcome;
@@ -139,14 +139,20 @@ fn replicate_once(
     queue: bool,
     mut consume: impl FnMut(usize, f64, Option<f64>),
 ) {
-    let run: WlanTrainRun = exp.link.send_train(exp.train, seed);
-    let delays = run.probe.iter().map(|r| r.access_delay().as_secs_f64());
-    match run.contending.first().filter(|_| queue) {
+    let (output, probe_station, contending) = exp.link.simulate_train(exp.train, seed);
+    // The probe records, read where the simulator wrote them.
+    let probe = || {
+        output
+            .records(probe_station)
+            .iter()
+            .filter(|r| r.flow == FLOW_PROBE)
+    };
+    let delays = probe().map(|r| r.access_delay().as_secs_f64());
+    match contending.first().filter(|_| queue) {
         Some(&contender) => {
             // Probe records come out in FIFO order, so their arrivals
             // ascend: one merge walk serves the whole train.
-            let arrivals = run.probe.iter().map(|r| r.arrival);
-            let queues = run.output.queue_lens_at(contender, arrivals);
+            let queues = output.queue_lens_at(contender, probe().map(|r| r.arrival));
             for (i, (delay, q)) in delays.zip(queues).enumerate() {
                 consume(i, delay, Some(q as f64));
             }
@@ -157,7 +163,7 @@ fn replicate_once(
             }
         }
     }
-    run.recycle();
+    output.recycle();
 }
 
 impl TransientExperiment {

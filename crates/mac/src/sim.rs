@@ -24,12 +24,32 @@
 //!
 //! ## Per-event costs
 //!
-//! Every event pays for an arrival scan and a transmission scan, and
-//! most events are cross-traffic arrivals, so the loop keeps per-event
-//! work that is not simulation off its path: each station holds its
-//! arrival look-ahead as plain fields (no `Option` to reload) and
-//! memoises its last data airtime, so the airtime's division runs about
-//! once per station per replication.
+//! Each station has one pending event: its next arrival while its
+//! queue is empty, its next transmission while it is backlogged. One
+//! scan over the stations finds the earliest of them, so a loop event
+//! is an arrival to an empty queue (it arms contention) or a
+//! transmission. An arrival to a backlogged queue arms nothing and
+//! touches no channel state, so it is not an event: it joins its queue
+//! when the station's arrivals are folded in — for every backlogged
+//! station, through the instant `t` of each transmission, at the top of
+//! that transmission's freeze pass, and, when the run reaches its
+//! horizon, strictly before the horizon (a stop-rule exit needs no
+//! flush: its last transmission folded every station through its
+//! instant). A folded arrival still pulls its successor from the
+//! station's own source and stream, and the fold runs before any draw
+//! the transmission makes for that station (lost immediate access,
+//! frame error, collision redraw, post-completion rearm), just as the
+//! arrivals at or before `t` came first when each was an event. Each
+//! station's draws therefore keep their order, and every record,
+//! channel total and leftover queue is what one event per arrival gave.
+//! At the paper's 1-Erlang probe about half the arrivals join a
+//! backlogged queue.
+//!
+//! The loop also keeps per-arrival and per-transmission work that is
+//! not simulation off its path: each station holds its arrival
+//! look-ahead as plain fields (no `Option` to reload) and memoises its
+//! last data airtime, so the airtime's division runs about once per
+//! station per replication.
 
 use crate::options::MacOptions;
 use csmaprobe_desim::rng::{derive_seed, SimRng};
@@ -228,6 +248,30 @@ impl Station {
         }
         self.airtime_memo.1
     }
+
+    /// Queue the look-ahead arrival and pull its successor from the
+    /// station's source and stream; returns the queued arrival.
+    #[inline]
+    fn queue_next(&mut self) -> PacketArrival {
+        let pkt = self.next;
+        self.next.pull(self.source.as_mut(), &mut self.rng);
+        debug_assert!(
+            self.next.time >= pkt.time,
+            "source emitted decreasing arrival times"
+        );
+        self.queue.push_back((pkt.time, pkt.bytes, pkt.flow));
+        pkt
+    }
+
+    /// Queue every arrival strictly before `end`, in time order. Only
+    /// for a backlogged station: such arrivals arm nothing.
+    #[inline]
+    fn queue_arrivals_before(&mut self, end: Time) {
+        debug_assert!(self.contending);
+        while self.next.time < end {
+            self.queue_next();
+        }
+    }
 }
 
 /// Early-termination rule: stop once a station has completed a number
@@ -406,18 +450,12 @@ impl WlanSim {
                 break;
             }
 
-            // Earliest pending arrival across stations.
+            // Each station's one pending event: the next arrival of an
+            // idle station, the next transmission of a backlogged one.
+            // The earliest arrival, and the earliest candidate
+            // transmission with every station due at it.
             let mut next_arr = Time::MAX;
             let mut arr_station = usize::MAX;
-            for (i, st) in self.stations.iter().enumerate() {
-                if st.next.time < next_arr {
-                    next_arr = st.next.time;
-                    arr_station = i;
-                }
-            }
-
-            // Earliest candidate transmission across contending stations,
-            // and every station due at it.
             let mut next_tx = Time::MAX;
             winners.clear();
             for (i, st) in self.stations.iter().enumerate() {
@@ -430,47 +468,45 @@ impl WlanSim {
                     if t == next_tx {
                         winners.push(i);
                     }
+                } else if st.next.time < next_arr {
+                    next_arr = st.next.time;
+                    arr_station = i;
                 }
             }
 
             let next_event = next_arr.min(next_tx);
             if next_event == Time::MAX || next_event >= horizon {
+                // Every arrival before the horizon counts as queued.
+                for st in self.stations.iter_mut().filter(|st| st.contending) {
+                    st.queue_arrivals_before(horizon);
+                }
                 break;
             }
 
             if next_arr <= next_tx {
-                // ---- arrival ----
+                // ---- arrival to an empty queue: arm contention ----
                 let st = &mut self.stations[arr_station];
-                let pkt = st.next;
-                st.next.pull(st.source.as_mut(), &mut st.rng);
-                debug_assert!(
-                    st.next.time >= pkt.time,
-                    "source emitted decreasing arrival times"
-                );
-                st.queue.push_back((pkt.time, pkt.bytes, pkt.flow));
-                if st.queue.len() == 1 {
-                    // New head: arm contention.
-                    st.head_since = pkt.time;
-                    st.stage = 0;
-                    st.retries = 0;
-                    st.contending = true;
-                    if pkt.time < channel_free_at {
-                        // Medium busy: classic backoff, counted from the
-                        // next idle period.
-                        st.slots_left = st.rng.range_inclusive(0, cw0) as u32;
-                        st.count_start = channel_free_at + difs;
+                let pkt = st.queue_next();
+                st.head_since = pkt.time;
+                st.stage = 0;
+                st.retries = 0;
+                st.contending = true;
+                if pkt.time < channel_free_at {
+                    // Medium busy: classic backoff, counted from the
+                    // next idle period.
+                    st.slots_left = st.rng.range_inclusive(0, cw0) as u32;
+                    st.count_start = channel_free_at + difs;
+                } else {
+                    // Medium idle: immediate access after DIFS,
+                    // quantised onto the current idle grid (unless the
+                    // ablation switch forces a backoff draw).
+                    let anchor = channel_free_at + difs;
+                    st.slots_left = if self.options.immediate_access {
+                        0
                     } else {
-                        // Medium idle: immediate access after DIFS,
-                        // quantised onto the current idle grid (unless
-                        // the ablation switch forces a backoff draw).
-                        let anchor = channel_free_at + difs;
-                        st.slots_left = if self.options.immediate_access {
-                            0
-                        } else {
-                            st.rng.range_inclusive(0, cw0) as u32
-                        };
-                        st.count_start = Self::align_up(anchor, slot, pkt.time + difs);
-                    }
+                        st.rng.range_inclusive(0, cw0) as u32
+                    };
+                    st.count_start = Self::align_up(anchor, slot, pkt.time + difs);
                 }
                 continue;
             }
@@ -479,9 +515,16 @@ impl WlanSim {
             let t = next_tx;
             debug_assert!(!winners.is_empty());
 
-            // Freeze every other contending station.
+            // Queue each backlogged station's arrivals through `t` (ties
+            // go to arrivals) before any of its draws below, then freeze
+            // every contending station that does not transmit.
+            let through = t + Dur::from_nanos(1);
             for st in &mut self.stations {
-                if !st.contending || st.tx_time(slot) == t {
+                if !st.contending {
+                    continue;
+                }
+                st.queue_arrivals_before(through);
+                if st.tx_time(slot) == t {
                     continue;
                 }
                 if st.count_start <= t {

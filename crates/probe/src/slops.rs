@@ -65,12 +65,12 @@ impl SlopsEstimator {
         let mut trace = Vec::with_capacity(self.iterations);
         for k in 0..self.iterations {
             let rate = 0.5 * (lo + hi);
-            let m = TrainProbe::new(self.n, self.bytes, rate).measure(
+            let ro = TrainProbe::new(self.n, self.bytes, rate).measure_output_rate_bps(
                 target,
                 self.reps,
                 derive_seed(seed, k as u64),
             );
-            let ratio = m.output_rate_bps() / rate;
+            let ratio = ro / rate;
             let congested = ratio < 1.0 - self.epsilon;
             trace.push((rate, ratio, congested));
             if congested {

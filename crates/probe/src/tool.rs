@@ -111,10 +111,8 @@ impl ToolProbe {
     /// but one packet) — callers should count, not accumulate, those.
     pub fn estimate_once<T: ProbeTarget + ?Sized>(&self, target: &T, seed: u64) -> f64 {
         match self.kind {
-            ToolKind::Train => {
-                let m = TrainProbe::new(self.n, self.bytes, self.rate_bps).measure(target, 1, seed);
-                m.output_rate_bps()
-            }
+            ToolKind::Train => TrainProbe::new(self.n, self.bytes, self.rate_bps)
+                .measure_output_rate_bps(target, 1, seed),
             ToolKind::Slops => {
                 let est = SlopsEstimator {
                     n: self.n,

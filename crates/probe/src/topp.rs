@@ -73,12 +73,11 @@ impl ToppEstimator {
     pub fn run<T: ProbeTarget + ?Sized>(&self, target: &T, seed: u64) -> Option<ToppResult> {
         let mut curve = Vec::with_capacity(self.rates_bps.len());
         for (k, &ri) in self.rates_bps.iter().enumerate() {
-            let m = TrainProbe::new(self.n, self.bytes, ri).measure(
+            let ro = TrainProbe::new(self.n, self.bytes, ri).measure_output_rate_bps(
                 target,
                 self.reps,
                 derive_seed(seed, k as u64),
             );
-            let ro = m.output_rate_bps();
             curve.push((ri, ri / ro));
         }
 

@@ -95,6 +95,30 @@ impl TrainProbe {
         }
     }
 
+    /// [`TrainProbe::measure`]`(target, reps, seed).output_rate_bps()`,
+    /// bit for bit: the same replications fold the same output gaps in
+    /// the same chunk merges, with no per-index reservoir beside them.
+    /// For tools that read nothing but the rate.
+    pub(crate) fn measure_output_rate_bps<T: ProbeTarget + ?Sized>(
+        &self,
+        target: &T,
+        reps: usize,
+        seed: u64,
+    ) -> f64 {
+        let gaps = replicate::run_reduce(
+            reps,
+            seed,
+            |_, s, gaps: &mut OnlineStats| {
+                if let Some(g) = target.probe_train(self.train, s).output_gap_s() {
+                    gaps.push(g);
+                }
+            },
+            OnlineStats::new,
+            Accumulate::merge,
+        );
+        rate_of_gap(self.train.bytes, gaps.mean())
+    }
+
     /// Run `reps` independent replications against `target`.
     pub fn measure<T: ProbeTarget + ?Sized>(
         &self,
@@ -113,6 +137,15 @@ impl TrainProbe {
         );
         self.finish(reps, acc)
     }
+}
+
+/// The dispersion-inferred rate `L/g` of `bytes`-byte packets at mean
+/// output gap `g` seconds; NaN unless `g` is positive.
+fn rate_of_gap(bytes: u32, g: f64) -> f64 {
+    if g <= 0.0 {
+        return f64::NAN;
+    }
+    bytes as f64 * 8.0 / g
 }
 
 /// Aggregated result of a packet-train measurement.
@@ -146,11 +179,7 @@ impl TrainMeasurement {
     /// The dispersion-inferred output rate `L/E[gO]`, bits/s — the
     /// `y`-axis of Figs 13/15/17.
     pub fn output_rate_bps(&self) -> f64 {
-        let g = self.mean_output_gap_s();
-        if g <= 0.0 {
-            return f64::NAN;
-        }
-        self.train.bytes as f64 * 8.0 / g
+        rate_of_gap(self.train.bytes, self.mean_output_gap_s())
     }
 
     /// 95% confidence half-width of the mean output gap.
@@ -215,6 +244,23 @@ mod tests {
         let a = probe.measure(&link, 10, 77).mean_output_gap_s();
         let b = probe.measure(&link, 10, 77).mean_output_gap_s();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn output_rate_alone_equals_the_measurement() {
+        // Replication counts that fill one chunk, several, and a
+        // partial last one; one-packet trains leave no gap to push.
+        let wired = WiredLink::new(10e6, 4e6);
+        let wlan = WlanLink::new(LinkConfig::default().contending_bps(3e6));
+        for (n, reps) in [(1, 3), (2, 1), (5, 7), (20, 70)] {
+            let probe = TrainProbe::new(n, 1500, 8e6);
+            let targets: [&dyn ProbeTarget; 2] = [&wired, &wlan];
+            for target in targets {
+                let full = probe.measure(target, reps, 11).output_rate_bps();
+                let alone = probe.measure_output_rate_bps(target, reps, 11);
+                assert_eq!(alone.to_bits(), full.to_bits(), "n {n} reps {reps}");
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@ impl Default for MixConfig {
         MixConfig {
             // "wired" repeated to weight it 7/8. Per session (32 reps,
             // one core of a 2-core x86-64 Xeon, median of 15 seeds per
-            // stratum) wired costs ~2.8 ms on average (train and chirp
-            // 0.13-0.26, slops 2.6-3.2, topp 7-8.6 ms) and wlan_low
-            // 4.5-5.3 ms (train and chirp 0.28-0.47, slops 4.8-6.2,
-            // topp 12-18 ms), so wired sessions carry ~80% of the
-            // compute.
+            // stratum, then of 10 runs) wired costs ~2.1 ms on average
+            // (train and chirp 0.14-0.20, slops 2.2, topp 5.2-6.1 ms)
+            // and wlan_low ~4.0 ms (train and chirp 0.26-0.40, slops
+            // 3.5-4.3, topp 9.6-13 ms), so wired sessions carry ~80% of
+            // the compute.
             links: vec![
                 "wired".into(),
                 "wired".into(),

@@ -16,8 +16,8 @@
 //! [`poll`]: SessionManager::poll
 
 use crate::wire::{json_f64, json_str, SubmitRequest, WireError};
-use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains, LinkPoint, TrainPoint};
-use csmaprobe_bench::grid::{GridTarget, TRAIN_TOOL_RATE_BPS};
+use csmaprobe_bench::grid::{parse_owned_links, parse_owned_trains, parse_tools};
+use csmaprobe_bench::grid::{GridTarget, OwnedLinkPoint, OwnedTrainPoint, TRAIN_TOOL_RATE_BPS};
 use csmaprobe_bench::scenarios::FRAME;
 use csmaprobe_desim::executor;
 use csmaprobe_desim::replicate::{run_reduce, CHUNK};
@@ -38,9 +38,9 @@ pub struct SessionSpec {
     /// Client-chosen table cell index (the table's sort key).
     pub cell: u64,
     /// Link-axis point.
-    pub link: &'static LinkPoint,
+    pub link: OwnedLinkPoint,
     /// Train-shape axis point.
-    pub train: &'static TrainPoint,
+    pub train: OwnedTrainPoint,
     /// Tool family.
     pub tool: ToolKind,
     /// Independent tool runs.
@@ -51,13 +51,14 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// Bind a wire submit's axis names to catalog (or inline-spec)
-    /// points.
+    /// points. The spec owns its inline points, so a refused or
+    /// finished session leaves nothing behind.
     pub fn resolve(req: &SubmitRequest) -> Result<SessionSpec, WireError> {
-        let links = parse_links(&req.link).map_err(|e| WireError::BadField {
+        let mut links = parse_owned_links(&req.link).map_err(|e| WireError::BadField {
             field: "link",
             detail: e,
         })?;
-        let trains = parse_trains(&req.train).map_err(|e| WireError::BadField {
+        let mut trains = parse_owned_trains(&req.train).map_err(|e| WireError::BadField {
             field: "train",
             detail: e,
         })?;
@@ -81,8 +82,8 @@ impl SessionSpec {
         Ok(SessionSpec {
             id: req.id.clone(),
             cell: req.cell,
-            link: links[0],
-            train: trains[0],
+            link: links.remove(0),
+            train: trains.remove(0),
             tool: tools[0],
             reps: req.reps,
             seed: req.seed,
@@ -175,8 +176,8 @@ pub fn row_json(spec: &SessionSpec, acc: &SessionAcc) -> String {
          \"p50_bps\":{},\"p95_bps\":{}}}",
         spec.cell,
         json_str(&spec.id),
-        json_str(spec.link.name),
-        json_str(spec.train.name),
+        json_str(&spec.link.name),
+        json_str(&spec.train.name),
         json_str(spec.tool.name()),
         spec.train.n,
         spec.reps,

@@ -253,6 +253,7 @@ impl PoissonSource {
         self
     }
 
+    #[inline]
     fn advance(&mut self, rng: &mut SimRng, from: Time) -> Option<Time> {
         let gap = Dur::from_secs_f64(rng.exp(self.mean_gap_s?));
         let t = from + gap;
@@ -261,6 +262,7 @@ impl PoissonSource {
 }
 
 impl Source for PoissonSource {
+    #[inline]
     fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival> {
         let base = self.next_time?;
         // The first arrival is offset exponentially from `start` too, so

@@ -16,7 +16,10 @@ use csmaprobe::core::link::{
 };
 use csmaprobe::desim::rng::{derive_seed, SimRng};
 use csmaprobe::desim::time::{Dur, Time};
-use csmaprobe::mac::{saturated_source, MacOptions, PacketRecord, StationId, WlanSim};
+use csmaprobe::mac::{
+    measured_standalone_capacity_bps, saturated_source, MacOptions, PacketRecord, SimOutput,
+    StationId, WlanSim,
+};
 use csmaprobe::phy::Phy;
 use csmaprobe::traffic::probe::ProbeTrain;
 use csmaprobe::traffic::{
@@ -289,15 +292,16 @@ fn fold(h: &mut u64, x: u64) {
 /// Fingerprint of `seeds` probe-train runs over `link`: every field of
 /// every station's packet records, plus the collision count, the
 /// channel accounting and the last completion of each run. Also returns
-/// the `(collisions, frame errors, drops, FIFO cross packets)` the runs
-/// saw, so a regime can show it reaches the branch it is there for.
+/// the `(collisions, frame errors, drops, FIFO cross packets, packets
+/// that arrived to a backlogged queue)` the runs saw, so a regime can
+/// show it reaches the branch it is there for.
 fn kernel_fingerprint(
     link: &WlanLink,
     train: ProbeTrain,
     seeds: std::ops::Range<u64>,
-) -> (u64, [u64; 4]) {
+) -> (u64, [u64; 5]) {
     let mut h = 0xcbf2_9ce4_8422_2325;
-    let mut seen = [0u64; 4];
+    let mut seen = [0u64; 5];
     for seed in seeds {
         let run = link.send_train(train, seed);
         let out = &run.output;
@@ -312,6 +316,7 @@ fn kernel_fingerprint(
                 fold(&mut h, u64::from(r.flow));
                 seen[2] += u64::from(r.dropped);
                 seen[3] += u64::from(r.flow == FLOW_FIFO_CROSS);
+                seen[4] += u64::from(r.head > r.arrival);
             }
         }
         let c = out.channel;
@@ -334,7 +339,8 @@ fn kernel_fingerprint(
 /// The regimes cover every transmission branch — success, collision,
 /// corrupted frame, drop after a collision and after a corrupted frame,
 /// RTS/CTS and plain access mixed in one channel, FIFO cross-traffic
-/// sharing the probe queue — on both PHY families.
+/// sharing the probe queue — on both PHY families, and every regime
+/// has packets that arrive to a backlogged queue.
 #[test]
 fn kernel_fingerprint_is_frozen() {
     let train = |n, rate| ProbeTrain::from_rate(n, 1500, rate);
@@ -405,9 +411,10 @@ fn kernel_fingerprint_is_frozen() {
         ),
     ];
     for (name, cfg, train, frozen, needs) in regimes {
-        let (fp, [collisions, errors, drops, fifo]) =
+        let (fp, [collisions, errors, drops, fifo, queued]) =
             kernel_fingerprint(&WlanLink::new(cfg), train, 0..6);
         assert!(collisions > 0, "{name}: no collision");
+        assert!(queued > 0, "{name}: no arrival to a backlogged queue");
         assert!(!needs[0] || errors > 0, "{name}: no frame error");
         assert!(!needs[1] || drops > 0, "{name}: no drop");
         assert!(!needs[2] || fifo > 0, "{name}: no FIFO cross packet");
@@ -450,4 +457,92 @@ fn spent_source_station_changes_nothing() {
         assert!(o.records(spent).is_empty());
         assert_eq!(o.queue_len_at(spent, Time::MAX), 0, "unfinished arrivals");
     }
+}
+
+/// Fold `queue_len_at` of every station of `out`, at each instant of
+/// `at` and at `Time::MAX`, into `h`. Returns how many stations still
+/// hold packets at `Time::MAX`.
+fn fold_queues(h: &mut u64, out: &SimOutput, at: &[Time]) -> usize {
+    let mut backlogged = 0;
+    for s in (0..out.station_count()).map(StationId) {
+        for &t in at {
+            fold(h, out.queue_len_at(s, t) as u64);
+        }
+        let left = out.queue_len_at(s, Time::MAX);
+        fold(h, left as u64);
+        backlogged += usize::from(left > 0);
+    }
+    backlogged
+}
+
+/// Every `step` from zero through `end`.
+fn grid(end: Time, step: Dur) -> Vec<Time> {
+    let n = (end - Time::ZERO).div_dur(step);
+    (0..=n).map(|k| Time::ZERO + step * k).collect()
+}
+
+/// The queues a run leaves behind, frozen. Horizon-cut runs end with
+/// every station backlogged; one station also holds arrivals one
+/// nanosecond before and exactly at the horizon, so the packets still
+/// queued are pinned to those that arrived strictly before it.
+/// Stop-rule exits on the fig09 link and on fig10's link at 0.9 Erlang
+/// end mid-flight, with the contenders' queues as they stood when the
+/// last probe packet completed.
+#[test]
+fn queues_left_behind_are_frozen() {
+    let phy = Phy::dsss_11mbps();
+    let horizon = Time::from_millis(150);
+    let step = Dur::from_micros(500);
+    let mut at = grid(horizon, step);
+    at.extend([horizon - Dur(1), horizon]);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for seed in 0..6 {
+        let mut sim = WlanSim::new(phy.clone(), seed);
+        let until = horizon + (horizon - Time::ZERO);
+        for (rate, bytes) in [(3.0e6, 1500), (2.5e6, 1000), (2.0e6, 576)] {
+            let sizes = SizeModel::Fixed(bytes);
+            sim.add_station(Box::new(PoissonSource::from_bitrate(
+                rate,
+                sizes,
+                Time::ZERO,
+                until,
+            )));
+        }
+        // A burst that outlasts the horizon, then one arrival on
+        // either side of it.
+        let mut edge = vec![PacketArrival::new(Time::ZERO, 1500); 100];
+        edge.extend([horizon - Dur(1), horizon].map(|t| PacketArrival::new(t, 1500)));
+        sim.add_station(Box::new(TraceSource::new(edge)));
+        let out = sim.run(horizon);
+        assert_eq!(
+            fold_queues(&mut h, &out, &at),
+            4,
+            "seed {seed}: a station drained before the horizon"
+        );
+        out.recycle();
+    }
+
+    let fig09 = LinkConfig::default()
+        .contending(CrossSpec::poisson_sized(100_000.0, 40))
+        .contending(CrossSpec::poisson_sized(500_000.0, 576))
+        .contending(CrossSpec::poisson_sized(750_000.0, 1000))
+        .contending(CrossSpec::poisson_sized(2_000_000.0, 1500));
+    let c = measured_standalone_capacity_bps(&phy, 1500, 3000, 0xCAFE);
+    let fig10 = LinkConfig::default().contending_bps(0.9 * c);
+    let runs = [
+        (fig09, ProbeTrain::from_rate(200, 1500, 0.5e6)),
+        (fig10, ProbeTrain::from_rate(300, 1500, c)),
+    ];
+    let mut backlogged = 0;
+    for (cfg, train) in runs {
+        let link = WlanLink::new(cfg);
+        for seed in 0..6 {
+            let run = link.send_train(train, seed);
+            let at = grid(run.output.last_done, step);
+            backlogged += fold_queues(&mut h, &run.output, &at);
+            run.recycle();
+        }
+    }
+    assert!(backlogged > 0, "no stop-rule exit left a packet queued");
+    assert_eq!(h, 0xb0c0_63f1_0d43_0fc4, "queue fingerprint {h:#018x}");
 }

@@ -337,15 +337,18 @@ proptest! {
         let mut merged = MergeSource::new(vec![mk(&a_gaps, 1), mk(&b_gaps, 2)]);
         let mut rng = SimRng::new(1);
         let mut prev = Time::ZERO;
-        let mut count = 0;
         let mut flows = [0usize; 3];
-        while let Some(p) = merged.next_packet(&mut rng) {
+        // Bounded: a merge that never reports exhaustion fails here
+        // instead of growing without end.
+        let pulled: Vec<Option<PacketArrival>> =
+            (0..=total).map(|_| merged.next_packet(&mut rng)).collect();
+        prop_assert!(pulled[..total].iter().all(Option::is_some), "merge spent early");
+        prop_assert_eq!(pulled[total], None, "merge not spent after {} packets", total);
+        for p in pulled.iter().flatten() {
             prop_assert!(p.time >= prev, "order violated");
             prev = p.time;
             flows[p.flow as usize] += 1;
-            count += 1;
         }
-        prop_assert_eq!(count, total);
         prop_assert_eq!(flows[1], a_gaps.len());
         prop_assert_eq!(flows[2], b_gaps.len());
     }
