@@ -20,17 +20,14 @@
 
 use csmaprobe_bench::figures::{self, FigureDef};
 use csmaprobe_bench::report::FigureReport;
-use csmaprobe_core::engine;
 use csmaprobe_desim::replicate;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let opts = engine::check_env()
-        .and_then(|()| csmaprobe_bench::cli_options_from(&args))
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+    let opts = csmaprobe_bench::cli_options_from(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     if opts.list {
         for d in figures::REGISTRY {

@@ -42,7 +42,6 @@
 use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains, BiasGrid, GridRow};
 use csmaprobe_bench::report::{row_cell, RowSink};
 use csmaprobe_bench::{parse_scale, parse_value};
-use csmaprobe_core::engine;
 use csmaprobe_core::sweep::{run_sweep_cells, SweepScenario};
 use csmaprobe_desim::replicate;
 
@@ -166,7 +165,7 @@ fn fail(msg: String) -> ! {
 
 /// Print cell-sorted rows as the human-readable TSV table.
 fn print_tsv(rows: &[String]) {
-    println!("link\ttrain\ttool\ttier\test_mbps\tci95_mbps\ttrue_A_mbps\treps\tfailed");
+    println!("link\ttrain\ttool\test_mbps\tci95_mbps\ttrue_A_mbps\treps\tfailed");
     for line in rows {
         // Rows are our own serialisation; a light scan prints the TSV.
         let field = |name: &str| -> String {
@@ -193,11 +192,10 @@ fn print_tsv(rows: &[String]) {
                 .unwrap_or_else(|_| "nan".to_string())
         };
         println!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             field("link"),
             field("train"),
             field("tool"),
-            field("tier"),
             mbps("mean_bps"),
             mbps("ci95_bps"),
             mbps("available_bps"),
@@ -244,7 +242,6 @@ fn list(grid: &BiasGrid, opts: &Options) -> ! {
 }
 
 fn main() {
-    engine::check_env().unwrap_or_else(|e| fail(e));
     let opts = parse_options();
 
     let links = parse_links(&opts.links).unwrap_or_else(|e| fail(e));
@@ -271,9 +268,8 @@ fn main() {
 
     // A resumed file must come from this exact grid configuration:
     // every persisted row must carry this run's fingerprint (axes,
-    // order, scale, seed, engine policy) and a key of this grid.
-    // Anything else would silently mix statistical populations in the
-    // final table.
+    // order, scale, seed) and a key of this grid. Anything else would
+    // silently mix statistical populations in the final table.
     if opts.resume && !sink.is_empty() {
         let expected: std::collections::BTreeSet<String> =
             (0..total).map(|f| grid.key_of(f)).collect();
@@ -286,7 +282,7 @@ fn main() {
             if GridRow::run_of(line) != Some(fingerprint) {
                 fail(format!(
                     "{} row {key} was produced by a different grid configuration \
-                     (axes/order, --scale, --seed, or the engine policy differ); \
+                     (axes/order, --scale or --seed differ); \
                      delete the file or re-run with the original options",
                     opts.out
                 ));

@@ -98,10 +98,10 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
 
     // ---- finite-load rate-response sweep leg: the paper's Fig 1 curve
     // across the knee (probe 0.5–6 Mb/s vs one 4.5 Mb/s Poisson
-    // contender), forced-event vs the analytic route the auto policy
-    // takes on these cells. Hard gates are deterministic: every swept
-    // cell must carry the fixed point's convergence certificate, and
-    // the analytic points must be bit-reproducible run-to-run. The
+    // contender), simulated vs the analytic route the router takes on
+    // these cells. Hard gates are deterministic: every swept cell must
+    // carry the fixed point's convergence certificate, and the
+    // analytic points must be bit-reproducible run-to-run. The
     // sweep speedup itself is wallclock-channel data only: light
     // finite-load cells simulate mostly idle air, so the event core is
     // fast there and the measured factor is host-dependent — gating on

@@ -14,7 +14,6 @@
 use crate::report::{json_f64, json_str};
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
-use csmaprobe_core::engine;
 use csmaprobe_core::link::{
     LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink, MAX_INLINE_BPS,
     MAX_TRAIN_PACKETS, MIN_WIRED_CAPACITY_BPS,
@@ -74,33 +73,20 @@ enum LinkKind {
     Wlan { contending_bps: f64, fifo_bps: f64 },
 }
 
-/// One named point of the link axis. `N` holds the name: a `&'static
-/// str` for the catalog and for the points [`parse_links`] returns, an
-/// [`OwnedLinkPoint`]'s own name otherwise.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkPoint<N = &'static str> {
+/// One named point of the link axis. A catalog point borrows its
+/// name; an inline spec owns its canonical name, so the point frees it
+/// when dropped.
+#[derive(Debug, Clone)]
+pub struct LinkPoint {
     /// Catalog name (what `--links` matches), or an inline spec's
     /// canonical name.
-    pub name: N,
+    pub name: Cow<'static, str>,
     /// One-line description.
     pub title: &'static str,
     kind: LinkKind,
 }
 
-/// A link point that frees what it holds when dropped: an inline
-/// spec's name is its own, a catalog point's is borrowed.
-pub type OwnedLinkPoint = LinkPoint<Cow<'static, str>>;
-
-impl<N> LinkPoint<N> {
-    /// The same point under its name converted by `f`.
-    fn map_name<M>(self, f: impl FnOnce(N) -> M) -> LinkPoint<M> {
-        LinkPoint {
-            name: f(self.name),
-            title: self.title,
-            kind: self.kind,
-        }
-    }
-
+impl LinkPoint {
     /// Build the runnable target.
     pub fn build(&self) -> GridTarget {
         match self.kind {
@@ -147,7 +133,7 @@ impl<N> LinkPoint<N> {
 /// variant with FIFO cross-traffic in the probe queue.
 pub const LINKS: &[LinkPoint] = &[
     LinkPoint {
-        name: "wired",
+        name: Cow::Borrowed("wired"),
         title: "FIFO path, C = 10, cross 4 Mb/s (A = 6)",
         kind: LinkKind::Wired {
             capacity_bps: 10e6,
@@ -155,7 +141,7 @@ pub const LINKS: &[LinkPoint] = &[
         },
     },
     LinkPoint {
-        name: "wlan_low",
+        name: Cow::Borrowed("wlan_low"),
         title: "802.11b, one contender at 2 Mb/s",
         kind: LinkKind::Wlan {
             contending_bps: 2e6,
@@ -163,7 +149,7 @@ pub const LINKS: &[LinkPoint] = &[
         },
     },
     LinkPoint {
-        name: "wlan_mid",
+        name: Cow::Borrowed("wlan_mid"),
         title: "802.11b, one contender at 4.5 Mb/s (the Fig 1 link)",
         kind: LinkKind::Wlan {
             contending_bps: scenarios::FIG1_CROSS_BPS,
@@ -171,7 +157,7 @@ pub const LINKS: &[LinkPoint] = &[
         },
     },
     LinkPoint {
-        name: "wlan_fifo",
+        name: Cow::Borrowed("wlan_fifo"),
         title: "802.11b, contender 3 Mb/s + FIFO cross 1.5 Mb/s (Fig 4)",
         kind: LinkKind::Wlan {
             contending_bps: 3e6,
@@ -180,34 +166,15 @@ pub const LINKS: &[LinkPoint] = &[
     },
 ];
 
-/// One named point of the train-shape axis; `N` holds the name, as for
-/// [`LinkPoint`].
-#[derive(Debug, Clone, Copy)]
-pub struct TrainPoint<N = &'static str> {
+/// One named point of the train-shape axis; its name is borrowed or
+/// owned as for [`LinkPoint`].
+#[derive(Debug, Clone)]
+pub struct TrainPoint {
     /// Catalog name (what `--trains` matches), or an inline spec's
     /// canonical name.
-    pub name: N,
+    pub name: Cow<'static, str>,
     /// Packets per train.
     pub n: usize,
-}
-
-/// A train point that frees what it holds when dropped (see
-/// [`OwnedLinkPoint`]).
-pub type OwnedTrainPoint = TrainPoint<Cow<'static, str>>;
-
-impl<N> TrainPoint<N> {
-    /// The same point under its name converted by `f`.
-    fn map_name<M>(self, f: impl FnOnce(N) -> M) -> TrainPoint<M> {
-        TrainPoint {
-            name: f(self.name),
-            n: self.n,
-        }
-    }
-}
-
-/// Give `name` the program's lifetime: for axes parsed once per run.
-fn leak_name(name: String) -> &'static str {
-    Box::leak(name.into_boxed_str())
 }
 
 /// The train-shape catalog: the short trains real tools send (and the
@@ -215,28 +182,33 @@ fn leak_name(name: String) -> &'static str {
 /// transient out (§5.3).
 pub const TRAINS: &[TrainPoint] = &[
     TrainPoint {
-        name: "short",
+        name: Cow::Borrowed("short"),
         n: 5,
     },
-    TrainPoint { name: "mid", n: 20 },
     TrainPoint {
-        name: "long",
+        name: Cow::Borrowed("mid"),
+        n: 20,
+    },
+    TrainPoint {
+        name: Cow::Borrowed("long"),
         n: 100,
     },
 ];
 
 /// Look up a link-axis point by name.
-pub fn find_link(name: &str) -> Option<&'static LinkPoint> {
+pub fn find_link(name: &str) -> Option<LinkPoint> {
     LINKS
         .iter()
         .find(|l| l.name.eq_ignore_ascii_case(name.trim()))
+        .cloned()
 }
 
 /// Look up a train-axis point by name.
-pub fn find_train(name: &str) -> Option<&'static TrainPoint> {
+pub fn find_train(name: &str) -> Option<TrainPoint> {
     TRAINS
         .iter()
         .find(|t| t.name.eq_ignore_ascii_case(name.trim()))
+        .cloned()
 }
 
 /// Parse one `key=value` bits/s parameter of an inline link spec.
@@ -301,7 +273,7 @@ impl InlineLink {
     /// spelled out from its parsed value — so the same spec in any
     /// notation (`6e6` vs `6000000`) names the same cell, seeds the same
     /// replications, and fingerprints the same run configuration.
-    fn build(self) -> Result<LinkPoint<String>, String> {
+    fn build(self) -> Result<LinkPoint, String> {
         let (name, kind) = match self.kind.as_str() {
             "wlan" => {
                 let cross = self.get("cross", 0.0);
@@ -343,7 +315,7 @@ impl InlineLink {
             }
         };
         Ok(LinkPoint {
-            name,
+            name: Cow::Owned(name),
             title: "inline spec",
             kind,
         })
@@ -398,38 +370,16 @@ fn unknown_axis_point(what: &str, part: &str, catalog: &[&str], hint: &str) -> S
 /// wired capacity must be at least [`MIN_WIRED_CAPACITY_BPS`]: these
 /// specs arrive from the command line and the wire.
 ///
-/// Inline points live as long as the program, which suits an axis
-/// parsed once per run; [`parse_owned_links`] is for callers that parse
-/// without end.
-pub fn parse_links(csv: &str) -> Result<Vec<&'static LinkPoint>, String> {
-    parse_link_axis(csv, |p| p, |p| Box::leak(Box::new(p.map_name(leak_name))))
-}
-
-/// [`parse_links`] whose points are dropped with their holder — what a
-/// server resolving every submit uses, so refused and finished sessions
-/// leave nothing behind.
-pub fn parse_owned_links(csv: &str) -> Result<Vec<OwnedLinkPoint>, String> {
-    parse_link_axis(
-        csv,
-        |p| p.map_name(Cow::Borrowed),
-        |p| p.map_name(Cow::Owned),
-    )
-}
-
-/// The `--links` grammar of [`parse_links`], handing each catalog point
-/// to `catalog_point` and each inline point to `inline`.
-fn parse_link_axis<T>(
-    csv: &str,
-    catalog_point: impl Fn(&'static LinkPoint) -> T,
-    inline: impl Fn(LinkPoint<String>) -> T,
-) -> Result<Vec<T>, String> {
-    let catalog: Vec<&str> = LINKS.iter().map(|l| l.name).collect();
+/// The points own their inline names, so a server that parses every
+/// submit keeps nothing of a refused or finished session.
+pub fn parse_links(csv: &str) -> Result<Vec<LinkPoint>, String> {
+    let catalog: Vec<&str> = LINKS.iter().map(|l| &*l.name).collect();
     // The inline spec being built, shared by the per-part closure and
     // the end-of-axis flush.
     let open: std::cell::RefCell<Option<InlineLink>> = std::cell::RefCell::new(None);
-    let flush = |out: &mut Vec<T>| -> Result<(), String> {
+    let flush = |out: &mut Vec<LinkPoint>| -> Result<(), String> {
         if let Some(spec) = open.borrow_mut().take() {
-            out.push(inline(spec.build()?));
+            out.push(spec.build()?);
         }
         Ok(())
     };
@@ -467,7 +417,7 @@ fn parse_link_axis<T>(
                 flush(out)?;
                 match find_link(part) {
                     Some(p) => {
-                        out.push(catalog_point(p));
+                        out.push(p);
                         Ok(())
                     }
                     None => Err(unknown_axis_point(
@@ -487,32 +437,10 @@ fn parse_link_axis<T>(
 /// `n=<packets>` specs, freely mixed. Inline points are named
 /// canonically (`n=50`), so they participate in seeds and the
 /// run-config fingerprint like catalog points. An inline count must lie
-/// in 1 ..= [`MAX_TRAIN_PACKETS`].
-///
-/// Inline points live as long as the program, as in [`parse_links`];
-/// [`parse_owned_trains`] is for callers that parse without end.
-pub fn parse_trains(csv: &str) -> Result<Vec<&'static TrainPoint>, String> {
-    parse_train_axis(csv, |p| p, |p| Box::leak(Box::new(p.map_name(leak_name))))
-}
-
-/// [`parse_trains`] whose points are dropped with their holder (see
-/// [`parse_owned_links`]).
-pub fn parse_owned_trains(csv: &str) -> Result<Vec<OwnedTrainPoint>, String> {
-    parse_train_axis(
-        csv,
-        |p| p.map_name(Cow::Borrowed),
-        |p| p.map_name(Cow::Owned),
-    )
-}
-
-/// The `--trains` grammar of [`parse_trains`], handing each catalog
-/// point to `catalog_point` and each inline point to `inline`.
-fn parse_train_axis<T>(
-    csv: &str,
-    catalog_point: impl Fn(&'static TrainPoint) -> T,
-    inline: impl Fn(TrainPoint<String>) -> T,
-) -> Result<Vec<T>, String> {
-    let catalog: Vec<&str> = TRAINS.iter().map(|t| t.name).collect();
+/// in 1 ..= [`MAX_TRAIN_PACKETS`]. Inline points own their names, as
+/// in [`parse_links`].
+pub fn parse_trains(csv: &str) -> Result<Vec<TrainPoint>, String> {
+    let catalog: Vec<&str> = TRAINS.iter().map(|t| &*t.name).collect();
     parse_axis(
         "train",
         csv,
@@ -531,15 +459,15 @@ fn parse_train_axis<T>(
                         "train packet count n={n} is above the bound of {MAX_TRAIN_PACKETS}"
                     ));
                 }
-                out.push(inline(TrainPoint {
-                    name: format!("n={n}"),
+                out.push(TrainPoint {
+                    name: Cow::Owned(format!("n={n}")),
                     n,
-                }));
+                });
                 Ok(())
             } else {
                 match find_train(part) {
                     Some(p) => {
-                        out.push(catalog_point(p));
+                        out.push(p);
                         Ok(())
                     }
                     None => Err(unknown_axis_point(
@@ -610,9 +538,9 @@ pub struct GridRow {
     /// Flat cell index in the grid (link-major, tool fastest).
     pub cell: usize,
     /// Link-axis point name.
-    pub link: &'static str,
+    pub link: String,
     /// Train-axis point name.
-    pub train: &'static str,
+    pub train: String,
     /// Tool family.
     pub tool: ToolKind,
     /// Packets per train.
@@ -629,14 +557,9 @@ pub struct GridRow {
     pub ci95_bps: f64,
     /// True available bandwidth of the link, bits/s.
     pub available_bps: f64,
-    /// Engine-tier provenance: which engine served this cell's probes
-    /// (`event` for WLAN links as resolved by the router, `fifo` for
-    /// wired links, which have no DCF engine).
-    pub tier: &'static str,
     /// The producing run's configuration fingerprint
     /// ([`BiasGrid::fingerprint`]): resume refuses to mix rows from a
-    /// different grid configuration — including rows produced under a
-    /// different engine policy or tier resolution.
+    /// different grid configuration.
     pub run: u64,
 }
 
@@ -648,7 +571,7 @@ impl GridRow {
 
     /// This row's key.
     pub fn key(&self) -> String {
-        GridRow::cell_key(self.link, self.train, self.tool)
+        GridRow::cell_key(&self.link, &self.train, self.tool)
     }
 
     /// The `"run"` fingerprint of a persisted row line, if present.
@@ -661,15 +584,14 @@ impl GridRow {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"cell\":{},\"key\":{},\"run\":\"{:016x}\",\"link\":{},\"train\":{},\
-             \"tool\":{},\"tier\":{},\"n\":{},\"reps\":{},\"failed\":{},\"mean_bps\":{},\
+             \"tool\":{},\"n\":{},\"reps\":{},\"failed\":{},\"mean_bps\":{},\
              \"sd_bps\":{},\"ci95_bps\":{},\"available_bps\":{}}}",
             self.cell,
             json_str(&self.key()),
             self.run,
-            json_str(self.link),
-            json_str(self.train),
+            json_str(&self.link),
+            json_str(&self.train),
             json_str(self.tool.name()),
-            json_str(self.tier),
             self.n,
             self.reps,
             self.failed,
@@ -685,8 +607,8 @@ impl GridRow {
 /// axis combination, flattened link-major with the tool fastest, and
 /// one independent tool run per replication.
 pub struct BiasGrid {
-    links: Vec<&'static LinkPoint>,
-    trains: Vec<&'static TrainPoint>,
+    links: Vec<LinkPoint>,
+    trains: Vec<TrainPoint>,
     tools: Vec<ToolKind>,
     targets: Vec<GridTarget>,
     available: Vec<f64>,
@@ -697,8 +619,8 @@ pub struct BiasGrid {
 impl BiasGrid {
     /// Compose the axes (builds each link's target once).
     pub fn new(
-        links: Vec<&'static LinkPoint>,
-        trains: Vec<&'static TrainPoint>,
+        links: Vec<LinkPoint>,
+        trains: Vec<TrainPoint>,
         tools: Vec<ToolKind>,
         scale: f64,
         seed: u64,
@@ -717,7 +639,7 @@ impl BiasGrid {
     }
 
     /// The axes, in flattening order (link, train, tool — tool fastest).
-    pub fn axes(&self) -> (&[&'static LinkPoint], &[&'static TrainPoint], &[ToolKind]) {
+    pub fn axes(&self) -> (&[LinkPoint], &[TrainPoint], &[ToolKind]) {
         (&self.links, &self.trains, &self.tools)
     }
 
@@ -733,59 +655,31 @@ impl BiasGrid {
     pub fn key_of(&self, flat: usize) -> String {
         let (link, train, tool) = self.coord(flat);
         GridRow::cell_key(
-            self.links[link].name,
-            self.trains[train].name,
+            &self.links[link].name,
+            &self.trains[train].name,
             self.tools[tool],
         )
     }
 
     /// Fingerprint of this grid's full configuration — axis selection
-    /// *and order* (cell indices depend on both), scale and seed, the
-    /// active engine policy, and the tier each link's cells resolve to
-    /// under it. Persisted in every row; resume refuses a file whose
-    /// rows carry a different fingerprint instead of silently mixing
-    /// populations — including rows produced under a different engine
-    /// policy (or different routing rules), which would otherwise be
-    /// statistically indistinguishable in the file.
+    /// *and order* (cell indices depend on both), scale and seed.
+    /// Persisted in every row; resume refuses a file whose rows carry a
+    /// different fingerprint instead of silently mixing populations.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.config_desc())
-    }
-
-    /// The canonical configuration description behind
-    /// [`BiasGrid::fingerprint`].
-    fn config_desc(&self) -> String {
         let mut desc = format!("scale={};seed={}", self.scale.to_bits(), self.seed);
         for l in &self.links {
             desc.push_str(";link=");
-            desc.push_str(l.name);
+            desc.push_str(&l.name);
         }
         for t in &self.trains {
             desc.push_str(";train=");
-            desc.push_str(t.name);
+            desc.push_str(&t.name);
         }
         for t in &self.tools {
             desc.push_str(";tool=");
             desc.push_str(t.name());
         }
-        desc.push_str(";engine=");
-        desc.push_str(engine::policy_token());
-        desc.push_str(";router=");
-        desc.push_str(engine::ROUTER_REVISION);
-        for i in 0..self.links.len() {
-            desc.push_str(";tier=");
-            desc.push_str(self.link_tier(i));
-        }
-        desc
-    }
-
-    /// The engine tier serving the probes of link `link_idx`'s cells:
-    /// the router's train-tier resolution for WLAN links, `fifo` for
-    /// wired links (no DCF engine involved).
-    fn link_tier(&self, link_idx: usize) -> &'static str {
-        match &self.targets[link_idx] {
-            GridTarget::Wired(_) => "fifo",
-            GridTarget::Wlan(l) => engine::train_tier(l.config()).token(),
-        }
+        fnv1a(&desc)
     }
 }
 
@@ -843,11 +737,10 @@ impl SweepScenario for BiasGrid {
         let (link, train, tool) = self.coord(cell);
         GridRow {
             cell,
-            link: self.links[link].name,
-            train: self.trains[train].name,
+            link: self.links[link].name.to_string(),
+            train: self.trains[train].name.to_string(),
             tool: self.tools[tool],
             n: self.trains[train].n,
-            tier: self.link_tier(link),
             reps: self.reps(cell),
             failed: acc.failed,
             mean_bps: if acc.est.count() > 0 {
@@ -868,13 +761,6 @@ mod tests {
     use super::*;
     use crate::report::row_key;
     use csmaprobe_core::sweep::run_sweep;
-
-    /// Hold the engine policy at auto: run fingerprints fold the
-    /// process-wide policy in, and another test in this binary pins a
-    /// forced policy while it runs.
-    fn auto_policy() -> csmaprobe_core::engine::PolicyOverride {
-        csmaprobe_core::engine::test_guard(csmaprobe_core::engine::EnginePolicy::Auto)
-    }
 
     #[test]
     fn catalogs_parse_and_reject() {
@@ -900,13 +786,9 @@ mod tests {
         assert_eq!(links[1].name, "wlan:cross=6000000,fifo=1000000");
         assert!(links[1].is_wlan());
         assert_eq!(links[2].name, "wlan_mid");
-        // The owned parse reads the same points; catalog names stay
-        // borrowed.
-        let owned = parse_owned_links("wired,wlan:cross=6e6,fifo=1e6,wlan_mid").unwrap();
-        let names: Vec<&str> = owned.iter().map(|p| &*p.name).collect();
-        assert_eq!(names, links.iter().map(|p| p.name).collect::<Vec<_>>());
-        assert!(matches!(owned[0].name, Cow::Borrowed("wired")));
-        assert!(owned[1].is_wlan());
+        // Catalog names stay borrowed; an inline point owns its name.
+        assert!(matches!(links[0].name, Cow::Borrowed("wired")));
+        assert!(matches!(links[1].name, Cow::Owned(_)));
         // Canonical naming: notation does not matter.
         let again = parse_links("wlan:cross=6000000,fifo=1000000").unwrap();
         assert_eq!(again[0].name, links[1].name);
@@ -961,12 +843,8 @@ mod tests {
         assert_eq!(trains.len(), 3);
         assert_eq!(trains[1].name, "n=50");
         assert_eq!(trains[1].n, 50);
-        let owned = parse_owned_trains("short,n=50,long").unwrap();
-        let owned: Vec<(&str, usize)> = owned.iter().map(|t| (&*t.name, t.n)).collect();
-        assert_eq!(
-            owned,
-            trains.iter().map(|t| (t.name, t.n)).collect::<Vec<_>>()
-        );
+        assert!(matches!(trains[0].name, Cow::Borrowed("short")));
+        assert!(matches!(trains[1].name, Cow::Owned(_)));
         assert!(parse_trains("n=0").is_err());
         assert!(parse_trains("n=five").is_err());
         for spec in ["n=10001", "n=10000000000", "n=18446744073709551615"] {
@@ -978,7 +856,6 @@ mod tests {
 
     #[test]
     fn inline_specs_fold_into_the_run_fingerprint() {
-        let _policy = auto_policy();
         let grid_of = |links: &str| {
             BiasGrid::new(
                 parse_links(links).unwrap(),
@@ -1071,7 +948,6 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_configuration_and_round_trips() {
-        let _policy = auto_policy();
         let base = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],
@@ -1106,69 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_engine_policy_and_rows_carry_tier() {
-        use csmaprobe_core::engine::{test_guard, EnginePolicy};
-        let make = || {
-            BiasGrid::new(
-                vec![find_link("wired").unwrap(), find_link("wlan_low").unwrap()],
-                vec![find_train("short").unwrap()],
-                vec![ToolKind::Train],
-                0.05,
-                42,
-            )
-        };
-        let (auto_fp, auto_rows) = {
-            let _g = test_guard(EnginePolicy::Auto);
-            (make().fingerprint(), run_sweep(&make()))
-        };
-        let (event_fp, event_rows) = {
-            let _g = test_guard(EnginePolicy::Event);
-            (make().fingerprint(), run_sweep(&make()))
-        };
-        // Trains run on the simulator under every policy, so the WLAN
-        // rows carry `event` either way; the run fingerprint still
-        // splits on the policy token, so resume refuses to mix rows
-        // written under different policies.
-        assert_ne!(
-            auto_fp, event_fp,
-            "engine policy must split the fingerprint"
-        );
-        assert_eq!(auto_rows[0].tier, "fifo");
-        assert_eq!(auto_rows[1].tier, "event");
-        assert_eq!(event_rows[1].tier, "event");
-        for row in &auto_rows {
-            assert!(
-                row.to_json()
-                    .contains(&format!("\"tier\":\"{}\"", row.tier)),
-                "tier column missing from {}",
-                row.to_json()
-            );
-        }
-        // Provenance, not data: both policies ran the same simulation.
-        assert_eq!(
-            auto_rows[1].mean_bps.to_bits(),
-            event_rows[1].mean_bps.to_bits()
-        );
-        // The routing-rules revision is part of the fingerprinted
-        // config: rows written under an older router (same policy
-        // token, different coverage rules) can never resume into this
-        // one.
-        let desc = make().config_desc();
-        let router = format!(";router={}", csmaprobe_core::engine::ROUTER_REVISION);
-        assert!(
-            desc.contains(&router),
-            "router revision missing from the run-config description"
-        );
-        // A fingerprint built under the previous revision (the one that
-        // still routed trains to the retired slotted kernel) does not
-        // match, so its rows cannot resume into this run.
-        let old = fnv1a(&desc.replace(&router, ";router=r2-nonsat"));
-        assert_ne!(old, auto_fp, "r2-nonsat rows must not resume into r3");
-    }
-
-    #[test]
     fn grid_rows_deterministic_across_runs() {
-        let _policy = auto_policy();
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],

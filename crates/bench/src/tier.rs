@@ -2,14 +2,11 @@
 //! offered load × station count × coverage class, with explicit
 //! per-tier execution.
 //!
-//! The router (`csmaprobe_core::engine`) decides *globally* which tier
-//! serves a cell; this module instead runs a cell on a **named** tier
-//! so the tier-equivalence and tier-speedup figures (and the
-//! fixed-point tolerance rows in `tests/tier_equivalence.rs`) can
-//! compare the analytic tier with the simulator side by side without
-//! mutating the process-wide engine policy — figures run concurrently
-//! on the shared executor, so a global override here would leak into
-//! every other figure's routing.
+//! The router (`csmaprobe_core::engine`) picks the tier that serves a
+//! cell; this module instead runs a cell on a **named** tier so the
+//! tier-equivalence and tier-speedup figures (and the fixed-point
+//! tolerance rows in `tests/tier_equivalence.rs`) can compare the
+//! analytic tier with the simulator side by side.
 
 use csmaprobe_core::engine::{self, EngineTier};
 use csmaprobe_core::link::{CrossShape, CrossSpec, LinkConfig, SteadyPoint, WlanLink};

@@ -4,12 +4,7 @@
 //! **worker counts** (`CSMAPROBE_WORKERS`, including oversubscribed
 //! ones), and across figure-level concurrency (`--jobs`, which turns
 //! every figure into a task on the shared work-stealing executor) —
-//! modulo the wall-clock `elapsed_s` and `wallclock` fields. A second
-//! leg pins the engine router against its forced policy:
-//! `CSMAPROBE_ENGINE=event` reproduces the auto payload on every figure
-//! except the analytic-promoted rate-response sweep (`fig01`), which
-//! must differ — the fixed point replacing the simulation there is the
-//! point.
+//! modulo the wall-clock `elapsed_s` and `wallclock` fields.
 //!
 //! This is the executable form of what README/rustdoc promise in
 //! prose: chunk-gridded reduction makes floating-point results
@@ -21,25 +16,21 @@ use std::process::Command;
 
 /// Run the `all_figures` binary in `dir` with `workers` pinned and
 /// `jobs` figures scheduled concurrently, and return the
-/// `experiments.json` payload it wrote. `engine` pins
-/// `CSMAPROBE_ENGINE` (`None` leaves routing on auto).
-fn run_all_figures(dir: &Path, workers: usize, jobs: usize, engine: Option<&str>) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_figures"));
-    cmd.args([
-        "--scale",
-        "0.05",
-        "--seed",
-        "42",
-        "--jobs",
-        &jobs.to_string(),
-    ])
-    .env("CSMAPROBE_WORKERS", workers.to_string())
-    .current_dir(dir);
-    match engine {
-        Some(tier) => cmd.env("CSMAPROBE_ENGINE", tier),
-        None => cmd.env_remove("CSMAPROBE_ENGINE"),
-    };
-    let out = cmd.output().expect("spawn all_figures");
+/// `experiments.json` payload it wrote.
+fn run_all_figures(dir: &Path, workers: usize, jobs: usize) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_all_figures"))
+        .args([
+            "--scale",
+            "0.05",
+            "--seed",
+            "42",
+            "--jobs",
+            &jobs.to_string(),
+        ])
+        .env("CSMAPROBE_WORKERS", workers.to_string())
+        .current_dir(dir)
+        .output()
+        .expect("spawn all_figures");
     // Check outcomes are part of the compared payload, so a failed
     // check (possible at smoke scale) must not abort the test — only a
     // crash should.
@@ -109,7 +100,7 @@ fn experiments_json_identical_across_worker_counts() {
         .map(|&(workers, jobs)| {
             let dir = base.join(format!("workers{workers}jobs{jobs}"));
             std::fs::create_dir_all(&dir).expect("create run dir");
-            let payload = run_all_figures(&dir, workers, jobs, None);
+            let payload = run_all_figures(&dir, workers, jobs);
             assert!(
                 payload.contains("\"id\":\"fig13\"") && payload.contains("\"id\":\"fig17\""),
                 "payload looks truncated ({} bytes)",
@@ -134,76 +125,6 @@ fn experiments_json_identical_across_worker_counts() {
     // elapsed_s was actually present and stripped — guard against the
     // field being renamed and the test silently comparing nothing.
     assert!(payloads[0].contains("elapsed_s"), "elapsed_s field gone?");
-    let _ = std::fs::remove_dir_all(&base);
-}
-
-/// Split a stripped payload into per-figure lines keyed by `"id"` —
-/// `reports_to_json` writes one report object per line, so a line-wise
-/// split is exact for this crate's own serialisation.
-fn figure_lines(payload: &str) -> Vec<(String, String)> {
-    payload
-        .lines()
-        .filter_map(|line| {
-            let at = line.find("\"id\":\"")?;
-            let rest = &line[at + "\"id\":\"".len()..];
-            let end = rest.find('"')?;
-            Some((rest[..end].to_string(), line.to_string()))
-        })
-        .collect()
-}
-
-/// Engine-routing transparency, end to end: auto against forced
-/// `event`, byte-identical (modulo timing fields) on every figure
-/// except `fig01` — the paper's rate-response sweep, whose Poisson
-/// finite-load cells the non-saturated fixed point certifies, so auto
-/// takes the whole curve off the simulator. That figure MUST differ
-/// (the promotion being a silent no-op would mean the fixed point
-/// never engaged); its own 5 % tolerance gates live in the oracle tests
-/// and the `tier_equivalence` figure, not here.
-#[test]
-fn experiments_json_identical_with_forced_engines() {
-    let base = std::env::temp_dir().join(format!("csmaprobe-engine-{}", std::process::id()));
-    let legs: [(&str, Option<&str>); 2] = [("auto", None), ("event", Some("event"))];
-    let payloads: Vec<String> = legs
-        .iter()
-        .map(|&(label, engine)| {
-            let dir = base.join(label);
-            std::fs::create_dir_all(&dir).expect("create run dir");
-            let payload = run_all_figures(&dir, 4, 4, engine);
-            assert!(
-                payload.contains("\"id\":\"tier_equivalence\""),
-                "payload looks truncated ({} bytes)",
-                payload.len()
-            );
-            payload
-        })
-        .collect();
-    // The wallclock channel must exist (the speedup figure always
-    // records it) and must be the *only* difference besides elapsed_s.
-    assert!(payloads[0].contains("\"wallclock\":["), "wallclock gone?");
-    let auto = strip_elapsed(&payloads[0]);
-    let event = strip_elapsed(&payloads[1]);
-    let auto_figs = figure_lines(&auto);
-    let event_figs = figure_lines(&event);
-    assert_eq!(auto_figs.len(), event_figs.len(), "figure sets differ");
-    let mut promoted_differs = false;
-    for ((id_a, line_a), (id_e, line_e)) in auto_figs.iter().zip(&event_figs) {
-        assert_eq!(id_a, id_e, "figure order differs between legs");
-        if id_a == "fig01" {
-            promoted_differs = line_a != line_e;
-        } else {
-            assert_eq!(
-                line_a, line_e,
-                "{id_a}: auto run differs from the forced-event oracle on a \
-                 figure with no analytic-promoted cells"
-            );
-        }
-    }
-    assert!(
-        promoted_differs,
-        "fig01 is byte-identical to the forced-event run: the finite-load \
-         promotion never engaged on the rate-response sweep"
-    );
     let _ = std::fs::remove_dir_all(&base);
 }
 

@@ -18,172 +18,26 @@
 //! simulator. Every other cell — every probe train, probe sequence and
 //! uncovered steady cell — runs on `WlanSim`.
 //!
-//! # Selection policy
+//! # Selection
 //!
-//! The process-wide policy follows the `CSMAPROBE_ENGINE` environment
-//! variable at first use (`auto` or `event`; anything else, the retired
-//! `slotted` and `analytic` included, is refused by [`check_env`]),
-//! overridable at runtime with [`set_policy`] — the same
-//! read-env-once-then-atomic pattern as the executor's
-//! `CSMAPROBE_WORKERS`.
-//!
-//! * **Auto** (default): steady-state cells route to `Analytic` when
-//!   [`analytic_covers`] holds, else to `Event`. Probe-train cells
-//!   always run on `Event`.
-//! * **Event**: everything runs the simulator — the routing layer is
-//!   provably a no-op on every figure but the analytic-served fig01
-//!   (`crates/bench/tests/determinism.rs`).
+//! Routing is a pure function of the cell: a steady-state cell runs on
+//! the analytic tier exactly when [`analytic_covers`] holds.
 
 use crate::link::{CrossShape, LinkConfig};
 use csmaprobe_mac::{NonSatModel, NonSatStation};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One engine tier, cheapest-to-most-expensive ordering not implied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineTier {
     /// The DCF simulator (`WlanSim`).
     Event,
-    /// Retired: the slot-quantised kernel this named is gone; no route
-    /// returns it and no policy names it. The variant stays only because
-    /// the benchmark's per-layer replay names it. Delete with the next
-    /// benchmark revision.
+    /// Retired: the slot-quantised kernel this named is gone and no
+    /// route returns it. The variant stays only because the benchmark's
+    /// per-layer replay names it. Delete with the next benchmark
+    /// revision.
     Slotted,
     /// Closed-form Bianchi saturation model.
     Analytic,
-}
-
-impl EngineTier {
-    /// Stable lowercase token for provenance columns and fingerprints
-    /// (`event`, `analytic`; `slotted` for the retired variant).
-    pub fn token(self) -> &'static str {
-        match self {
-            EngineTier::Event => "event",
-            EngineTier::Slotted => "slotted",
-            EngineTier::Analytic => "analytic",
-        }
-    }
-}
-
-/// Process-wide routing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnginePolicy {
-    /// Route each cell to the cheapest covered tier (the default).
-    Auto,
-    /// Run every cell on the simulator.
-    Event,
-}
-
-const POLICY_UNSET: u8 = 0;
-const POLICY_AUTO: u8 = 1;
-const POLICY_EVENT: u8 = 2;
-
-/// Runtime override; `POLICY_UNSET` defers to the environment.
-static POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
-
-/// The values `CSMAPROBE_ENGINE` accepts.
-const POLICY_VALUES: &str = "auto|event";
-
-/// `CSMAPROBE_ENGINE` as a policy code: unset is auto, an unknown
-/// value is an error naming the accepted values.
-fn env_value() -> Result<u8, String> {
-    let Some(raw) = std::env::var_os("CSMAPROBE_ENGINE") else {
-        return Ok(POLICY_AUTO);
-    };
-    match raw.to_str() {
-        Some("auto") => Ok(POLICY_AUTO),
-        Some("event") => Ok(POLICY_EVENT),
-        _ => Err(format!(
-            "CSMAPROBE_ENGINE={raw:?} is not one of {POLICY_VALUES}"
-        )),
-    }
-}
-
-/// Validate `CSMAPROBE_ENGINE` up front. Entry points call this at
-/// start-up and exit with the message on `Err`, so a typo'd or retired
-/// value (`slotted`, `analytic`) is refused before any work runs
-/// instead of silently routing as `auto`.
-pub fn check_env() -> Result<(), String> {
-    env_value().map(|_| ())
-}
-
-fn env_policy() -> u8 {
-    static ENV: OnceLock<u8> = OnceLock::new();
-    // Entry points refuse a bad value via `check_env` first; a library
-    // caller that skipped the check still fails loudly here.
-    *ENV.get_or_init(|| env_value().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// Pin the process-wide engine policy (tests, tools). Passing
-/// [`EnginePolicy::Auto`] restores automatic routing; the
-/// `CSMAPROBE_ENGINE` environment variable is only consulted while no
-/// explicit policy has been set.
-pub fn set_policy(policy: EnginePolicy) {
-    let v = match policy {
-        EnginePolicy::Auto => POLICY_AUTO,
-        EnginePolicy::Event => POLICY_EVENT,
-    };
-    POLICY.store(v, Ordering::Relaxed);
-}
-
-/// Routing-rules revision, folded into run-config fingerprints next to
-/// [`policy_token`]: bumped whenever a routing rule changes what a
-/// policy *means* (r2: the finite-load fixed point extended
-/// `analytic_covers` beyond saturation; r3: the slotted kernel was
-/// deleted and every simulated cell runs on `WlanSim`). Two campaigns
-/// under the same `auto` token can still route cells differently
-/// across revisions; the revision token lets resume refuse that mix
-/// even when the per-cell tier resolution happens to agree.
-pub const ROUTER_REVISION: &str = "r3-one-kernel";
-
-/// Stable lowercase token naming the active policy (`auto`, `event`)
-/// — folded into run-config fingerprints so resumable campaigns refuse
-/// to silently mix rows produced under different routing policies.
-pub fn policy_token() -> &'static str {
-    match policy() {
-        EnginePolicy::Auto => "auto",
-        EnginePolicy::Event => "event",
-    }
-}
-
-/// The active policy: the [`set_policy`] override if any, else
-/// `CSMAPROBE_ENGINE` as read at first use, else auto.
-pub fn policy() -> EnginePolicy {
-    let v = match POLICY.load(Ordering::Relaxed) {
-        POLICY_UNSET => env_policy(),
-        v => v,
-    };
-    match v {
-        POLICY_EVENT => EnginePolicy::Event,
-        _ => EnginePolicy::Auto,
-    }
-}
-
-/// RAII scope for a temporary policy override. The policy is process
-/// state, so overlapping overrides from concurrent threads would
-/// interleave; the guard serialises them on a global mutex and restores
-/// [`EnginePolicy::Auto`] on drop. Tests and tools that pin a tier
-/// should prefer this over raw [`set_policy`].
-pub struct PolicyOverride {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for PolicyOverride {
-    fn drop(&mut self) {
-        set_policy(EnginePolicy::Auto);
-    }
-}
-
-/// Install `policy` for the lifetime of the returned guard (see
-/// [`PolicyOverride`]).
-pub fn test_guard(policy: EnginePolicy) -> PolicyOverride {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let lock = LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    set_policy(policy);
-    PolicyOverride { _lock: lock }
 }
 
 /// Structural preconditions shared by both analytic models: no FIFO
@@ -275,13 +129,13 @@ pub fn analytic_covers(cfg: &LinkConfig, ri_bps: f64) -> bool {
     saturation_covers(cfg, ri_bps) || nonsat_certified(cfg, ri_bps)
 }
 
-/// The tier a **steady-state** cell routes to under the active policy:
-/// `Analytic` where [`analytic_covers`] holds (unless the simulator is
-/// forced), else `Event`.
+/// The tier a **steady-state** cell routes to: `Analytic` where
+/// [`analytic_covers`] holds, else `Event`.
 pub fn steady_tier(cfg: &LinkConfig, ri_bps: f64) -> EngineTier {
-    match policy() {
-        EnginePolicy::Auto if analytic_covers(cfg, ri_bps) => EngineTier::Analytic,
-        _ => EngineTier::Event,
+    if analytic_covers(cfg, ri_bps) {
+        EngineTier::Analytic
+    } else {
+        EngineTier::Event
     }
 }
 
@@ -306,8 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_keeps_trains_and_uncovered_steady_cells_on_event() {
-        let _g = test_guard(EnginePolicy::Auto);
+    fn trains_and_uncovered_steady_cells_stay_on_event() {
         // Certified finite-load steady cells go to the fixed point; an
         // uncertifiable shape (CBR contender) stays on the simulator.
         assert_eq!(steady_tier(&steady_cfg(), 1.5e6), EngineTier::Analytic);
@@ -320,16 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_token_names_every_policy() {
-        for (p, tok) in [(EnginePolicy::Auto, "auto"), (EnginePolicy::Event, "event")] {
-            let _g = test_guard(p);
-            assert_eq!(policy_token(), tok);
-        }
-    }
-
-    #[test]
-    fn auto_routes_saturated_symmetric_to_analytic() {
-        let _g = test_guard(EnginePolicy::Auto);
+    fn saturated_symmetric_cells_route_to_analytic() {
         let cfg = saturated_cfg();
         assert!(saturation_covers(&cfg, 9e6));
         assert!(analytic_covers(&cfg, 9e6));
@@ -342,8 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_certified_finite_load_to_analytic() {
-        let _g = test_guard(EnginePolicy::Auto);
+    fn certified_finite_load_cells_route_to_analytic() {
         // A finite-load Poisson cell (nobody saturated) is the
         // fixed point's home regime.
         let cfg = steady_cfg();
@@ -360,7 +203,6 @@ mod tests {
 
     #[test]
     fn finite_load_coverage_requires_certified_shape() {
-        let _g = test_guard(EnginePolicy::Auto);
         // CBR contenders have no certified oracle rows: only Poisson
         // arrivals match the fixed point's queue model.
         let cbr = LinkConfig::default().contending(CrossSpec::shaped(2e6, CrossShape::Cbr));
@@ -385,7 +227,6 @@ mod tests {
 
     #[test]
     fn bursty_shapes_stay_on_event() {
-        let _g = test_guard(EnginePolicy::Auto);
         let cfg = LinkConfig::default()
             .contending(CrossSpec::shaped(2e6, CrossShape::ExpOnOff { duty: 0.3 }));
         assert!(!analytic_covers(&cfg, 1.5e6));
@@ -393,16 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_event_pins_everything() {
-        let _g = test_guard(EnginePolicy::Event);
-        assert_eq!(steady_tier(&saturated_cfg(), 9e6), EngineTier::Event);
-        assert_eq!(steady_tier(&steady_cfg(), 1.5e6), EngineTier::Event);
-        assert_eq!(train_tier(&steady_cfg()), EngineTier::Event);
-    }
-
-    #[test]
     fn analytic_coverage_requires_full_symmetric_saturation() {
-        let _g = test_guard(EnginePolicy::Auto);
         // FIFO cross-traffic breaks the single-queue assumption.
         let fifo = saturated_cfg().fifo_cross_bps(1e6);
         assert!(!analytic_covers(&fifo, 9e6));

@@ -26,8 +26,7 @@
 //!   any worker count or scheduled subset (the resume contract).
 //! * [`engine`] — the engine router: steady-state cells an analytic
 //!   model certifies (Bianchi saturation or the finite-load fixed
-//!   point) skip simulation, every other cell runs the DCF simulator;
-//!   `CSMAPROBE_ENGINE` (`auto|event`) picks the policy.
+//!   point) skip simulation, every other cell runs the DCF simulator.
 //! * [`link`] — runnable link models: [`link::WlanLink`] (Fig 3: a
 //!   FIFO transmission queue feeding a CSMA/CA virtual scheduler, with
 //!   contending stations) and [`link::WiredLink`] (the classic FIFO
@@ -44,7 +43,7 @@ pub mod sweep;
 pub mod transient;
 
 pub use bounds::{dispersion_bounds, TransientBounds};
-pub use engine::{EnginePolicy, EngineTier};
+pub use engine::EngineTier;
 pub use link::{CrossSpec, LinkConfig, ProbeTarget, TrainObservation, WiredLink, WlanLink};
 pub use rate_response::{
     achievable_from_curve, achievable_throughput, complete_rate_response, csma_rate_response,

@@ -351,14 +351,6 @@ impl WlanTrainRun {
         }
     }
 
-    /// Access delays of the probe packets, seconds.
-    pub fn access_delays_s(&self) -> Vec<f64> {
-        self.probe
-            .iter()
-            .map(|r| r.access_delay().as_secs_f64())
-            .collect()
-    }
-
     /// Return the underlying simulation buffers to the worker's
     /// allocation pool (see [`csmaprobe_mac::sim::SimOutput::recycle`]).
     /// Call once everything needed has been extracted — replication
@@ -387,16 +379,6 @@ impl WlanLink {
         WlanTrainRun::new(self.simulate_train(train, seed))
     }
 
-    /// Send an explicit probe arrival sequence (flow tags are
-    /// overwritten with the probe tag).
-    pub fn send_arrivals(
-        &self,
-        probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
-        seed: u64,
-    ) -> WlanTrainRun {
-        WlanTrainRun::new(self.simulate_arrivals(probe_arrivals, seed))
-    }
-
     /// [`WlanLink::send_train`] without copying out the probe records:
     /// the simulation output, the probe station and the contending
     /// stations in config order.
@@ -409,8 +391,9 @@ impl WlanLink {
         self.simulate_arrivals(train.arrivals(start), seed)
     }
 
-    /// [`WlanLink::send_arrivals`] without copying out the probe
-    /// records (see [`WlanLink::simulate_train`]).
+    /// Simulate an explicit probe arrival sequence (flow tags are
+    /// overwritten with the probe tag); returns what
+    /// [`WlanLink::simulate_train`] does.
     fn simulate_arrivals(
         &self,
         mut probe_arrivals: Vec<csmaprobe_traffic::PacketArrival>,
@@ -455,7 +438,7 @@ impl WlanLink {
     ///
     /// Routed through the [`crate::engine`] tier selector: cells an
     /// analytic model certifies get its point, every other cell runs
-    /// the simulator; `CSMAPROBE_ENGINE=event` pins the simulator.
+    /// the simulator.
     pub fn steady_state(&self, ri_bps: f64, duration: Dur, seed: u64) -> SteadyPoint {
         match engine::steady_tier(&self.cfg, ri_bps) {
             EngineTier::Analytic => self.steady_state_analytic(ri_bps),
@@ -565,18 +548,32 @@ impl WlanLink {
     }
 }
 
+/// The tool observation of one simulated probe sequence, built in one
+/// pass over the probe flow's records; the simulation buffers then go
+/// back to the worker's allocation pool.
+fn observe((output, probe_station, _): SimulatedRun, g_i: Dur, bytes: u32) -> TrainObservation {
+    let records = output.records(probe_station);
+    let mut arrivals = Vec::with_capacity(records.len());
+    let mut rx_times = Vec::with_capacity(records.len());
+    let mut access_delays = Vec::with_capacity(records.len());
+    for r in records.iter().filter(|r| r.flow == FLOW_PROBE) {
+        arrivals.push(r.arrival);
+        rx_times.push(r.rx_end);
+        access_delays.push(r.access_delay().as_secs_f64());
+    }
+    output.recycle();
+    TrainObservation {
+        arrivals,
+        rx_times,
+        access_delays: Some(access_delays),
+        g_i,
+        bytes,
+    }
+}
+
 impl ProbeTarget for WlanLink {
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
-        let run = self.send_train(train, seed);
-        let obs = TrainObservation {
-            arrivals: run.probe.iter().map(|r| r.arrival).collect(),
-            rx_times: run.probe.iter().map(|r| r.rx_end).collect(),
-            access_delays: Some(run.access_delays_s()),
-            g_i: train.gap,
-            bytes: train.bytes,
-        };
-        run.recycle();
-        obs
+        observe(self.simulate_train(train, seed), train.gap, train.bytes)
     }
 
     fn probe_sequence(&self, offsets: &[Dur], bytes: u32, seed: u64) -> TrainObservation {
@@ -589,16 +586,7 @@ impl ProbeTarget for WlanLink {
                 flow: FLOW_PROBE,
             })
             .collect();
-        let run = self.send_arrivals(arrivals, seed);
-        let obs = TrainObservation {
-            arrivals: run.probe.iter().map(|r| r.arrival).collect(),
-            rx_times: run.probe.iter().map(|r| r.rx_end).collect(),
-            access_delays: Some(run.access_delays_s()),
-            g_i: Dur::ZERO,
-            bytes,
-        };
-        run.recycle();
-        obs
+        observe(self.simulate_arrivals(arrivals, seed), Dur::ZERO, bytes)
     }
 
     fn probe_bytes(&self) -> u32 {

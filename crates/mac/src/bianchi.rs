@@ -15,7 +15,6 @@
 //! fair share (the paper's achievable throughput `B` for a saturated
 //! contender), and the mean MAC service (access) time.
 
-use csmaprobe_desim::rng::{derive_seed, SimRng};
 use csmaprobe_phy::Phy;
 
 /// Solved Bianchi fixed point plus derived channel quantities.
@@ -107,87 +106,6 @@ impl BianchiModel {
             mean_access_delay_s: mean_service,
         }
     }
-
-    /// Draw one analytic access delay `μ` (head-of-queue to ACK-end,
-    /// seconds) from the solved Bianchi chain — the **analytic tier's**
-    /// per-packet distribution, replacing a full simulation for
-    /// saturated symmetric cells.
-    ///
-    /// The delay of a frame is composed attempt by attempt, exactly as
-    /// the tagged station experiences the channel:
-    ///
-    /// * at backoff stage `k` draw a counter `b ~ U[0, CW_k]`
-    ///   (`CW_k = Phy::cw_at_stage(k)`, the simulator's window
-    ///   schedule);
-    /// * each of the `b` counted slots is idle (`σ`) with probability
-    ///   `1 − p`; otherwise it is occupied by another station's success
-    ///   (`T_s`) or by a collision among the others (`T_c`);
-    /// * the attempt itself succeeds with probability `1 − p`
-    ///   (adding `T_s`, done) or collides (adding `T_c`, next stage);
-    /// * a frame exceeding the retry limit is dropped and its delay
-    ///   discarded by redrawing, matching the simulators' convention of
-    ///   excluding dropped frames from delay distributions.
-    ///
-    /// The decomposition ignores the sub-slot position of the tagged
-    /// station inside a busy slot and the post-drop window reset, which
-    /// is what bounds its accuracy; `crates/mac/tests/bianchi_oracle.rs`
-    /// pins the resulting mean to the saturated event simulation within
-    /// a documented 5 % band.
-    pub fn sample_access_delay(&self, phy: &Phy, payload_bytes: u32, rng: &mut SimRng) -> f64 {
-        let sigma = phy.slot.as_secs_f64();
-        let t_s = phy.difs().as_secs_f64() + phy.success_exchange(payload_bytes).as_secs_f64();
-        let t_c = phy.difs().as_secs_f64()
-            + phy.data_airtime(payload_bytes).as_secs_f64()
-            + phy.sifs.as_secs_f64()
-            + phy.ack_airtime().as_secs_f64();
-        // P(a busy observed slot is a success of one of the other n−1
-        // stations rather than a collision among them).
-        let q_s = if self.n >= 2 && self.p > 0.0 {
-            let n1 = (self.n - 1) as f64;
-            n1 * self.tau * (1.0 - self.tau).powi(self.n as i32 - 2) / self.p
-        } else {
-            0.0
-        };
-        'frame: loop {
-            let mut delay = 0.0;
-            for stage in 0..=phy.retry_limit {
-                let cw = phy.cw_at_stage(stage) as u64;
-                let b = rng.range_inclusive(0, cw);
-                for _ in 0..b {
-                    if rng.f64() < self.p {
-                        delay += if rng.f64() < q_s { t_s } else { t_c };
-                    } else {
-                        delay += sigma;
-                    }
-                }
-                if rng.f64() < self.p {
-                    delay += t_c; // collided attempt, escalate
-                } else {
-                    delay += t_s;
-                    return delay;
-                }
-            }
-            // Retry limit exceeded: the frame is dropped; dropped frames
-            // carry no access-delay sample, so draw a fresh frame.
-            continue 'frame;
-        }
-    }
-
-    /// `count` analytic access delays drawn deterministically from
-    /// `seed` (derivation index 1, mirroring the first simulated
-    /// station's RNG stream derivation).
-    pub fn access_delays(
-        &self,
-        phy: &Phy,
-        payload_bytes: u32,
-        count: usize,
-        seed: u64,
-    ) -> Vec<f64> {
-        let mut rng = SimRng::new(derive_seed(seed, 1));
-        (0..count)
-            .map(|_| self.sample_access_delay(phy, payload_bytes, &mut rng))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -263,36 +181,6 @@ mod tests {
                 m.fair_share_bps
             );
         }
-    }
-
-    #[test]
-    fn sampler_mean_matches_renewal_reward_mean() {
-        // The per-frame chain sampler and the renewal-reward E[μ]
-        // derivation are independent routes to the same quantity; they
-        // must agree closely (the sampler resolves the distribution the
-        // scalar summarises).
-        for n in [1usize, 2, 4] {
-            let m = BianchiModel::solve(&phy(), n, 1500);
-            let delays = m.access_delays(&phy(), 1500, 20_000, 0xB1A);
-            let mean = delays.iter().sum::<f64>() / delays.len() as f64;
-            let rel = (mean - m.mean_access_delay_s).abs() / m.mean_access_delay_s;
-            assert!(
-                rel < 0.05,
-                "n={n}: sampled {mean:.6} vs analytic {:.6} (rel {rel:.3})",
-                m.mean_access_delay_s
-            );
-        }
-    }
-
-    #[test]
-    fn sampler_is_deterministic_and_positive() {
-        let m = BianchiModel::solve(&phy(), 2, 1500);
-        let a = m.access_delays(&phy(), 1500, 500, 7);
-        let b = m.access_delays(&phy(), 1500, 500, 7);
-        let c = m.access_delays(&phy(), 1500, 500, 8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.iter().all(|&d| d > 0.0));
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! slows everyone's service, pushing lightly-loaded contenders over
 //! their own knee — the decline Fig 1's event data shows).
 //!
-//! The mean service time is derived from the same attempt-by-attempt
-//! backoff chain the saturated sampler walks (counted slots idle with
-//! probability `1 − p_i`, otherwise occupied by another station's
-//! success or a collision; collided attempts escalate the window),
+//! The mean service time is derived from an attempt-by-attempt backoff
+//! chain (counted slots idle with probability `1 − p_i`, otherwise
+//! occupied by another station's success or a collision; collided
+//! attempts escalate the window),
 //! combined with an **empty-queue arrival mixture** matching the event
 //! MAC's documented access rules: a frame arriving to an empty queue on
 //! an idle medium transmits immediately after DIFS (no backoff); one
@@ -43,16 +43,11 @@
 //! only frames that found the queue occupied (probability `ρ_i`) walk
 //! the full backoff chain from the head-of-queue instant. Without the
 //! mixture the model overcharges light stations a full initial backoff
-//! per frame and overshoots sub-knee delays by ~15 %. The closed-form
-//! mean, the per-frame chain sampler
-//! ([`NonSatModel::sample_access_delay`], same contract as
-//! [`crate::bianchi::BianchiModel::sample_access_delay`]) and the
-//! simulators all describe one distribution. Accuracy is pinned against
-//! the event core in `crates/mac/tests/bianchi_nonsat_oracle.rs` (±5 %
-//! on throughput and mean access delay across the certified regime
-//! matrix).
+//! per frame and overshoots sub-knee delays by ~15 %. Accuracy is
+//! pinned against the event core in
+//! `crates/mac/tests/bianchi_nonsat_oracle.rs` (±5 % on throughput and
+//! mean access delay across the certified regime matrix).
 
-use csmaprobe_desim::rng::{derive_seed, SimRng};
 use csmaprobe_phy::Phy;
 
 /// One station's offered load, as the fixed point sees it.
@@ -476,186 +471,6 @@ impl NonSatModel {
         })
     }
 
-    /// Draw one access delay `μ` (head-of-queue to ACK end, seconds)
-    /// for `station` from the solved model — the same attempt-by-attempt
-    /// chain decomposition, draw layout and redraw-on-drop convention as
-    /// [`crate::bianchi::BianchiModel::sample_access_delay`], extended
-    /// with the empty-queue arrival mixture (immediate access / residual
-    /// busy wait) the closed-form mean integrates over. Draw order per
-    /// frame: queue-occupancy branch, then (empty queue) channel-state
-    /// branch, then occupant choice + residual or the immediate-access
-    /// collision branch, then the backoff chain.
-    pub fn sample_access_delay(&self, phy: &Phy, station: usize, rng: &mut SimRng) -> f64 {
-        let s = &self.per_station[station];
-        let spec = &self.stations[station];
-        let sigma = phy.slot.as_secs_f64();
-        let t_s = phy.difs().as_secs_f64() + phy.success_exchange(spec.bytes).as_secs_f64();
-        let t_c = phy.difs().as_secs_f64()
-            + phy.data_airtime(spec.bytes).as_secs_f64()
-            + phy.sifs.as_secs_f64()
-            + phy.ack_airtime().as_secs_f64();
-        // Busy-slot composition seen by this station, from the solved
-        // τ vector (mirrors the solver's per-iteration derivation).
-        let mut prod_others = 1.0;
-        for (j, other) in self.per_station.iter().enumerate() {
-            if j != station {
-                prod_others *= 1.0 - other.tau;
-            }
-        }
-        let mut single = 0.0;
-        let mut single_ts = 0.0;
-        for (j, other) in self.per_station.iter().enumerate() {
-            if j == station {
-                continue;
-            }
-            let others = if other.tau < 1.0 {
-                prod_others / (1.0 - other.tau)
-            } else {
-                0.0
-            };
-            let ps_j = other.tau * others;
-            single += ps_j;
-            single_ts += ps_j
-                * (phy.difs().as_secs_f64()
-                    + phy.success_exchange(self.stations[j].bytes).as_secs_f64());
-        }
-        let q_s = if s.p > 0.0 {
-            (single / s.p).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let t_s_busy = if single > 0.0 {
-            single_ts / single
-        } else {
-            t_s
-        };
-
-        // Wall-clock busy view for the arrival mixture: other stations'
-        // delivered exchanges (x_j = throughput_j / L_j, identical to
-        // the solver's pass-2 view at the converged point).
-        let mut busy_w: Vec<(f64, f64)> = Vec::with_capacity(self.per_station.len() - 1);
-        let mut busy = 0.0;
-        let mut busy_sq = 0.0;
-        for (j, other) in self.per_station.iter().enumerate() {
-            if j == station {
-                continue;
-            }
-            let ts_j = phy.difs().as_secs_f64()
-                + phy.success_exchange(self.stations[j].bytes).as_secs_f64();
-            let share = other.throughput_bps / (self.stations[j].bytes as f64 * 8.0) * ts_j;
-            busy_w.push((share, ts_j));
-            busy += share;
-            busy_sq += share * ts_j;
-        }
-        let u = busy.clamp(0.0, 1.0);
-
-        // Post-busy rush parameters (mirrors the solver's pass-2
-        // geometry): presence of deferred unsaturated rivals at a
-        // post-busy chain start, with geometric compounding. The
-        // deferral window is the own exchange `t_s` for a queued frame
-        // and the length-biased busy duration for a busy-medium
-        // arrival.
-        const BETA: f64 = 0.5;
-        let t_busy_bar = if busy > 0.0 { busy_sq / busy } else { 0.0 };
-        let mut rush_rate = 0.0;
-        let mut rush_ts = 0.0;
-        for (j, spec_j) in self.stations.iter().enumerate() {
-            if j != station {
-                let lam_j = spec_j.rate_bps / (spec_j.bytes as f64 * 8.0);
-                rush_rate += lam_j;
-                rush_ts += lam_j
-                    * (phy.difs().as_secs_f64() + phy.success_exchange(spec_j.bytes).as_secs_f64());
-            }
-        }
-        let t_rush = if rush_rate > 0.0 {
-            rush_ts / rush_rate
-        } else {
-            0.0
-        };
-        let mut compound = 0.0;
-        let mut present_q = 0.0;
-        let mut present_b = 0.0;
-        for (j, other) in self.per_station.iter().enumerate() {
-            if j == station {
-                continue;
-            }
-            let lam_j = self.stations[j].rate_bps / (self.stations[j].bytes as f64 * 8.0);
-            let excess = (1.0 - other.rho).clamp(0.0, 1.0) * BETA;
-            compound += excess * (lam_j * t_rush).min(1.0);
-            present_q += excess * (lam_j * t_s).min(1.0);
-            present_b += excess * (lam_j * t_busy_bar).min(1.0);
-        }
-        let compound = compound.min(0.9);
-
-        // The backoff chain entered at `entry`; dropped frames redraw
-        // from the same entry stage (the conditional-on-delivery
-        // convention the closed-form chain means use).
-        let chain = |rng: &mut SimRng, entry: u32| -> f64 {
-            'frame: loop {
-                let mut delay = 0.0;
-                for stage in entry..=phy.retry_limit {
-                    let cw = phy.cw_at_stage(stage) as u64;
-                    let b = rng.range_inclusive(0, cw);
-                    for _ in 0..b {
-                        if rng.f64() < s.p {
-                            delay += if rng.f64() < q_s { t_s_busy } else { t_c };
-                        } else {
-                            delay += sigma;
-                        }
-                    }
-                    if rng.f64() < s.p {
-                        delay += t_c; // collided attempt, escalate
-                    } else {
-                        delay += t_s;
-                        return delay;
-                    }
-                }
-                // Dropped frames carry no access-delay sample: redraw.
-                continue 'frame;
-            }
-        };
-
-        // Geometric post-busy rush: a first deferred rival is present
-        // with probability `r0`; each winning rival exchange defers
-        // another with probability `compound`.
-        let rush = |rng: &mut SimRng, r0: f64| -> f64 {
-            let mut delay = 0.0;
-            let mut q = r0;
-            while rng.f64() < q {
-                delay += t_rush;
-                q = compound;
-            }
-            delay
-        };
-
-        if rng.f64() < s.rho {
-            // Found the queue occupied: full chain from stage 0,
-            // against the rivals deferred by the predecessor's exchange.
-            return chain(rng, 0) + rush(rng, present_q);
-        }
-        if rng.f64() < u {
-            // Empty queue, busy channel: residual of the occupant's
-            // exchange (length-biased occupant, uniform residual), then
-            // the chain against the rivals the busy period deferred.
-            let mut pick = rng.f64() * busy;
-            let mut occupant_ts = busy_w.last().map_or(t_s, |&(_, ts)| ts);
-            for &(share, ts_j) in &busy_w {
-                if pick < share {
-                    occupant_ts = ts_j;
-                    break;
-                }
-                pick -= share;
-            }
-            return rng.f64() * occupant_ts + chain(rng, 0) + rush(rng, present_b);
-        }
-        // Empty queue, idle channel: immediate access after DIFS.
-        if rng.f64() < s.p {
-            t_c + chain(rng, 1)
-        } else {
-            t_s
-        }
-    }
-
     /// Whether the solved model's **delay** figures for `station` are
     /// within the measured ±5 % oracle tolerance.
     ///
@@ -683,16 +498,6 @@ impl NonSatModel {
             .map(|s| s.rho)
             .sum();
         rho_unsat <= 0.8
-    }
-
-    /// `count` access delays for `station`, drawn deterministically
-    /// from `seed` (derivation index 1 — the same stream derivation as
-    /// [`crate::bianchi::BianchiModel::access_delays`]).
-    pub fn access_delays(&self, phy: &Phy, station: usize, count: usize, seed: u64) -> Vec<f64> {
-        let mut rng = SimRng::new(derive_seed(seed, 1));
-        (0..count)
-            .map(|_| self.sample_access_delay(phy, station, &mut rng))
-            .collect()
     }
 }
 
@@ -872,37 +677,6 @@ mod tests {
         // cycles.
         assert!(lone.per_station[0].mean_access_delay_s > t_s);
         assert!(lone.per_station[0].mean_access_delay_s < t_s + backoff0);
-    }
-
-    #[test]
-    fn sampler_mean_matches_closed_form_mean() {
-        for (name, stations) in [
-            ("light-2", sym(2, 1.5e6)),
-            ("knee-2", sym(2, 3.0e6)),
-            ("sat-5", sym(5, 6e6)),
-        ] {
-            let m = NonSatModel::solve(&phy(), &stations).unwrap();
-            let draws = m.access_delays(&phy(), 0, 20_000, 0xA0A);
-            let mean = draws.iter().sum::<f64>() / draws.len() as f64;
-            let rel = (mean - m.per_station[0].mean_access_delay_s).abs()
-                / m.per_station[0].mean_access_delay_s;
-            assert!(
-                rel < 0.05,
-                "{name}: sampled {mean:.6} vs closed-form {:.6} (rel {rel:.3})",
-                m.per_station[0].mean_access_delay_s
-            );
-        }
-    }
-
-    #[test]
-    fn sampler_is_deterministic_per_seed() {
-        let m = NonSatModel::solve(&phy(), &sym(2, 3e6)).unwrap();
-        let a = m.access_delays(&phy(), 0, 300, 7);
-        let b = m.access_delays(&phy(), 0, 300, 7);
-        let c = m.access_delays(&phy(), 0, 300, 8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.iter().all(|&d| d > 0.0));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! [`poll`]: SessionManager::poll
 
 use crate::wire::{json_f64, json_str, SubmitRequest, WireError};
-use csmaprobe_bench::grid::{parse_owned_links, parse_owned_trains, parse_tools};
-use csmaprobe_bench::grid::{GridTarget, OwnedLinkPoint, OwnedTrainPoint, TRAIN_TOOL_RATE_BPS};
+use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains};
+use csmaprobe_bench::grid::{GridTarget, LinkPoint, TrainPoint, TRAIN_TOOL_RATE_BPS};
 use csmaprobe_bench::scenarios::FRAME;
 use csmaprobe_desim::executor;
 use csmaprobe_desim::replicate::{run_reduce, CHUNK};
@@ -38,9 +38,9 @@ pub struct SessionSpec {
     /// Client-chosen table cell index (the table's sort key).
     pub cell: u64,
     /// Link-axis point.
-    pub link: OwnedLinkPoint,
+    pub link: LinkPoint,
     /// Train-shape axis point.
-    pub train: OwnedTrainPoint,
+    pub train: TrainPoint,
     /// Tool family.
     pub tool: ToolKind,
     /// Independent tool runs.
@@ -54,11 +54,11 @@ impl SessionSpec {
     /// points. The spec owns its inline points, so a refused or
     /// finished session leaves nothing behind.
     pub fn resolve(req: &SubmitRequest) -> Result<SessionSpec, WireError> {
-        let mut links = parse_owned_links(&req.link).map_err(|e| WireError::BadField {
+        let mut links = parse_links(&req.link).map_err(|e| WireError::BadField {
             field: "link",
             detail: e,
         })?;
-        let mut trains = parse_owned_trains(&req.train).map_err(|e| WireError::BadField {
+        let mut trains = parse_trains(&req.train).map_err(|e| WireError::BadField {
             field: "train",
             detail: e,
         })?;

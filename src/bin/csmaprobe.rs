@@ -243,10 +243,6 @@ fn target(args: &Args) -> Box<dyn ProbeTarget> {
 }
 
 fn main() {
-    if let Err(e) = csmaprobe::core::engine::check_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let args = parse();
     if let Err(e) = check(&args) {
         eprintln!("error: {e}");

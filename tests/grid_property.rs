@@ -12,9 +12,6 @@
 //!    byte offset resumes to the longest complete-row prefix, and
 //!    re-appending the missing rows reconstructs the original file
 //!    byte-for-byte: no duplicate, lost, or corrupt rows.
-//! 3. **Tier-provenance rejection** — rows persisted under one engine
-//!    policy carry a run fingerprint no differently-policied grid will
-//!    accept, so `--resume` refuses to mix engine tiers silently.
 
 use csmaprobe::core::sweep::{run_sweep, run_sweep_cells, SweepScenario};
 use csmaprobe::desim::rng::{derive_seed, SimRng};
@@ -151,72 +148,4 @@ proptest! {
         }
         let _ = std::fs::remove_file(&path);
     }
-}
-
-/// Rows persisted under one engine policy must be rejected by a resume
-/// under another: the policy (and each link's resolved tier) folds into
-/// the run-config fingerprint every row carries, and the `grid` bin
-/// refuses any row whose fingerprint differs from the resuming grid's.
-/// Without this, a forced-event row set silently absorbed into an auto
-/// run would mix routing policies in one table with no trace in the
-/// data.
-#[test]
-fn resume_rejects_rows_from_a_different_engine_policy() {
-    use csmaprobe::core::engine::{test_guard, EnginePolicy};
-    use csmaprobe_bench::grid::{find_link, find_train, BiasGrid, GridRow};
-    use csmaprobe_probe::tool::ToolKind;
-
-    // wlan_low's trains run on the simulator under both policies — same
-    // data, different policy token in the provenance.
-    let make = || {
-        BiasGrid::new(
-            vec![find_link("wlan_low").unwrap()],
-            vec![find_train("short").unwrap()],
-            vec![ToolKind::Train],
-            0.05,
-            42,
-        )
-    };
-
-    // Persist one cell under the forced-event policy.
-    let path = scratch_path();
-    let event_fingerprint = {
-        let _g = test_guard(EnginePolicy::Event);
-        let grid = make();
-        let mut sink = RowSink::create(&path).unwrap();
-        for row in run_sweep(&grid) {
-            sink.append(&row.to_json()).unwrap();
-        }
-        grid.fingerprint()
-    };
-
-    // Resume under auto: every persisted row must fail the bin's
-    // fingerprint gate, even though key set and data bits both match.
-    {
-        let _g = test_guard(EnginePolicy::Auto);
-        let grid = make();
-        assert_ne!(grid.fingerprint(), event_fingerprint);
-        let sink = RowSink::resume(&path).unwrap();
-        let rows = sink.read_rows().unwrap();
-        assert!(!rows.is_empty());
-        for line in &rows {
-            assert_eq!(GridRow::run_of(line), Some(event_fingerprint));
-            assert_ne!(
-                GridRow::run_of(line),
-                Some(grid.fingerprint()),
-                "row from a forced-event run must be refused on auto resume: {line}"
-            );
-        }
-    }
-
-    // Same policy, same grid: every row passes the gate (control).
-    {
-        let _g = test_guard(EnginePolicy::Event);
-        let grid = make();
-        let sink = RowSink::resume(&path).unwrap();
-        for line in &sink.read_rows().unwrap() {
-            assert_eq!(GridRow::run_of(line), Some(grid.fingerprint()));
-        }
-    }
-    let _ = std::fs::remove_file(&path);
 }

@@ -4,8 +4,10 @@
 //! * the finite-load fixed point lands within 5 % of a seed-averaged
 //!   event mean on every `nonsat-*` cell the router certifies;
 //! * uncertified cells stay on the simulator, bit for bit;
-//! * the retired `slotted` tier is inert: no policy routes to it, and
-//!   trains are the one simulator's trajectories under every policy.
+//! * routing is a pure function of the cell: a steady cell is the
+//!   analytic point exactly where a model certifies it and the
+//!   simulator's point elsewhere, trains always run the simulator, and
+//!   of the figures' rate-response sweeps only Fig 1's leaves it.
 //!
 //! Run with `--nocapture` to print the per-regime tolerance table that
 //! `EXPERIMENTS.md` ("Engine tiers" section) records:
@@ -14,10 +16,10 @@
 //! cargo test --release --test tier_equivalence -- --nocapture
 //! ```
 
-use csmaprobe::core::engine::{self, EnginePolicy, EngineTier};
-use csmaprobe::core::link::{CrossShape, CrossSpec, LinkConfig, ProbeTarget, WlanLink};
+use csmaprobe::core::engine::{self, EngineTier};
+use csmaprobe::core::link::{CrossShape, CrossSpec, LinkConfig, SteadyPoint, WlanLink};
 use csmaprobe::desim::time::Dur;
-use csmaprobe::traffic::probe::ProbeTrain;
+use csmaprobe_bench::scenarios::{fig1_link, fig4_link, rate_sweep_mbps};
 use csmaprobe_bench::tier::regime_matrix;
 
 /// Seeds of the event mean the fixed point is compared against.
@@ -74,9 +76,9 @@ fn finite_load_fixed_point_tolerance_rows() {
 }
 
 /// Negative routing: cells the solver does not certify must stay on
-/// the simulator — `analytic_covers` refuses them, the auto router
-/// routes them to `Event`, and the auto steady point stays
-/// bit-identical to a direct simulator run.
+/// the simulator — `analytic_covers` refuses them, the router routes
+/// them to `Event`, and the routed steady point stays bit-identical to
+/// a direct simulator run.
 #[test]
 fn uncertified_cells_stay_on_simulation() {
     let duration = Dur::from_secs_f64(0.5);
@@ -121,77 +123,94 @@ fn uncertified_cells_stay_on_simulation() {
             !engine::analytic_covers(link.config(), *ri),
             "{name}: must not be analytic-covered"
         );
-        let auto_tier = {
-            let _g = engine::test_guard(EnginePolicy::Auto);
-            engine::steady_tier(link.config(), *ri)
-        };
         assert_eq!(
-            auto_tier,
+            engine::steady_tier(link.config(), *ri),
             EngineTier::Event,
-            "{name}: auto router must keep an uncertified cell on the simulator"
+            "{name}: the router must keep an uncertified cell on the simulator"
         );
-        let auto_pt = {
-            let _g = engine::test_guard(EnginePolicy::Auto);
-            link.steady_state(*ri, duration, 0xBAD5EED)
-        };
-        let forced_pt = link.steady_state_event(*ri, duration, 0xBAD5EED);
-        assert_eq!(
-            auto_pt.output_rate_bps.to_bits(),
-            forced_pt.output_rate_bps.to_bits(),
-            "{name}"
-        );
-        assert_eq!(auto_pt.contending_bps, forced_pt.contending_bps, "{name}");
-        assert_eq!(
-            auto_pt.fifo_cross_bps.to_bits(),
-            forced_pt.fifo_cross_bps.to_bits(),
-            "{name}"
+        assert_same_point(
+            &link.steady_state(*ri, duration, 0xBAD5EED),
+            &link.steady_state_event(*ri, duration, 0xBAD5EED),
+            name,
         );
     }
 }
 
-/// The retired `slotted` tier: `EngineTier::Slotted` survives only as
-/// a name that no policy can force and no route returns, so every
-/// train is the one simulator's trajectory — bit-identical under auto
-/// and forced `event`, including on cells the analytic tier would
-/// otherwise serve — and a forced-event steady cell is exactly the
-/// simulator's.
+/// Two steady points are the same bits.
+fn assert_same_point(a: &SteadyPoint, b: &SteadyPoint, what: &str) {
+    assert_eq!(
+        a.output_rate_bps.to_bits(),
+        b.output_rate_bps.to_bits(),
+        "{what}"
+    );
+    let bits = |p: &SteadyPoint| {
+        p.contending_bps
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(a), bits(b), "{what}");
+    assert_eq!(
+        a.fifo_cross_bps.to_bits(),
+        b.fifo_cross_bps.to_bits(),
+        "{what}"
+    );
+}
+
+/// Routing is a pure function of the cell: `steady_state` is the
+/// analytic point, bit for bit, on a Poisson cell the fixed point
+/// certifies and the simulator's point on a CBR mix it does not, and
+/// trains run on the simulator either way.
 #[test]
-fn forced_slotted_trains_are_trajectory_exact() {
-    let links = [
-        WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0)),
-        WlanLink::new(
-            LinkConfig::default()
-                .contending_bps(2_000_000.0)
-                .contending(CrossSpec::shaped(1_000_000.0, CrossShape::Cbr)),
-        ),
-    ];
-    let train = ProbeTrain::from_rate(50, 1500, 5_000_000.0);
+fn steady_cells_route_by_coverage_alone() {
     let duration = Dur::from_secs_f64(0.5);
-    for (k, link) in links.iter().enumerate() {
-        let run = |policy: EnginePolicy| {
-            let _g = engine::test_guard(policy);
-            (
-                engine::steady_tier(link.config(), 1_500_000.0),
-                engine::train_tier(link.config()),
-                link.probe_train(train, 0xE1),
-                link.steady_state(1_500_000.0, duration, 0xE1),
-            )
-        };
-        let (auto_tier, auto_train_tier, auto, _) = run(EnginePolicy::Auto);
-        let (ev_tier, ev_train_tier, ev, ev_pt) = run(EnginePolicy::Event);
-        assert_ne!(auto_tier, EngineTier::Slotted, "link {k}");
-        assert_eq!(ev_tier, EngineTier::Event, "link {k}");
-        assert_eq!(auto_train_tier, EngineTier::Event, "link {k}");
-        assert_eq!(ev_train_tier, EngineTier::Event, "link {k}");
-        assert_eq!(ev.arrivals, auto.arrivals, "link {k}");
-        assert_eq!(ev.rx_times, auto.rx_times, "link {k}");
-        assert_eq!(ev.access_delays, auto.access_delays, "link {k}");
-        let sim_pt = link.steady_state_event(1_500_000.0, duration, 0xE1);
+    let ri = 1_500_000.0;
+    let poisson = WlanLink::new(LinkConfig::default().contending_bps(2_000_000.0));
+    let cbr_mix = WlanLink::new(
+        LinkConfig::default()
+            .contending_bps(2_000_000.0)
+            .contending(CrossSpec::shaped(1_000_000.0, CrossShape::Cbr)),
+    );
+    assert_eq!(
+        engine::steady_tier(poisson.config(), ri),
+        EngineTier::Analytic
+    );
+    assert_same_point(
+        &poisson.steady_state(ri, duration, 0xE1),
+        &poisson.steady_state_analytic(ri),
+        "certified poisson cell",
+    );
+    assert_eq!(engine::steady_tier(cbr_mix.config(), ri), EngineTier::Event);
+    assert_same_point(
+        &cbr_mix.steady_state(ri, duration, 0xE1),
+        &cbr_mix.steady_state_event(ri, duration, 0xE1),
+        "cbr mix",
+    );
+    for link in [&poisson, &cbr_mix] {
+        assert_eq!(engine::train_tier(link.config()), EngineTier::Event);
+    }
+}
+
+/// The figures' two rate-response sweeps: every Fig 1 rate is a
+/// certified Poisson cell and leaves the simulator, while no model
+/// covers Fig 4's FIFO cross-traffic, so its every rate stays on it.
+/// No other figure asks the router for a steady cell, so routing
+/// changes Fig 1 and nothing else.
+#[test]
+fn fig01_sweep_routes_analytic_and_fig04_sweep_stays_on_simulation() {
+    let (fig1, fig4) = (fig1_link(), fig4_link());
+    let rates = rate_sweep_mbps(0.5, 10.0, 0.5);
+    assert_eq!(rates.len(), 20);
+    for ri in rates {
         assert_eq!(
-            ev_pt.output_rate_bps.to_bits(),
-            sim_pt.output_rate_bps.to_bits(),
-            "link {k}"
+            engine::steady_tier(fig1.config(), ri),
+            EngineTier::Analytic,
+            "fig01 at {ri} b/s"
         );
-        assert_eq!(ev_pt.contending_bps, sim_pt.contending_bps, "link {k}");
+        assert_eq!(
+            engine::steady_tier(fig4.config(), ri),
+            EngineTier::Event,
+            "fig04 at {ri} b/s"
+        );
     }
 }
