@@ -4,7 +4,8 @@
 //! Usage: `cargo run --release -p csmaprobe-bench --bin all_figures
 //! [--scale F] [--seed N] [--only fig08,fig13] [--list] [--jobs N]`.
 //! An unknown flag or a bad value exits 2 with one stderr line naming
-//! the flag, before any output (`csmaprobe_bench::cli_options_from`).
+//! the flag, before any output (`csmaprobe_bench::cli_options_from`);
+//! so does a `CSMAPROBE_WORKERS` that is not a positive integer.
 //!
 //! Figures come from `figures::REGISTRY` and are submitted — by
 //! descending cost weight — as one task batch to the process-wide
@@ -20,14 +21,16 @@
 
 use csmaprobe_bench::figures::{self, FigureDef};
 use csmaprobe_bench::report::FigureReport;
-use csmaprobe_desim::replicate;
+use csmaprobe_desim::{executor, replicate};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let opts = csmaprobe_bench::cli_options_from(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let opts = executor::env_worker_limit()
+        .and_then(|_| csmaprobe_bench::cli_options_from(&args))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
 
     if opts.list {
         for d in figures::REGISTRY {

@@ -1,15 +1,14 @@
 //! The link × train × tool scenario grid: named axis catalogs, the
-//! [`BiasGrid`] scenario they compose into, and the JSONL row format
-//! the `grid` binary persists.
+//! [`BiasGrid`] scenario they compose into, and the row format of the
+//! table the `grid` binary writes.
 //!
 //! This is the paper's experiment matrix as one schedulable object:
 //! every cell is "run tool T with train shape N over link L", the axes
 //! are independently enumerable (and CLI-selectable by name), and
 //! [`BiasGrid`] is a [`SweepScenario`] over the flattened cell space
-//! (link-major, tool fastest). Cells are seeded by name, so no runner
-//! needs their axis coordinates, and the engine's per-cell bit-identity
-//! makes any subset of cells (a resumed run, a `--max-cells` stop)
-//! reproduce exactly the rows of an uninterrupted run.
+//! (link-major, tool fastest). Cells are seeded by name, not position,
+//! so a cell's row is the same whichever other axis points are
+//! selected, and in whatever order.
 
 use crate::report::{json_f64, json_str};
 use crate::scaled;
@@ -271,8 +270,8 @@ impl InlineLink {
 
     /// Build the point. The name is **canonical** — every parameter
     /// spelled out from its parsed value — so the same spec in any
-    /// notation (`6e6` vs `6000000`) names the same cell, seeds the same
-    /// replications, and fingerprints the same run configuration.
+    /// notation (`6e6` vs `6000000`) names the same cell and seeds the
+    /// same replications.
     fn build(self) -> Result<LinkPoint, String> {
         let (name, kind) = match self.kind.as_str() {
             "wlan" => {
@@ -361,10 +360,8 @@ fn unknown_axis_point(what: &str, part: &str, catalog: &[&str], hint: &str) -> S
 /// `wired:capacity=<bps>,cross=<bps>` — freely mixed. A `kind:` part
 /// opens an inline spec; bare `key=value` parts extend the one being
 /// built; anything else is a catalog name. Inline points get canonical
-/// parameter-spelling names, so they fold into the run-config
-/// fingerprint (and the cells' seed derivation) exactly like catalog
-/// points — resume rejects a mismatched spec the same way it rejects a
-/// changed axis selection.
+/// parameter-spelling names, which key and seed their cells exactly
+/// like catalog names.
 ///
 /// Every inline bits/s value must lie in 0 ..= [`MAX_INLINE_BPS`], and a
 /// wired capacity must be at least [`MIN_WIRED_CAPACITY_BPS`]: these
@@ -435,8 +432,8 @@ pub fn parse_links(csv: &str) -> Result<Vec<LinkPoint>, String> {
 
 /// Parse a `--trains` comma list: catalog names ([`TRAINS`]) and inline
 /// `n=<packets>` specs, freely mixed. Inline points are named
-/// canonically (`n=50`), so they participate in seeds and the
-/// run-config fingerprint like catalog points. An inline count must lie
+/// canonically (`n=50`), so they key and seed their cells like catalog
+/// points. An inline count must lie
 /// in 1 ..= [`MAX_TRAIN_PACKETS`]. Inline points own their names, as
 /// in [`parse_links`].
 pub fn parse_trains(csv: &str) -> Result<Vec<TrainPoint>, String> {
@@ -501,10 +498,9 @@ pub fn parse_tools(csv: &str) -> Result<Vec<ToolKind>, String> {
     )
 }
 
-/// FNV-1a hash of a string — a stable 64-bit fingerprint for cell
-/// names and run configurations (no `std::hash` — `DefaultHasher` is
-/// not guaranteed stable across releases, and these values end up in
-/// seeds and persisted files).
+/// FNV-1a hash of a string — a stable 64-bit fingerprint of a cell
+/// name (no `std::hash` — `DefaultHasher` is not guaranteed stable
+/// across releases, and these values end up in seeds).
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
@@ -557,10 +553,6 @@ pub struct GridRow {
     pub ci95_bps: f64,
     /// True available bandwidth of the link, bits/s.
     pub available_bps: f64,
-    /// The producing run's configuration fingerprint
-    /// ([`BiasGrid::fingerprint`]): resume refuses to mix rows from a
-    /// different grid configuration.
-    pub run: u64,
 }
 
 impl GridRow {
@@ -574,21 +566,15 @@ impl GridRow {
         GridRow::cell_key(&self.link, &self.train, self.tool)
     }
 
-    /// The `"run"` fingerprint of a persisted row line, if present.
-    pub fn run_of(line: &str) -> Option<u64> {
-        crate::report::row_run(line)
-    }
-
-    /// Serialize as one [`crate::report::RowSink`] JSONL line
-    /// (`"cell"` and `"key"` first, as the sink requires).
+    /// Serialize as one line of the grid table (`"cell"` and `"key"`
+    /// first, the row layout [`crate::report::row_key`] reads).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"cell\":{},\"key\":{},\"run\":\"{:016x}\",\"link\":{},\"train\":{},\
+            "{{\"cell\":{},\"key\":{},\"link\":{},\"train\":{},\
              \"tool\":{},\"n\":{},\"reps\":{},\"failed\":{},\"mean_bps\":{},\
              \"sd_bps\":{},\"ci95_bps\":{},\"available_bps\":{}}}",
             self.cell,
             json_str(&self.key()),
-            self.run,
             json_str(&self.link),
             json_str(&self.train),
             json_str(self.tool.name()),
@@ -649,8 +635,7 @@ impl BiasGrid {
         (flat / (trains * tools), flat / tools % trains, flat % tools)
     }
 
-    /// The cell key of the flat cell `flat` (what the persisted row
-    /// will carry) — lets a resuming caller enumerate expected keys
+    /// The cell key of the flat cell `flat` (what its row will carry),
     /// without running anything.
     pub fn key_of(&self, flat: usize) -> String {
         let (link, train, tool) = self.coord(flat);
@@ -659,27 +644,6 @@ impl BiasGrid {
             &self.trains[train].name,
             self.tools[tool],
         )
-    }
-
-    /// Fingerprint of this grid's full configuration — axis selection
-    /// *and order* (cell indices depend on both), scale and seed.
-    /// Persisted in every row; resume refuses a file whose rows carry a
-    /// different fingerprint instead of silently mixing populations.
-    pub fn fingerprint(&self) -> u64 {
-        let mut desc = format!("scale={};seed={}", self.scale.to_bits(), self.seed);
-        for l in &self.links {
-            desc.push_str(";link=");
-            desc.push_str(&l.name);
-        }
-        for t in &self.trains {
-            desc.push_str(";train=");
-            desc.push_str(&t.name);
-        }
-        for t in &self.tools {
-            desc.push_str(";tool=");
-            desc.push_str(t.name());
-        }
-        fnv1a(&desc)
     }
 }
 
@@ -751,7 +715,6 @@ impl SweepScenario for BiasGrid {
             sd_bps: acc.est.std_dev(),
             ci95_bps: acc.est.ci_half_width(0.95),
             available_bps: self.available[link],
-            run: self.fingerprint(),
         }
     }
 }
@@ -855,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_specs_fold_into_the_run_fingerprint() {
+    fn inline_specs_key_cells_by_canonical_spelling() {
         let grid_of = |links: &str| {
             BiasGrid::new(
                 parse_links(links).unwrap(),
@@ -868,16 +831,16 @@ mod tests {
         let a = grid_of("wlan:cross=6e6,fifo=1e6");
         let b = grid_of("wlan:cross=6000000,fifo=1000000");
         let c = grid_of("wlan:cross=6e6,fifo=2e6");
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "canonical spelling ⇒ same run configuration"
-        );
+        assert_eq!(a.key_of(0), b.key_of(0), "canonical spelling ⇒ same cell");
         assert_ne!(
-            a.fingerprint(),
-            c.fingerprint(),
-            "a changed parameter must be rejected on resume"
+            a.key_of(0),
+            c.key_of(0),
+            "a changed parameter ⇒ another cell"
         );
+        // The same cell seeds the same replications: bit-identical rows.
+        let (row_a, row_b) = (&run_sweep(&a)[0], &run_sweep(&b)[0]);
+        assert_eq!(row_a.mean_bps.to_bits(), row_b.mean_bps.to_bits());
+        assert_eq!(row_a.to_json(), row_b.to_json());
         // And inline cells produce data like any catalog cell.
         let rows = run_sweep(&grid_of("wlan:cross=2e6"));
         assert_eq!(rows.len(), 1);
@@ -916,7 +879,7 @@ mod tests {
             assert!(row.mean_bps.is_finite(), "wired trains always complete");
             assert_eq!(row.failed, 0);
             let line = row.to_json();
-            assert_eq!(row_key(&line), Some(row.key().as_str()), "sink format");
+            assert_eq!(row_key(&line), Some(row.key().as_str()), "row layout");
         }
     }
 
@@ -944,41 +907,6 @@ mod tests {
         assert_eq!(a.key(), b.key());
         assert_eq!(a.mean_bps.to_bits(), b.mean_bps.to_bits());
         assert_eq!(a.sd_bps.to_bits(), b.sd_bps.to_bits());
-    }
-
-    #[test]
-    fn fingerprint_tracks_configuration_and_round_trips() {
-        let base = || {
-            BiasGrid::new(
-                vec![find_link("wired").unwrap()],
-                vec![find_train("short").unwrap()],
-                vec![ToolKind::Train],
-                0.05,
-                42,
-            )
-        };
-        let a = base();
-        assert_eq!(a.fingerprint(), base().fingerprint(), "stable");
-        let other_seed = BiasGrid::new(
-            vec![find_link("wired").unwrap()],
-            vec![find_train("short").unwrap()],
-            vec![ToolKind::Train],
-            0.05,
-            43,
-        );
-        assert_ne!(a.fingerprint(), other_seed.fingerprint());
-        let other_axis = BiasGrid::new(
-            vec![find_link("wired").unwrap()],
-            vec![find_train("mid").unwrap()],
-            vec![ToolKind::Train],
-            0.05,
-            42,
-        );
-        assert_ne!(a.fingerprint(), other_axis.fingerprint());
-        // The fingerprint lands in every row and parses back out.
-        let row = &run_sweep(&a)[0];
-        assert_eq!(row.run, a.fingerprint());
-        assert_eq!(GridRow::run_of(&row.to_json()), Some(a.fingerprint()));
     }
 
     #[test]

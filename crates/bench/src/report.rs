@@ -1,7 +1,8 @@
 //! Figure reports: the common output format of every experiment — plus
-//! [`RowSink`], the incremental, crash-tolerant JSONL persister behind
-//! the grid runner's one row file per run and the daemon's one session
-//! table.
+//! [`json_array`], the one writer of the JSON-array tables
+//! (`experiments.json`, the grid table, the session tables), and
+//! [`RowSink`], the crash-tolerant JSONL persister behind the daemon's
+//! session table.
 
 use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _, Write as _};
@@ -186,26 +187,29 @@ impl FigureReport {
     }
 }
 
-/// Serialize a slice of reports as a pretty-ish JSON array (one report
-/// object per line), suitable for `experiments.json`.
-pub fn reports_to_json(reports: &[FigureReport]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&r.to_json());
-        if i + 1 < reports.len() {
-            out.push(',');
-        }
-        out.push('\n');
+/// Lay out JSON values (each already serialized, one line apiece) as a
+/// JSON array with one value per line: `[\n  a,\n  b\n]\n`. The one
+/// layout of `experiments.json`, the grid table and the session tables.
+pub fn json_array<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> String {
+    let mut out = String::from("[");
+    let mut sep = "\n  ";
+    for v in values {
+        out.push_str(sep);
+        out.push_str(v.as_ref());
+        sep = ",\n  ";
     }
-    out.push(']');
-    out.push('\n');
+    out.push_str("\n]\n");
     out
 }
 
+/// Serialize a slice of reports as a pretty-ish JSON array (one report
+/// object per line), suitable for `experiments.json`.
+pub fn reports_to_json(reports: &[FigureReport]) -> String {
+    json_array(reports.iter().map(FigureReport::to_json))
+}
+
 /// Append-only JSONL row store with crash-tolerant resume: the
-/// persistence layer of the grid runner (`bin/grid`) and of the
-/// `csmaprobe serve` session table.
+/// persistence layer of the `csmaprobe serve` session table.
 ///
 /// Each row is one line, a JSON object whose **first two fields are**
 /// `"cell":<flat index>` and `"key":"<unique cell key>"` (the rest is
@@ -213,18 +217,16 @@ pub fn reports_to_json(reports: &[FigureReport]) -> String {
 /// loses at most the line being written. [`RowSink::resume`] scans an
 /// existing file, keeps the longest prefix of complete rows, truncates
 /// any torn tail (a kill mid-`write` leaves a partial last line), and
-/// reports the persisted keys so the caller can schedule only the
-/// missing cells.
+/// reports the persisted keys, which a restarted daemon refuses.
 ///
 /// [`RowSink::finalize`] assembles the rows — sorted by cell index, so
-/// the output is independent of completion or resume order — into an
+/// the output is independent of completion or restart order — into an
 /// `experiments.json`-style JSON array.
 #[derive(Debug)]
 pub struct RowSink {
     path: PathBuf,
     file: std::fs::File,
     keys: std::collections::BTreeSet<String>,
-    rows: usize,
 }
 
 /// The `"key"` field of a complete JSONL row line, if the line is one.
@@ -249,77 +251,23 @@ pub fn row_cell(line: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// The `"run"` fingerprint (16 hex digits) of a row line, if present.
-pub fn row_run(line: &str) -> Option<u64> {
-    let at = line.find(",\"run\":\"")?;
-    let rest = &line[at + ",\"run\":\"".len()..];
-    u64::from_str_radix(rest.get(..16)?, 16).ok()
-}
-
 /// The longest complete-row prefix of a row file's bytes: its byte
-/// length, the rows, and their keys. A malformed or duplicate-key line
+/// length and the keys of its rows. A malformed or duplicate-key line
 /// ends the prefix — the writer produces neither, so nothing after it
 /// is trustworthy.
-struct ScannedPrefix {
-    good: usize,
-    rows: Vec<String>,
-    keys: std::collections::BTreeSet<String>,
-}
-
-fn scan_complete_prefix(bytes: &[u8]) -> ScannedPrefix {
+fn scan_complete_prefix(bytes: &[u8]) -> (usize, std::collections::BTreeSet<String>) {
     let mut keys = std::collections::BTreeSet::new();
-    let mut rows = Vec::new();
     let mut good = 0usize;
-    let mut start = 0usize;
-    while let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') {
-        let line = match std::str::from_utf8(&bytes[start..start + nl]) {
-            Ok(l) => l,
-            Err(_) => break,
+    while let Some(nl) = bytes[good..].iter().position(|&b| b == b'\n') {
+        let Ok(line) = std::str::from_utf8(&bytes[good..good + nl]) else {
+            break;
         };
         match row_key(line) {
-            Some(key) if keys.insert(key.to_string()) => {
-                rows.push(line.to_string());
-                start += nl + 1;
-                good = start;
-            }
+            Some(key) if keys.insert(key.to_string()) => good += nl + 1,
             _ => break,
         }
     }
-    ScannedPrefix { good, rows, keys }
-}
-
-/// A **read-only** snapshot of a row file: the longest complete-row
-/// prefix, loaded without opening the file for writing and without
-/// truncating a torn tail (contrast [`RowSink::resume`], which owns the
-/// file and repairs it in place). This is what the grid runner's
-/// `--list` uses: listing must never mutate the row file, and it works
-/// on files the process has no write permission to.
-#[derive(Debug)]
-pub struct RowFile {
-    rows: Vec<String>,
-    keys: std::collections::BTreeSet<String>,
-}
-
-impl RowFile {
-    /// The complete rows, in file order.
-    pub fn rows(&self) -> &[String] {
-        &self.rows
-    }
-
-    /// Number of complete rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// No complete rows?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Has a row with this key?
-    pub fn contains(&self, key: &str) -> bool {
-        self.keys.contains(key)
-    }
+    (good, keys)
 }
 
 impl RowSink {
@@ -331,19 +279,14 @@ impl RowSink {
             path,
             file,
             keys: Default::default(),
-            rows: 0,
         })
     }
 
     /// Open `path` for resuming **writes**: keep the longest prefix of
     /// complete rows, truncate everything after it (torn tail line or
     /// trailing garbage), and load the persisted keys. A missing file
-    /// resumes from nothing.
-    ///
-    /// This opens the file read-write and repairs it in place — it is
-    /// the path for a run that will append more rows. Callers that only
-    /// want to *read* rows (listing pending cells) must use
-    /// [`RowSink::load`] instead, which never mutates the file.
+    /// resumes from nothing. The file is opened read-write and repaired
+    /// in place.
     pub fn resume(path: impl Into<PathBuf>) -> std::io::Result<RowSink> {
         let path = path.into();
         let mut file = std::fs::OpenOptions::new()
@@ -355,41 +298,22 @@ impl RowSink {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        let scanned = scan_complete_prefix(&bytes);
-        if scanned.good < bytes.len() {
-            file.set_len(scanned.good as u64)?;
+        let (good, keys) = scan_complete_prefix(&bytes);
+        if good < bytes.len() {
+            file.set_len(good as u64)?;
         }
-        file.seek(std::io::SeekFrom::Start(scanned.good as u64))?;
-        Ok(RowSink {
-            path,
-            file,
-            keys: scanned.keys,
-            rows: scanned.rows.len(),
-        })
+        file.seek(std::io::SeekFrom::Start(good as u64))?;
+        Ok(RowSink { path, file, keys })
     }
 
-    /// Load `path` **read-only**: the longest complete-row prefix, with
-    /// a torn tail *ignored* rather than truncated. The file is opened
-    /// without write access and its bytes are never touched, so this
-    /// works on inputs the caller must not (or cannot — `chmod 444`)
-    /// mutate, such as the file `grid --list` reports on.
-    pub fn load(path: impl Into<PathBuf>) -> std::io::Result<RowFile> {
-        let bytes = std::fs::read(path.into())?;
-        let scanned = scan_complete_prefix(&bytes);
-        Ok(RowFile {
-            rows: scanned.rows,
-            keys: scanned.keys,
-        })
-    }
-
-    /// Number of persisted rows.
+    /// Number of persisted rows (one per key).
     pub fn len(&self) -> usize {
-        self.rows
+        self.keys.len()
     }
 
     /// No rows yet?
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.keys.is_empty()
     }
 
     /// Has a row with this key already been persisted?
@@ -411,7 +335,6 @@ impl RowSink {
         self.file.write_all(b"\n")?;
         self.file.flush()?;
         self.keys.insert(key.to_string());
-        self.rows += 1;
         Ok(())
     }
 
@@ -426,8 +349,8 @@ impl RowSink {
     }
 
     /// Assemble the persisted rows into an `experiments.json`-style
-    /// JSON array, **sorted by cell index** so the table is identical
-    /// for interrupted-and-resumed and uninterrupted runs.
+    /// JSON array ([`json_array`]), **sorted by cell index** so the
+    /// table is identical for restarted and uninterrupted runs.
     ///
     /// A duplicate cell key (impossible through [`RowSink::append`],
     /// but a file edited or concatenated outside the sink can carry
@@ -447,26 +370,15 @@ impl RowSink {
         }
         let mut rows: Vec<&String> = latest.into_values().collect();
         rows.sort_by_key(|l| row_cell(l).unwrap_or(u64::MAX));
-        let mut out = String::from("[\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(r);
-            if i + 1 < rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        Ok(out)
+        Ok(json_array(rows))
     }
 }
 
 /// JSON string literal with the escapes required by RFC 8259.
 ///
-/// Public because every layer that writes [`RowSink`]-compatible rows
-/// (the grid runner here, the serving layer in `csmaprobe-service`)
-/// must serialize fields identically for finalized tables to be
-/// byte-comparable.
+/// Public because every layer that writes table rows (the grid runner
+/// here, the serving layer in `csmaprobe-service`) must serialize
+/// fields identically for finalized tables to be byte-comparable.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -594,7 +506,7 @@ mod tests {
     fn sink_appends_flushes_and_finalizes_sorted() {
         let p = tmp("basic");
         let mut sink = RowSink::create(&p).unwrap();
-        // Out-of-cell-order appends (a resumed run does this).
+        // Out-of-cell-order appends (concurrent sessions do this).
         sink.append(&row_line(2, "c", 3.0)).unwrap();
         sink.append(&row_line(0, "a", 1.0)).unwrap();
         sink.append(&row_line(1, "b", 2.0)).unwrap();
@@ -652,36 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn row_run_parses_the_fingerprint() {
-        let line = "{\"cell\":3,\"key\":\"a/b\",\"run\":\"00000000deadbeef\",\"v\":1.5}";
-        assert_eq!(row_run(line), Some(0xdead_beef));
-        assert_eq!(row_key(line), Some("a/b"));
-        // Rows without the field carry no fingerprint.
-        assert_eq!(row_run(&row_line(0, "k", 1.0)), None);
-    }
-
-    #[test]
-    fn load_is_read_only_and_ignores_torn_tail() {
-        let p = tmp("load");
-        {
-            let mut sink = RowSink::create(&p).unwrap();
-            sink.append(&row_line(0, "a", 1.0)).unwrap();
-            sink.append(&row_line(1, "b", 2.0)).unwrap();
-        }
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes.extend_from_slice(b"{\"cell\":2,\"key\":\"c\",\"v\":3");
-        std::fs::write(&p, &bytes).unwrap();
-
-        let loaded = RowSink::load(&p).unwrap();
-        assert_eq!(loaded.len(), 2, "torn tail excluded from the rows");
-        assert!(loaded.contains("a") && loaded.contains("b") && !loaded.contains("c"));
-        assert_eq!(row_key(&loaded.rows()[1]), Some("b"));
-        // Crucially: the file bytes were NOT repaired.
-        assert_eq!(std::fs::read(&p).unwrap(), bytes, "load must not truncate");
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
     fn finalize_keeps_the_last_duplicate_row() {
         // append() forbids duplicates, so plant one behind the sink's
         // back — the way a concatenated or re-run file would carry it.
@@ -711,5 +593,12 @@ mod tests {
         assert!(j.contains("\"id\":\"a\""));
         assert!(j.contains("\"id\":\"b\""));
         assert_eq!(j.matches("},\n").count(), 1);
+    }
+
+    #[test]
+    fn json_array_puts_one_value_per_line() {
+        assert_eq!(json_array(Vec::<String>::new()), "[\n]\n");
+        assert_eq!(json_array(["{}"]), "[\n  {}\n]\n");
+        assert_eq!(json_array(["1", "2", "3"]), "[\n  1,\n  2,\n  3\n]\n");
     }
 }

@@ -1,6 +1,7 @@
 //! Start-up contract of the figure entry point: `all_figures` refuses
-//! an unknown flag or a bad flag value. A refusal is exit code 2 and
-//! one stderr line naming the offending flag, before any figure runs.
+//! an unknown flag, a bad flag value or a `CSMAPROBE_WORKERS` that is
+//! not a positive integer. A refusal is exit code 2 and one stderr line
+//! naming the offending flag or variable, before any figure runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -13,10 +14,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn run(dir: &PathBuf, args: &[&str]) -> Output {
+fn run(dir: &PathBuf, workers: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_all_figures"))
         .current_dir(dir)
-        .env("CSMAPROBE_WORKERS", "1")
+        .env("CSMAPROBE_WORKERS", workers)
         .args(args)
         .output()
         .expect("spawn all_figures")
@@ -46,9 +47,21 @@ fn all_figures_refuses_bad_flags() {
     ];
     for (i, (args, flag)) in cases.into_iter().enumerate() {
         let dir = scratch(&format!("flag-{i}"));
-        let out = run(&dir, args);
+        let out = run(&dir, "1", args);
         let case = args.join(" ");
         assert_refused(&out, &case, &[flag]);
+        assert!(!dir.join("experiments.json").exists(), "{case}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn all_figures_refuses_a_bad_worker_env() {
+    for (i, workers) in ["abc", "-1", "4x", "0", ""].into_iter().enumerate() {
+        let dir = scratch(&format!("workers-{i}"));
+        let out = run(&dir, workers, &["--only", "fig01", "--scale", "0.02"]);
+        let case = format!("CSMAPROBE_WORKERS={workers:?}");
+        assert_refused(&out, &case, &[&case]);
         assert!(!dir.join("experiments.json").exists(), "{case}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,10 +1,6 @@
-//! CLI contract tests for the `grid` binary: exit codes for malformed
-//! flags (the `--max-cells 0` regression in particular), the
-//! run-fingerprint gate of `--resume`, and what `--list` reports after
-//! a budget stop.
-//!
-//! Exit-code convention under test: 0 done, 2 usage/configuration
-//! error, 3 interrupted (cells still pending).
+//! CLI contract tests for the `grid` binary: a bad flag, value or
+//! `CSMAPROBE_WORKERS` is refused with exit 2 before anything runs, and
+//! the table a run writes does not depend on the worker count.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -18,12 +14,11 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Run the `grid` bin in `dir` with a pinned worker count (the output
-/// contract is worker-count-invariant; pinning just keeps CI quiet).
-fn grid(dir: &Path, args: &[&str]) -> Output {
+/// Run the `grid` bin in `dir` under `CSMAPROBE_WORKERS=workers`.
+fn grid(dir: &Path, workers: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_grid"))
         .current_dir(dir)
-        .env("CSMAPROBE_WORKERS", "2")
+        .env("CSMAPROBE_WORKERS", workers)
         .args(args)
         .output()
         .expect("spawn grid")
@@ -37,109 +32,113 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// The cheap 2-cell grid every end-to-end test below sweeps.
-const AXES: [&str; 6] = [
+/// A cheap grid over both link families and two tool families.
+const AXES: [&str; 8] = [
     "--links",
-    "wired",
+    "wired,wlan_low",
     "--trains",
-    "short,mid",
+    "short",
     "--tools",
-    "train",
+    "train,slops",
+    "--scale",
+    "0.05",
 ];
 
-#[test]
-fn zero_max_cells_is_a_usage_error_not_a_silent_no_op() {
-    let dir = scratch("maxcells0");
-    let out = grid(&dir, &["--max-cells", "0"]);
-    assert_eq!(code(&out), 2, "stderr: {}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("--max-cells 0"), "names the flag: {err}");
-    assert!(err.contains("usage:"), "shows usage: {err}");
+/// Exit 2 with a first stderr line `error: …` naming `flag`, then the
+/// usage text, and nothing on stdout or on disk.
+fn assert_usage_error(dir: &Path, out: &Output, case: &str, flag: &str) {
+    let err = stderr(out);
+    assert_eq!(code(out), 2, "{case}: stderr {err}");
+    let first = err.lines().next().unwrap_or_default();
     assert!(
-        !dir.join("grid_rows.jsonl").exists(),
-        "a usage error must not touch the row file"
+        first.starts_with("error:") && first.contains(flag),
+        "{case}: the first line names {flag}: {err}"
     );
+    assert!(err.contains("usage:"), "{case}: shows usage: {err}");
+    assert!(out.stdout.is_empty(), "{case}: nothing printed");
+    assert!(!dir.join("grid.json").exists(), "{case}: no table written");
 }
 
 #[test]
 fn malformed_flag_values_exit_2() {
     let dir = scratch("badflags");
-    for args in [&["--jobs", "0"][..], &["--links", "no_such_link"][..]] {
-        let out = grid(&dir, args);
-        assert_eq!(code(&out), 2, "args {args:?}; stderr: {}", stderr(&out));
-    }
+    let out = grid(&dir, "2", &["--links", "no_such_link"]);
+    assert_eq!(code(&out), 2, "stderr: {}", stderr(&out));
     // Unparseable numbers and nonsensical scales are refused the way
     // `all_figures` refuses them: one error line naming the flag, then
     // the usage text. A wrongly accepted value would let `--list` exit
     // 0 at once.
     for args in [
-        ["--max-cells", "nope"],
         ["--seed", "-1"],
-        ["--jobs", "two"],
         ["--scale", "abc"],
         ["--scale", "nan"],
         ["--scale", "inf"],
         ["--scale", "-1"],
         ["--scale", "0"],
     ] {
-        let out = grid(&dir, &[args[0], args[1], "--list"]);
-        let err = stderr(&out);
-        assert_eq!(code(&out), 2, "args {args:?}; stderr: {err}");
-        let first = err.lines().next().unwrap_or_default();
-        assert!(
-            first.starts_with("error:") && first.contains(args[0]),
-            "args {args:?}: the first line names the flag: {err}"
-        );
-        assert!(err.contains("usage:"), "args {args:?} shows usage: {err}");
-        assert!(out.stdout.is_empty(), "args {args:?}: nothing listed");
+        let out = grid(&dir, "2", &[args[0], args[1], "--list"]);
+        assert_usage_error(&dir, &out, &args.join(" "), args[0]);
     }
-}
-
-/// Run the 2-cell grid under `--seed 7` until the budget stops it
-/// after its first cell (exit 3), leaving `rows.jsonl` half done.
-fn budget_stop(dir: &Path) {
-    let mut args = AXES.to_vec();
-    args.extend(["--seed", "7", "--out", "rows.jsonl", "--max-cells", "1"]);
-    let out = grid(dir, &args);
-    assert_eq!(code(&out), 3, "stderr: {}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn list_reports_done_and_pending_cells() {
-    let dir = scratch("list");
-    budget_stop(&dir);
-    let mut args = AXES.to_vec();
-    args.extend(["--seed", "7", "--out", "rows.jsonl", "--list"]);
-    let out = grid(&dir, &args);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(
-        text.contains("0\tdone\twired/short/train\n"),
-        "the budgeted cell is done: {text}"
-    );
-    assert!(
-        text.contains("1\tpending\twired/mid/train\n"),
-        "the other cell is pending: {text}"
-    );
+fn unknown_and_retired_flags_exit_2_naming_the_flag() {
+    let dir = scratch("unknown");
+    let cases: [&[&str]; 6] = [
+        &["--resume"],
+        &["--max-cells", "1"],
+        &["--out", "x"],
+        &["--jobs", "2"],
+        &["--scael", "2"],
+        &["--table"],
+    ];
+    for case in cases {
+        let mut args = AXES.to_vec();
+        args.extend(case);
+        let out = grid(&dir, "2", &args);
+        assert_usage_error(&dir, &out, &case.join(" "), case[0]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn resume_refuses_a_row_file_from_a_different_configuration() {
-    let dir = scratch("fingerprint");
-    budget_stop(&dir);
-    let before = std::fs::read(dir.join("rows.jsonl")).unwrap();
-    let mut args = AXES.to_vec();
-    args.extend(["--seed", "8", "--out", "rows.jsonl", "--resume"]);
-    let out = grid(&dir, &args);
-    assert_eq!(code(&out), 2, "stderr: {}", stderr(&out));
-    let err = stderr(&out);
-    assert!(
-        err.contains("different grid configuration"),
-        "the gate names the cause: {err}"
-    );
-    assert_eq!(
-        std::fs::read(dir.join("rows.jsonl")).unwrap(),
-        before,
-        "a refused resume must leave the row file as it was"
-    );
+fn a_bad_worker_env_exits_2_before_any_work() {
+    let dir = scratch("workers-env");
+    for workers in ["abc", "-1", "4x", "0", ""] {
+        let out = grid(&dir, workers, &AXES);
+        let err = stderr(&out);
+        assert_eq!(code(&out), 2, "CSMAPROBE_WORKERS={workers:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+        assert!(
+            err.contains(&format!("CSMAPROBE_WORKERS={workers:?}")),
+            "names the variable and its value: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{workers:?}: nothing printed");
+        assert!(!dir.join("grid.json").exists(), "{workers:?}: no table");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table_bytes_are_equal_under_1_and_4_workers() {
+    let runs: Vec<(Vec<u8>, Vec<u8>)> = ["1", "4"]
+        .into_iter()
+        .map(|workers| {
+            let dir = scratch(&format!("workers-{workers}"));
+            let mut args = AXES.to_vec();
+            args.extend(["--seed", "7", "--table", "t.json"]);
+            let out = grid(&dir, workers, &args);
+            assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+            let table = std::fs::read(dir.join("t.json")).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            (table, out.stdout)
+        })
+        .collect();
+    let (table, tsv) = &runs[0];
+    let text = String::from_utf8_lossy(table);
+    assert!(text.starts_with("[\n  {\"cell\":0,\"key\":\"wired/short/train\""));
+    assert_eq!(text.lines().count(), 2 + 4, "4 cells, one row per line");
+    assert_eq!(String::from_utf8_lossy(tsv).lines().count(), 1 + 4);
+    assert_eq!(&runs[1], &runs[0], "table and TSV bytes, 1 vs 4 workers");
 }

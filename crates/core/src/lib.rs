@@ -19,11 +19,10 @@
 //!   tolerance-based transient length (Fig 10).
 //! * [`sweep`] — the scenario engine: a parameterised family of
 //!   scenarios ([`sweep::SweepScenario`], one cell per probing rate or
-//!   per link × train × tool combination) run by [`sweep::run_sweep`],
-//!   or over a subset of its cells by [`sweep::run_sweep_cells`], as one
-//!   streaming map-reduce on the shared work-stealing executor, with
+//!   per link × train × tool combination) run by [`sweep::run_sweep`]
+//!   as one map-reduce on the shared work-stealing executor, with
 //!   per-cell results bit-identical to a standalone per-cell reduce for
-//!   any worker count or scheduled subset (the resume contract).
+//!   any worker count.
 //! * [`engine`] — the engine router: steady-state cells an analytic
 //!   model certifies (Bianchi saturation or the finite-load fixed
 //!   point) skip simulation, every other cell runs the DCF simulator.
@@ -49,5 +48,5 @@ pub use rate_response::{
     achievable_from_curve, achievable_throughput, complete_rate_response, csma_rate_response,
     fifo_rate_response,
 };
-pub use sweep::{run_sweep, run_sweep_cells, RateResponseSweep, SweepScenario};
+pub use sweep::{run_sweep, RateResponseSweep, SweepScenario};
 pub use transient::{Columns, TransientData, TransientExperiment, TransientSummary};

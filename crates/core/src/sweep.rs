@@ -1,15 +1,13 @@
 //! The scenario engine: a parameterised family of scenarios (one cell
 //! per sweep point — a probing rate, or a link × train × tool
-//! combination) scheduled as one streaming map-reduce on the shared
+//! combination) scheduled as one map-reduce on the shared
 //! work-stealing executor.
 //!
 //! A [`SweepScenario`] describes what one replication of one cell does
-//! and how its observations accumulate; [`run_sweep`] runs every cell
-//! and [`run_sweep_cells`] a strictly ascending subset of them (the
-//! resume and `--max-cells` path of the `grid` binary). Both schedule every
+//! and how its observations accumulate; [`run_sweep`] schedules every
 //! `(cell × replication)` pair through
-//! [`csmaprobe_desim::replicate::run_cells_emit`], stream it into a
-//! per-cell [`Accumulate`] reducer, and return the finished rows in
+//! [`csmaprobe_desim::replicate::run_cells`], which folds them into
+//! per-cell [`Accumulate`] reducers, and returns the finished rows in
 //! cell order, so a figure's ~20 rate points run concurrently instead
 //! of serially.
 //!
@@ -30,15 +28,13 @@
 //!
 //! # Determinism guarantees
 //!
-//! The runners inherit `run_cells_emit`'s bit-compatibility contract:
-//! each cell's replications fold on the cell-local [`CHUNK`] grid and
-//! merge in ascending chunk order, so every cell's accumulator is
+//! The runner inherits `run_cells`' bit-compatibility contract: each
+//! cell's replications fold on the cell-local [`CHUNK`] grid and merge
+//! in ascending chunk order, so every cell's accumulator is
 //! **bit-identical** to a standalone `run_reduce(reps(point), …)` over
-//! the same replications — for any worker count, any scheduling order
-//! and any subset of scheduled cells. A resumed run therefore writes
-//! exactly the rows an uninterrupted run would have written, and a
-//! figure ported from a hand-rolled loop of per-point `run_reduce`
-//! calls reproduces its old output exactly.
+//! the same replications — for any worker count and any scheduling
+//! order. A figure ported from a hand-rolled loop of per-point
+//! `run_reduce` calls therefore reproduces its old output exactly.
 //!
 //! [`CHUNK`]: csmaprobe_desim::replicate::CHUNK
 
@@ -51,9 +47,8 @@ use csmaprobe_stats::accumulate::Accumulate;
 /// A parameterised family of scenarios — one cell per sweep point.
 ///
 /// Implementors describe *what* one replication of one point does and
-/// how its observations accumulate; [`run_sweep`] and
-/// [`run_sweep_cells`] decide *how* the `(point × replication)` grid is
-/// scheduled.
+/// how its observations accumulate; [`run_sweep`] decides *how* the
+/// `(point × replication)` grid is scheduled.
 pub trait SweepScenario: Sync {
     /// Streaming per-cell accumulator (one per sweep point).
     type Acc: Accumulate + Send;
@@ -84,46 +79,17 @@ pub trait SweepScenario: Sync {
 /// Run every cell of `scenario` and return one row per point, in
 /// point order. See the module docs for the determinism contract.
 pub fn run_sweep<S: SweepScenario + ?Sized>(scenario: &S) -> Vec<S::Row> {
-    let all: Vec<usize> = (0..scenario.points()).collect();
-    let mut rows = Vec::with_capacity(all.len());
-    run_sweep_cells(scenario, &all, |_, row| rows.push(row));
-    rows
-}
-
-/// Run only the points listed in `cells` (strictly ascending), handing
-/// each finished row to `emit(point, row)` in ascending point order as
-/// soon as its cell completes.
-///
-/// This is the resume path: an interrupted run re-schedules exactly
-/// the cells missing from its persisted row set, and — by the engine's
-/// cell-local chunk-grid contract — produces rows bit-identical to what
-/// the uninterrupted run would have written. At most one finished cell
-/// waits for emission, so a huge cell space never materialises.
-///
-/// # Panics
-/// If `cells` is not strictly ascending (a duplicate would run and
-/// emit a cell twice) or indexes past `scenario.points()`.
-pub fn run_sweep_cells<S, E>(scenario: &S, cells: &[usize], mut emit: E)
-where
-    S: SweepScenario + ?Sized,
-    E: FnMut(usize, S::Row) + Send,
-{
-    assert!(
-        cells.windows(2).all(|w| w[0] < w[1]),
-        "cell list must be strictly ascending"
-    );
-    if let Some(&last) = cells.last() {
-        let points = scenario.points();
-        assert!(last < points, "cell {last} out of range {points}");
-    }
-    let budgets: Vec<usize> = cells.iter().map(|&p| scenario.reps(p)).collect();
-    replicate::run_cells_emit(
+    let budgets: Vec<usize> = (0..scenario.points()).map(|p| scenario.reps(p)).collect();
+    replicate::run_cells(
         &budgets,
-        |i, rep, acc: &mut S::Acc| scenario.replicate(cells[i], rep, acc),
-        |i| scenario.identity(cells[i]),
+        |p, rep, acc: &mut S::Acc| scenario.replicate(p, rep, acc),
+        |p| scenario.identity(p),
         |a, b| a.merge(b),
-        |i, acc| emit(cells[i], scenario.finish(cells[i], acc)),
-    );
+    )
+    .into_iter()
+    .enumerate()
+    .map(|(p, acc)| scenario.finish(p, acc))
+    .collect()
 }
 
 /// The steady-state rate-response sweep of Figs 1/4: one long-flow
@@ -278,28 +244,6 @@ mod tests {
                 "point {i}"
             );
         }
-    }
-
-    /// The resume path's guard against running or emitting a cell
-    /// twice: a repeated index is refused before anything runs.
-    #[test]
-    #[should_panic(expected = "cell list must be strictly ascending")]
-    fn subset_runner_refuses_a_repeated_cell() {
-        let s = Synthetic {
-            reps: vec![2, 2, 2],
-            seed: 1,
-        };
-        run_sweep_cells(&s, &[0, 2, 2], |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "cell 3 out of range 3")]
-    fn subset_runner_refuses_an_out_of_range_cell() {
-        let s = Synthetic {
-            reps: vec![2, 2, 2],
-            seed: 1,
-        };
-        run_sweep_cells(&s, &[1, 3], |_, _| {});
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! the ceiling because each submitting thread executes chunks itself.
 //! The ceiling is the explicit [`set_worker_limit`] /
 //! `CSMAPROBE_WORKERS` value when set, else the hardware parallelism.
+//! The variable must be a positive integer: [`env_worker_limit`]
+//! refuses anything else, and [`worker_limit`] panics on it.
 //! Lowering the limit parks excess workers (they re-check the target on
 //! every wakeup); a limit of 1 makes every submission run inline on its
 //! calling thread, with no pool interaction at all.
@@ -74,16 +76,37 @@ pub fn set_worker_limit(n: usize) {
     }
 }
 
-/// The `CSMAPROBE_WORKERS` environment variable at first use,
-/// overridden by [`set_worker_limit`]; 0 means "auto".
+/// The environment variable that sets the concurrency ceiling.
+const WORKERS_ENV: &str = "CSMAPROBE_WORKERS";
+
+/// Read `CSMAPROBE_WORKERS`: unset means "auto" (`Ok(0)`, the hardware
+/// parallelism), a positive integer sets the ceiling, and anything
+/// else is an `Err` naming the variable and its value. Binaries call
+/// this before any work and exit 2 on the error.
+pub fn env_worker_limit() -> Result<usize, String> {
+    parse_worker_env(std::env::var_os(WORKERS_ENV).as_deref())
+}
+
+fn parse_worker_env(value: Option<&std::ffi::OsStr>) -> Result<usize, String> {
+    let Some(value) = value else { return Ok(0) };
+    match value.to_str().map(str::parse::<usize>) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{WORKERS_ENV}={value:?} is not a positive integer; \
+             unset it to use the hardware parallelism"
+        )),
+    }
+}
+
+/// The `CSMAPROBE_WORKERS` ceiling at first use, overridden by
+/// [`set_worker_limit`]; 0 means "auto".
+///
+/// # Panics
+/// If the variable is set to anything but a positive integer (the
+/// [`env_worker_limit`] error).
 pub fn worker_limit() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
-    let env = *ENV.get_or_init(|| {
-        std::env::var("CSMAPROBE_WORKERS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0)
-    });
+    let env = *ENV.get_or_init(|| env_worker_limit().unwrap_or_else(|e| panic!("{e}")));
     let set = WORKER_LIMIT.load(Ordering::Relaxed);
     if set > 0 {
         set
@@ -493,6 +516,19 @@ mod tests {
     fn limit_guard() -> MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
         lock(&GUARD)
+    }
+
+    #[test]
+    fn worker_env_takes_only_a_positive_integer() {
+        let parse = |v: &str| parse_worker_env(Some(std::ffi::OsStr::new(v)));
+        assert_eq!(parse_worker_env(None), Ok(0), "unset means auto");
+        assert_eq!(parse("1"), Ok(1));
+        assert_eq!(parse("8"), Ok(8));
+        for bad in ["abc", "-1", "4x", "0", "", " 2"] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("CSMAPROBE_WORKERS="), "{bad:?}: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! repetitions (80 testbed runs; 25 000 NS2 runs; 70 000 Matlab runs).
 //! One chunked reduction core serves every one of them:
 //!
-//! * [`run_cells_emit`] — streaming map-reduce over a list of
-//!   independently accumulated **cells** (one per sweep point or grid
-//!   cell). Each worker folds its replications directly into a chunk
-//!   accumulator, chunk accumulators merge **in deterministic chunk
-//!   order**, and each finished cell is handed to a consumer in
-//!   ascending cell order — so peak memory is O(workers × accumulator),
-//!   never O(reps × output) or O(cells × accumulator).
+//! * [`run_cells`] — map-reduce over a list of independently
+//!   accumulated **cells** (one per sweep point or grid cell). Each
+//!   worker folds its replications directly into a chunk accumulator,
+//!   chunk accumulators merge **in deterministic chunk order**, and the
+//!   reduced accumulators return in cell order — so peak memory is
+//!   O(workers + cells) accumulators, never O(reps × output).
 //! * [`run_reduce`] — the one-cell case, with replication `i` seeded
 //!   `derive_seed(master, i)`: the hot path behind every transient
 //!   experiment and probing tool.
@@ -30,10 +29,10 @@
 //! across all live submissions — so a figure that finishes hands its
 //! cores to whatever is still running, mid-flight, and nested
 //! parallelism never oversubscribes the machine. [`set_worker_limit`]
-//! (or the `CSMAPROBE_WORKERS` environment variable) pins the
-//! process-wide concurrency ceiling explicitly — useful for tests and
-//! for reproducing scheduling-sensitive timings; results never depend
-//! on it.
+//! (or the `CSMAPROBE_WORKERS` environment variable, a positive
+//! integer) pins the process-wide concurrency ceiling explicitly —
+//! useful for tests and for reproducing scheduling-sensitive timings;
+//! results never depend on it.
 
 use crate::executor;
 use crate::rng::derive_seed;
@@ -92,8 +91,9 @@ where
     out
 }
 
-/// Streaming map-reduce over a list of **cells** — the one chunked
-/// reduction core every runner shares.
+/// Map-reduce over a list of **cells** — the one chunked reduction
+/// core every runner shares — returning each cell's reduced
+/// accumulator in cell order.
 ///
 /// `cells[c]` is the replication count of cell `c` (e.g. one cell per
 /// probing rate of a rate-response sweep). Every `(cell, replication)`
@@ -102,22 +102,19 @@ where
 /// 20-replication cell — this is what gives sweep figures intra-figure
 /// parallelism instead of serialising their rate points.
 ///
-/// `map(c, r, &mut acc)` folds replication `r` of cell `c` into that
-/// cell's accumulator (created by `identity(c)`); per-cell accumulators
-/// are combined with `merge`, and each fully-reduced cell is handed to
-/// `emit(cell, acc)` in ascending cell order as soon as its last chunk
-/// has merged. Zero-replication cells emit `identity(cell)` at their
-/// position in the order. Seed derivation is the caller's job (`map`
-/// receives the raw `(c, r)` pair), which lets a ported sweep reproduce
-/// the exact seeds its hand-rolled loop used.
+/// `map(c, r, &mut acc)` folds replication `r` of cell `c` into a chunk
+/// accumulator created by `identity(c)`. A cell's first chunk
+/// accumulator becomes the cell's, and each later chunk merges into it
+/// with `merge`; a zero-replication cell yields `identity(c)`. Seed
+/// derivation is the caller's job (`map` receives the raw `(c, r)`
+/// pair), which lets a ported sweep reproduce the exact seeds its
+/// hand-rolled loop used.
 ///
-/// Streaming: a huge cell list holds O(workers) in-flight chunk
-/// accumulators plus at most one pending cell, never one accumulator
-/// per cell, and a crash loses only cells not yet emitted — the basis
-/// of incremental grid persistence. `merge` and `emit` run under the
-/// submission's sink lock ([`executor::submit`]), on whichever worker
-/// completes the next chunk in order; out-of-order chunk outputs wait
-/// in a bounded reorder window (about one entry per worker).
+/// Memory: O(workers) in-flight chunk accumulators plus one reduced
+/// accumulator per cell. `merge` runs under the submission's sink lock
+/// ([`executor::submit`]), on whichever worker completes the next chunk
+/// in order; out-of-order chunk outputs wait in a bounded reorder
+/// window (about one entry per worker).
 ///
 /// **Bit-compatibility contract:** each cell's replications are chunked
 /// on its own [`CHUNK`] grid, so the cell-local chunk boundaries — and
@@ -125,13 +122,12 @@ where
 /// The result for cell `c` is bit-identical to a one-cell call over the
 /// same replications (a [`run_reduce`] with the same seeds), for any
 /// worker count and any surrounding cell list.
-pub fn run_cells_emit<A, F, I, M, E>(cells: &[usize], map: F, identity: I, merge: M, mut emit: E)
+pub fn run_cells<A, F, I, M>(cells: &[usize], map: F, identity: I, merge: M) -> Vec<A>
 where
     A: Send,
     F: Fn(usize, usize, &mut A) + Sync,
     I: Fn(usize) -> A + Sync,
     M: Fn(&mut A, A) + Send + Sync,
-    E: FnMut(usize, A) + Send,
 {
     // Chunk-count prefix sums: cell `c` owns global chunks
     // `chunk_offset[c] .. chunk_offset[c + 1]`, each fully inside one
@@ -145,54 +141,37 @@ where
     }
 
     // Chunk outputs arrive in ascending global-chunk order (the
-    // executor's contract) and each cell's chunks are contiguous, so
-    // incoming cell indices are non-decreasing: one pending cell
-    // suffices. `next_cell` is the lowest not-yet-emitted cell;
-    // zero-rep cells produce no chunks and are emitted as identities
-    // when the stream steps past them.
-    let mut pending: Option<(usize, A)> = None;
-    let mut next_cell = 0usize;
-    {
-        let mut flush_through = |upto: usize, pending: &mut Option<(usize, A)>, emit: &mut E| {
-            if let Some((c, acc)) = pending.take() {
-                debug_assert_eq!(c, next_cell);
-                emit(c, acc);
-                next_cell = c + 1;
+    // executor's contract), so each cell's chunks merge in ascending
+    // chunk order into the accumulator its first chunk left.
+    let mut reduced: Vec<Option<A>> = std::iter::repeat_with(|| None).take(cells.len()).collect();
+    executor::submit(
+        total_chunks,
+        usize::MAX,
+        |gchunk| {
+            // The owning cell: last offset <= gchunk. Zero-rep cells
+            // contribute no chunks and are skipped by partition_point.
+            let cell = chunk_offset.partition_point(|&o| o <= gchunk) - 1;
+            let first = (gchunk - chunk_offset[cell]) * CHUNK;
+            let mut acc = identity(cell);
+            for r in first..(first + CHUNK).min(cells[cell]) {
+                map(cell, r, &mut acc);
             }
-            while next_cell < upto {
-                debug_assert_eq!(cells[next_cell], 0, "non-empty cell skipped");
-                emit(next_cell, identity(next_cell));
-                next_cell += 1;
-            }
-        };
-        executor::submit(
-            total_chunks,
-            usize::MAX,
-            |gchunk| {
-                // The owning cell: last offset <= gchunk. Zero-rep cells
-                // contribute no chunks and are skipped by partition_point.
-                let cell = chunk_offset.partition_point(|&o| o <= gchunk) - 1;
-                let first = (gchunk - chunk_offset[cell]) * CHUNK;
-                let mut acc = identity(cell);
-                for r in first..(first + CHUNK).min(cells[cell]) {
-                    map(cell, r, &mut acc);
-                }
-                (cell, acc)
-            },
-            |(cell, acc)| match &mut pending {
-                Some((c, g)) if *c == cell => merge(g, acc),
-                _ => {
-                    flush_through(cell, &mut pending, &mut emit);
-                    pending = Some((cell, acc));
-                }
-            },
-        );
-        flush_through(cells.len(), &mut pending, &mut emit);
-    }
+            (cell, acc)
+        },
+        |(cell, acc)| match reduced[cell].as_mut() {
+            Some(seeded) => merge(seeded, acc),
+            None => reduced[cell] = Some(acc),
+        },
+    );
+    reduced
+        .into_iter()
+        .enumerate()
+        .map(|(cell, acc)| acc.unwrap_or_else(|| identity(cell)))
+        .collect()
 }
 
 /// Fully streaming map-reduce over `reps` replications: the one-cell
-/// [`run_cells_emit`], with replication `i` seeded
+/// [`run_cells`], with replication `i` seeded
 /// `derive_seed(master_seed, i)`.
 ///
 /// Each worker folds replications straight into a chunk accumulator
@@ -234,15 +213,14 @@ where
     I: Fn() -> A + Sync,
     M: Fn(&mut A, A) + Send + Sync,
 {
-    let mut out = None;
-    run_cells_emit(
+    run_cells(
         &[reps],
         |_, r, acc: &mut A| map(r, derive_seed(master_seed, r as u64), acc),
         |_| identity(),
         merge,
-        |_, acc| out = Some(acc),
-    );
-    out.expect("a one-cell call emits its cell")
+    )
+    .pop()
+    .expect("a one-cell call reduces its cell")
 }
 
 #[cfg(test)]
@@ -319,13 +297,11 @@ mod tests {
     #[test]
     fn run_cells_counts_and_orders_every_cell() {
         let cells = [5usize, 0, 70, 1];
-        let mut out = Vec::new();
-        run_cells_emit(
+        let out = run_cells(
             &cells,
             |c, r, acc: &mut Vec<(usize, usize)>| acc.push((c, r)),
             |_| Vec::new(),
             |a, b| a.extend(b),
-            |_, acc| out.push(acc),
         );
         assert_eq!(out.len(), 4);
         for (c, pairs) in out.iter().enumerate() {
@@ -365,8 +341,7 @@ mod tests {
             .collect();
         for workers in [1usize, 3] {
             set_worker_limit(workers);
-            let mut grid = Vec::new();
-            run_cells_emit(
+            let grid = run_cells(
                 &cell_reps,
                 |c, r, acc: &mut (f64, f64)| {
                     let seed = derive_seed(derive_seed(0xCE11, c as u64), r as u64);
@@ -379,7 +354,6 @@ mod tests {
                     a.0 += b.0;
                     a.1 += b.1;
                 },
-                |_, acc| grid.push(acc),
             );
             set_worker_limit(0);
             for (c, (g, s)) in grid.iter().zip(&standalone).enumerate() {
@@ -398,26 +372,28 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_emit_streams_in_cell_order() {
-        // Zero-rep cells at the head, middle and tail must all emit
-        // their identity at the right position.
-        let cells = [0usize, 40, 0, 0, 7, 0];
+    fn run_cells_seeds_each_cell_with_its_first_chunk() {
+        // (replications, merges, cell tag): a cell of k chunks merges
+        // k − 1 times, never into a fresh identity, and zero-rep cells at
+        // the head, middle and tail yield their own identity in place.
+        let cells = [0usize, 40, 0, 0, 7, 0, 97];
         for workers in [1usize, 4] {
             set_worker_limit(workers);
-            let mut emitted: Vec<(usize, u64)> = Vec::new();
-            run_cells_emit(
+            let out = run_cells(
                 &cells,
-                |_c, _r, acc: &mut u64| *acc += 1,
-                |c| (c as u64) << 32,
-                |a, b| *a += b & 0xFFFF_FFFF,
-                |cell, acc| emitted.push((cell, acc)),
+                |_c, _r, acc: &mut (usize, usize, usize)| acc.0 += 1,
+                |c| (0, 0, c),
+                |a, b| {
+                    a.0 += b.0;
+                    a.1 += 1 + b.1;
+                },
             );
             set_worker_limit(0);
-            assert_eq!(emitted.len(), cells.len());
-            for (i, &(cell, acc)) in emitted.iter().enumerate() {
-                assert_eq!(cell, i, "ascending emission order");
-                assert_eq!(acc >> 32, i as u64, "identity tagged with its cell");
-                assert_eq!(acc & 0xFFFF_FFFF, cells[i] as u64, "replication count");
+            assert_eq!(out.len(), cells.len());
+            for (c, &(reps, merges, tag)) in out.iter().enumerate() {
+                assert_eq!(tag, c, "cell order");
+                assert_eq!(reps, cells[c], "replication count");
+                assert_eq!(merges, cells[c].div_ceil(CHUNK).saturating_sub(1));
             }
         }
     }

@@ -8,12 +8,12 @@
 //! sessions/sec.
 //!
 //! `--batch --table <path>` skips the server entirely: it computes the
-//! *same* session mix through one-shot `run_reduce` and finalizes one
+//! *same* session mix through one-shot `run_reduce` and writes one
 //! session table. The `service-smoke` CI job byte-compares that file
 //! against the drained server's table — the end-to-end determinism
-//! gate.
+//! gate. A `CSMAPROBE_WORKERS` that is not a positive integer exits 2.
 
-use csmaprobe_bench::report::RowSink;
+use csmaprobe_bench::report::json_array;
 use csmaprobe_service::mix::{session_request, session_specs, MixConfig};
 use csmaprobe_service::session::{one_shot, row_json};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -83,6 +83,10 @@ fn parse_args() -> Args {
 }
 
 fn main() {
+    if let Err(e) = csmaprobe_desim::executor::env_worker_limit() {
+        eprintln!("loadgen: {e}");
+        std::process::exit(2);
+    }
     let args = parse_args();
     let mix = MixConfig {
         reps: args.reps,
@@ -101,7 +105,8 @@ fn main() {
 }
 
 /// Batch reference: same mix, one-shot `run_reduce` per session, one
-/// finalized table.
+/// table. The sessions' cells ascend and their ids are unique, so the
+/// rows in mix order are the daemon's finalized table.
 fn run_batch(mix: &MixConfig, seed: u64, sessions: u64, table: &PathBuf) {
     let specs = match session_specs(mix, seed, sessions) {
         Ok(s) => s,
@@ -110,28 +115,12 @@ fn run_batch(mix: &MixConfig, seed: u64, sessions: u64, table: &PathBuf) {
             std::process::exit(1);
         }
     };
-    let tmp = table.with_extension("rows.tmp");
-    let mut sink = RowSink::create(&tmp).unwrap_or_else(|e| {
-        eprintln!("loadgen: cannot create {}: {e}", tmp.display());
-        std::process::exit(1);
-    });
     let t0 = Instant::now();
-    for spec in &specs {
-        let acc = one_shot(spec);
-        if let Err(e) = sink.append(&row_json(spec, &acc)) {
-            eprintln!("loadgen: append failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    let text = sink.finalize().unwrap_or_else(|e| {
-        eprintln!("loadgen: finalize failed: {e}");
-        std::process::exit(1);
-    });
-    std::fs::write(table, &text).unwrap_or_else(|e| {
+    let rows = specs.iter().map(|spec| row_json(spec, &one_shot(spec)));
+    std::fs::write(table, json_array(rows)).unwrap_or_else(|e| {
         eprintln!("loadgen: cannot write {}: {e}", table.display());
         std::process::exit(1);
     });
-    let _ = std::fs::remove_file(&tmp);
     eprintln!(
         "loadgen: batch reference: {} sessions in {:.2}s -> {}",
         specs.len(),

@@ -24,7 +24,9 @@
 //!
 //! All rates are Mb/s on the command line; output is plain text. A
 //! value the models cannot run is refused with exit 2, under the bounds
-//! `grid` and the daemon's wire apply to the same quantities.
+//! `grid` and the daemon's wire apply to the same quantities; so are a
+//! `serve --workers`/`--drivers` below 1 and a `CSMAPROBE_WORKERS` that
+//! is not a positive integer.
 
 use csmaprobe::core::link::{
     LinkConfig, ProbeTarget, WiredLink, WlanLink, MAX_INLINE_BPS, MAX_TRAIN_PACKETS,
@@ -66,6 +68,20 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Print one error line and exit 2.
+fn refuse(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// A count flag that must be at least 1; the error names the flag.
+fn positive(flag: &str, v: &str) -> usize {
+    match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => refuse(format!("{flag} must be a positive integer (got {v:?})")),
+    }
+}
+
 /// `csmaprobe serve`: run the resident session daemon until SIGTERM,
 /// then drain, finalize the session table, and exit 0 iff the drain
 /// audit held (every accepted session done-and-persisted or
@@ -83,10 +99,10 @@ fn serve_main(argv: &[String]) -> ! {
         match argv[i].as_str() {
             "--addr" => cfg.addr = need(i).to_string(),
             "--out-dir" => cfg.out_dir = need(i).into(),
-            "--drivers" => cfg.drivers = need(i).parse().unwrap_or_else(|_| usage()),
+            "--drivers" => cfg.drivers = positive("--drivers", need(i)),
             "--table" => cfg.table = Some(need(i).into()),
             "--port-file" => cfg.port_file = Some(need(i).into()),
-            "--workers" => workers = Some(need(i).parse().unwrap_or_else(|_| usage())),
+            "--workers" => workers = Some(positive("--workers", need(i))),
             _ => usage(),
         }
         i += 2;
@@ -243,11 +259,9 @@ fn target(args: &Args) -> Box<dyn ProbeTarget> {
 }
 
 fn main() {
+    csmaprobe::desim::executor::env_worker_limit().unwrap_or_else(|e| refuse(e));
     let args = parse();
-    if let Err(e) = check(&args) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    check(&args).unwrap_or_else(|e| refuse(e));
     match args.cmd.as_str() {
         "capacity" => {
             let c =

@@ -1,6 +1,8 @@
 //! The `csmaprobe` CLI refuses flag values the models cannot run: each
 //! one exits 2 with a message naming the flag, instead of hanging,
-//! aborting on an allocation, panicking or printing NaN.
+//! aborting on an allocation, panicking or printing NaN. A
+//! `CSMAPROBE_WORKERS` that is not a positive integer, and a `serve`
+//! worker or driver count below 1, are refused the same way.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -18,7 +20,17 @@ const DEADLINE: Duration = Duration::from_secs(10);
 /// grows without bound aborts instead of exhausting the host's memory
 /// before the deadline.
 fn run(args: &[&str]) -> (Option<i32>, String) {
-    let mut child = Command::new("sh")
+    run_with_workers(None, args)
+}
+
+/// [`run`] with `CSMAPROBE_WORKERS` set to `workers` (inherited when
+/// `None`).
+fn run_with_workers(workers: Option<&str>, args: &[&str]) -> (Option<i32>, String) {
+    let mut cmd = Command::new("sh");
+    if let Some(w) = workers {
+        cmd.env("CSMAPROBE_WORKERS", w);
+    }
+    let mut child = cmd
         .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
         .arg(env!("CARGO_BIN_EXE_csmaprobe"))
         .args(args)
@@ -100,4 +112,50 @@ fn a_valid_run_exits_0() {
         "train", "--wired", "10", "--cross", "4", "--n", "5", "--reps", "2",
     ]);
     assert_eq!(code, Some(0), "stderr {stderr:?}");
+}
+
+#[test]
+fn a_bad_worker_env_exits_2_naming_the_variable() {
+    let valid = [
+        "train", "--wired", "10", "--cross", "4", "--n", "5", "--reps", "2",
+    ];
+    for workers in ["abc", "-1", "4x", "0", ""] {
+        let (code, stderr) = run_with_workers(Some(workers), &valid);
+        assert_eq!(code, Some(2), "CSMAPROBE_WORKERS={workers:?}: {stderr:?}");
+        assert_eq!(stderr.lines().count(), 1, "{workers:?}: {stderr:?}");
+        assert!(
+            stderr.contains(&format!("CSMAPROBE_WORKERS={workers:?}")),
+            "{workers:?}: {stderr:?}"
+        );
+    }
+    let (code, stderr) = run_with_workers(Some("2"), &valid);
+    assert_eq!(code, Some(0), "a positive count runs: {stderr:?}");
+}
+
+#[test]
+fn serve_refuses_worker_and_driver_counts_below_1_before_binding() {
+    let out = std::env::temp_dir().join(format!("csmaprobe-cli-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let out_dir = out.to_str().expect("utf-8 temp path");
+    for (flag, value) in [
+        ("--workers", "0"),
+        ("--workers", "two"),
+        ("--drivers", "0"),
+        ("--drivers", "-1"),
+    ] {
+        let args = [
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--out-dir",
+            out_dir,
+            flag,
+            value,
+        ];
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "serve {flag} {value}: {stderr:?}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr:?}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr:?}");
+        assert!(!out.exists(), "{flag} {value}: no daemon started");
+    }
 }

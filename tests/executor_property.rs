@@ -4,7 +4,7 @@
 //!
 //! The contracts pinned here:
 //!
-//! 1. **Concurrent bit-identity** — N threads running `run_cells_emit`
+//! 1. **Concurrent bit-identity** — N threads running `run_cells`
 //!    grids at once (randomized cell budgets, worker counts, staggered
 //!    submission order) each produce rows bitwise-equal to their own
 //!    standalone sequential reference. Stealing across submissions must
@@ -38,8 +38,7 @@ fn limit_guard() -> MutexGuard<'static, ()> {
 type Acc = (u64, u64, f64);
 
 fn run_grid_with(cells: &[usize], base: u64) -> Vec<Acc> {
-    let mut rows = Vec::with_capacity(cells.len());
-    replicate::run_cells_emit(
+    replicate::run_cells(
         cells,
         |c, r, acc: &mut Acc| {
             let seed = derive_seed(derive_seed(base, c as u64), r as u64);
@@ -53,9 +52,7 @@ fn run_grid_with(cells: &[usize], base: u64) -> Vec<Acc> {
             a.1 ^= b.1;
             a.2 += b.2;
         },
-        |_, acc| rows.push(acc),
-    );
-    rows
+    )
 }
 
 proptest! {
