@@ -45,6 +45,27 @@
 //! At the paper's 1-Erlang probe about half the arrivals join a
 //! backlogged queue.
 //!
+//! A station alone on the channel needs no scan at all. When the scan
+//! finds exactly one contending station and its next transmission comes
+//! strictly before both the earliest idle station's next arrival and
+//! the horizon, an inner loop steps that station by itself: each pass
+//! folds its arrivals through the transmission instant, transmits
+//! (the same single-winner step the scan's loop calls: success, frame
+//! error or drop, with the stop-rule count), frees the channel and
+//! re-anchors the station, or, once its queue is empty, arms it on its
+//! own next arrival through the same arming step an arrival event
+//! takes. The loop exits when the station's next event (transmission or
+//! own arrival) reaches the earliest idle arrival, which goes first on a
+//! tie, as in the scan; when it reaches the horizon, where the scan's
+//! loop does the horizon flush; or when the stop rule is met. Nothing
+//! else contends, so there is nobody to freeze, no collision and no
+//! other station's draw in between: the station makes exactly the
+//! draws, in the same order, that one scan per event gave it, and the
+//! other stations make none until the scan resumes. Single-contender
+//! links spend most of their simulated time this way — the warm-up of
+//! every replication, in which only the cross-traffic contends, and
+//! the solo stretches of a probe train.
+//!
 //! The loop also keeps per-arrival and per-transmission work that is
 //! not simulation off its path: each station holds its arrival
 //! look-ahead as plain fields (no `Option` to reload) and memoises its
@@ -272,6 +293,135 @@ impl Station {
             self.queue_next();
         }
     }
+
+    /// This station's next arrival finds its queue empty: queue it and
+    /// arm contention for it.
+    #[inline(always)]
+    fn arm(&mut self, run: &Run) {
+        let pkt = self.queue_next();
+        self.head_since = pkt.time;
+        self.stage = 0;
+        self.retries = 0;
+        self.contending = true;
+        let anchor = run.free_at + run.difs;
+        if pkt.time < run.free_at {
+            // Medium busy: classic backoff, counted from the next idle
+            // period.
+            self.slots_left = self.rng.range_inclusive(0, run.cw0) as u32;
+            self.count_start = anchor;
+        } else {
+            // Medium idle: immediate access after DIFS, quantised onto
+            // the current idle grid (unless the ablation switch forces a
+            // backoff draw).
+            self.slots_left = if run.options.immediate_access {
+                0
+            } else {
+                self.rng.range_inclusive(0, run.cw0) as u32
+            };
+            self.count_start = WlanSim::align_up(anchor, run.slot, pkt.time + run.difs);
+        }
+    }
+
+    /// This station, station `id`, transmits at `t` with nobody
+    /// colliding: a success, or (under frame-error injection) a
+    /// corrupted frame that backs off for a retry or, past the retry
+    /// limit, is dropped. Returns the instant the channel frees.
+    #[inline(always)]
+    fn transmit_alone(&mut self, id: usize, t: Time, phy: &Phy, run: &mut Run) -> Time {
+        let fer = run.options.frame_error_rate;
+        let failed = fer > 0.0 && self.rng.f64() < fer;
+        let (arrival, bytes, flow) = *self.queue.front().expect("winner with empty queue");
+        let preface = if run.options.uses_rts(bytes) {
+            run.rts_preface
+        } else {
+            Dur::ZERO
+        };
+        let rx_end = t + preface + self.data_airtime(phy, bytes);
+        let done = if failed {
+            // ---- corrupted data frame: no ACK, BEB retry ----
+            run.channel.frame_errors += 1;
+            let fail_end = rx_end + run.ack_timeout;
+            run.channel.error_time += fail_end - t;
+            self.retries += 1;
+            self.stage += 1;
+            if self.retries <= run.retry_limit {
+                let cw = phy.cw_at_stage(self.stage);
+                self.slots_left = self.rng.range_inclusive(0, cw as u64) as u32;
+                return fail_end;
+            }
+            fail_end
+        } else {
+            // ---- success ----
+            let done = rx_end + run.sifs_ack;
+            run.channel.success_time += done - t;
+            done
+        };
+        self.records.push(PacketRecord {
+            arrival,
+            head: self.head_since,
+            rx_end,
+            done,
+            bytes,
+            retries: self.retries,
+            dropped: failed,
+            flow,
+        });
+        run.completed(id, flow, done);
+        self.queue.pop_front();
+        self.rearm_after_completion(run.cw0, done);
+        done
+    }
+
+    /// Step this station, station `id`, while it is the only one
+    /// contending. Its next transmission is due strictly before `bound`,
+    /// the earliest next arrival of an idle station or the horizon,
+    /// whichever comes first. Each pass folds in its arrivals through
+    /// the transmission instant, transmits, frees the channel and
+    /// re-anchors the station, or arms it on its own next arrival once
+    /// its queue is empty. The loop returns when the stop rule is met or
+    /// when the station's next event, transmission or arrival, is not
+    /// before `bound`; an idle station's arrival at the same instant
+    /// therefore goes first.
+    #[inline(always)]
+    fn step_alone(&mut self, id: usize, bound: Time, phy: &Phy, run: &mut Run) {
+        loop {
+            let t = self.tx_time(run.slot);
+            debug_assert!(t < bound);
+            self.queue_arrivals_before(t + Dur::from_nanos(1));
+            let busy_end = self.transmit_alone(id, t, phy, run);
+            run.free_at = busy_end;
+            if run.stopped() {
+                return;
+            }
+            if self.contending {
+                self.count_start = busy_end + run.difs;
+            } else if self.next.time < bound {
+                self.arm(run);
+            } else {
+                return;
+            }
+            if self.tx_time(run.slot) >= bound {
+                return;
+            }
+        }
+    }
+
+    /// After the head packet completes (success or drop): reset the
+    /// contention window and arm the next head, if any, with a fresh
+    /// post-transmission backoff drawn from `[0, cw0]` (the stage-0
+    /// window).
+    fn rearm_after_completion(&mut self, cw0: u64, done: Time) {
+        self.stage = 0;
+        self.retries = 0;
+        if self.queue.is_empty() {
+            self.contending = false;
+        } else {
+            self.head_since = done;
+            self.slots_left = self.rng.range_inclusive(0, cw0) as u32;
+            self.contending = true;
+            // count_start is set by the caller's re-anchoring.
+        }
+    }
 }
 
 /// Early-termination rule: stop once a station has completed a number
@@ -281,6 +431,66 @@ struct StopRule {
     station: usize,
     flow: u16,
     remaining: usize,
+}
+
+/// One run's constants of the transmission step, and the channel state
+/// and totals its transmissions advance.
+struct Run {
+    options: MacOptions,
+    slot: Dur,
+    difs: Dur,
+    sifs_ack: Dur,
+    ack_timeout: Dur,
+    rts_preface: Dur,
+    rts_airtime: Dur,
+    retry_limit: u32,
+    /// The stage-0 contention window.
+    cw0: u64,
+    /// When the current busy period ends (the idle grid's anchor is
+    /// DIFS later).
+    free_at: Time,
+    /// Time of the last completed packet across all stations.
+    last_done: Time,
+    channel: ChannelStats,
+    stop: Option<StopRule>,
+}
+
+impl Run {
+    fn new(phy: &Phy, options: MacOptions, stop: Option<StopRule>) -> Self {
+        Run {
+            options,
+            slot: phy.slot,
+            difs: phy.difs(),
+            sifs_ack: phy.sifs + phy.ack_airtime(),
+            ack_timeout: phy.ack_timeout(),
+            rts_preface: phy.rts_cts_preface(),
+            rts_airtime: phy.rts_airtime(),
+            retry_limit: phy.retry_limit,
+            cw0: phy.cw_at_stage(0) as u64,
+            free_at: Time::ZERO,
+            last_done: Time::ZERO,
+            channel: ChannelStats::default(),
+            stop,
+        }
+    }
+
+    /// Whether the stop rule's flow has fully completed.
+    #[inline]
+    fn stopped(&self) -> bool {
+        self.stop.is_some_and(|s| s.remaining == 0)
+    }
+
+    /// Station `station` completed (delivered or dropped) a packet of
+    /// `flow` at `done`.
+    #[inline]
+    fn completed(&mut self, station: usize, flow: u16, done: Time) {
+        if let Some(s) = self.stop.as_mut() {
+            if s.station == station && s.flow == flow {
+                s.remaining = s.remaining.saturating_sub(1);
+            }
+        }
+        self.last_done = self.last_done.max(done);
+    }
 }
 
 /// One collision-domain WLAN simulation.
@@ -294,7 +504,6 @@ pub struct WlanSim {
     seed: u64,
     options: MacOptions,
     stations: Vec<Station>,
-    collisions: u64,
     stop_rule: Option<StopRule>,
 }
 
@@ -354,7 +563,6 @@ impl WlanSim {
             seed,
             options: MacOptions::default(),
             stations: Vec::new(),
-            collisions: 0,
             stop_rule: None,
         }
     }
@@ -418,22 +626,10 @@ impl WlanSim {
 
     /// Run until `horizon` (exclusive) or until no event remains.
     pub fn run(mut self, horizon: Time) -> SimOutput {
-        let slot = self.phy.slot;
-        let difs = self.phy.difs();
-        // Per-run constants of the transmission step.
-        let sifs_ack = self.phy.sifs + self.phy.ack_airtime();
-        let ack_timeout = self.phy.ack_timeout();
-        let rts_preface = self.phy.rts_cts_preface();
-        let rts_airtime = self.phy.rts_airtime();
-        let retry_limit = self.phy.retry_limit;
-        let cw0 = self.phy.cw_at_stage(0) as u64;
+        let mut run = Run::new(&self.phy, self.options, self.stop_rule);
         // The stations whose transmission is due at the earliest
         // candidate instant, in index order; one buffer for the run.
         let mut winners: Vec<usize> = Vec::with_capacity(self.stations.len());
-        let mut channel_free_at = Time::ZERO;
-        let mut last_done = Time::ZERO;
-        let mut channel = ChannelStats::default();
-        let mut stop = self.stop_rule;
 
         // Prime every station's arrival look-ahead, and its airtime memo
         // with the first arrival's size.
@@ -446,7 +642,7 @@ impl WlanSim {
             // Early termination: the watched flow has fully completed;
             // everything recorded so far is identical to an un-stopped
             // run, and the rest of the horizon is dead weight.
-            if stop.is_some_and(|s| s.remaining == 0) {
+            if run.stopped() {
                 break;
             }
 
@@ -457,10 +653,12 @@ impl WlanSim {
             let mut next_arr = Time::MAX;
             let mut arr_station = usize::MAX;
             let mut next_tx = Time::MAX;
+            let mut contending = 0usize;
             winners.clear();
             for (i, st) in self.stations.iter().enumerate() {
                 if st.contending {
-                    let t = st.tx_time(slot);
+                    contending += 1;
+                    let t = st.tx_time(run.slot);
                     if t < next_tx {
                         next_tx = t;
                         winners.clear();
@@ -485,35 +683,19 @@ impl WlanSim {
 
             if next_arr <= next_tx {
                 // ---- arrival to an empty queue: arm contention ----
-                let st = &mut self.stations[arr_station];
-                let pkt = st.queue_next();
-                st.head_since = pkt.time;
-                st.stage = 0;
-                st.retries = 0;
-                st.contending = true;
-                if pkt.time < channel_free_at {
-                    // Medium busy: classic backoff, counted from the
-                    // next idle period.
-                    st.slots_left = st.rng.range_inclusive(0, cw0) as u32;
-                    st.count_start = channel_free_at + difs;
-                } else {
-                    // Medium idle: immediate access after DIFS,
-                    // quantised onto the current idle grid (unless the
-                    // ablation switch forces a backoff draw).
-                    let anchor = channel_free_at + difs;
-                    st.slots_left = if self.options.immediate_access {
-                        0
-                    } else {
-                        st.rng.range_inclusive(0, cw0) as u32
-                    };
-                    st.count_start = Self::align_up(anchor, slot, pkt.time + difs);
-                }
+                self.stations[arr_station].arm(&run);
                 continue;
             }
 
             // ---- transmission(s) at next_tx ----
-            let t = next_tx;
             debug_assert!(!winners.is_empty());
+            if contending == 1 {
+                // ---- a station alone on the channel ----
+                let w = winners[0];
+                self.stations[w].step_alone(w, next_arr.min(horizon), &self.phy, &mut run);
+                continue;
+            }
+            let t = next_tx;
 
             // Queue each backlogged station's arrivals through `t` (ties
             // go to arrivals) before any of its draws below, then freeze
@@ -524,11 +706,11 @@ impl WlanSim {
                     continue;
                 }
                 st.queue_arrivals_before(through);
-                if st.tx_time(slot) == t {
+                if st.tx_time(run.slot) == t {
                     continue;
                 }
                 if st.count_start <= t {
-                    let elapsed = (t - st.count_start).div_dur(slot) as u32;
+                    let elapsed = (t - st.count_start).div_dur(run.slot) as u32;
                     debug_assert!(
                         st.slots_left > elapsed,
                         "non-winner should not have expired"
@@ -544,82 +726,18 @@ impl WlanSim {
                 }
             }
 
-            let busy_end;
-            if let [w] = winners[..] {
-                let failed = self.options.frame_error_rate > 0.0
-                    && self.stations[w].rng.f64() < self.options.frame_error_rate;
-                let st = &mut self.stations[w];
-                let (arrival, bytes, flow) = *st.queue.front().expect("winner with empty queue");
-                let uses_rts = self.options.uses_rts(bytes);
-                let preface = if uses_rts { rts_preface } else { Dur::ZERO };
-                let data = st.data_airtime(&self.phy, bytes);
-                if failed {
-                    // ---- corrupted data frame: no ACK, BEB retry ----
-                    channel.frame_errors += 1;
-                    let fail_end = t + preface + data + ack_timeout;
-                    channel.error_time += fail_end - t;
-                    st.retries += 1;
-                    st.stage += 1;
-                    if st.retries > retry_limit {
-                        st.records.push(PacketRecord {
-                            arrival,
-                            head: st.head_since,
-                            rx_end: t + preface + data,
-                            done: fail_end,
-                            bytes,
-                            retries: st.retries,
-                            dropped: true,
-                            flow,
-                        });
-                        if let Some(s) = stop.as_mut() {
-                            if s.station == w && s.flow == flow {
-                                s.remaining = s.remaining.saturating_sub(1);
-                            }
-                        }
-                        last_done = last_done.max(fail_end);
-                        st.queue.pop_front();
-                        Self::rearm_after_completion(st, cw0, fail_end);
-                    } else {
-                        let cw = self.phy.cw_at_stage(st.stage);
-                        st.slots_left = st.rng.range_inclusive(0, cw as u64) as u32;
-                    }
-                    busy_end = fail_end;
-                } else {
-                    // ---- success ----
-                    let rx_end = t + preface + data;
-                    let done = rx_end + sifs_ack;
-                    channel.success_time += done - t;
-                    st.records.push(PacketRecord {
-                        arrival,
-                        head: st.head_since,
-                        rx_end,
-                        done,
-                        bytes,
-                        retries: st.retries,
-                        dropped: false,
-                        flow,
-                    });
-                    if let Some(s) = stop.as_mut() {
-                        if s.station == w && s.flow == flow {
-                            s.remaining = s.remaining.saturating_sub(1);
-                        }
-                    }
-                    last_done = last_done.max(done);
-                    st.queue.pop_front();
-                    Self::rearm_after_completion(st, cw0, done);
-                    busy_end = done;
-                }
+            let busy_end = if let [w] = winners[..] {
+                self.stations[w].transmit_alone(w, t, &self.phy, &mut run)
             } else {
                 // ---- collision ----
-                self.collisions += 1;
-                channel.collisions += 1;
+                run.channel.collisions += 1;
                 let mut max_frame = Dur::ZERO;
                 for &i in &winners {
                     let st = &mut self.stations[i];
                     let (_, bytes, _) = *st.queue.front().unwrap();
-                    let frame = if self.options.uses_rts(bytes) {
+                    let frame = if run.options.uses_rts(bytes) {
                         // RTS/CTS: only the short RTS collides.
-                        rts_airtime
+                        run.rts_airtime
                     } else {
                         st.data_airtime(&self.phy, bytes)
                     };
@@ -627,13 +745,13 @@ impl WlanSim {
                 }
                 // The channel is unusable for the longest frame plus the
                 // ACK/CTS-timeout the colliders observe before resuming.
-                busy_end = t + max_frame + sifs_ack;
-                channel.collision_time += busy_end - t;
+                let busy_end = t + max_frame + run.sifs_ack;
+                run.channel.collision_time += busy_end - t;
                 for &i in &winners {
                     let st = &mut self.stations[i];
                     st.retries += 1;
                     st.stage += 1;
-                    if st.retries > retry_limit {
+                    if st.retries > run.retry_limit {
                         // Drop the frame.
                         let (arrival, bytes, flow) = *st.queue.front().unwrap();
                         let rx_end = t + st.data_airtime(&self.phy, bytes);
@@ -647,24 +765,20 @@ impl WlanSim {
                             dropped: true,
                             flow,
                         });
-                        if let Some(s) = stop.as_mut() {
-                            if s.station == i && s.flow == flow {
-                                s.remaining = s.remaining.saturating_sub(1);
-                            }
-                        }
-                        last_done = last_done.max(busy_end);
+                        run.completed(i, flow, busy_end);
                         st.queue.pop_front();
-                        Self::rearm_after_completion(st, cw0, busy_end);
+                        st.rearm_after_completion(run.cw0, busy_end);
                     } else {
                         let cw = self.phy.cw_at_stage(st.stage);
                         st.slots_left = st.rng.range_inclusive(0, cw as u64) as u32;
                     }
                 }
-            }
+                busy_end
+            };
 
-            channel_free_at = busy_end;
+            run.free_at = busy_end;
             // Re-anchor every contending station on the new idle grid.
-            let anchor = channel_free_at + difs;
+            let anchor = busy_end + run.difs;
             for st in &mut self.stations {
                 if st.contending {
                     st.count_start = anchor;
@@ -687,27 +801,10 @@ impl WlanSim {
             phy: self.phy,
             station_records,
             unfinished,
-            collisions: self.collisions,
-            channel,
+            collisions: run.channel.collisions,
+            channel: run.channel,
             horizon,
-            last_done,
-        }
-    }
-
-    /// After the head packet completes (success or drop): reset the
-    /// contention window and arm the next head, if any, with a fresh
-    /// post-transmission backoff drawn from `[0, cw0]` (the stage-0
-    /// window).
-    fn rearm_after_completion(st: &mut Station, cw0: u64, done: Time) {
-        st.stage = 0;
-        st.retries = 0;
-        if st.queue.is_empty() {
-            st.contending = false;
-        } else {
-            st.head_since = done;
-            st.slots_left = st.rng.range_inclusive(0, cw0) as u32;
-            st.contending = true;
-            // count_start is set by the caller's re-anchoring pass.
+            last_done: run.last_done,
         }
     }
 }

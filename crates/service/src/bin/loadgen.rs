@@ -11,11 +11,20 @@
 //! *same* session mix through one-shot `run_reduce` and writes one
 //! session table. The `service-smoke` CI job byte-compares that file
 //! against the drained server's table — the end-to-end determinism
-//! gate. A `CSMAPROBE_WORKERS` that is not a positive integer exits 2.
+//! gate.
+//!
+//! A malformed command line (an unknown flag, a missing or unparseable
+//! value, `--batch` without `--table`, a client without `--addr` or
+//! `--port-file`) exits 2 with one error line naming it, then the usage
+//! text. `--reps` outside the daemon's `1..=MAX_REPS`, `--conns` below 1
+//! and a `CSMAPROBE_WORKERS` that is not a positive integer exit 2 with
+//! one error line.
 
+use csmaprobe_bench::parse_value;
 use csmaprobe_bench::report::json_array;
 use csmaprobe_service::mix::{session_request, session_specs, MixConfig};
 use csmaprobe_service::session::{one_shot, row_json};
+use csmaprobe_service::wire::MAX_REPS;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -31,6 +40,24 @@ fn usage() -> ! {
          equivalent one-shot session table for byte-comparison."
     );
     std::process::exit(2);
+}
+
+/// Print one error line and exit 2.
+fn refuse(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// A malformed command line: one error line naming the problem, then
+/// the usage text, exit 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    usage();
+}
+
+/// Parse `flag`'s value, or refuse naming the flag and the value.
+fn value<T: std::str::FromStr>(flag: &str, v: String) -> T {
+    parse_value(flag, &v).unwrap_or_else(|e| usage_error(e))
 }
 
 struct Args {
@@ -57,36 +84,40 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("loadgen: {name} needs a value");
-                usage()
-            })
+        let flag = flag.as_str();
+        let mut val = || {
+            it.next()
+                .unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
         };
-        match flag.as_str() {
-            "--addr" => args.addr = Some(val("--addr")),
-            "--port-file" => args.port_file = Some(PathBuf::from(val("--port-file"))),
-            "--sessions" => args.sessions = val("--sessions").parse().unwrap_or_else(|_| usage()),
-            "--conns" => args.conns = val("--conns").parse().unwrap_or_else(|_| usage()),
-            "--reps" => args.reps = val("--reps").parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
+        match flag {
+            "--addr" => args.addr = Some(val()),
+            "--port-file" => args.port_file = Some(PathBuf::from(val())),
+            "--sessions" => args.sessions = value(flag, val()),
+            "--conns" => args.conns = value(flag, val()),
+            "--reps" => args.reps = value(flag, val()),
+            "--seed" => args.seed = value(flag, val()),
             "--batch" => args.batch = true,
-            "--table" => args.table = Some(PathBuf::from(val("--table"))),
+            "--table" => args.table = Some(PathBuf::from(val())),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("loadgen: unknown flag {other:?}");
-                usage();
-            }
+            other => usage_error(format!("unknown flag {other:?}")),
         }
+    }
+    // The daemon's bounds: it refuses a session outside them as
+    // `bad_field`.
+    if !(1..=MAX_REPS).contains(&args.reps) {
+        refuse(format!(
+            "--reps must be in 1..={MAX_REPS} (got {})",
+            args.reps
+        ));
+    }
+    if args.conns < 1 {
+        refuse("--conns must be at least 1 (got 0)".to_string());
     }
     args
 }
 
 fn main() {
-    if let Err(e) = csmaprobe_desim::executor::env_worker_limit() {
-        eprintln!("loadgen: {e}");
-        std::process::exit(2);
-    }
+    csmaprobe_desim::executor::env_worker_limit().unwrap_or_else(|e| refuse(e));
     let args = parse_args();
     let mix = MixConfig {
         reps: args.reps,
@@ -94,8 +125,7 @@ fn main() {
     };
     if args.batch {
         let Some(table) = &args.table else {
-            eprintln!("loadgen: --batch needs --table");
-            usage();
+            usage_error("--batch needs --table".to_string())
         };
         run_batch(&mix, args.seed, args.sessions, table);
         return;
@@ -136,8 +166,7 @@ fn resolve_addr(args: &Args) -> String {
         return a.clone();
     }
     let Some(pf) = &args.port_file else {
-        eprintln!("loadgen: need --addr or --port-file");
-        usage();
+        usage_error("client mode needs --addr or --port-file".to_string())
     };
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -165,7 +194,7 @@ struct Lats {
 }
 
 fn run_client(args: &Args, mix: &MixConfig, addr: &str) {
-    let conns = args.conns.max(1);
+    let conns = args.conns;
     let t0 = Instant::now();
     let workers: Vec<std::thread::JoinHandle<Lats>> = (0..conns)
         .map(|w| {

@@ -31,12 +31,13 @@ impl Default for MixConfig {
     fn default() -> Self {
         MixConfig {
             // "wired" repeated to weight it 7/8. Per session (32 reps,
-            // one core of a 2-core x86-64 Xeon, median of 15 seeds per
-            // stratum, then of 10 runs) wired costs ~2.1 ms on average
-            // (train and chirp 0.14-0.20, slops 2.2, topp 5.2-6.1 ms)
-            // and wlan_low ~4.0 ms (train and chirp 0.26-0.40, slops
-            // 3.5-4.3, topp 9.6-13 ms), so wired sessions carry ~80% of
-            // the compute.
+            // one pinned CPU of a 2-core x86-64 Xeon, median of 15 seeds
+            // per stratum, then of 5 runs) wired costs ~1.9 ms on
+            // average (train and chirp 0.11-0.17, slops 2.0-2.1, topp
+            // 5.0-5.8 ms) and wlan_low ~2.7 ms (train and chirp
+            // 0.16-0.24, slops 2.6-3.2, topp 6.5-8.5 ms; a WLAN session
+            // is mostly its replications' single-contender warm-ups), so
+            // wired sessions carry ~83% of the compute.
             links: vec![
                 "wired".into(),
                 "wired".into(),

@@ -23,10 +23,13 @@
 //! ```
 //!
 //! All rates are Mb/s on the command line; output is plain text. A
-//! value the models cannot run is refused with exit 2, under the bounds
-//! `grid` and the daemon's wire apply to the same quantities; so are a
-//! `serve --workers`/`--drivers` below 1 and a `CSMAPROBE_WORKERS` that
-//! is not a positive integer.
+//! value the models cannot run is refused with exit 2 and one error
+//! line, under the bounds `grid` and the daemon's wire apply to the
+//! same quantities; so are a `serve --workers`/`--drivers` below 1 and a
+//! `CSMAPROBE_WORKERS` that is not a positive integer. A malformed
+//! command line (a missing or unknown subcommand, an unknown flag, a
+//! missing or unparseable value) exits 2 with one error line naming it,
+//! then the usage text.
 
 use csmaprobe::core::link::{
     LinkConfig, ProbeTarget, WiredLink, WlanLink, MAX_INLINE_BPS, MAX_TRAIN_PACKETS,
@@ -59,11 +62,12 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: csmaprobe <capacity|steady|train|pair|slops|topp|chirp|transient> \
+        "usage: csmaprobe <{}> \
          [--cross M]... [--fifo-cross M] [--wired C] [--rate M] [--n N] \
          [--reps R] [--pairs P] [--bytes B] [--seed S]\n\
          \x20      csmaprobe serve [--addr H:P] [--out-dir D] [--drivers N] \
-         [--table FILE] [--port-file FILE] [--workers W]"
+         [--table FILE] [--port-file FILE] [--workers W]",
+        COMMANDS.join("|")
     );
     std::process::exit(2);
 }
@@ -73,6 +77,38 @@ fn refuse(msg: String) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
+
+/// A malformed command line: one error line naming the problem, then
+/// the usage text, exit 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    usage();
+}
+
+/// Parse `flag`'s value, or refuse naming the flag and the value.
+fn value<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage_error(format!("invalid {flag} value {v:?}")))
+}
+
+/// The value after the flag at `argv[i]`, or refuse naming the flag.
+fn need(argv: &[String], i: usize) -> &str {
+    argv.get(i + 1)
+        .map(|s| s.as_str())
+        .unwrap_or_else(|| usage_error(format!("{} needs a value", argv[i])))
+}
+
+/// The measurement subcommands (`serve` is parsed on its own).
+const COMMANDS: [&str; 8] = [
+    "capacity",
+    "steady",
+    "train",
+    "pair",
+    "slops",
+    "topp",
+    "chirp",
+    "transient",
+];
 
 /// A count flag that must be at least 1; the error names the flag.
 fn positive(flag: &str, v: &str) -> usize {
@@ -91,19 +127,15 @@ fn serve_main(argv: &[String]) -> ! {
     let mut workers: Option<usize> = None;
     let mut i = 0;
     while i < argv.len() {
-        let need = |i: usize| -> &str {
-            argv.get(i + 1)
-                .map(|s| s.as_str())
-                .unwrap_or_else(|| usage())
-        };
+        let v = || need(argv, i);
         match argv[i].as_str() {
-            "--addr" => cfg.addr = need(i).to_string(),
-            "--out-dir" => cfg.out_dir = need(i).into(),
-            "--drivers" => cfg.drivers = positive("--drivers", need(i)),
-            "--table" => cfg.table = Some(need(i).into()),
-            "--port-file" => cfg.port_file = Some(need(i).into()),
-            "--workers" => workers = Some(positive("--workers", need(i))),
-            _ => usage(),
+            "--addr" => cfg.addr = v().to_string(),
+            "--out-dir" => cfg.out_dir = v().into(),
+            "--drivers" => cfg.drivers = positive("--drivers", v()),
+            "--table" => cfg.table = Some(v().into()),
+            "--port-file" => cfg.port_file = Some(v().into()),
+            "--workers" => workers = Some(positive("--workers", v())),
+            other => usage_error(format!("unknown serve flag {other:?}")),
         }
         i += 2;
     }
@@ -128,14 +160,17 @@ fn serve_main(argv: &[String]) -> ! {
 
 fn parse() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    if argv.len() < 2 {
-        usage();
-    }
-    if argv[1] == "serve" {
+    let Some(cmd) = argv.get(1) else {
+        usage_error("missing subcommand".to_string())
+    };
+    if cmd == "serve" {
         serve_main(&argv[2..]);
     }
+    if !COMMANDS.contains(&cmd.as_str()) {
+        usage_error(format!("unknown subcommand {cmd:?}"));
+    }
     let mut args = Args {
-        cmd: argv[1].clone(),
+        cmd: cmd.clone(),
         cross_mbps: Vec::new(),
         fifo_cross_mbps: None,
         wired_mbps: None,
@@ -148,26 +183,19 @@ fn parse() -> Args {
     };
     let mut i = 2;
     while i < argv.len() {
-        let need = |i: usize| -> &str {
-            argv.get(i + 1)
-                .map(|s| s.as_str())
-                .unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--cross" => args
-                .cross_mbps
-                .push(need(i).parse().unwrap_or_else(|_| usage())),
-            "--fifo-cross" => {
-                args.fifo_cross_mbps = Some(need(i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--wired" => args.wired_mbps = Some(need(i).parse().unwrap_or_else(|_| usage())),
-            "--rate" => args.rate_mbps = need(i).parse().unwrap_or_else(|_| usage()),
-            "--n" => args.n = need(i).parse().unwrap_or_else(|_| usage()),
-            "--reps" => args.reps = need(i).parse().unwrap_or_else(|_| usage()),
-            "--pairs" => args.pairs = need(i).parse().unwrap_or_else(|_| usage()),
-            "--bytes" => args.bytes = need(i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = need(i).parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+        let flag = argv[i].as_str();
+        let v = || need(&argv, i);
+        match flag {
+            "--cross" => args.cross_mbps.push(value(flag, v())),
+            "--fifo-cross" => args.fifo_cross_mbps = Some(value(flag, v())),
+            "--wired" => args.wired_mbps = Some(value(flag, v())),
+            "--rate" => args.rate_mbps = value(flag, v()),
+            "--n" => args.n = value(flag, v()),
+            "--reps" => args.reps = value(flag, v()),
+            "--pairs" => args.pairs = value(flag, v()),
+            "--bytes" => args.bytes = value(flag, v()),
+            "--seed" => args.seed = value(flag, v()),
+            other => usage_error(format!("unknown {cmd} flag {other:?}")),
         }
         i += 2;
     }
@@ -367,6 +395,6 @@ fn main() {
                 );
             }
         }
-        _ => usage(),
+        other => unreachable!("parse() admits no subcommand {other:?}"),
     }
 }

@@ -2,7 +2,9 @@
 //! one exits 2 with a message naming the flag, instead of hanging,
 //! aborting on an allocation, panicking or printing NaN. A
 //! `CSMAPROBE_WORKERS` that is not a positive integer, and a `serve`
-//! worker or driver count below 1, are refused the same way.
+//! worker or driver count below 1, are refused the same way. A
+//! malformed command line exits 2 with an error line naming what it
+//! refuses, then the usage text.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -158,4 +160,49 @@ fn serve_refuses_worker_and_driver_counts_below_1_before_binding() {
         assert!(stderr.contains(flag), "{flag} {value}: {stderr:?}");
         assert!(!out.exists(), "{flag} {value}: no daemon started");
     }
+}
+
+#[test]
+fn malformed_command_lines_exit_2_naming_what_they_refuse() {
+    let out = std::env::temp_dir().join(format!("csmaprobe-cli-usage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let out_dir = out.to_str().expect("utf-8 temp path");
+    let serve = |flags: &[&'static str]| -> Vec<&str> {
+        let mut args = vec!["serve", "--addr", "127.0.0.1:0", "--out-dir", out_dir];
+        args.extend(flags);
+        args
+    };
+    // (arguments, what the error line must name)
+    let cases: Vec<(Vec<&str>, &[&str])> = vec![
+        (vec!["train", "--n", "abc"], &["--n", "\"abc\""]),
+        (vec!["pair", "--seed", "-1"], &["--seed", "\"-1\""]),
+        (vec!["steady", "--rate", "fast"], &["--rate", "\"fast\""]),
+        (vec!["train", "--n"], &["--n"]),
+        (vec!["train", "--bogus", "1"], &["--bogus"]),
+        (vec!["bogus"], &["\"bogus\""]),
+        (vec!["--n", "5"], &["\"--n\""]),
+        (vec![], &["subcommand"]),
+        (serve(&["--bogus", "1"]), &["--bogus"]),
+        (serve(&["--workers"]), &["--workers"]),
+    ];
+    for (args, names) in cases {
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "csmaprobe {args:?}: stderr {stderr:?}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error:"),
+            "csmaprobe {args:?}: {stderr:?}"
+        );
+        for name in names {
+            assert!(first.contains(name), "csmaprobe {args:?}: {stderr:?}");
+        }
+        assert!(
+            stderr
+                .lines()
+                .nth(1)
+                .is_some_and(|l| l.starts_with("usage:")),
+            "csmaprobe {args:?}: the usage text follows: {stderr:?}"
+        );
+    }
+    assert!(!out.exists(), "no daemon started");
 }

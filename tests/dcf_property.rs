@@ -546,3 +546,161 @@ fn queues_left_behind_are_frozen() {
     assert!(backlogged > 0, "no stop-rule exit left a packet queued");
     assert_eq!(h, 0xb0c0_63f1_0d43_0fc4, "queue fingerprint {h:#018x}");
 }
+
+/// Fold every record field of every station of `out`, the packets each
+/// station leaves queued, the channel accounting and the last
+/// completion into `h`.
+fn fold_output(h: &mut u64, out: &SimOutput) {
+    for s in (0..out.station_count()).map(StationId) {
+        for r in out.records(s) {
+            for t in [r.arrival, r.head, r.rx_end, r.done] {
+                fold(h, t.as_nanos());
+            }
+            for x in [r.bytes, r.retries, u32::from(r.dropped), u32::from(r.flow)] {
+                fold(h, u64::from(x));
+            }
+        }
+        fold(h, out.queue_len_at(s, Time::MAX) as u64);
+    }
+    let c = out.channel;
+    for d in [c.success_time, c.collision_time, c.error_time] {
+        fold(h, d.as_nanos());
+    }
+    fold(h, c.collisions);
+    fold(h, c.frame_errors);
+    fold(h, out.last_done.as_nanos());
+}
+
+/// Run one trace-fed station per trace, in order, on a fresh channel.
+fn run_traces(
+    phy: &Phy,
+    options: MacOptions,
+    seed: u64,
+    traces: &[Vec<PacketArrival>],
+    horizon: Time,
+) -> SimOutput {
+    let mut sim = WlanSim::new(phy.clone(), seed).with_options(options);
+    for trace in traces {
+        sim.add_station(Box::new(TraceSource::new(trace.clone())));
+    }
+    sim.run(horizon)
+}
+
+/// A station alone on the channel, frozen at the edges of its own
+/// stepping. Trace-fed runs place, on every seed:
+/// - an own arrival exactly at the station's transmission instant: it
+///   joins the queue first, so the next head starts at the completion;
+/// - own arrivals during the station's own exchange (ROADMAP item 7:
+///   such a head starts at its arrival, not at the completion);
+/// - a transmission exactly at the horizon, which does not happen, and
+///   own arrivals exactly at the horizon, to a backlogged and to an
+///   empty queue, which are not queued;
+/// - another station's arrival exactly at the lone station's
+///   transmission instant, which goes first;
+/// - bursts and gaps under frame errors with retry limit 0, under
+///   RTS/CTS for the larger frames, and without immediate access.
+///
+/// Link runs on fig10's link at 0.1 Erlang end on the stop rule, some
+/// with the probe station transmitting alone.
+#[test]
+fn lone_station_edges_are_frozen() {
+    let phy = Phy::dsss_11mbps();
+    let (difs, slot) = (phy.difs(), phy.slot);
+    let exchange = phy.data_airtime(1500) + phy.sifs + phy.ack_airtime();
+    let at = |t: Time| PacketArrival::new(t, 1500);
+    let zero = Time::ZERO;
+    let us = |n: u64| zero + Dur::from_micros(n);
+    // The first frame of a lone trace starting at 0 goes on air at DIFS
+    // and completes here.
+    let done1 = zero + difs + exchange;
+    let paper = MacOptions::default();
+    let mut zero_retry = phy.clone();
+    zero_retry.retry_limit = 0;
+    // Bursts and gaps, every third frame small: some arrivals find the
+    // queue backlogged, some find it empty.
+    let mixed: Vec<PacketArrival> = (0..60u64)
+        .map(|k| {
+            let bytes = if k % 3 == 0 { 500 } else { 1500 };
+            PacketArrival::new(us(k * 1500 + (k % 4) * 300), bytes)
+        })
+        .collect();
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for seed in 0..8 {
+        // The lone station's second transmission, after its stage-0
+        // post-completion draw.
+        let tx2 = done1 + difs + slot * first_draw(&phy, seed, 0) as u64;
+
+        let out = run_traces(
+            &phy,
+            paper,
+            seed,
+            &[vec![at(zero), at(zero + difs)]],
+            Time::MAX,
+        );
+        let recs = out.records(StationId(0));
+        assert_eq!(recs[1].head, recs[0].done, "seed {seed}: arrival at tx");
+        fold_output(&mut h, &out);
+
+        let item7 = vec![at(zero), at(us(1000)), at(us(1200))];
+        fold_output(&mut h, &run_traces(&phy, paper, seed, &[item7], Time::MAX));
+
+        // (traces, horizon, records, packets left queued)
+        let horizon_cases = [
+            (vec![at(zero), at(us(10))], tx2, 1, 1),
+            (
+                vec![at(zero), at(us(10)), at(tx2 - Dur(1))],
+                tx2 - Dur(1),
+                1,
+                1,
+            ),
+            (vec![at(zero), at(done1 + Dur(1))], done1 + Dur(1), 1, 0),
+        ];
+        for (trace, horizon, done, left) in horizon_cases {
+            let out = run_traces(&phy, paper, seed, &[trace], horizon);
+            assert_eq!(out.records(StationId(0)).len(), done, "seed {seed}");
+            assert_eq!(
+                out.queue_len_at(StationId(0), Time::MAX),
+                left,
+                "seed {seed}"
+            );
+            fold_output(&mut h, &out);
+        }
+
+        let other = [vec![at(zero), at(us(10))], vec![at(tx2)]];
+        fold_output(&mut h, &run_traces(&phy, paper, seed, &other, Time::MAX));
+
+        let regimes = [
+            (&zero_retry, paper.with_frame_error_rate(0.3)),
+            (&phy, paper.with_rts_cts(1000)),
+            (&phy, paper.without_immediate_access()),
+        ];
+        for (p, options) in regimes {
+            let out = run_traces(p, options, seed, std::slice::from_ref(&mixed), Time::MAX);
+            assert_eq!(out.records(StationId(0)).len(), mixed.len(), "seed {seed}");
+            fold_output(&mut h, &out);
+        }
+    }
+
+    let c = measured_standalone_capacity_bps(&phy, 1500, 3000, 0xCAFE);
+    let fig10 = WlanLink::new(LinkConfig::default().contending_bps(0.1 * c));
+    let train = ProbeTrain::from_rate(100, 1500, c);
+    let data = phy.data_airtime(1500);
+    let mut alone_at_stop = 0;
+    for seed in 0..6 {
+        let run = fig10.send_train(train, seed);
+        let last_tx = run.probe.last().expect("probe records").rx_end - data;
+        alone_at_stop += usize::from(
+            run.contending
+                .iter()
+                .all(|&s| run.output.queue_len_at(s, last_tx) == 0),
+        );
+        fold_output(&mut h, &run.output);
+        run.recycle();
+    }
+    assert!(alone_at_stop > 0, "no stop-rule exit with the probe alone");
+    assert_eq!(
+        h, 0x7a8b_d9b2_2f4b_a9c7,
+        "lone-station fingerprint {h:#018x}"
+    );
+}
