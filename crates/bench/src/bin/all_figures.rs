@@ -7,13 +7,14 @@
 //! the flag, before any output (`csmaprobe_bench::cli_options_from`);
 //! so does a `CSMAPROBE_WORKERS` that is not a positive integer.
 //!
-//! Figures come from `figures::REGISTRY` and are submitted — by
-//! descending cost weight — as one task batch to the process-wide
-//! work-stealing chunk executor (`csmaprobe_desim::executor`), the same
-//! pool their replication reduces run on. `--jobs` caps how many
-//! figures execute concurrently; a figure that finishes hands its
-//! workers to the remaining figures' replication chunks mid-flight, so
-//! the multi-figure tail no longer serialises on one core. Reports are
+//! Figures come from `figures::REGISTRY` and run — by descending cost
+//! weight — through `replicate::run_tasks` as `--jobs` lanes on the
+//! process-wide work-stealing chunk executor
+//! (`csmaprobe_desim::executor`), the same pool their replication
+//! reduces run on. Each lane starts the next figure not yet started, so
+//! at most `--jobs` figures run at once; a lane with none left hands its
+//! thread to the remaining figures' replication chunks mid-flight, so
+//! the multi-figure tail does not serialise on one core. Reports are
 //! printed and serialised in registry order regardless of completion
 //! order, and per-figure wall-clock lands in `experiments.json` as
 //! `elapsed_s` — the only field that varies between otherwise identical
@@ -68,7 +69,7 @@ fn main() {
 
     let jobs = opts.jobs.min(selected.len()).max(1);
     eprintln!(
-        "running {} experiment(s) at scale {} (seed {}, {} figure job(s))...",
+        "running {} experiment(s) at scale {} (seed {}, {} figure lane(s))...",
         selected.len(),
         opts.scale,
         opts.seed,
@@ -76,9 +77,9 @@ fn main() {
     );
     let t_all = std::time::Instant::now();
 
-    // Submit expensive figures first so short ones pack the tail; the
-    // executor hands a finished figure's workers to the replication
-    // chunks of whatever is still running.
+    // Start expensive figures first so short ones pack the tail; a lane
+    // with no figure left to start steals the replication chunks of
+    // whatever is still running.
     let mut order: Vec<usize> = (0..selected.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(selected[i].weight));
 

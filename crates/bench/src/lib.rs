@@ -49,10 +49,10 @@ pub struct CliOptions {
     /// everything.
     pub only: Option<Vec<String>>,
     /// `--jobs N`: upper bound on figures executing concurrently;
-    /// defaults to the available parallelism. Figures are one
-    /// submission to the process-wide work-stealing executor, so any
-    /// value — including oversubscribed ones — only caps the
-    /// submission's width; the pool itself never exceeds the
+    /// defaults to the available parallelism. `all_figures` runs that
+    /// many figure lanes through `replicate::run_tasks`, so any value —
+    /// including oversubscribed ones — only caps the figures in flight;
+    /// the threads running them never exceed the
     /// `CSMAPROBE_WORKERS`/hardware concurrency ceiling.
     pub jobs: usize,
 }

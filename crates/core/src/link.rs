@@ -116,7 +116,7 @@ impl CrossSpec {
     }
 
     fn build(&self, start: Time, until: Time, flow: u16) -> Box<dyn Source> {
-        use csmaprobe_traffic::{OnOffSource, ParetoOnOffSource};
+        use csmaprobe_traffic::{OnOffSource, OnPeriod};
         let sizes = SizeModel::Fixed(self.bytes);
         // Mean burst length shared by both on/off shapes.
         const MEAN_ON: Dur = Dur(10_000_000); // 10 ms
@@ -131,19 +131,16 @@ impl CrossSpec {
                 assert!(duty > 0.0 && duty < 1.0, "duty {duty} out of (0,1)");
                 let peak = self.rate_bps / duty;
                 let mean_off = Dur::from_secs_f64(MEAN_ON.as_secs_f64() * (1.0 - duty) / duty);
-                Box::new(
-                    OnOffSource::new(peak, MEAN_ON, mean_off, sizes, start, until).with_flow(flow),
-                )
+                let on = OnPeriod::Exp { mean: MEAN_ON };
+                Box::new(OnOffSource::new(peak, on, mean_off, sizes, start, until).with_flow(flow))
             }
             CrossShape::ParetoOnOff { alpha, duty } => {
                 assert!(duty > 0.0 && duty < 1.0, "duty {duty} out of (0,1)");
                 let peak = self.rate_bps / duty;
-                let on_min = Dur::from_secs_f64(MEAN_ON.as_secs_f64() * (alpha - 1.0) / alpha);
+                let min = Dur::from_secs_f64(MEAN_ON.as_secs_f64() * (alpha - 1.0) / alpha);
                 let mean_off = Dur::from_secs_f64(MEAN_ON.as_secs_f64() * (1.0 - duty) / duty);
-                Box::new(
-                    ParetoOnOffSource::new(peak, alpha, on_min, mean_off, sizes, start, until)
-                        .with_flow(flow),
-                )
+                let on = OnPeriod::Pareto { alpha, min };
+                Box::new(OnOffSource::new(peak, on, mean_off, sizes, start, until).with_flow(flow))
             }
         }
     }

@@ -21,11 +21,13 @@
 //!   own replication reduces) deadlock-free: the innermost chunk tasks
 //!   never block, and every waiting thread drives its own work first.
 //! * Pool workers scan live submissions round-robin and claim the next
-//!   chunk of the first one with unclaimed chunks and a free `width`
-//!   slot. Claimed chunks run to completion; nothing is preempted.
-//! * `width` caps how many threads may execute one submission's chunks
-//!   concurrently (used by the figure scheduler's `--jobs`); replication
-//!   reduces submit with an unbounded width.
+//!   chunk of the first one with unclaimed chunks. Claimed chunks run to
+//!   completion; nothing is preempted.
+//! * The submitter claims chunks until none is left, then waits once for
+//!   the last claimed chunk to finish.
+//! * The executor knows only the ceiling below. A caller that wants
+//!   fewer of its tasks running at once submits fewer chunks:
+//!   `replicate::run_tasks` runs `--jobs` figures as that many lanes.
 //!
 //! # Concurrency ceiling
 //!
@@ -162,13 +164,9 @@ struct Control {
     id: u64,
     /// Total chunk count; `next >= total` means nothing left to claim.
     total: usize,
-    /// Max threads executing this submission's chunks concurrently.
-    width: usize,
     /// Next chunk index to claim (claims are always in ascending order;
     /// every index below `total` is claimed exactly once, panic or not).
     next: AtomicUsize,
-    /// Threads currently executing a chunk of this submission.
-    active: AtomicUsize,
     /// Completion state, guarded for `done_cv`.
     done: Mutex<Done>,
     done_cv: Condvar,
@@ -255,16 +253,10 @@ where
 }
 
 impl<C, F, G> Submission<C, F, G> {
-    /// Record one chunk's end (success, drain, or panic) and wake the
-    /// submitter.
+    /// Record one chunk's end (success, drain, or panic); the last one
+    /// wakes the submitter.
     fn finish_chunk(&self, result: Result<(), Box<dyn Any + Send>>) {
         let c = &self.control;
-        // Free the width slot BEFORE the wakeup, so a submitter woken by
-        // this completion can immediately claim the freed slot — were the
-        // order reversed, it could observe a full gate, re-sleep on
-        // `done_cv`, and (with every pool worker parked by a lowered
-        // limit) never be woken again.
-        c.active.fetch_sub(1, Ordering::Release);
         let mut done = lock(&c.done);
         if let Err(payload) = result {
             done.poisoned = true;
@@ -273,9 +265,9 @@ impl<C, F, G> Submission<C, F, G> {
             }
         }
         done.finished += 1;
-        // Every completion wakes the submitter: completion itself, or a
-        // freed width slot / late claimable chunk it should pick up.
-        c.done_cv.notify_all();
+        if done.finished == c.total {
+            c.done_cv.notify_all();
+        }
     }
 }
 
@@ -306,34 +298,15 @@ fn registry() -> &'static Registry {
     })
 }
 
-/// Claim and execute one chunk of `task`. Returns `false` when nothing
-/// was claimable (no chunks left, or the width gate is full).
+/// Claim and execute one chunk of `task`. Returns `false` when no
+/// chunk was left to claim.
 fn try_run_one(task: &dyn Task) -> bool {
     let c = task.control();
-    // Width gate: reserve an execution slot before claiming.
-    loop {
-        let a = c.active.load(Ordering::Acquire);
-        if a >= c.width {
-            return false;
-        }
-        if c.active
-            .compare_exchange_weak(a, a + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            break;
-        }
-    }
     let idx = c.next.fetch_add(1, Ordering::SeqCst);
     if idx >= c.total {
-        c.active.fetch_sub(1, Ordering::Release);
         return false;
     }
-    // `run_chunk` always ends in `finish_chunk`, which releases the
-    // width slot (before its wakeup) — not released here.
     task.run_chunk(idx);
-    // A freed width slot (or the end of this submission) may unblock a
-    // scanning worker.
-    registry().work_cv.notify_all();
     true
 }
 
@@ -372,7 +345,7 @@ fn pick(s: &mut RegState) -> Option<Arc<dyn Task>> {
     for k in 0..n {
         let i = (s.cursor + k) % n;
         let c = s.subs[i].control();
-        if c.next.load(Ordering::Relaxed) < c.total && c.active.load(Ordering::Relaxed) < c.width {
+        if c.next.load(Ordering::Relaxed) < c.total {
             s.cursor = (i + 1) % n;
             return Some(Arc::clone(&s.subs[i]));
         }
@@ -408,11 +381,9 @@ fn unregister(id: u64) {
 /// **ascending chunk index order**. Blocks until every chunk has been
 /// consumed; re-throws the first panic any chunk raised.
 ///
-/// At most `width` threads execute this submission's chunks at once
-/// (the calling thread included — it always works on its own
-/// submission). Pool workers steal the rest, across every live
-/// submission in the process.
-pub fn submit<C, F, G>(chunks: usize, width: usize, make: F, mut consume: G)
+/// The calling thread works on its own submission; pool workers steal
+/// the rest, across every live submission in the process.
+pub fn submit<C, F, G>(chunks: usize, make: F, mut consume: G)
 where
     C: Send,
     F: Fn(usize) -> C + Sync + Send,
@@ -421,10 +392,9 @@ where
     if chunks == 0 {
         return;
     }
-    let width = width.max(1).min(chunks);
-    // Inline path: a single chunk, a serial width, or a concurrency
-    // ceiling of 1 all mean the caller just runs everything itself.
-    if chunks == 1 || width == 1 || pool_target() == 0 {
+    // Inline path: a single chunk or a concurrency ceiling of 1 means
+    // the caller just runs everything itself.
+    if chunks == 1 || pool_target() == 0 {
         for idx in 0..chunks {
             consume(make(idx));
         }
@@ -435,9 +405,7 @@ where
         control: Control {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             total: chunks,
-            width,
             next: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
             done: Mutex::new(Done {
                 finished: 0,
                 poisoned: false,
@@ -474,23 +442,18 @@ where
     }
 
     let c = &sub.control;
-    let panicked = loop {
-        // Drive our own submission as hard as the width gate allows.
-        while try_run_one(sub.as_ref()) {}
-        let mut done = lock(&c.done);
-        // Complete exactly when every chunk has been claimed AND run to
-        // its finish_chunk — there is no window where a worker holds a
-        // claim the predicate cannot see.
-        if done.finished == c.total {
-            break done.panic.take();
-        }
-        // Wait for any chunk of ours to finish, then try to help again
-        // (a width slot or a late claimable chunk may have appeared).
-        // Notifies happen under `done`, so re-checking the predicate
-        // under the same lock cannot miss a wakeup.
+    // Drive our own submission until every chunk is claimed. A claimed
+    // chunk always runs to its `finish_chunk`, even on a worker parked
+    // by a lowered limit right after it, so the chunks still running
+    // elsewhere need no help: wait for the last one. It notifies under
+    // `done`, so checking the count under the same lock cannot miss it.
+    while try_run_one(sub.as_ref()) {}
+    let mut done = lock(&c.done);
+    while done.finished < c.total {
         done = c.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        drop(done);
-    };
+    }
+    let panicked = done.panic.take();
+    drop(done);
     unregister(c.id);
     // Make this thread the one that drops the submission (the closures
     // and any parked chunk outputs — present after a panic): once
@@ -507,16 +470,17 @@ where
     }
 }
 
+/// Serialises tests that pin the global worker limit.
+#[cfg(test)]
+pub(crate) fn limit_guard() -> MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    lock(&GUARD)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-
-    /// Serialises tests that pin the global worker limit.
-    fn limit_guard() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        lock(&GUARD)
-    }
 
     #[test]
     fn worker_env_takes_only_a_positive_integer() {
@@ -537,32 +501,32 @@ mod tests {
         for limit in [1usize, 4] {
             set_worker_limit(limit);
             let mut seen = Vec::new();
-            submit(97, usize::MAX, |i| i, |i| seen.push(i));
+            submit(97, |i| i, |i| seen.push(i));
             set_worker_limit(0);
             assert_eq!(seen, (0..97).collect::<Vec<_>>(), "limit {limit}");
         }
     }
 
     #[test]
-    fn width_caps_concurrent_executors() {
+    fn workers_parked_mid_run_leave_no_chunk_behind() {
+        // One chunk lowers the limit to 1: every pool worker parks after
+        // its current chunk, and the submitter runs what is left.
         let _g = limit_guard();
-        set_worker_limit(8);
-        let active = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
+        set_worker_limit(4);
+        let mut seen = Vec::new();
         submit(
-            40,
-            3,
+            64,
             |i| {
-                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(2));
-                active.fetch_sub(1, Ordering::SeqCst);
+                if i == 5 {
+                    set_worker_limit(1);
+                }
+                std::thread::sleep(Duration::from_micros(200));
                 i
             },
-            |_| {},
+            |i| seen.push(i),
         );
         set_worker_limit(0);
-        assert!(peak.load(Ordering::SeqCst) <= 3, "peak {:?}", peak);
+        assert_eq!(seen, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -573,7 +537,6 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| {
             submit(
                 16,
-                usize::MAX,
                 |i| {
                     if i == 7 {
                         panic!("chunk 7 exploded");
@@ -597,12 +560,11 @@ mod tests {
         let mut totals = Vec::new();
         submit(
             6,
-            usize::MAX,
             |outer| {
                 // Each outer chunk runs its own inner submission — the
                 // figure-inside-scheduler shape.
                 let inner = Mutex::new(0usize);
-                submit(5, usize::MAX, |i| i + outer, |v| *lock(&inner) += v);
+                submit(5, |i| i + outer, |v| *lock(&inner) += v);
                 let total = *lock(&inner);
                 total
             },

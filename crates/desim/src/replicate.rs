@@ -36,6 +36,7 @@
 
 use crate::executor;
 use crate::rng::derive_seed;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Replications per chunk. The chunk grid is what makes streaming
@@ -56,39 +57,55 @@ pub fn set_worker_limit(n: usize) {
     executor::set_worker_limit(n);
 }
 
-/// Run `tasks` as one executor submission — the figure-level scheduling
-/// primitive behind `all_figures` — returning each task's output **in
-/// task order**.
+/// Run `tasks` — the figure-level scheduling primitive behind
+/// `all_figures` — returning each task's output **in task order**.
 ///
-/// At most `width` tasks execute concurrently (the `--jobs` knob); the
-/// calling thread always works on its own tasks, and pool workers steal
-/// the rest across every live submission, so a finished task's core
-/// immediately moves to other tasks *or into the replication chunks of
-/// tasks still running* — the mid-flight hand-back that retired the old
-/// acquire/release worker budget. Panics from tasks propagate to the
-/// caller after in-flight tasks finish.
+/// `width` (the `--jobs` knob) is enforced here, not in the executor:
+/// `min(width, tasks)` lanes run as one executor submission, and each
+/// lane takes the next unstarted task in order until none is left, so
+/// at most `width` tasks run at once and they start in the order given.
+/// The calling thread runs a lane itself; a pool worker whose lane runs
+/// dry goes back to stealing, mid-flight, *into the replication chunks
+/// of tasks still running*. A task's panic reaches the caller once the
+/// other lanes finish their current task; no lane starts a task after
+/// it.
 pub fn run_tasks<T, F>(width: usize, tasks: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let n = tasks.len();
-    let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let mut out: Vec<T> = Vec::with_capacity(n);
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let take = || queue.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
     executor::submit(
-        n,
-        width,
-        |i| {
-            let task = slots[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each task is claimed exactly once");
-            task()
+        width.max(1).min(n),
+        |_lane| {
+            let mut ran = Vec::new();
+            loop {
+                // The lock ends with this statement, before the task runs.
+                let Some((i, task)) = take().next() else {
+                    return ran;
+                };
+                match catch_unwind(AssertUnwindSafe(task)) {
+                    Ok(t) => ran.push((i, t)),
+                    Err(payload) => {
+                        // Empty the queue: no lane starts a task after this.
+                        take().by_ref().for_each(drop);
+                        resume_unwind(payload);
+                    }
+                }
+            }
         },
-        |t| out.push(t),
+        |ran| {
+            for (i, t) in ran {
+                out[i] = Some(t);
+            }
+        },
     );
-    out
+    out.into_iter()
+        .map(|t| t.expect("every task ran"))
+        .collect()
 }
 
 /// Map-reduce over a list of **cells** — the one chunked reduction
@@ -146,7 +163,6 @@ where
     let mut reduced: Vec<Option<A>> = std::iter::repeat_with(|| None).take(cells.len()).collect();
     executor::submit(
         total_chunks,
-        usize::MAX,
         |gchunk| {
             // The owning cell: last offset <= gchunk. Zero-rep cells
             // contribute no chunks and are skipped by partition_point.
@@ -228,6 +244,8 @@ mod tests {
     use super::*;
     use crate::rng::RngCore;
     use crate::rng::SimRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn zero_reps_is_empty() {
@@ -267,6 +285,7 @@ mod tests {
 
     #[test]
     fn run_reduce_bit_identical_across_worker_counts() {
+        let _g = executor::limit_guard();
         // Floating-point accumulation is merge-order sensitive; the
         // chunk grid must make the result independent of worker count.
         let job = || {
@@ -315,6 +334,7 @@ mod tests {
 
     #[test]
     fn run_cells_matches_standalone_run_reduce_bitwise() {
+        let _g = executor::limit_guard();
         // The contract core::sweep relies on: a cell embedded in any
         // grid reduces bit-identically to its own run_reduce, because
         // the cell-local chunk grid and merge order are preserved.
@@ -373,6 +393,7 @@ mod tests {
 
     #[test]
     fn run_cells_seeds_each_cell_with_its_first_chunk() {
+        let _g = executor::limit_guard();
         // (replications, merges, cell tag): a cell of k chunks merges
         // k − 1 times, never into a fresh identity, and zero-rep cells at
         // the head, middle and tail yield their own identity in place.
@@ -399,20 +420,71 @@ mod tests {
     }
 
     #[test]
-    fn run_tasks_returns_in_task_order() {
-        for limit in [1usize, 4] {
+    fn run_tasks_returns_in_task_order_with_at_most_width_running() {
+        let _g = executor::limit_guard();
+        for limit in [1usize, 8] {
             set_worker_limit(limit);
-            let tasks: Vec<_> = (0..23).map(|i| move || i * i).collect();
+            let (active, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let tasks: Vec<_> = (0..23)
+                .map(|i| {
+                    let (active, peak) = (&active, &peak);
+                    move || {
+                        peak.fetch_max(active.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(2));
+                        active.fetch_sub(1, Ordering::SeqCst);
+                        i * i
+                    }
+                })
+                .collect();
             let out = run_tasks(3, tasks);
             set_worker_limit(0);
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
+            assert!(
+                peak.into_inner() <= 3,
+                "limit {limit}: more than 3 ran at once"
+            );
         }
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller_and_no_lane_starts_another() {
+        let _g = executor::limit_guard();
+        set_worker_limit(4);
+        // (width, most tasks started): at width 1 only the panicking
+        // one; at width 2 the other lane may finish the task it holds.
+        for (width, most) in [(1usize, 1usize), (2, 10)] {
+            let started = AtomicUsize::new(0);
+            let tasks: Vec<_> = (0..20)
+                .map(|i| {
+                    let started = &started;
+                    move || {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(20));
+                        if i == 0 {
+                            panic!("task 0 exploded");
+                        }
+                    }
+                })
+                .collect();
+            let result = catch_unwind(AssertUnwindSafe(|| run_tasks(width, tasks)));
+            assert!(
+                result.is_err(),
+                "width {width}: the panic reaches the caller"
+            );
+            let started = started.into_inner();
+            assert!(
+                started <= most,
+                "width {width}: {started} of 20 tasks started"
+            );
+        }
+        set_worker_limit(0);
     }
 
     #[test]
     fn run_tasks_nests_replication_calls() {
         // The figure-scheduler shape: tasks that themselves run
         // reduces on the same executor.
+        let _g = executor::limit_guard();
         set_worker_limit(4);
         let tasks: Vec<_> = (0..5u64)
             .map(|t| {

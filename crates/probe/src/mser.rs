@@ -26,11 +26,10 @@
 //! ([`MserProbe::profile_rep`], [`MserProbe::truncation_point`],
 //! [`MserProbe::corrected_rep`]) are public so sweep scenarios can
 //! schedule them as cells; [`measure_rate_sweep`] does exactly that for
-//! a family of probes.
+//! a family of probes, and [`MserProbe::measure`] is its one-cell case.
 
 use csmaprobe_core::link::ProbeTarget;
 use csmaprobe_core::sweep::{run_sweep, SweepScenario};
-use csmaprobe_desim::replicate;
 use csmaprobe_desim::rng::derive_seed;
 use csmaprobe_stats::accumulate::Accumulate;
 use csmaprobe_stats::mser::mser_m;
@@ -165,30 +164,22 @@ impl MserProbe {
     }
 
     /// Run `reps` replications against `target` as the two-phase
-    /// streaming reduce described in the module docs. Peak memory is
-    /// O(train length).
+    /// streaming reduce described in the module docs: the one-cell
+    /// [`measure_rate_sweep`]. Peak memory is O(train length).
     pub fn measure<T: ProbeTarget + ?Sized>(
         &self,
         target: &T,
         reps: usize,
         seed: u64,
     ) -> MserMeasurement {
-        let profile = replicate::run_reduce(
+        let cell = MserCell {
+            probe: *self,
             reps,
             seed,
-            |_, s, acc: &mut MserProfileAcc| self.profile_rep(target, s, acc),
-            MserProfileAcc::default,
-            Accumulate::merge,
-        );
-        let cut = self.truncation_point(&profile);
-        let corrected = replicate::run_reduce(
-            reps,
-            seed,
-            |_, s, acc: &mut MserCorrectedAcc| self.corrected_rep(target, cut, s, acc),
-            MserCorrectedAcc::default,
-            Accumulate::merge,
-        );
-        self.assemble(reps, profile, corrected)
+        };
+        measure_rate_sweep(&[cell], target)
+            .pop()
+            .expect("a one-cell sweep measures its cell")
     }
 }
 
@@ -277,8 +268,9 @@ impl<T: ProbeTarget + ?Sized> SweepScenario for TruncatedSweep<'_, T> {
 /// Measure a family of MSER probes (e.g. one per probing rate of
 /// Fig 17) through the sweep engine: two passes, each scheduling every
 /// `(cell × replication)` concurrently over the shared work-stealing
-/// executor. Cell `c`'s result is bit-identical to
-/// `cells[c].probe.measure(target, cells[c].reps, cells[c].seed)`.
+/// executor. Cell `c`'s result does not depend on the other cells: it
+/// is `cells[c].probe.measure(target, cells[c].reps, cells[c].seed)`,
+/// bit for bit (the `run_cells` contract).
 pub fn measure_rate_sweep<T: ProbeTarget + ?Sized>(
     cells: &[MserCell],
     target: &T,

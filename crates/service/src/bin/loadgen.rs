@@ -16,9 +16,9 @@
 //! A malformed command line (an unknown flag, a missing or unparseable
 //! value, `--batch` without `--table`, a client without `--addr` or
 //! `--port-file`) exits 2 with one error line naming it, then the usage
-//! text. `--reps` outside the daemon's `1..=MAX_REPS`, `--conns` below 1
-//! and a `CSMAPROBE_WORKERS` that is not a positive integer exit 2 with
-//! one error line.
+//! text. `--reps` outside the daemon's `1..=MAX_REPS`, `--conns` outside
+//! `1..=MAX_CONNS` and a `CSMAPROBE_WORKERS` that is not a positive
+//! integer exit 2 with one error line, before any thread starts.
 
 use csmaprobe_bench::parse_value;
 use csmaprobe_bench::report::json_array;
@@ -29,6 +29,10 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// The most `--conns` a client run opens: it starts one thread per
+/// connection.
+const MAX_CONNS: usize = 256;
 
 fn usage() -> ! {
     eprintln!(
@@ -110,8 +114,11 @@ fn parse_args() -> Args {
             args.reps
         ));
     }
-    if args.conns < 1 {
-        refuse("--conns must be at least 1 (got 0)".to_string());
+    if !(1..=MAX_CONNS).contains(&args.conns) {
+        refuse(format!(
+            "--conns must be in 1..={MAX_CONNS} (got {})",
+            args.conns
+        ));
     }
     args
 }

@@ -1,6 +1,11 @@
 //! The TCP front end: accept loop, per-connection protocol dispatch,
 //! the `/metrics` text scrape, and the graceful-drain shutdown path.
 //!
+//! Accepted sessions run on one session driver per unit of the
+//! executor's concurrency ceiling ([`executor::concurrency`], which
+//! `csmaprobe serve --workers` sets), so the number of sessions running
+//! at once follows the cores the server may use.
+//!
 //! Shutdown contract (what the `service-smoke` CI job pins): on
 //! SIGTERM (or SIGINT), the server stops accepting connections and
 //! sessions, drains every *accepted* session to a terminal phase,
@@ -20,6 +25,7 @@ use crate::metrics::Metrics;
 use crate::session::{row_json, Session, SessionManager, SessionSpec};
 use crate::wire::{json_str, read_frame, Request, WireError};
 use csmaprobe_bench::report::{row_cell, RowSink};
+use csmaprobe_desim::executor;
 use csmaprobe_desim::replicate::CHUNK;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -91,8 +97,6 @@ pub struct ServeConfig {
     /// If set, the actual bound `host:port` is written here once
     /// listening — how scripts find a port-0 server.
     pub port_file: Option<PathBuf>,
-    /// Session-driver threads (concurrent sessions in the executor).
-    pub drivers: usize,
 }
 
 impl Default for ServeConfig {
@@ -102,7 +106,6 @@ impl Default for ServeConfig {
             out_dir: PathBuf::from("serve-out"),
             table: None,
             port_file: None,
-            drivers: 2,
         }
     }
 }
@@ -179,7 +182,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
             metrics.observe_session_latency(snap.elapsed_s);
         })
     };
-    let mgr = SessionManager::new(cfg.drivers, Some(hook));
+    let mgr = SessionManager::new(executor::concurrency(), Some(hook));
     mgr.hold_cells(held_cells);
     let shared = Arc::new(Shared { mgr, metrics, sink });
 

@@ -602,7 +602,6 @@ fn drive(session: &Session) -> bool {
     let (mut seen, mut stolen, mut cut) = (0, 0, false);
     executor::submit(
         reps,
-        usize::MAX,
         |i| {
             if session.cancel.load(Ordering::SeqCst) {
                 return None;

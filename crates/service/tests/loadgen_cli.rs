@@ -1,8 +1,8 @@
 //! The `loadgen` CLI refuses what it cannot run: a malformed command
 //! line exits 2 with an error line naming the flag (and the value),
 //! then the usage text; a `--reps` outside the daemon's bounds or a
-//! `--conns` below 1 exits 2 with one error line naming the flag. No
-//! refusal writes a table.
+//! `--conns` outside `1..=256` exits 2 with one error line naming the
+//! flag, in batch mode too. No refusal writes a table.
 
 use csmaprobe_service::wire::MAX_REPS;
 use std::path::{Path, PathBuf};
@@ -72,10 +72,13 @@ fn reps_and_conns_out_of_the_daemons_bounds_exit_2_naming_the_flag() {
     let dir = scratch("bounds");
     let too_many = (MAX_REPS + 1).to_string();
     let batch = ["--batch", "--table", "t.json", "--sessions", "3"];
+    // Batch mode only: a client run that was not refused would start
+    // one thread per connection.
     for (flag, value) in [
         ("--reps", "0"),
         ("--reps", too_many.as_str()),
         ("--conns", "0"),
+        ("--conns", "100000"),
     ] {
         let mut args = batch.to_vec();
         args.extend([flag, value]);

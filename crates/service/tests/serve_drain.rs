@@ -27,11 +27,10 @@ fn pipelined_protocol_and_graceful_drain() {
     let cfg = ServeConfig {
         out_dir: dir.clone(),
         port_file: Some(port_file.clone()),
-        drivers: 2,
         ..ServeConfig::default()
     };
-    // What `csmaprobe serve --workers 1` sets: every replication runs
-    // on its session's driver, so none is stolen.
+    // What `csmaprobe serve --workers 1` sets: one session driver, and
+    // every replication runs on it, so none is stolen.
     executor::set_worker_limit(1);
     let server = std::thread::spawn(move || serve(cfg).expect("serve runs"));
 

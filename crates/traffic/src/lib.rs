@@ -15,13 +15,13 @@
 //!   cross-traffic: "the cross-traffic generated follows a Poisson
 //!   distribution").
 //! * [`CbrSource`] — periodic (constant bit rate) arrivals.
-//! * [`OnOffSource`] — exponential on/off bursty traffic for the
-//!   burstiness discussions of §6.3.
+//! * [`OnOffSource`] — on/off bursty traffic with exponential or
+//!   Pareto ON periods, for the burstiness discussions of §6.3.
 //! * [`TraceSource`] — replay of an explicit arrival list.
 //! * [`probe::ProbeTrain`] — the probing sequence of §5.1.2 (n packets
 //!   at fixed gap `gI`).
 //!
-//! Packet sizes come from a [`SizeModel`].
+//! Packet sizes come from a [`SizeModel`]: one fixed size per source.
 
 pub mod probe;
 
@@ -141,50 +141,20 @@ pub trait Source {
     fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival>;
 }
 
-/// Packet payload size distribution.
+/// Packet payload size. Every source in the program sends one fixed
+/// size.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SizeModel {
     /// Every packet has the same payload size.
     Fixed(u32),
-    /// Sizes drawn from a finite distribution `(bytes, weight)`;
-    /// weights need not sum to one.
-    Choice(Vec<(u32, f64)>),
-    /// Uniform over an inclusive byte range.
-    Uniform(u32, u32),
 }
 
 impl SizeModel {
-    /// Draw one payload size. A fixed size (what every source in the
-    /// program uses) is read inline; the random models draw out of line.
+    /// The payload size of the next packet, in bytes.
     #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> u32 {
+    pub fn sample(&self) -> u32 {
         match self {
             SizeModel::Fixed(b) => *b,
-            _ => self.sample_random(rng),
-        }
-    }
-
-    /// [`SizeModel::sample`] for the models that draw.
-    #[inline(never)]
-    fn sample_random(&self, rng: &mut SimRng) -> u32 {
-        match self {
-            SizeModel::Fixed(b) => *b,
-            SizeModel::Choice(items) => {
-                debug_assert!(!items.is_empty());
-                let total: f64 = items.iter().map(|(_, w)| *w).sum();
-                let mut x = rng.f64() * total;
-                for (b, w) in items {
-                    if x < *w {
-                        return *b;
-                    }
-                    x -= *w;
-                }
-                items.last().map(|(b, _)| *b).unwrap()
-            }
-            SizeModel::Uniform(lo, hi) => {
-                debug_assert!(lo <= hi);
-                rng.range_inclusive(*lo as u64, *hi as u64) as u32
-            }
         }
     }
 
@@ -192,11 +162,6 @@ impl SizeModel {
     pub fn mean_bytes(&self) -> f64 {
         match self {
             SizeModel::Fixed(b) => *b as f64,
-            SizeModel::Choice(items) => {
-                let total: f64 = items.iter().map(|(_, w)| *w).sum();
-                items.iter().map(|(b, w)| *b as f64 * *w).sum::<f64>() / total
-            }
-            SizeModel::Uniform(lo, hi) => (*lo as f64 + *hi as f64) / 2.0,
         }
     }
 }
@@ -280,7 +245,7 @@ impl Source for PoissonSource {
             }
         };
         self.next_time = self.advance(rng, time);
-        let bytes = self.sizes.sample(rng);
+        let bytes = self.sizes.sample();
         Some(PacketArrival {
             time,
             bytes,
@@ -322,13 +287,13 @@ impl CbrSource {
 }
 
 impl Source for CbrSource {
-    fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival> {
+    fn next_packet(&mut self, _rng: &mut SimRng) -> Option<PacketArrival> {
         if self.next_time >= self.until {
             return None;
         }
         let time = self.next_time;
         self.next_time += self.interval;
-        let bytes = self.sizes.sample(rng);
+        let bytes = self.sizes.sample();
         Some(PacketArrival {
             time,
             bytes,
@@ -337,17 +302,73 @@ impl Source for CbrSource {
     }
 }
 
-/// Markov on/off bursty traffic: exponential ON and OFF sojourns; while
-/// ON, packets are emitted back-to-back at `peak_rate_bps`.
+/// How an [`OnOffSource`] draws the length of an ON period.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OnPeriod {
+    /// Exponential ON periods of this mean.
+    Exp {
+        /// Mean ON duration.
+        mean: Dur,
+    },
+    /// Pareto ON periods: heavy-tailed, with shape `alpha` (> 1 for a
+    /// finite mean; smaller means burstier) and minimum `min`.
+    Pareto {
+        /// Pareto shape.
+        alpha: f64,
+        /// Pareto scale: the shortest ON duration.
+        min: Dur,
+    },
+}
+
+impl OnPeriod {
+    /// The mean ON duration (`alpha·min/(alpha−1)` for Pareto).
+    pub fn mean(&self) -> Dur {
+        match *self {
+            OnPeriod::Exp { mean } => mean,
+            OnPeriod::Pareto { alpha, min } => {
+                Dur::from_secs_f64(alpha * min.as_secs_f64() / (alpha - 1.0))
+            }
+        }
+    }
+
+    /// Draw one ON duration. Out of line on purpose: inlined into
+    /// [`OnOffSource`]'s packet loop, the Pareto arm's loop-invariant
+    /// arithmetic is hoisted to the top of every `next_packet` call, and
+    /// under an `Exp` law it runs on the mean's bits read as a denormal
+    /// `f64` (~200 ns per packet).
+    #[inline(never)]
+    fn draw(&self, rng: &mut SimRng) -> Dur {
+        match *self {
+            OnPeriod::Exp { mean } => Dur::from_secs_f64(rng.exp(mean.as_secs_f64())),
+            OnPeriod::Pareto { alpha, min } => {
+                // Inverse-CDF Pareto: X = x_m / U^(1/alpha).
+                let u = 1.0 - rng.f64(); // in (0, 1]
+                let secs = min.as_secs_f64() / u.powf(1.0 / alpha);
+                // Cap pathological tail draws at 10^4 x mean to keep single
+                // replications bounded (documented heavy-tail truncation).
+                let cap = self.mean().as_secs_f64() * 1e4;
+                Dur::from_secs_f64(secs.min(cap))
+            }
+        }
+    }
+}
+
+/// On/off bursty traffic: ON periods drawn by an [`OnPeriod`] law,
+/// exponential OFF periods; while ON, packets are emitted back-to-back
+/// at `peak_rate_bps`.
 ///
-/// The long-run offered rate is `peak · E[on] / (E[on]+E[off])`.
+/// The long-run offered rate is `peak · E[on] / (E[on]+E[off])`. Pareto
+/// ON periods are the classic self-similar-traffic building block
+/// (Willinger et al.), used for the paper's §6.3 discussion — "as the
+/// burstiness of cross-traffic flow increases so will the variability
+/// of dispersion measures".
 #[derive(Debug, Clone)]
 pub struct OnOffSource {
-    mean_on: Dur,
+    on: OnPeriod,
     mean_off: Dur,
     gap_in_burst: Dur,
     sizes: SizeModel,
-    /// Remaining time of the current ON period, if inside one.
+    /// End of the current ON period, if inside one.
     burst_end: Option<Time>,
     next_time: Time,
     until: Time,
@@ -356,19 +377,23 @@ pub struct OnOffSource {
 
 impl OnOffSource {
     /// Create an on/off source. `peak_rate_bps` is the rate *inside*
-    /// bursts.
+    /// bursts. A Pareto law needs `alpha > 1`, so that the mean ON
+    /// duration exists.
     pub fn new(
         peak_rate_bps: f64,
-        mean_on: Dur,
+        on: OnPeriod,
         mean_off: Dur,
         sizes: SizeModel,
         start: Time,
         until: Time,
     ) -> Self {
-        debug_assert!(peak_rate_bps > 0.0);
+        if let OnPeriod::Pareto { alpha, .. } = on {
+            assert!(alpha > 1.0, "alpha must exceed 1 (got {alpha})");
+        }
+        assert!(peak_rate_bps > 0.0);
         let gap = Dur::from_secs_f64(8.0 * sizes.mean_bytes() / peak_rate_bps);
         OnOffSource {
-            mean_on,
+            on,
             mean_off,
             gap_in_burst: gap,
             sizes,
@@ -387,7 +412,7 @@ impl OnOffSource {
 
     /// The long-run average offered bitrate of this source.
     pub fn mean_rate_bps(&self) -> f64 {
-        let on = self.mean_on.as_secs_f64();
+        let on = self.on.mean().as_secs_f64();
         let off = self.mean_off.as_secs_f64();
         let peak = 8.0 * self.sizes.mean_bytes() / self.gap_in_burst.as_secs_f64();
         peak * on / (on + off)
@@ -404,7 +429,7 @@ impl Source for OnOffSource {
                 Some(end) if self.next_time < end => {
                     let time = self.next_time;
                     self.next_time += self.gap_in_burst;
-                    let bytes = self.sizes.sample(rng);
+                    let bytes = self.sizes.sample();
                     return Some(PacketArrival {
                         time,
                         bytes,
@@ -418,121 +443,8 @@ impl Source for OnOffSource {
                     self.burst_end = None;
                 }
                 None => {
-                    // Start a new exponential ON period at next_time.
-                    let on = Dur::from_secs_f64(rng.exp(self.mean_on.as_secs_f64()));
-                    self.burst_end = Some(self.next_time + on);
-                }
-            }
-        }
-    }
-}
-
-/// Pareto on/off bursty traffic: heavy-tailed ON periods (Pareto with
-/// shape `alpha`), exponential OFF periods; packets back-to-back at
-/// `peak_rate_bps` while ON.
-///
-/// The classic self-similar-traffic building block (Willinger et al.):
-/// smaller `alpha` means heavier tails and a burstier aggregate. Used
-/// for the paper's §6.3 discussion — "as the burstiness of cross-traffic
-/// flow increases so will the variability of dispersion measures".
-#[derive(Debug, Clone)]
-pub struct ParetoOnOffSource {
-    /// Pareto shape of ON durations (must be > 1 for a finite mean).
-    alpha: f64,
-    /// Pareto scale: minimum ON duration.
-    on_min: Dur,
-    mean_off: Dur,
-    gap_in_burst: Dur,
-    sizes: SizeModel,
-    burst_end: Option<Time>,
-    next_time: Time,
-    until: Time,
-    flow: u16,
-}
-
-impl ParetoOnOffSource {
-    /// Create a Pareto on/off source. `alpha > 1` is required so the
-    /// mean ON duration `alpha*on_min/(alpha-1)` exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        peak_rate_bps: f64,
-        alpha: f64,
-        on_min: Dur,
-        mean_off: Dur,
-        sizes: SizeModel,
-        start: Time,
-        until: Time,
-    ) -> Self {
-        assert!(alpha > 1.0, "alpha must exceed 1 (got {alpha})");
-        assert!(peak_rate_bps > 0.0);
-        let gap = Dur::from_secs_f64(8.0 * sizes.mean_bytes() / peak_rate_bps);
-        ParetoOnOffSource {
-            alpha,
-            on_min,
-            mean_off,
-            gap_in_burst: gap,
-            sizes,
-            burst_end: None,
-            next_time: start,
-            until,
-            flow: 0,
-        }
-    }
-
-    /// Tag every packet of this source with `flow`.
-    pub fn with_flow(mut self, flow: u16) -> Self {
-        self.flow = flow;
-        self
-    }
-
-    /// Mean ON duration `alpha*on_min/(alpha-1)`.
-    pub fn mean_on(&self) -> Dur {
-        Dur::from_secs_f64(self.alpha * self.on_min.as_secs_f64() / (self.alpha - 1.0))
-    }
-
-    /// The long-run average offered bitrate.
-    pub fn mean_rate_bps(&self) -> f64 {
-        let on = self.mean_on().as_secs_f64();
-        let off = self.mean_off.as_secs_f64();
-        let peak = 8.0 * self.sizes.mean_bytes() / self.gap_in_burst.as_secs_f64();
-        peak * on / (on + off)
-    }
-
-    fn draw_on(&self, rng: &mut SimRng) -> Dur {
-        // Inverse-CDF Pareto: X = x_m / U^(1/alpha).
-        let u = 1.0 - rng.f64(); // in (0, 1]
-        let secs = self.on_min.as_secs_f64() / u.powf(1.0 / self.alpha);
-        // Cap pathological tail draws at 10^4 x mean to keep single
-        // replications bounded (documented heavy-tail truncation).
-        let cap = self.mean_on().as_secs_f64() * 1e4;
-        Dur::from_secs_f64(secs.min(cap))
-    }
-}
-
-impl Source for ParetoOnOffSource {
-    fn next_packet(&mut self, rng: &mut SimRng) -> Option<PacketArrival> {
-        loop {
-            if self.next_time >= self.until {
-                return None;
-            }
-            match self.burst_end {
-                Some(end) if self.next_time < end => {
-                    let time = self.next_time;
-                    self.next_time += self.gap_in_burst;
-                    let bytes = self.sizes.sample(rng);
-                    return Some(PacketArrival {
-                        time,
-                        bytes,
-                        flow: self.flow,
-                    });
-                }
-                Some(end) => {
-                    let off = Dur::from_secs_f64(rng.exp(self.mean_off.as_secs_f64()));
-                    self.next_time = end + off;
-                    self.burst_end = None;
-                }
-                None => {
-                    let on = self.draw_on(rng);
+                    // Start a new ON period at next_time.
+                    let on = self.on.draw(rng);
                     self.burst_end = Some(self.next_time + on);
                 }
             }
@@ -655,7 +567,9 @@ mod tests {
         let sizes = SizeModel::Fixed(500);
         let src = OnOffSource::new(
             4_000_000.0,
-            Dur::from_millis(10),
+            OnPeriod::Exp {
+                mean: Dur::from_millis(10),
+            },
             Dur::from_millis(30),
             sizes,
             Time::ZERO,
@@ -705,45 +619,26 @@ mod tests {
 
     #[test]
     fn size_models_sample_correctly() {
-        let mut rng = SimRng::new(9);
-        assert_eq!(SizeModel::Fixed(77).sample(&mut rng), 77);
+        assert_eq!(SizeModel::Fixed(77).sample(), 77);
         assert_eq!(SizeModel::Fixed(77).mean_bytes(), 77.0);
-
-        let choice = SizeModel::Choice(vec![(100, 1.0), (200, 3.0)]);
-        assert!((choice.mean_bytes() - 175.0).abs() < 1e-12);
-        let mut c100 = 0;
-        let n = 40_000;
-        for _ in 0..n {
-            match choice.sample(&mut rng) {
-                100 => c100 += 1,
-                200 => {}
-                other => panic!("unexpected size {other}"),
-            }
-        }
-        let frac = c100 as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.02, "frac {frac}");
-
-        let uni = SizeModel::Uniform(40, 60);
-        assert_eq!(uni.mean_bytes(), 50.0);
-        for _ in 0..1000 {
-            let v = uni.sample(&mut rng);
-            assert!((40..=60).contains(&v));
-        }
     }
 
     #[test]
     fn pareto_onoff_mean_rate() {
-        let src = ParetoOnOffSource::new(
+        let on = OnPeriod::Pareto {
+            alpha: 1.5,
+            min: Dur::from_millis(4),
+        };
+        let src = OnOffSource::new(
             6_000_000.0,
-            1.5,
-            Dur::from_millis(4),
+            on,
             Dur::from_millis(12),
             SizeModel::Fixed(1500),
             Time::ZERO,
             Time::from_secs_f64(400.0),
         );
         // mean_on = 1.5*4/(0.5) = 12 ms; duty = 12/(12+12) = 0.5.
-        assert!((src.mean_on().as_secs_f64() - 12e-3).abs() < 1e-9);
+        assert!((on.mean().as_secs_f64() - 12e-3).abs() < 1e-9);
         let expect = 3_000_000.0;
         assert!((src.mean_rate_bps() - expect).abs() / expect < 1e-9);
         // Empirical rate within 15% (heavy tails converge slowly).
@@ -788,19 +683,21 @@ mod tests {
             }
             out
         };
-        let mut pareto = ParetoOnOffSource::new(
+        let on = OnPeriod::Pareto {
+            alpha: 1.3,
+            min: Dur::from_millis(3),
+        };
+        let mut pareto = OnOffSource::new(
             6e6,
-            1.3,
-            Dur::from_millis(3),
+            on,
             Dur::from_millis(13),
             SizeModel::Fixed(1500),
             Time::ZERO,
             horizon,
         );
-        let mean_on = pareto.mean_on();
         let mut exp = OnOffSource::new(
             6e6,
-            mean_on,
+            OnPeriod::Exp { mean: on.mean() },
             Dur::from_millis(13),
             SizeModel::Fixed(1500),
             Time::ZERO,
@@ -817,10 +714,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha must exceed 1")]
     fn pareto_rejects_infinite_mean() {
-        ParetoOnOffSource::new(
+        OnOffSource::new(
             1e6,
-            0.9,
-            Dur::from_millis(1),
+            OnPeriod::Pareto {
+                alpha: 0.9,
+                min: Dur::from_millis(1),
+            },
             Dur::from_millis(1),
             SizeModel::Fixed(100),
             Time::ZERO,

@@ -12,8 +12,8 @@
 //! csmaprobe topp      [link options]
 //! csmaprobe chirp     [link options]
 //! csmaprobe transient --rate 5.0 --n 300 --reps 1000 [link options]
-//! csmaprobe serve     [--addr H:P] [--out-dir D] [--drivers N]
-//!                     [--table FILE] [--port-file FILE] [--workers W]
+//! csmaprobe serve     [--addr H:P] [--out-dir D] [--table FILE]
+//!                     [--port-file FILE] [--workers W]
 //!
 //! link options:
 //!   --cross <Mb/s>       contending Poisson cross-traffic (repeatable)
@@ -25,11 +25,15 @@
 //! All rates are Mb/s on the command line; output is plain text. A
 //! value the models cannot run is refused with exit 2 and one error
 //! line, under the bounds `grid` and the daemon's wire apply to the
-//! same quantities; so are a `serve --workers`/`--drivers` below 1 and a
+//! same quantities; so are a `serve --workers` below 1 and a
 //! `CSMAPROBE_WORKERS` that is not a positive integer. A malformed
 //! command line (a missing or unknown subcommand, an unknown flag, a
 //! missing or unparseable value) exits 2 with one error line naming it,
 //! then the usage text.
+//!
+//! `serve --workers W` sets the executor's concurrency ceiling (else
+//! `CSMAPROBE_WORKERS`, else the hardware parallelism), and the daemon
+//! runs one session driver per unit of it.
 
 use csmaprobe::core::link::{
     LinkConfig, ProbeTarget, WiredLink, WlanLink, MAX_INLINE_BPS, MAX_TRAIN_PACKETS,
@@ -65,8 +69,8 @@ fn usage() -> ! {
         "usage: csmaprobe <{}> \
          [--cross M]... [--fifo-cross M] [--wired C] [--rate M] [--n N] \
          [--reps R] [--pairs P] [--bytes B] [--seed S]\n\
-         \x20      csmaprobe serve [--addr H:P] [--out-dir D] [--drivers N] \
-         [--table FILE] [--port-file FILE] [--workers W]",
+         \x20      csmaprobe serve [--addr H:P] [--out-dir D] [--table FILE] \
+         [--port-file FILE] [--workers W]",
         COMMANDS.join("|")
     );
     std::process::exit(2);
@@ -131,7 +135,6 @@ fn serve_main(argv: &[String]) -> ! {
         match argv[i].as_str() {
             "--addr" => cfg.addr = v().to_string(),
             "--out-dir" => cfg.out_dir = v().into(),
-            "--drivers" => cfg.drivers = positive("--drivers", v()),
             "--table" => cfg.table = Some(v().into()),
             "--port-file" => cfg.port_file = Some(v().into()),
             "--workers" => workers = Some(positive("--workers", v())),

@@ -2,9 +2,9 @@
 //! one exits 2 with a message naming the flag, instead of hanging,
 //! aborting on an allocation, panicking or printing NaN. A
 //! `CSMAPROBE_WORKERS` that is not a positive integer, and a `serve`
-//! worker or driver count below 1, are refused the same way. A
-//! malformed command line exits 2 with an error line naming what it
-//! refuses, then the usage text.
+//! worker count below 1, are refused the same way. A malformed command
+//! line exits 2 with an error line naming what it refuses, then the
+//! usage text.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -135,16 +135,11 @@ fn a_bad_worker_env_exits_2_naming_the_variable() {
 }
 
 #[test]
-fn serve_refuses_worker_and_driver_counts_below_1_before_binding() {
+fn serve_refuses_worker_counts_below_1_before_binding() {
     let out = std::env::temp_dir().join(format!("csmaprobe-cli-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
     let out_dir = out.to_str().expect("utf-8 temp path");
-    for (flag, value) in [
-        ("--workers", "0"),
-        ("--workers", "two"),
-        ("--drivers", "0"),
-        ("--drivers", "-1"),
-    ] {
+    for (flag, value) in [("--workers", "0"), ("--workers", "two")] {
         let args = [
             "serve",
             "--addr",
@@ -184,6 +179,8 @@ fn malformed_command_lines_exit_2_naming_what_they_refuse() {
         (vec![], &["subcommand"]),
         (serve(&["--bogus", "1"]), &["--bogus"]),
         (serve(&["--workers"]), &["--workers"]),
+        // Session drivers follow `--workers`: there is no `--drivers`.
+        (serve(&["--drivers", "2", "--workers", "0"]), &["--drivers"]),
     ];
     for (args, names) in cases {
         let (code, stderr) = run(&args);

@@ -34,7 +34,7 @@ impl Daemon {
             .arg(dir)
             .arg("--port-file")
             .arg(port_file)
-            .args(["--workers", "1", "--drivers", "1"])
+            .args(["--workers", "1"])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
