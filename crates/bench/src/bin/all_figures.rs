@@ -5,7 +5,7 @@
 //! [--scale F] [--seed N] [--only fig08,fig13] [--list] [--jobs N]`.
 //! An unknown flag or a bad value exits 2 with one stderr line naming
 //! the flag, before any output (`csmaprobe_bench::cli_options_from`);
-//! so does a `CSMAPROBE_WORKERS` that is not a positive integer.
+//! so does a `CSMAPROBE_WORKERS` outside `1..=1024`.
 //!
 //! Figures come from `figures::REGISTRY` and run — by descending cost
 //! weight — through `replicate::run_tasks` as `--jobs` lanes on the

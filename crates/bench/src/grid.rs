@@ -1,16 +1,17 @@
 //! The link × train × tool scenario grid: named axis catalogs, the
-//! [`BiasGrid`] scenario they compose into, and the row format of the
-//! table the `grid` binary writes.
+//! inline-spec parser, and the [`BiasGrid`] scenario they compose into.
 //!
 //! This is the paper's experiment matrix as one schedulable object:
-//! every cell is "run tool T with train shape N over link L", the axes
-//! are independently enumerable (and CLI-selectable by name), and
+//! every cell is "run tool T with train shape N over link L", and
 //! [`BiasGrid`] is a [`SweepScenario`] over the flattened cell space
 //! (link-major, tool fastest). Cells are seeded by name, not position,
 //! so a cell's row is the same whichever other axis points are
-//! selected, and in whatever order.
+//! selected, and in whatever order. The `grid_bias` figure runs the
+//! 3 × 3 × 2 grid of the §7.2 claims; `csmaprobe serve` resolves each
+//! session's axis names through the same parsers
+//! ([`parse_links`], [`parse_trains`], [`parse_tools`]) and runs one
+//! cell per session with the same tool constants.
 
-use crate::report::{json_f64, json_str};
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::link::{
@@ -77,11 +78,9 @@ enum LinkKind {
 /// when dropped.
 #[derive(Debug, Clone)]
 pub struct LinkPoint {
-    /// Catalog name (what `--links` matches), or an inline spec's
-    /// canonical name.
+    /// Catalog name (what a `link` axis list matches), or an inline
+    /// spec's canonical name.
     pub name: Cow<'static, str>,
-    /// One-line description.
-    pub title: &'static str,
     kind: LinkKind,
 }
 
@@ -130,34 +129,34 @@ impl LinkPoint {
 /// The link-axis catalog: the paper's FIFO baseline plus CSMA/CA
 /// links at increasing contention, and the Fig 4 "complete picture"
 /// variant with FIFO cross-traffic in the probe queue.
-pub const LINKS: &[LinkPoint] = &[
+const LINKS: &[LinkPoint] = &[
+    // FIFO path, C = 10, cross 4 Mb/s (A = 6).
     LinkPoint {
         name: Cow::Borrowed("wired"),
-        title: "FIFO path, C = 10, cross 4 Mb/s (A = 6)",
         kind: LinkKind::Wired {
             capacity_bps: 10e6,
             cross_bps: 4e6,
         },
     },
+    // 802.11b, one contender at 2 Mb/s.
     LinkPoint {
         name: Cow::Borrowed("wlan_low"),
-        title: "802.11b, one contender at 2 Mb/s",
         kind: LinkKind::Wlan {
             contending_bps: 2e6,
             fifo_bps: 0.0,
         },
     },
+    // 802.11b, one contender at 4.5 Mb/s (the Fig 1 link).
     LinkPoint {
         name: Cow::Borrowed("wlan_mid"),
-        title: "802.11b, one contender at 4.5 Mb/s (the Fig 1 link)",
         kind: LinkKind::Wlan {
             contending_bps: scenarios::FIG1_CROSS_BPS,
             fifo_bps: 0.0,
         },
     },
+    // 802.11b, contender 3 Mb/s + FIFO cross 1.5 Mb/s (Fig 4).
     LinkPoint {
         name: Cow::Borrowed("wlan_fifo"),
-        title: "802.11b, contender 3 Mb/s + FIFO cross 1.5 Mb/s (Fig 4)",
         kind: LinkKind::Wlan {
             contending_bps: 3e6,
             fifo_bps: 1.5e6,
@@ -169,8 +168,8 @@ pub const LINKS: &[LinkPoint] = &[
 /// owned as for [`LinkPoint`].
 #[derive(Debug, Clone)]
 pub struct TrainPoint {
-    /// Catalog name (what `--trains` matches), or an inline spec's
-    /// canonical name.
+    /// Catalog name (what a `train` axis list matches), or an inline
+    /// spec's canonical name.
     pub name: Cow<'static, str>,
     /// Packets per train.
     pub n: usize,
@@ -179,7 +178,7 @@ pub struct TrainPoint {
 /// The train-shape catalog: the short trains real tools send (and the
 /// transient bites hardest on), up to trains long enough to wash the
 /// transient out (§5.3).
-pub const TRAINS: &[TrainPoint] = &[
+const TRAINS: &[TrainPoint] = &[
     TrainPoint {
         name: Cow::Borrowed("short"),
         n: 5,
@@ -315,16 +314,15 @@ impl InlineLink {
         };
         Ok(LinkPoint {
             name: Cow::Owned(name),
-            title: "inline spec",
             kind,
         })
     }
 }
 
-/// Shared scaffolding of the `--links`/`--trains`/`--tools` CSV axes:
-/// split the comma list, hand each non-empty part to `parse_part`
-/// (which pushes the points it yields), run `finish` (e.g. flushing a
-/// trailing inline spec), and apply the common empty-axis error.
+/// Shared scaffolding of the link, train and tool CSV axes: split the
+/// comma list, hand each non-empty part to `parse_part` (which pushes
+/// the points it yields), run `finish` (e.g. flushing a trailing inline
+/// spec), and apply the common empty-axis error.
 fn parse_axis<T>(
     what: &str,
     csv: &str,
@@ -355,17 +353,17 @@ fn unknown_axis_point(what: &str, part: &str, catalog: &[&str], hint: &str) -> S
     )
 }
 
-/// Parse a `--links` comma list: catalog names ([`LINKS`]) and **inline
-/// specs** — `wlan:cross=<bps>,fifo=<bps>` or
-/// `wired:capacity=<bps>,cross=<bps>` — freely mixed. A `kind:` part
-/// opens an inline spec; bare `key=value` parts extend the one being
-/// built; anything else is a catalog name. Inline points get canonical
-/// parameter-spelling names, which key and seed their cells exactly
-/// like catalog names.
+/// Parse a link-axis comma list: catalog names (`wired`, `wlan_low`,
+/// `wlan_mid`, `wlan_fifo`) and **inline specs** —
+/// `wlan:cross=<bps>,fifo=<bps>` or `wired:capacity=<bps>,cross=<bps>` —
+/// freely mixed. A `kind:` part opens an inline spec; bare `key=value`
+/// parts extend the one being built; anything else is a catalog name.
+/// Inline points get canonical parameter-spelling names, which key and
+/// seed their cells exactly like catalog names.
 ///
 /// Every inline bits/s value must lie in 0 ..= [`MAX_INLINE_BPS`], and a
 /// wired capacity must be at least [`MIN_WIRED_CAPACITY_BPS`]: these
-/// specs arrive from the command line and the wire.
+/// specs arrive over the daemon's wire.
 ///
 /// The points own their inline names, so a server that parses every
 /// submit keeps nothing of a refused or finished session.
@@ -430,12 +428,12 @@ pub fn parse_links(csv: &str) -> Result<Vec<LinkPoint>, String> {
     )
 }
 
-/// Parse a `--trains` comma list: catalog names ([`TRAINS`]) and inline
-/// `n=<packets>` specs, freely mixed. Inline points are named
-/// canonically (`n=50`), so they key and seed their cells like catalog
-/// points. An inline count must lie
-/// in 1 ..= [`MAX_TRAIN_PACKETS`]. Inline points own their names, as
-/// in [`parse_links`].
+/// Parse a train-axis comma list: catalog names (`short`, `mid`, `long`:
+/// 5, 20 and 100 packets) and inline `n=<packets>` specs, freely mixed.
+/// Inline points are named canonically (`n=50`), so they key and seed
+/// their cells like catalog points. An inline count must lie in
+/// 1 ..= [`MAX_TRAIN_PACKETS`]. Inline points own their names, as in
+/// [`parse_links`].
 pub fn parse_trains(csv: &str) -> Result<Vec<TrainPoint>, String> {
     let catalog: Vec<&str> = TRAINS.iter().map(|t| &*t.name).collect();
     parse_axis(
@@ -480,7 +478,7 @@ pub fn parse_trains(csv: &str) -> Result<Vec<TrainPoint>, String> {
     )
 }
 
-/// Parse a `--tools` comma list against [`ToolKind::ALL`].
+/// Parse a tool-axis comma list against [`ToolKind::ALL`].
 pub fn parse_tools(csv: &str) -> Result<Vec<ToolKind>, String> {
     let catalog: Vec<&str> = ToolKind::ALL.iter().map(|t| t.name()).collect();
     parse_axis(
@@ -531,8 +529,6 @@ impl Accumulate for EstimateAcc {
 /// statistics and the link's ground truth.
 #[derive(Debug, Clone)]
 pub struct GridRow {
-    /// Flat cell index in the grid (link-major, tool fastest).
-    pub cell: usize,
     /// Link-axis point name.
     pub link: String,
     /// Train-axis point name.
@@ -553,40 +549,6 @@ pub struct GridRow {
     pub ci95_bps: f64,
     /// True available bandwidth of the link, bits/s.
     pub available_bps: f64,
-}
-
-impl GridRow {
-    /// The unique cell key (`link/train/tool`) the row sink indexes by.
-    pub fn cell_key(link: &str, train: &str, tool: ToolKind) -> String {
-        format!("{link}/{train}/{tool}")
-    }
-
-    /// This row's key.
-    pub fn key(&self) -> String {
-        GridRow::cell_key(&self.link, &self.train, self.tool)
-    }
-
-    /// Serialize as one line of the grid table (`"cell"` and `"key"`
-    /// first, the row layout [`crate::report::row_key`] reads).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cell\":{},\"key\":{},\"link\":{},\"train\":{},\
-             \"tool\":{},\"n\":{},\"reps\":{},\"failed\":{},\"mean_bps\":{},\
-             \"sd_bps\":{},\"ci95_bps\":{},\"available_bps\":{}}}",
-            self.cell,
-            json_str(&self.key()),
-            json_str(&self.link),
-            json_str(&self.train),
-            json_str(self.tool.name()),
-            self.n,
-            self.reps,
-            self.failed,
-            json_f64(self.mean_bps),
-            json_f64(self.sd_bps),
-            json_f64(self.ci95_bps),
-            json_f64(self.available_bps),
-        )
-    }
 }
 
 /// The link × train × tool grid as a [`SweepScenario`]: one cell per
@@ -624,25 +586,19 @@ impl BiasGrid {
         }
     }
 
-    /// The axes, in flattening order (link, train, tool — tool fastest).
-    pub fn axes(&self) -> (&[LinkPoint], &[TrainPoint], &[ToolKind]) {
-        (&self.links, &self.trains, &self.tools)
-    }
-
     /// The `(link, train, tool)` axis indices of the flat cell `flat`.
     fn coord(&self, flat: usize) -> (usize, usize, usize) {
         let (trains, tools) = (self.trains.len(), self.tools.len());
         (flat / (trains * tools), flat / tools % trains, flat % tools)
     }
 
-    /// The cell key of the flat cell `flat` (what its row will carry),
-    /// without running anything.
-    pub fn key_of(&self, flat: usize) -> String {
+    /// The name key `link/train/tool` of the flat cell `flat`. Its
+    /// bytes seed the cell's replications, so they never change.
+    fn key_of(&self, flat: usize) -> String {
         let (link, train, tool) = self.coord(flat);
-        GridRow::cell_key(
-            &self.links[link].name,
-            &self.trains[train].name,
-            self.tools[tool],
+        format!(
+            "{}/{}/{}",
+            self.links[link].name, self.trains[train].name, self.tools[tool]
         )
     }
 }
@@ -700,7 +656,6 @@ impl SweepScenario for BiasGrid {
     fn finish(&self, cell: usize, acc: EstimateAcc) -> GridRow {
         let (link, train, tool) = self.coord(cell);
         GridRow {
-            cell,
             link: self.links[link].name.to_string(),
             train: self.trains[train].name.to_string(),
             tool: self.tools[tool],
@@ -713,7 +668,7 @@ impl SweepScenario for BiasGrid {
                 f64::NAN
             },
             sd_bps: acc.est.std_dev(),
-            ci95_bps: acc.est.ci_half_width(0.95),
+            ci95_bps: acc.est.ci95_half_width(),
             available_bps: self.available[link],
         }
     }
@@ -722,8 +677,23 @@ impl SweepScenario for BiasGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::row_key;
     use csmaprobe_core::sweep::run_sweep;
+
+    /// `a` and `b` agree in every field, floats bit for bit.
+    fn assert_same_row(a: &GridRow, b: &GridRow) {
+        assert_eq!(
+            (&a.link, &a.train, a.tool, a.n, a.reps, a.failed),
+            (&b.link, &b.train, b.tool, b.n, b.reps, b.failed)
+        );
+        for (x, y) in [
+            (a.mean_bps, b.mean_bps),
+            (a.sd_bps, b.sd_bps),
+            (a.ci95_bps, b.ci95_bps),
+            (a.available_bps, b.available_bps),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{a:?} vs {b:?}");
+        }
+    }
 
     #[test]
     fn catalogs_parse_and_reject() {
@@ -838,9 +808,7 @@ mod tests {
             "a changed parameter ⇒ another cell"
         );
         // The same cell seeds the same replications: bit-identical rows.
-        let (row_a, row_b) = (&run_sweep(&a)[0], &run_sweep(&b)[0]);
-        assert_eq!(row_a.mean_bps.to_bits(), row_b.mean_bps.to_bits());
-        assert_eq!(row_a.to_json(), row_b.to_json());
+        assert_same_row(&run_sweep(&a)[0], &run_sweep(&b)[0]);
         // And inline cells produce data like any catalog cell.
         let rows = run_sweep(&grid_of("wlan:cross=2e6"));
         assert_eq!(rows.len(), 1);
@@ -871,15 +839,20 @@ mod tests {
         );
         let rows = run_sweep(&grid);
         assert_eq!(rows.len(), 2);
-        let mut keys = std::collections::BTreeSet::new();
+        // The key text seeds each cell: pinned byte for byte.
+        let keys = ["wired/short/train", "wired/mid/train"];
         for (flat, row) in rows.iter().enumerate() {
-            assert_eq!(row.cell, flat);
-            assert_eq!(row.key(), grid.key_of(flat));
-            assert!(keys.insert(row.key()), "duplicate key {}", row.key());
+            assert_eq!(grid.key_of(flat), keys[flat]);
+            assert_eq!(
+                format!("{}/{}/{}", row.link, row.train, row.tool),
+                keys[flat]
+            );
+            assert_eq!(row.n, [5, 20][flat]);
+            assert_eq!(row.reps, grid.reps(flat));
             assert!(row.mean_bps.is_finite(), "wired trains always complete");
+            assert!(row.ci95_bps.is_finite() && row.sd_bps > 0.0);
             assert_eq!(row.failed, 0);
-            let line = row.to_json();
-            assert_eq!(row_key(&line), Some(row.key().as_str()), "row layout");
+            assert_eq!(row.available_bps, 6e6);
         }
     }
 
@@ -902,11 +875,8 @@ mod tests {
             0.05,
             42,
         );
-        let a = &run_sweep(&solo)[0];
-        let b = &run_sweep(&moved)[1];
-        assert_eq!(a.key(), b.key());
-        assert_eq!(a.mean_bps.to_bits(), b.mean_bps.to_bits());
-        assert_eq!(a.sd_bps.to_bits(), b.sd_bps.to_bits());
+        assert_eq!(solo.key_of(0), moved.key_of(1));
+        assert_same_row(&run_sweep(&solo)[0], &run_sweep(&moved)[1]);
     }
 
     #[test]
@@ -922,8 +892,9 @@ mod tests {
         };
         let a = run_sweep(&make());
         let b = run_sweep(&make());
+        assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_json(), y.to_json());
+            assert_same_row(x, y);
         }
     }
 }

@@ -20,8 +20,7 @@ pub mod report;
 pub mod scenarios;
 pub mod tier;
 
-/// Default master seed of `all_figures` and `grid` (overridable via
-/// `--seed`).
+/// Default master seed of `all_figures` (overridable via `--seed`).
 pub const DEFAULT_SEED: u64 = 0xC5AA_2009;
 
 /// Default replication-budget multiplier.
@@ -61,8 +60,8 @@ pub struct CliOptions {
 /// `--scale F`, `--seed N`, `--only ids`, `--jobs N`, `--list`.
 ///
 /// Strict: an unknown flag, a missing or unparseable value, `--jobs 0`
-/// or a `--scale` that [`parse_scale`] refuses is an `Err` naming the
-/// flag, which the binary prints before exiting 2.
+/// or a `--scale` that is not finite and positive is an `Err` naming
+/// the flag, which the binary prints before exiting 2.
 pub fn cli_options_from(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions {
         scale: DEFAULT_SCALE,
@@ -121,10 +120,9 @@ pub fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, Strin
     v.parse().map_err(|_| format!("invalid {flag} value {v:?}"))
 }
 
-/// Parse a `--scale` value, the one rule `all_figures` and `grid`
-/// share: finite and positive, then clamped into
+/// Parse a `--scale` value: finite and positive, then clamped into
 /// `[MIN_SCALE, MAX_SCALE]`. Anything else is an `Err` naming the flag.
-pub fn parse_scale(v: &str) -> Result<f64, String> {
+fn parse_scale(v: &str) -> Result<f64, String> {
     let scale: f64 = parse_value("--scale", v)?;
     if !scale.is_finite() || scale <= 0.0 {
         return Err(format!("--scale must be finite and positive, got {v:?}"));

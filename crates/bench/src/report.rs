@@ -1,8 +1,7 @@
 //! Figure reports: the common output format of every experiment — plus
 //! [`json_array`], the one writer of the JSON-array tables
-//! (`experiments.json`, the grid table, the session tables), and
-//! [`RowSink`], the crash-tolerant JSONL persister behind the daemon's
-//! session table.
+//! (`experiments.json` and the session tables), and [`RowSink`], the
+//! crash-tolerant JSONL persister behind the daemon's session table.
 
 use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _, Write as _};
@@ -189,7 +188,7 @@ impl FigureReport {
 
 /// Lay out JSON values (each already serialized, one line apiece) as a
 /// JSON array with one value per line: `[\n  a,\n  b\n]\n`. The one
-/// layout of `experiments.json`, the grid table and the session tables.
+/// layout of `experiments.json` and the session tables.
 pub fn json_array<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> String {
     let mut out = String::from("[");
     let mut sep = "\n  ";
@@ -376,7 +375,7 @@ impl RowSink {
 
 /// JSON string literal with the escapes required by RFC 8259.
 ///
-/// Public because every layer that writes table rows (the grid runner
+/// Public because every layer that writes tables (the figure reports
 /// here, the serving layer in `csmaprobe-service`) must serialize
 /// fields identically for finalized tables to be byte-comparable.
 pub fn json_str(s: &str) -> String {

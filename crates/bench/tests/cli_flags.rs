@@ -1,6 +1,6 @@
 //! Start-up contract of the figure entry point: `all_figures` refuses
-//! an unknown flag, a bad flag value or a `CSMAPROBE_WORKERS` that is
-//! not a positive integer. A refusal is exit code 2 and one stderr line
+//! an unknown flag, a bad flag value or a `CSMAPROBE_WORKERS` outside
+//! `1..=1024`. A refusal is exit code 2 and one stderr line
 //! naming the offending flag or variable, before any figure runs.
 
 use std::path::PathBuf;

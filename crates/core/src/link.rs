@@ -216,12 +216,6 @@ impl LinkConfig {
         self
     }
 
-    /// Set the cross-traffic warm-up.
-    pub fn warmup(mut self, warmup: Dur) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
     /// Set the MAC behaviour options.
     pub fn mac_options(mut self, mac: MacOptions) -> Self {
         self.mac = mac;

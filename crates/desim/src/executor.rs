@@ -35,8 +35,9 @@
 //! the ceiling because each submitting thread executes chunks itself.
 //! The ceiling is the explicit [`set_worker_limit`] /
 //! `CSMAPROBE_WORKERS` value when set, else the hardware parallelism.
-//! The variable must be a positive integer: [`env_worker_limit`]
-//! refuses anything else, and [`worker_limit`] panics on it.
+//! The variable must be an integer in `1..=`[`MAX_WORKERS`]:
+//! [`env_worker_limit`] refuses anything else, and [`worker_limit`]
+//! panics on it.
 //! Lowering the limit parks excess workers (they re-check the target on
 //! every wakeup); a limit of 1 makes every submission run inline on its
 //! calling thread, with no pool interaction at all.
@@ -81,10 +82,17 @@ pub fn set_worker_limit(n: usize) {
 /// The environment variable that sets the concurrency ceiling.
 const WORKERS_ENV: &str = "CSMAPROBE_WORKERS";
 
+/// The largest ceiling `CSMAPROBE_WORKERS` (and `csmaprobe serve
+/// --workers`) accepts. The pool starts `ceiling − 1` threads at the
+/// first submission, and the daemon one session driver per unit at
+/// start-up, so the bound caps what one value can ask for.
+pub const MAX_WORKERS: usize = 1024;
+
 /// Read `CSMAPROBE_WORKERS`: unset means "auto" (`Ok(0)`, the hardware
-/// parallelism), a positive integer sets the ceiling, and anything
-/// else is an `Err` naming the variable and its value. Binaries call
-/// this before any work and exit 2 on the error.
+/// parallelism), an integer in `1..=`[`MAX_WORKERS`] sets the ceiling,
+/// and anything else is an `Err` naming the variable, its value and
+/// the bound. Binaries call this before any work and exit 2 on the
+/// error.
 pub fn env_worker_limit() -> Result<usize, String> {
     parse_worker_env(std::env::var_os(WORKERS_ENV).as_deref())
 }
@@ -92,9 +100,9 @@ pub fn env_worker_limit() -> Result<usize, String> {
 fn parse_worker_env(value: Option<&std::ffi::OsStr>) -> Result<usize, String> {
     let Some(value) = value else { return Ok(0) };
     match value.to_str().map(str::parse::<usize>) {
-        Some(Ok(n)) if n > 0 => Ok(n),
+        Some(Ok(n)) if (1..=MAX_WORKERS).contains(&n) => Ok(n),
         _ => Err(format!(
-            "{WORKERS_ENV}={value:?} is not a positive integer; \
+            "{WORKERS_ENV}={value:?} is not an integer in 1..={MAX_WORKERS}; \
              unset it to use the hardware parallelism"
         )),
     }
@@ -104,8 +112,8 @@ fn parse_worker_env(value: Option<&std::ffi::OsStr>) -> Result<usize, String> {
 /// [`set_worker_limit`]; 0 means "auto".
 ///
 /// # Panics
-/// If the variable is set to anything but a positive integer (the
-/// [`env_worker_limit`] error).
+/// If the variable is set to anything but an integer in
+/// `1..=`[`MAX_WORKERS`] (the [`env_worker_limit`] error).
 pub fn worker_limit() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
     let env = *ENV.get_or_init(|| env_worker_limit().unwrap_or_else(|e| panic!("{e}")));
@@ -492,6 +500,19 @@ mod tests {
             let err = parse(bad).expect_err(bad);
             assert!(err.starts_with("CSMAPROBE_WORKERS="), "{bad:?}: {err}");
             assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn worker_env_refuses_counts_above_the_bound() {
+        // Parsing only: no test ever starts the refused number of
+        // threads.
+        let parse = |v: &str| parse_worker_env(Some(std::ffi::OsStr::new(v)));
+        assert_eq!(parse("1024"), Ok(1024));
+        for bad in ["1025", "100000", "18446744073709551615"] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("CSMAPROBE_WORKERS="), "{bad:?}: {err}");
+            assert!(err.contains("1..=1024"), "{bad:?}: {err}");
         }
     }
 

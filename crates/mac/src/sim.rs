@@ -205,12 +205,6 @@ impl PacketRecord {
         self.done - self.head
     }
 
-    /// Time spent queued behind other packets of the same station.
-    #[inline]
-    pub fn queueing_delay(&self) -> Dur {
-        self.head - self.arrival
-    }
-
     /// Total sojourn (arrival to completion) — `Z_i` of eq. (15).
     #[inline]
     pub fn sojourn(&self) -> Dur {
@@ -540,7 +534,6 @@ impl ChannelStats {
 
 /// Everything a finished simulation produced.
 pub struct SimOutput {
-    phy: Phy,
     /// Per-station completed packet records (completion order).
     station_records: Vec<Vec<PacketRecord>>,
     /// Arrival times of packets still queued when the run ended.
@@ -549,8 +542,6 @@ pub struct SimOutput {
     pub collisions: u64,
     /// Channel airtime accounting.
     pub channel: ChannelStats,
-    /// The run horizon actually used.
-    pub horizon: Time,
     /// Time of the last completed packet across all stations.
     pub last_done: Time,
 }
@@ -582,13 +573,8 @@ impl WlanSim {
 
     /// Override the MAC behaviour options (defaults to the paper's
     /// configuration).
-    pub fn set_options(&mut self, options: MacOptions) {
-        self.options = options;
-    }
-
-    /// Builder-style variant of [`WlanSim::set_options`].
     pub fn with_options(mut self, options: MacOptions) -> Self {
-        self.set_options(options);
+        self.options = options;
         self
     }
 
@@ -798,12 +784,10 @@ impl WlanSim {
         }
 
         SimOutput {
-            phy: self.phy,
             station_records,
             unfinished,
             collisions: run.channel.collisions,
             channel: run.channel,
-            horizon,
             last_done: run.last_done,
         }
     }
@@ -853,17 +837,6 @@ impl SimOutput {
         bits as f64 / until.as_secs_f64()
     }
 
-    /// Throughput over an explicit window `[from, to]`.
-    pub fn throughput_bps_window(&self, id: StationId, from: Time, to: Time) -> f64 {
-        debug_assert!(to > from);
-        let bits: u64 = self.station_records[id.0]
-            .iter()
-            .filter(|r| !r.dropped && r.rx_end > from && r.rx_end <= to)
-            .map(|r| r.bytes as u64 * 8)
-            .sum();
-        bits as f64 / (to - from).as_secs_f64()
-    }
-
     /// Queue length (packets in the station's transmission queue,
     /// including the head in contention/service) at time `t`.
     ///
@@ -909,11 +882,6 @@ impl SimOutput {
             }
             arrived + pending - departed
         })
-    }
-
-    /// The PHY the simulation used.
-    pub fn phy(&self) -> &Phy {
-        &self.phy
     }
 
     /// Return this output's record buffers to the thread-local
@@ -1005,8 +973,11 @@ mod tests {
         assert_eq!(recs[2].head, recs[1].done);
         // Departures strictly ordered.
         assert!(recs[0].done < recs[1].done && recs[1].done < recs[2].done);
-        // Queueing delay of packet 2 spans the service of 0 and 1.
-        assert_eq!(recs[2].queueing_delay(), recs[1].done - recs[2].arrival);
+        // Packet 2 queues through the service of 0 and 1.
+        assert_eq!(
+            recs[2].head - recs[2].arrival,
+            recs[1].done - recs[2].arrival
+        );
     }
 
     #[test]
@@ -1153,18 +1124,6 @@ mod tests {
         assert!(recs.len() < 100_000);
         // ~0.5s / ~1.93ms per frame ≈ 259 frames.
         assert!((200..320).contains(&recs.len()), "{}", recs.len());
-    }
-
-    #[test]
-    fn throughput_window_excludes_outside() {
-        let mut sim = WlanSim::new(phy(), 23);
-        let st = sim.add_station(saturated_source(1500, 1000));
-        let out = sim.run(Time::MAX);
-        let t_all = out.throughput_bps(st, out.last_done);
-        let t_win =
-            out.throughput_bps_window(st, Time::from_secs_f64(0.2), Time::from_secs_f64(0.4));
-        // Steady portion should be close to the overall average.
-        assert!((t_all - t_win).abs() / t_all < 0.1, "{t_all} vs {t_win}");
     }
 
     #[test]

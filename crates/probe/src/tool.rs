@@ -67,8 +67,13 @@ impl std::fmt::Display for ToolKind {
     }
 }
 
-/// One tool bound to a train shape and an internal budget: the unit
-/// the grid's tool axis instantiates per cell.
+/// Replications each *internal* rate decision of SLoPS and TOPP may
+/// spend. One [`ToolProbe::estimate_once`] call is always one complete
+/// tool run regardless.
+const DECISION_REPS: usize = 2;
+
+/// One tool bound to a train shape: the unit the grid's tool axis
+/// instantiates per cell.
 #[derive(Debug, Clone, Copy)]
 pub struct ToolProbe {
     /// Which tool family to run.
@@ -82,22 +87,16 @@ pub struct ToolProbe {
     /// rate whose dispersion reads the achievable throughput). The
     /// searching tools pick their own rates.
     pub rate_bps: f64,
-    /// Replications each *internal* rate decision may spend (SLoPS /
-    /// TOPP). One [`ToolProbe::estimate_once`] call is always one
-    /// complete tool run regardless.
-    pub decision_reps: usize,
 }
 
 impl ToolProbe {
-    /// A tool probe with the given family and train shape, default
-    /// budget (2 replications per internal decision).
+    /// A tool probe with the given family and train shape.
     pub fn new(kind: ToolKind, n: usize, bytes: u32, rate_bps: f64) -> Self {
         ToolProbe {
             kind,
             n,
             bytes,
             rate_bps,
-            decision_reps: 2,
         }
     }
 
@@ -117,7 +116,7 @@ impl ToolProbe {
                 let est = SlopsEstimator {
                     n: self.n,
                     bytes: self.bytes,
-                    reps: self.decision_reps,
+                    reps: DECISION_REPS,
                     iterations: 8,
                     ..Default::default()
                 };
@@ -127,7 +126,7 @@ impl ToolProbe {
                 let est = ToppEstimator {
                     n: self.n,
                     bytes: self.bytes,
-                    reps: self.decision_reps,
+                    reps: DECISION_REPS,
                     ..Default::default()
                 };
                 est.run(target, seed)

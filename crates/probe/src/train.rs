@@ -40,7 +40,6 @@ pub struct TrainAccumulator {
     gaps: OnlineStats,
     incomplete: usize,
     delays: IndexedSeries,
-    receiver_gaps: IndexedSeries,
 }
 
 impl Accumulate for TrainAccumulator {
@@ -48,7 +47,6 @@ impl Accumulate for TrainAccumulator {
         OnlineStats::merge(&mut self.gaps, &other.gaps);
         self.incomplete += other.incomplete;
         self.delays.merge(other.delays);
-        self.receiver_gaps.merge(other.receiver_gaps);
     }
 }
 
@@ -76,7 +74,6 @@ impl TrainProbe {
             Some(g) => acc.gaps.push(g),
             None => acc.incomplete += 1,
         }
-        acc.receiver_gaps.push_replication(&obs.receiver_gaps_s());
         if let Some(mu) = &obs.access_delays {
             acc.delays.push_replication(mu);
         }
@@ -91,7 +88,6 @@ impl TrainProbe {
             incomplete: acc.incomplete,
             output_gap: acc.gaps,
             access_delays: acc.delays,
-            receiver_gaps: acc.receiver_gaps,
         }
     }
 
@@ -161,8 +157,6 @@ pub struct TrainMeasurement {
     pub output_gap: OnlineStats,
     /// Per-index access delays (seconds; CSMA/CA targets only).
     pub access_delays: IndexedSeries,
-    /// Per-position receiver inter-arrival gaps (seconds).
-    pub receiver_gaps: IndexedSeries,
 }
 
 impl TrainMeasurement {
@@ -184,7 +178,7 @@ impl TrainMeasurement {
 
     /// 95% confidence half-width of the mean output gap.
     pub fn gap_ci95_s(&self) -> f64 {
-        self.output_gap.ci_half_width(0.95)
+        self.output_gap.ci95_half_width()
     }
 
     /// Per-index mean access delays `E[μ_i]` (empty for wired targets)
@@ -207,7 +201,6 @@ mod tests {
         let ro = m.output_rate_bps();
         assert!((ro - 3e6).abs() / 3e6 < 0.08, "ro {ro}");
         assert_eq!(m.incomplete, 0);
-        assert_eq!(m.receiver_gaps.len(), 39);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! A malformed command line (an unknown flag, a missing or unparseable
 //! value, `--batch` without `--table`, a client without `--addr` or
 //! `--port-file`) exits 2 with one error line naming it, then the usage
-//! text. `--reps` outside the daemon's `1..=MAX_REPS`, `--conns` outside
-//! `1..=MAX_CONNS` and a `CSMAPROBE_WORKERS` that is not a positive
-//! integer exit 2 with one error line, before any thread starts.
+//! text; as in `all_figures`, a value that starts with `--` is a
+//! missing value. `--reps` outside the daemon's `1..=MAX_REPS`,
+//! `--conns` outside `1..=MAX_CONNS` and a `CSMAPROBE_WORKERS` outside
+//! `1..=1024` exit 2 with one error line, before any thread starts.
 
 use csmaprobe_bench::parse_value;
 use csmaprobe_bench::report::json_array;
@@ -89,8 +90,10 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let flag = flag.as_str();
+        // Another flag is never taken as a value.
         let mut val = || {
             it.next()
+                .filter(|v| !v.starts_with("--"))
                 .unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
         };
         match flag {

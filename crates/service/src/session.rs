@@ -91,8 +91,8 @@ impl SessionSpec {
     }
 
     /// The tool bound to this spec's train shape — same constants as
-    /// the grid runner's cells, so a session is comparable to a grid
-    /// row.
+    /// a [`BiasGrid`](csmaprobe_bench::grid::BiasGrid) cell, so a
+    /// session is comparable to a `grid_bias` row.
     pub fn tool_probe(&self) -> ToolProbe {
         ToolProbe::new(self.tool, self.train.n, FRAME, TRAIN_TOOL_RATE_BPS)
     }
@@ -185,7 +185,7 @@ pub fn row_json(spec: &SessionSpec, acc: &SessionAcc) -> String {
         acc.failed,
         json_f64(acc.est.mean()),
         json_f64(acc.est.std_dev()),
-        json_f64(acc.est.ci_half_width(0.95)),
+        json_f64(acc.est.ci95_half_width()),
         json_f64(acc.p50.value()),
         json_f64(acc.p95.value()),
     )
@@ -309,7 +309,7 @@ impl SessionSnapshot {
             self.acc.failed,
             json_f64(self.acc.est.mean()),
             json_f64(self.acc.est.std_dev()),
-            json_f64(self.acc.est.ci_half_width(0.95)),
+            json_f64(self.acc.est.ci95_half_width()),
             json_f64(self.acc.p50.value()),
             json_f64(self.acc.p95.value()),
             json_f64(self.elapsed_s),
@@ -483,12 +483,6 @@ impl SessionManager {
     /// Current life-cycle counts.
     pub fn counts(&self) -> ManagerCounts {
         self.lock_table().counts
-    }
-
-    /// Every accepted session, in id order (the server's shutdown
-    /// audit walks this).
-    pub fn sessions(&self) -> Vec<Arc<Session>> {
-        self.lock_table().by_id.values().cloned().collect()
     }
 
     /// Close submissions, drain, and join the driver pool. The

@@ -48,6 +48,8 @@ fn malformed_command_lines_exit_2_naming_what_they_refuse() {
             &["--bogus"],
         ),
         (&["--batch", "--sessions", "3"], &["--table"]),
+        // A flag is never another flag's value.
+        (&["--batch", "--table", "--sessions", "1"], &["--table"]),
         (&["--sessions", "3"], &["--addr", "--port-file"]),
     ];
     for &(args, names) in cases {

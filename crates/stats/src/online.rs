@@ -2,8 +2,14 @@
 //!
 //! [`OnlineStats`] implements Welford's numerically stable streaming
 //! mean/variance, plus min/max tracking, accumulator merging (for
-//! combining per-thread partials), and a normal-theory confidence
+//! combining per-thread partials), and a normal-theory 95% confidence
 //! interval for the mean.
+
+/// The two-sided 95% standard-normal quantile Φ⁻¹(0.975), frozen to
+/// the bits Acklam's rational approximation gives it
+/// (`0x3fff5c03325b95a6`), so `grid_bias`'s `ci95_mbps` column and
+/// every session row's `ci95_bps` keep their bits.
+const Z95: f64 = 1.959963986120195;
 
 /// Streaming mean/variance/min/max accumulator (Welford).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,19 +140,17 @@ impl OnlineStats {
         self.max
     }
 
-    /// Normal-theory confidence half-width for the mean at the given
-    /// two-sided confidence level (e.g. `0.95`).
+    /// Normal-theory 95% confidence half-width for the mean:
+    /// Φ⁻¹(0.975) ≈ 1.96 standard errors (infinite with fewer than two
+    /// observations).
     ///
-    /// Uses the normal quantile, which is accurate for the replication
-    /// counts used throughout this workspace (hundreds to tens of
-    /// thousands).
-    pub fn ci_half_width(&self, confidence: f64) -> f64 {
+    /// The normal quantile is accurate for the replication counts used
+    /// throughout this workspace (hundreds to tens of thousands).
+    pub fn ci95_half_width(&self) -> f64 {
         if self.n < 2 {
             return f64::INFINITY;
         }
-        let alpha = 1.0 - confidence;
-        let z = normal_quantile(1.0 - alpha / 2.0);
-        z * self.std_err()
+        Z95 * self.std_err()
     }
 }
 
@@ -155,59 +159,6 @@ impl crate::accumulate::Accumulate for OnlineStats {
     /// update, identical to pushing both streams into one accumulator.
     fn merge(&mut self, other: Self) {
         OnlineStats::merge(self, &other);
-    }
-}
-
-/// The standard normal quantile function Φ⁻¹(p) (Acklam's rational
-/// approximation, |ε| < 1.15e-9).
-///
-/// Panics in debug builds for p outside (0, 1).
-pub fn normal_quantile(p: f64) -> f64 {
-    debug_assert!(p > 0.0 && p < 1.0, "p={p} out of (0,1)");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
 }
 
@@ -221,7 +172,7 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert!(s.ci_half_width(0.95).is_infinite());
+        assert!(s.ci95_half_width().is_infinite());
     }
 
     #[test]
@@ -262,13 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn normal_quantile_reference_values() {
-        assert!((normal_quantile(0.5)).abs() < 1e-9);
-        assert!((normal_quantile(0.975) - 1.959964).abs() < 1e-5);
-        assert!((normal_quantile(0.995) - 2.575829).abs() < 1e-5);
-        assert!((normal_quantile(0.025) + 1.959964).abs() < 1e-5);
-        // tails
-        assert!((normal_quantile(1e-6) + 4.753424).abs() < 1e-4);
+    fn ci95_is_z95_standard_errors() {
+        // Acklam's Φ⁻¹(1 − (1 − 0.95)/2) to the bit: every ci95 value
+        // in the payloads rests on it.
+        assert_eq!(Z95.to_bits(), 0x3fff_5c03_325b_95a6);
+        assert!((Z95 - 1.959964).abs() < 1e-6);
+        let s = OnlineStats::from_slice(&[1.0, 2.5, 3.25, 7.0]);
+        assert_eq!(s.ci95_half_width().to_bits(), (Z95 * s.std_err()).to_bits());
+        assert_eq!(
+            s.ci95_half_width().to_bits(),
+            2.501474823426332f64.to_bits()
+        );
+        assert!(OnlineStats::from_slice(&[3.0])
+            .ci95_half_width()
+            .is_infinite());
     }
 
     #[test]
@@ -281,6 +239,6 @@ mod tests {
         for i in 0..10_000 {
             large.push((i % 10) as f64);
         }
-        assert!(large.ci_half_width(0.95) < small.ci_half_width(0.95));
+        assert!(large.ci95_half_width() < small.ci95_half_width());
     }
 }

@@ -24,12 +24,14 @@
 //!
 //! All rates are Mb/s on the command line; output is plain text. A
 //! value the models cannot run is refused with exit 2 and one error
-//! line, under the bounds `grid` and the daemon's wire apply to the
-//! same quantities; so are a `serve --workers` below 1 and a
-//! `CSMAPROBE_WORKERS` that is not a positive integer. A malformed
-//! command line (a missing or unknown subcommand, an unknown flag, a
-//! missing or unparseable value) exits 2 with one error line naming it,
-//! then the usage text.
+//! line, under the bounds the daemon's wire applies to the same
+//! quantities; so are a `serve --workers` and a `CSMAPROBE_WORKERS`
+//! outside `1..=MAX_WORKERS` (1024). A malformed command line (a
+//! missing or unknown subcommand, an unknown flag, a missing or
+//! unparseable value) exits 2 with one error line naming it, then the
+//! usage text. A flag's value is never another flag: `--out-dir
+//! --workers 2` is a missing `--out-dir` value (a negative number such
+//! as `-1` is still a value).
 //!
 //! `serve --workers W` sets the executor's concurrency ceiling (else
 //! `CSMAPROBE_WORKERS`, else the hardware parallelism), and the daemon
@@ -40,6 +42,7 @@ use csmaprobe::core::link::{
     MIN_WIRED_CAPACITY_BPS,
 };
 use csmaprobe::core::transient::{Columns, TransientExperiment};
+use csmaprobe::desim::executor::MAX_WORKERS;
 use csmaprobe::desim::time::{Dur, Time};
 use csmaprobe::mac::measured_standalone_capacity_bps;
 use csmaprobe::phy::Phy;
@@ -95,10 +98,12 @@ fn value<T: std::str::FromStr>(flag: &str, v: &str) -> T {
         .unwrap_or_else(|_| usage_error(format!("invalid {flag} value {v:?}")))
 }
 
-/// The value after the flag at `argv[i]`, or refuse naming the flag.
+/// The value after the flag at `argv[i]`, or refuse naming the flag
+/// when it is missing or is another flag.
 fn need(argv: &[String], i: usize) -> &str {
     argv.get(i + 1)
         .map(|s| s.as_str())
+        .filter(|v| !v.starts_with("--"))
         .unwrap_or_else(|| usage_error(format!("{} needs a value", argv[i])))
 }
 
@@ -114,11 +119,14 @@ const COMMANDS: [&str; 8] = [
     "transient",
 ];
 
-/// A count flag that must be at least 1; the error names the flag.
-fn positive(flag: &str, v: &str) -> usize {
+/// `serve --workers`: an integer in `1..=MAX_WORKERS`, checked before
+/// any thread starts; the error names the flag and the bound.
+fn workers(v: &str) -> usize {
     match v.parse() {
-        Ok(n) if n > 0 => n,
-        _ => refuse(format!("{flag} must be a positive integer (got {v:?})")),
+        Ok(n) if (1..=MAX_WORKERS).contains(&n) => n,
+        _ => refuse(format!(
+            "--workers must be an integer in 1..={MAX_WORKERS} (got {v:?})"
+        )),
     }
 }
 
@@ -128,7 +136,7 @@ fn positive(flag: &str, v: &str) -> usize {
 /// cancelled).
 fn serve_main(argv: &[String]) -> ! {
     let mut cfg = csmaprobe::service::server::ServeConfig::default();
-    let mut workers: Option<usize> = None;
+    let mut limit: Option<usize> = None;
     let mut i = 0;
     while i < argv.len() {
         let v = || need(argv, i);
@@ -137,12 +145,12 @@ fn serve_main(argv: &[String]) -> ! {
             "--out-dir" => cfg.out_dir = v().into(),
             "--table" => cfg.table = Some(v().into()),
             "--port-file" => cfg.port_file = Some(v().into()),
-            "--workers" => workers = Some(positive("--workers", v())),
+            "--workers" => limit = Some(workers(v())),
             other => usage_error(format!("unknown serve flag {other:?}")),
         }
         i += 2;
     }
-    if let Some(w) = workers {
+    if let Some(w) = limit {
         csmaprobe::desim::executor::set_worker_limit(w);
     }
     match csmaprobe::service::server::serve(cfg) {

@@ -1,8 +1,8 @@
 //! The `csmaprobe` CLI refuses flag values the models cannot run: each
 //! one exits 2 with a message naming the flag, instead of hanging,
 //! aborting on an allocation, panicking or printing NaN. A
-//! `CSMAPROBE_WORKERS` that is not a positive integer, and a `serve`
-//! worker count below 1, are refused the same way. A malformed command
+//! `CSMAPROBE_WORKERS` or a `serve` worker count outside `1..=1024` is
+//! refused the same way, before any thread starts. A malformed command
 //! line exits 2 with an error line naming what it refuses, then the
 //! usage text.
 
@@ -158,6 +158,29 @@ fn serve_refuses_worker_counts_below_1_before_binding() {
 }
 
 #[test]
+fn worker_counts_above_the_bound_exit_2_naming_the_variable_or_flag() {
+    // `--bogus` makes each line a parse error even where the bound is
+    // not checked, so no case can start the refused number of threads.
+    let cases: [(Option<&str>, &[&str], &str); 2] = [
+        (Some("100000"), &["--bogus"], "CSMAPROBE_WORKERS"),
+        (
+            None,
+            &["serve", "--workers", "100000", "--bogus"],
+            "--workers",
+        ),
+    ];
+    for (workers, args, name) in cases {
+        let (code, stderr) = run_with_workers(workers, args);
+        assert_eq!(code, Some(2), "{workers:?} {args:?}: {stderr:?}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.contains(name) && first.contains("1024"),
+            "{workers:?} {args:?}: the first line names {name} and the bound: {stderr:?}"
+        );
+    }
+}
+
+#[test]
 fn malformed_command_lines_exit_2_naming_what_they_refuse() {
     let out = std::env::temp_dir().join(format!("csmaprobe-cli-usage-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
@@ -179,6 +202,8 @@ fn malformed_command_lines_exit_2_naming_what_they_refuse() {
         (vec![], &["subcommand"]),
         (serve(&["--bogus", "1"]), &["--bogus"]),
         (serve(&["--workers"]), &["--workers"]),
+        // A flag is never another flag's value.
+        (vec!["serve", "--out-dir", "--workers", "2"], &["--out-dir"]),
         // Session drivers follow `--workers`: there is no `--drivers`.
         (serve(&["--drivers", "2", "--workers", "0"]), &["--drivers"]),
     ];
