@@ -22,20 +22,20 @@
 
 use csmaprobe_bench::figures::{self, FigureDef};
 use csmaprobe_bench::report::FigureReport;
-use csmaprobe_desim::{executor, replicate};
+use csmaprobe_desim::{errln, executor, outln, replicate};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let opts = executor::env_worker_limit()
         .and_then(|_| csmaprobe_bench::cli_options_from(&args))
         .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             std::process::exit(2);
         });
 
     if opts.list {
         for d in figures::REGISTRY {
-            println!("{:<16} {}", d.id, d.title);
+            outln!("{:<16} {}", d.id, d.title);
         }
         return;
     }
@@ -49,7 +49,7 @@ fn main() {
                 .filter(|id| figures::find(id).is_none())
                 .collect();
             if !unknown.is_empty() {
-                eprintln!(
+                errln!(
                     "error: unknown figure id(s) {:?}; run with --list to see the registry",
                     unknown
                 );
@@ -63,12 +63,12 @@ fn main() {
     };
 
     if selected.is_empty() {
-        eprintln!("error: --only selected no figures; run with --list to see the registry");
+        errln!("error: --only selected no figures; run with --list to see the registry");
         std::process::exit(2);
     }
 
     let jobs = opts.jobs.min(selected.len()).max(1);
-    eprintln!(
+    errln!(
         "running {} experiment(s) at scale {} (seed {}, {} figure lane(s))...",
         selected.len(),
         opts.scale,
@@ -93,7 +93,7 @@ fn main() {
                 let t0 = std::time::Instant::now();
                 let mut rep = (def.run)(scale, seed);
                 rep.elapsed_s = Some(t0.elapsed().as_secs_f64());
-                eprintln!(
+                errln!(
                     "{}: {} checks, {} — {:.1}s",
                     def.id,
                     rep.checks.len(),
@@ -119,20 +119,21 @@ fn main() {
         .into_iter()
         .map(|s| s.expect("figure slot not filled"))
         .collect();
-    for rep in &reports {
-        rep.print();
-        println!();
-    }
-
+    // Written before anything is printed, so a reader that stops early
+    // cannot cost the run its data.
     let json = csmaprobe_bench::report::reports_to_json(&reports);
     std::fs::write("experiments.json", &json).expect("write experiments.json");
+    for rep in &reports {
+        rep.print();
+        outln!();
+    }
     let total: usize = reports.iter().map(|r| r.checks.len()).sum();
     let passed: usize = reports
         .iter()
         .flat_map(|r| &r.checks)
         .filter(|c| c.passed)
         .count();
-    eprintln!(
+    errln!(
         "== {passed}/{total} qualitative checks passed; experiments.json written ({:.1}s total) ==",
         t_all.elapsed().as_secs_f64()
     );

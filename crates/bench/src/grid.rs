@@ -1,5 +1,6 @@
 //! The link × train × tool scenario grid: named axis catalogs, the
-//! inline-spec parser, and the [`BiasGrid`] scenario they compose into.
+//! single-point axis parsers, and the [`BiasGrid`] scenario they
+//! compose into.
 //!
 //! This is the paper's experiment matrix as one schedulable object:
 //! every cell is "run tool T with train shape N over link L", and
@@ -7,10 +8,11 @@
 //! (link-major, tool fastest). Cells are seeded by name, not position,
 //! so a cell's row is the same whichever other axis points are
 //! selected, and in whatever order. The `grid_bias` figure runs the
-//! 3 × 3 × 2 grid of the §7.2 claims; `csmaprobe serve` resolves each
-//! session's axis names through the same parsers
-//! ([`parse_links`], [`parse_trains`], [`parse_tools`]) and runs one
-//! cell per session with the same tool constants.
+//! 3 × 3 × 2 grid of the §7.2 claims from the catalogs; `csmaprobe
+//! serve` resolves each session's link, train and tool fields through
+//! [`parse_link`], [`parse_train`] and [`parse_tool`], each of which
+//! names exactly one point (a comma list is refused), and runs that one
+//! cell with the same tool constants.
 
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
@@ -78,8 +80,8 @@ enum LinkKind {
 /// when dropped.
 #[derive(Debug, Clone)]
 pub struct LinkPoint {
-    /// Catalog name (what a `link` axis list matches), or an inline
-    /// spec's canonical name.
+    /// Catalog name (what a `link` field matches), or an inline spec's
+    /// canonical name.
     pub name: Cow<'static, str>,
     kind: LinkKind,
 }
@@ -118,11 +120,6 @@ impl LinkPoint {
                 fifo_bps,
             } => (scenarios::capacity_bps(FRAME) - contending_bps - fifo_bps).max(0.0),
         }
-    }
-
-    /// CSMA/CA link (access delays, fair-share bias)?
-    pub fn is_wlan(&self) -> bool {
-        matches!(self.kind, LinkKind::Wlan { .. })
     }
 }
 
@@ -168,8 +165,8 @@ const LINKS: &[LinkPoint] = &[
 /// owned as for [`LinkPoint`].
 #[derive(Debug, Clone)]
 pub struct TrainPoint {
-    /// Catalog name (what a `train` axis list matches), or an inline
-    /// spec's canonical name.
+    /// Catalog name (what a `train` field matches), or an inline spec's
+    /// canonical name.
     pub name: Cow<'static, str>,
     /// Packets per train.
     pub n: usize,
@@ -210,290 +207,146 @@ pub fn find_train(name: &str) -> Option<TrainPoint> {
 }
 
 /// Parse one `key=value` bits/s parameter of an inline link spec.
-fn parse_bps(what: &str, part: &str) -> Result<(String, f64), String> {
+fn parse_bps(part: &str) -> Result<(String, f64), String> {
     let (key, value) = part
         .split_once('=')
-        .ok_or_else(|| format!("malformed {what} parameter {part:?} (expected key=value)"))?;
+        .ok_or_else(|| format!("malformed link parameter {part:?} (expected key=value)"))?;
     let (key, value) = (key.trim(), value.trim());
     let bps: f64 = value
         .parse()
-        .map_err(|_| format!("{what} parameter {key}={value:?} is not a number"))?;
+        .map_err(|_| format!("link parameter {key}={value:?} is not a number"))?;
     if !bps.is_finite() || bps < 0.0 {
-        return Err(format!("{what} parameter {key}={value} out of range"));
+        return Err(format!("link parameter {key}={value} out of range"));
     }
     if bps > MAX_INLINE_BPS {
         return Err(format!(
-            "{what} parameter {key}={value} is above the bound of {MAX_INLINE_BPS:e} bits/s"
+            "link parameter {key}={value} is above the bound of {MAX_INLINE_BPS:e} bits/s"
         ));
     }
     Ok((key.to_ascii_lowercase(), bps))
 }
 
-/// An inline link spec under construction: `wlan:cross=6e6,fifo=1e6` or
-/// `wired:capacity=10e6,cross=4e6` (the comma-separated parameters
-/// arrive as separate CSV parts; see [`parse_links`]).
-struct InlineLink {
-    kind: String,
-    params: Vec<(String, f64)>,
-}
-
-impl InlineLink {
-    fn apply(&mut self, part: &str) -> Result<(), String> {
-        let (key, bps) = parse_bps("link", part)?;
-        let allowed: &[&str] = match self.kind.as_str() {
-            "wlan" => &["cross", "fifo"],
-            "wired" => &["capacity", "cross"],
-            _ => unreachable!("kind validated at construction"),
-        };
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!(
-                "unknown {} parameter {key:?}; allowed: {}",
-                self.kind,
-                allowed.join(", ")
-            ));
-        }
-        if self.params.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate {} parameter {key:?}", self.kind));
-        }
-        self.params.push((key, bps));
-        Ok(())
-    }
-
-    fn get(&self, key: &str, default: f64) -> f64 {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(default)
-    }
-
-    /// Build the point. The name is **canonical** — every parameter
-    /// spelled out from its parsed value — so the same spec in any
-    /// notation (`6e6` vs `6000000`) names the same cell and seeds the
-    /// same replications.
-    fn build(self) -> Result<LinkPoint, String> {
-        let (name, kind) = match self.kind.as_str() {
-            "wlan" => {
-                let cross = self.get("cross", 0.0);
-                let fifo = self.get("fifo", 0.0);
-                (
-                    format!("wlan:cross={cross},fifo={fifo}"),
-                    LinkKind::Wlan {
-                        contending_bps: cross,
-                        fifo_bps: fifo,
-                    },
-                )
-            }
-            "wired" => {
-                let capacity = self.get("capacity", 10e6);
-                let cross = self.get("cross", 0.0);
-                if capacity < MIN_WIRED_CAPACITY_BPS {
-                    return Err(format!(
-                        "wired capacity {capacity} is below the bound of \
-                         {MIN_WIRED_CAPACITY_BPS:e} bits/s"
-                    ));
-                }
-                if cross >= capacity {
-                    return Err(format!(
-                        "wired cross {cross} must be below capacity {capacity}"
-                    ));
-                }
-                (
-                    format!("wired:capacity={capacity},cross={cross}"),
-                    LinkKind::Wired {
-                        capacity_bps: capacity,
-                        cross_bps: cross,
-                    },
-                )
-            }
-            other => {
-                return Err(format!(
-                    "unknown inline link kind {other:?}; use wlan: or wired:"
-                ))
-            }
-        };
-        Ok(LinkPoint {
-            name: Cow::Owned(name),
-            kind,
-        })
-    }
-}
-
-/// Shared scaffolding of the link, train and tool CSV axes: split the
-/// comma list, hand each non-empty part to `parse_part` (which pushes
-/// the points it yields), run `finish` (e.g. flushing a trailing inline
-/// spec), and apply the common empty-axis error.
-fn parse_axis<T>(
-    what: &str,
-    csv: &str,
-    catalog: &[&str],
-    mut parse_part: impl FnMut(&str, &mut Vec<T>) -> Result<(), String>,
-    finish: impl FnOnce(&mut Vec<T>) -> Result<(), String>,
-) -> Result<Vec<T>, String> {
-    let mut out = Vec::new();
-    for part in csv.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        parse_part(part, &mut out)?;
-    }
-    finish(&mut out)?;
-    if out.is_empty() {
-        return Err(format!(
-            "empty {what} axis; catalog: {}",
-            catalog.join(", ")
-        ));
-    }
-    Ok(out)
-}
-
-/// The shared unknown-point error (`hint` names the inline-spec form,
-/// when the axis has one).
-fn unknown_axis_point(what: &str, part: &str, catalog: &[&str], hint: &str) -> String {
-    format!(
-        "unknown {what} {part:?}; catalog: {}{hint}",
-        catalog.join(", ")
-    )
-}
-
-/// Parse a link-axis comma list: catalog names (`wired`, `wlan_low`,
-/// `wlan_mid`, `wlan_fifo`) and **inline specs** —
-/// `wlan:cross=<bps>,fifo=<bps>` or `wired:capacity=<bps>,cross=<bps>` —
-/// freely mixed. A `kind:` part opens an inline spec; bare `key=value`
-/// parts extend the one being built; anything else is a catalog name.
-/// Inline points get canonical parameter-spelling names, which key and
-/// seed their cells exactly like catalog names.
+/// Parse one link-axis point: a catalog name (`wired`, `wlan_low`,
+/// `wlan_mid`, `wlan_fifo`, in any case) or one **inline spec**,
+/// `wlan:cross=<bps>,fifo=<bps>` or `wired:capacity=<bps>,cross=<bps>`,
+/// its parameters in any order and absent ones at their defaults. An
+/// inline point is named **canonically**, every parameter spelled out
+/// from its parsed value, so the same spec in any notation (`6e6` vs
+/// `6000000`) names, keys and seeds the same cell as a catalog name
+/// does.
 ///
 /// Every inline bits/s value must lie in 0 ..= [`MAX_INLINE_BPS`], and a
 /// wired capacity must be at least [`MIN_WIRED_CAPACITY_BPS`]: these
-/// specs arrive over the daemon's wire.
-///
-/// The points own their inline names, so a server that parses every
-/// submit keeps nothing of a refused or finished session.
-pub fn parse_links(csv: &str) -> Result<Vec<LinkPoint>, String> {
-    let catalog: Vec<&str> = LINKS.iter().map(|l| &*l.name).collect();
-    // The inline spec being built, shared by the per-part closure and
-    // the end-of-axis flush.
-    let open: std::cell::RefCell<Option<InlineLink>> = std::cell::RefCell::new(None);
-    let flush = |out: &mut Vec<LinkPoint>| -> Result<(), String> {
-        if let Some(spec) = open.borrow_mut().take() {
-            out.push(spec.build()?);
-        }
-        Ok(())
+/// specs arrive over the daemon's wire. The point owns its inline name,
+/// so a server that parses every submit keeps nothing of a refused or
+/// finished session.
+pub fn parse_link(spec: &str) -> Result<LinkPoint, String> {
+    let Some((kind, params)) = spec.split_once(':') else {
+        return find_link(spec).ok_or_else(|| {
+            let catalog: Vec<&str> = LINKS.iter().map(|l| &*l.name).collect();
+            format!(
+                "unknown link {:?}; catalog: {} (or one inline wlan:/wired: spec)",
+                spec.trim(),
+                catalog.join(", ")
+            )
+        });
     };
-    parse_axis(
-        "link",
-        csv,
-        &catalog,
-        |part, out| {
-            if let Some((kind, first)) = part.split_once(':') {
-                flush(out)?;
-                let kind = kind.trim().to_ascii_lowercase();
-                if kind != "wlan" && kind != "wired" {
-                    return Err(format!(
-                        "unknown inline link kind {kind:?}; use wlan: or wired:"
-                    ));
-                }
-                let mut spec = InlineLink {
-                    kind,
-                    params: Vec::new(),
-                };
-                if !first.trim().is_empty() {
-                    spec.apply(first)?;
-                }
-                *open.borrow_mut() = Some(spec);
-                Ok(())
-            } else if part.contains('=') {
-                match open.borrow_mut().as_mut() {
-                    Some(spec) => spec.apply(part),
-                    None => Err(format!(
-                        "link parameter {part:?} outside an inline spec \
-                         (start one with wlan: or wired:)"
-                    )),
-                }
-            } else {
-                flush(out)?;
-                match find_link(part) {
-                    Some(p) => {
-                        out.push(p);
-                        Ok(())
-                    }
-                    None => Err(unknown_axis_point(
-                        "link",
-                        part,
-                        &catalog,
-                        " (or inline wlan:/wired: specs)",
-                    )),
-                }
-            }
+    let kind = kind.trim().to_ascii_lowercase();
+    let (keys, mut values) = match kind.as_str() {
+        "wlan" => (["cross", "fifo"], [0.0, 0.0]),
+        "wired" => (["capacity", "cross"], [10e6, 0.0]),
+        _ => {
+            return Err(format!(
+                "unknown inline link kind {kind:?}; use wlan: or wired:"
+            ))
+        }
+    };
+    let mut seen = [false; 2];
+    for part in params.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (key, bps) = parse_bps(part)?;
+        let Some(i) = keys.iter().position(|k| *k == key) else {
+            return Err(format!(
+                "unknown {kind} parameter {key:?}; allowed: {}",
+                keys.join(", ")
+            ));
+        };
+        if std::mem::replace(&mut seen[i], true) {
+            return Err(format!("duplicate {kind} parameter {key:?}"));
+        }
+        values[i] = bps;
+    }
+    let link = match (kind.as_str(), values) {
+        ("wlan", [cross, fifo]) => LinkKind::Wlan {
+            contending_bps: cross,
+            fifo_bps: fifo,
         },
-        flush,
-    )
+        (_, [capacity, _]) if capacity < MIN_WIRED_CAPACITY_BPS => {
+            return Err(format!(
+                "wired capacity {capacity} is below the bound of \
+                 {MIN_WIRED_CAPACITY_BPS:e} bits/s"
+            ))
+        }
+        (_, [capacity, cross]) if cross >= capacity => {
+            return Err(format!(
+                "wired cross {cross} must be below capacity {capacity}"
+            ))
+        }
+        (_, [capacity, cross]) => LinkKind::Wired {
+            capacity_bps: capacity,
+            cross_bps: cross,
+        },
+    };
+    Ok(LinkPoint {
+        name: Cow::Owned(format!(
+            "{kind}:{}={},{}={}",
+            keys[0], values[0], keys[1], values[1]
+        )),
+        kind: link,
+    })
 }
 
-/// Parse a train-axis comma list: catalog names (`short`, `mid`, `long`:
-/// 5, 20 and 100 packets) and inline `n=<packets>` specs, freely mixed.
-/// Inline points are named canonically (`n=50`), so they key and seed
-/// their cells like catalog points. An inline count must lie in
-/// 1 ..= [`MAX_TRAIN_PACKETS`]. Inline points own their names, as in
-/// [`parse_links`].
-pub fn parse_trains(csv: &str) -> Result<Vec<TrainPoint>, String> {
-    let catalog: Vec<&str> = TRAINS.iter().map(|t| &*t.name).collect();
-    parse_axis(
-        "train",
-        csv,
-        &catalog,
-        |part, out| {
-            if let Some(value) = part.strip_prefix("n=") {
-                let n: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("train packet count n={value:?} is not an integer"))?;
-                if n == 0 {
-                    return Err("train packet count n=0 is empty".to_string());
-                }
-                if n > MAX_TRAIN_PACKETS {
-                    return Err(format!(
-                        "train packet count n={n} is above the bound of {MAX_TRAIN_PACKETS}"
-                    ));
-                }
-                out.push(TrainPoint {
-                    name: Cow::Owned(format!("n={n}")),
-                    n,
-                });
-                Ok(())
-            } else {
-                match find_train(part) {
-                    Some(p) => {
-                        out.push(p);
-                        Ok(())
-                    }
-                    None => Err(unknown_axis_point(
-                        "train",
-                        part,
-                        &catalog,
-                        " (or inline n=<packets>)",
-                    )),
-                }
-            }
-        },
-        |_| Ok(()),
-    )
+/// Parse one train-axis point: a catalog name (`short`, `mid`, `long`:
+/// 5, 20 and 100 packets) or an inline `n=<packets>` spec. An inline
+/// point is named canonically (`n=50`), so it keys and seeds its cell
+/// like a catalog point, and owns its name as in [`parse_link`]. An
+/// inline count must lie in 2 ..= [`MAX_TRAIN_PACKETS`], the bound of
+/// `csmaprobe --n`: one packet has no dispersion to read.
+pub fn parse_train(spec: &str) -> Result<TrainPoint, String> {
+    let spec = spec.trim();
+    let Some(value) = spec.strip_prefix("n=") else {
+        return find_train(spec).ok_or_else(|| {
+            let catalog: Vec<&str> = TRAINS.iter().map(|t| &*t.name).collect();
+            format!(
+                "unknown train {spec:?}; catalog: {} (or inline n=<packets>)",
+                catalog.join(", ")
+            )
+        });
+    };
+    let n: usize = value
+        .trim()
+        .parse()
+        .map_err(|_| format!("train packet count n={value:?} is not an integer"))?;
+    if !(2..=MAX_TRAIN_PACKETS).contains(&n) {
+        return Err(format!(
+            "train packet count n={n} must be in 2..={MAX_TRAIN_PACKETS}"
+        ));
+    }
+    Ok(TrainPoint {
+        name: Cow::Owned(format!("n={n}")),
+        n,
+    })
 }
 
-/// Parse a tool-axis comma list against [`ToolKind::ALL`].
-pub fn parse_tools(csv: &str) -> Result<Vec<ToolKind>, String> {
-    let catalog: Vec<&str> = ToolKind::ALL.iter().map(|t| t.name()).collect();
-    parse_axis(
-        "tool",
-        csv,
-        &catalog,
-        |part, out| match ToolKind::parse(part) {
-            Some(t) => {
-                out.push(t);
-                Ok(())
-            }
-            None => Err(unknown_axis_point("tool", part, &catalog, "")),
-        },
-        |_| Ok(()),
-    )
+/// Parse one tool-axis point against [`ToolKind::ALL`].
+pub fn parse_tool(spec: &str) -> Result<ToolKind, String> {
+    ToolKind::parse(spec).ok_or_else(|| {
+        let catalog: Vec<&str> = ToolKind::ALL.iter().map(|t| t.name()).collect();
+        format!(
+            "unknown tool {:?}; catalog: {}",
+            spec.trim(),
+            catalog.join(", ")
+        )
+    })
 }
 
 /// FNV-1a hash of a string — a stable 64-bit fingerprint of a cell
@@ -537,14 +390,10 @@ pub struct GridRow {
     pub tool: ToolKind,
     /// Packets per train.
     pub n: usize,
-    /// Replications (independent tool runs) attempted.
-    pub reps: usize,
     /// Runs that produced no estimate.
     pub failed: usize,
     /// Mean estimate, bits/s (NaN when every run failed).
     pub mean_bps: f64,
-    /// Across-run standard deviation, bits/s.
-    pub sd_bps: f64,
     /// 95% confidence half-width of the mean, bits/s.
     pub ci95_bps: f64,
     /// True available bandwidth of the link, bits/s.
@@ -660,14 +509,12 @@ impl SweepScenario for BiasGrid {
             train: self.trains[train].name.to_string(),
             tool: self.tools[tool],
             n: self.trains[train].n,
-            reps: self.reps(cell),
             failed: acc.failed,
             mean_bps: if acc.est.count() > 0 {
                 acc.est.mean()
             } else {
                 f64::NAN
             },
-            sd_bps: acc.est.std_dev(),
             ci95_bps: acc.est.ci95_half_width(),
             available_bps: self.available[link],
         }
@@ -682,12 +529,11 @@ mod tests {
     /// `a` and `b` agree in every field, floats bit for bit.
     fn assert_same_row(a: &GridRow, b: &GridRow) {
         assert_eq!(
-            (&a.link, &a.train, a.tool, a.n, a.reps, a.failed),
-            (&b.link, &b.train, b.tool, b.n, b.reps, b.failed)
+            (&a.link, &a.train, a.tool, a.n, a.failed),
+            (&b.link, &b.train, b.tool, b.n, b.failed)
         );
         for (x, y) in [
             (a.mean_bps, b.mean_bps),
-            (a.sd_bps, b.sd_bps),
             (a.ci95_bps, b.ci95_bps),
             (a.available_bps, b.available_bps),
         ] {
@@ -696,61 +542,72 @@ mod tests {
     }
 
     #[test]
-    fn catalogs_parse_and_reject() {
-        let links = parse_links("wired, WLAN_MID").unwrap();
-        assert_eq!(links.len(), 2);
-        assert_eq!(links[1].name, "wlan_mid");
-        assert!(parse_links("wired,ethernet").is_err());
-        assert!(parse_links(" , ").is_err());
-        let trains = parse_trains("short,long").unwrap();
-        assert_eq!(trains[1].n, 100);
-        assert!(parse_trains("huge").is_err());
-        let tools = parse_tools("train,slops").unwrap();
-        assert_eq!(tools, vec![ToolKind::Train, ToolKind::Slops]);
-        assert!(parse_tools("pathload").is_err());
-    }
-
-    #[test]
-    fn inline_link_specs_parse_mixed_with_catalog_names() {
-        // The ROADMAP example, plus a catalog name on either side.
-        let links = parse_links("wired,wlan:cross=6e6,fifo=1e6,wlan_mid").unwrap();
-        assert_eq!(links.len(), 3);
-        assert_eq!(links[0].name, "wired");
-        assert_eq!(links[1].name, "wlan:cross=6000000,fifo=1000000");
-        assert!(links[1].is_wlan());
-        assert_eq!(links[2].name, "wlan_mid");
-        // Catalog names stay borrowed; an inline point owns its name.
-        assert!(matches!(links[0].name, Cow::Borrowed("wired")));
-        assert!(matches!(links[1].name, Cow::Owned(_)));
-        // Canonical naming: notation does not matter.
-        let again = parse_links("wlan:cross=6000000,fifo=1000000").unwrap();
-        assert_eq!(again[0].name, links[1].name);
-        // Defaults fill in, in canonical order.
-        let bare = parse_links("wlan:cross=2e6").unwrap();
-        assert_eq!(bare[0].name, "wlan:cross=2000000,fifo=0");
-        // Wired inline specs compute their ground truth.
-        let wired = parse_links("wired:capacity=10e6,cross=4e6").unwrap();
-        assert_eq!(wired[0].available_bps(), 6e6);
-        assert!(!wired[0].is_wlan());
+    fn each_axis_field_names_exactly_one_point() {
+        // (axis, spelling, the canonical name it resolves to; "" where
+        // it is refused)
+        let cases = [
+            ("link", " WLAN_MID ", "wlan_mid"),
+            ("link", "Wired", "wired"),
+            ("link", "wlan:cross=2e6", "wlan:cross=2000000,fifo=0"),
+            ("link", " WLAN: fifo=1 , cross = 5 ", "wlan:cross=5,fifo=1"),
+            ("link", "wlan:", "wlan:cross=0,fifo=0"),
+            (
+                "link",
+                "wired:cross=1,capacity=2e3",
+                "wired:capacity=2000,cross=1",
+            ),
+            ("link", "wired,wlan_mid", ""),
+            ("link", "wired, WLAN_MID", ""),
+            ("link", "wired,", ""),
+            ("link", "wlan:cross=1e6,wlan_mid", ""),
+            ("link", "wlan:cross=6e6,wlan:fifo=1e6", ""),
+            ("link", "ethernet", ""),
+            ("link", " , ", ""),
+            ("train", " Short ", "short"),
+            ("train", "n=50", "n=50"),
+            ("train", " n= 050", "n=50"),
+            ("train", "short,long", ""),
+            ("train", "short,n=50", ""),
+            ("train", "n=five", ""),
+            ("train", "huge", ""),
+            ("tool", " SLOPS ", "slops"),
+            ("tool", "train,slops", ""),
+            ("tool", "pathload", ""),
+        ];
+        for (axis, spec, want) in cases {
+            let got = match axis {
+                "link" => parse_link(spec).map(|p| p.name),
+                "train" => parse_train(spec).map(|p| p.name),
+                _ => parse_tool(spec).map(|t| Cow::Borrowed(t.name())),
+            };
+            assert_eq!(
+                got.as_deref().unwrap_or(""),
+                want,
+                "{axis} {spec:?}: {got:?}"
+            );
+            // Catalog points borrow their names; inline points own theirs.
+            let owned = matches!(got, Ok(Cow::Owned(_)));
+            assert_eq!(owned, want.contains('='), "{axis} {spec:?}");
+        }
+        // Inline links build their kind and compute their ground truth.
+        let wired = parse_link("wired:capacity=10e6,cross=4e6").unwrap();
+        assert!(matches!(wired.build(), GridTarget::Wired(_)));
+        assert_eq!(wired.available_bps(), 6e6);
+        let wlan = parse_link("wlan:cross=6e6,fifo=1e6").unwrap();
+        assert!(matches!(wlan.build(), GridTarget::Wlan(_)));
     }
 
     #[test]
     fn inline_link_specs_reject_nonsense() {
-        assert!(parse_links("fiber:cross=1e6").is_err(), "unknown kind");
+        assert!(parse_link("fiber:cross=1e6").is_err(), "unknown kind");
+        assert!(parse_link("cross=1e6").is_err(), "parameter without a spec");
+        assert!(parse_link("wlan:speed=1e6").is_err(), "unknown parameter");
+        assert!(parse_link("wlan:cross=fast").is_err(), "non-numeric");
+        assert!(parse_link("wlan:cross=-1").is_err(), "negative");
+        assert!(parse_link("wlan:cross=inf").is_err(), "non-finite");
+        assert!(parse_link("wlan:cross=1e6,cross=2e6").is_err(), "duplicate");
         assert!(
-            parse_links("cross=1e6").is_err(),
-            "parameter without a spec"
-        );
-        assert!(parse_links("wlan:speed=1e6").is_err(), "unknown parameter");
-        assert!(parse_links("wlan:cross=fast").is_err(), "non-numeric");
-        assert!(parse_links("wlan:cross=-1").is_err(), "negative");
-        assert!(parse_links("wlan:cross=inf").is_err(), "non-finite");
-        assert!(
-            parse_links("wlan:cross=1e6,cross=2e6").is_err(),
-            "duplicate"
-        );
-        assert!(
-            parse_links("wired:capacity=1e6,cross=2e6").is_err(),
+            parse_link("wired:capacity=1e6,cross=2e6").is_err(),
             "cross above capacity"
         );
         // Values that stop simulated time or overflow it name the bound.
@@ -760,38 +617,39 @@ mod tests {
             "wlan:cross=1e13",
             "wired:capacity=1e300",
         ] {
-            let err = parse_links(spec).unwrap_err();
+            let err = parse_link(spec).unwrap_err();
             assert!(err.contains("bound of 1e10 bits/s"), "{spec}: {err}");
         }
-        let err = parse_links("wired:capacity=1e-9,cross=0").unwrap_err();
+        let err = parse_link("wired:capacity=1e-9,cross=0").unwrap_err();
         assert!(err.contains("bound of 1e3 bits/s"), "{err}");
         // The bounds themselves are accepted.
-        assert!(parse_links("wlan:cross=1e10,fifo=1e10").is_ok());
-        assert!(parse_links("wired:capacity=1e3,cross=0").is_ok());
+        assert!(parse_link("wlan:cross=1e10,fifo=1e10").is_ok());
+        assert!(parse_link("wired:capacity=1e3,cross=0").is_ok());
     }
 
     #[test]
     fn inline_train_specs_parse_and_reject() {
-        let trains = parse_trains("short,n=50,long").unwrap();
-        assert_eq!(trains.len(), 3);
-        assert_eq!(trains[1].name, "n=50");
-        assert_eq!(trains[1].n, 50);
-        assert!(matches!(trains[0].name, Cow::Borrowed("short")));
-        assert!(matches!(trains[1].name, Cow::Owned(_)));
-        assert!(parse_trains("n=0").is_err());
-        assert!(parse_trains("n=five").is_err());
-        for spec in ["n=10001", "n=10000000000", "n=18446744073709551615"] {
-            let err = parse_trains(spec).unwrap_err();
-            assert!(err.contains("bound of 10000"), "{spec}: {err}");
+        // One packet has no dispersion; counts that overflow the clock
+        // or the allocator are refused. Each error names the bound.
+        for spec in [
+            "n=0",
+            "n=1",
+            "n=10001",
+            "n=10000000000",
+            "n=18446744073709551615",
+        ] {
+            let err = parse_train(spec).unwrap_err();
+            assert!(err.contains("2..=10000"), "{spec}: {err}");
         }
-        assert_eq!(parse_trains("n=10000").unwrap()[0].n, MAX_TRAIN_PACKETS);
+        assert_eq!(parse_train("n=2").unwrap().n, 2);
+        assert_eq!(parse_train("n=10000").unwrap().n, MAX_TRAIN_PACKETS);
     }
 
     #[test]
     fn inline_specs_key_cells_by_canonical_spelling() {
         let grid_of = |links: &str| {
             BiasGrid::new(
-                parse_links(links).unwrap(),
+                vec![parse_link(links).unwrap()],
                 vec![find_train("short").unwrap()],
                 vec![ToolKind::Train],
                 0.05,
@@ -820,9 +678,9 @@ mod tests {
     fn link_truths_are_sane() {
         let wired = find_link("wired").unwrap();
         assert_eq!(wired.available_bps(), 6e6);
-        assert!(!wired.is_wlan());
+        assert!(matches!(wired.build(), GridTarget::Wired(_)));
         let mid = find_link("wlan_mid").unwrap();
-        assert!(mid.is_wlan());
+        assert!(matches!(mid.build(), GridTarget::Wlan(_)));
         // C ≈ 6.2 Mb/s, cross 4.5 ⇒ A ≈ 1.7 Mb/s.
         let a = mid.available_bps();
         assert!((1.2e6..2.2e6).contains(&a), "A = {a}");
@@ -848,9 +706,8 @@ mod tests {
                 keys[flat]
             );
             assert_eq!(row.n, [5, 20][flat]);
-            assert_eq!(row.reps, grid.reps(flat));
             assert!(row.mean_bps.is_finite(), "wired trains always complete");
-            assert!(row.ci95_bps.is_finite() && row.sd_bps > 0.0);
+            assert!(row.ci95_bps.is_finite() && row.ci95_bps > 0.0);
             assert_eq!(row.failed, 0);
             assert_eq!(row.available_bps, 6e6);
         }

@@ -3,6 +3,7 @@
 //! (`experiments.json` and the session tables), and [`RowSink`], the
 //! crash-tolerant JSONL persister behind the daemon's session table.
 
+use csmaprobe_desim::errln;
 use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _, Write as _};
 use std::path::PathBuf;
@@ -125,7 +126,7 @@ impl FigureReport {
 
     /// Print the rendered report to stdout.
     pub fn print(&self) {
-        print!("{}", self.render());
+        let _ = std::io::stdout().write_all(self.render().as_bytes());
     }
 
     /// Serialize to a JSON object (hand-rolled; the build environment has
@@ -361,7 +362,7 @@ impl RowSink {
         for line in &rows {
             let key = row_key(line).unwrap_or_default().to_string();
             if latest.insert(key.clone(), line).is_some() {
-                eprintln!(
+                errln!(
                     "warning: duplicate cell key {key} in {}; keeping the last row",
                     self.path.display()
                 );

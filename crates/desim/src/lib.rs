@@ -28,3 +28,23 @@ pub mod time;
 
 pub use rng::{derive_seed, split_mix64, RngCore, SimRng};
 pub use time::{Dur, Time};
+
+/// `println!` with the write error ignored: a stdout whose reader has
+/// gone (`| head -1`) drops the line instead of panicking, so it cannot
+/// turn a refusal or a finished run into exit 101.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::writeln!(::std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// `eprintln!` with the write error ignored, as [`outln!`].
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::writeln!(::std::io::stderr(), $($arg)*);
+    }};
+}

@@ -23,6 +23,7 @@
 
 use csmaprobe_bench::parse_value;
 use csmaprobe_bench::report::json_array;
+use csmaprobe_desim::{errln, outln};
 use csmaprobe_service::mix::{session_request, session_specs, MixConfig};
 use csmaprobe_service::session::{one_shot, row_json};
 use csmaprobe_service::wire::MAX_REPS;
@@ -36,7 +37,7 @@ use std::time::{Duration, Instant};
 const MAX_CONNS: usize = 256;
 
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage: loadgen [--addr HOST:PORT | --port-file PATH] [--sessions N] [--conns C]\n\
          \x20              [--reps R] [--seed S]\n\
          \x20      loadgen --batch --table FILE.jsonl [--sessions N] [--reps R] [--seed S]\n\
@@ -49,14 +50,14 @@ fn usage() -> ! {
 
 /// Print one error line and exit 2.
 fn refuse(msg: String) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     std::process::exit(2);
 }
 
 /// A malformed command line: one error line naming the problem, then
 /// the usage text, exit 2.
 fn usage_error(msg: String) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     usage();
 }
 
@@ -151,17 +152,17 @@ fn run_batch(mix: &MixConfig, seed: u64, sessions: u64, table: &PathBuf) {
     let specs = match session_specs(mix, seed, sessions) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("loadgen: bad mix: {e}");
+            errln!("loadgen: bad mix: {e}");
             std::process::exit(1);
         }
     };
     let t0 = Instant::now();
     let rows = specs.iter().map(|spec| row_json(spec, &one_shot(spec)));
     std::fs::write(table, json_array(rows)).unwrap_or_else(|e| {
-        eprintln!("loadgen: cannot write {}: {e}", table.display());
+        errln!("loadgen: cannot write {}: {e}", table.display());
         std::process::exit(1);
     });
-    eprintln!(
+    errln!(
         "loadgen: batch reference: {} sessions in {:.2}s -> {}",
         specs.len(),
         t0.elapsed().as_secs_f64(),
@@ -187,7 +188,7 @@ fn resolve_addr(args: &Args) -> String {
             }
         }
         if Instant::now() > deadline {
-            eprintln!("loadgen: timed out waiting for {}", pf.display());
+            errln!("loadgen: timed out waiting for {}", pf.display());
             std::process::exit(1);
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -228,7 +229,7 @@ fn run_client(args: &Args, mix: &MixConfig, addr: &str) {
                 all.cancelled += l.cancelled;
             }
             Err(_) => {
-                eprintln!("loadgen: a connection worker panicked");
+                errln!("loadgen: a connection worker panicked");
                 std::process::exit(1);
             }
         }
@@ -247,25 +248,28 @@ fn run_client(args: &Args, mix: &MixConfig, addr: &str) {
     let (sub50, sub99) = (pct(&mut all.submit, 0.50), pct(&mut all.submit, 0.99));
     let (poll50, poll99) = (pct(&mut all.poll, 0.50), pct(&mut all.poll, 0.99));
     let (cmp50, cmp99) = (pct(&mut all.complete, 0.50), pct(&mut all.complete, 0.99));
-    println!(
+    outln!(
         "loadgen: {done} sessions done, {} cancelled, {wall:.2}s wall",
         all.cancelled
     );
-    println!("loadgen: throughput {rate:.1} sessions/s");
-    println!(
+    outln!("loadgen: throughput {rate:.1} sessions/s");
+    outln!(
         "loadgen: submit latency p50 {:.6}s p99 {:.6}s",
-        sub50, sub99
+        sub50,
+        sub99
     );
-    println!(
+    outln!(
         "loadgen: poll   latency p50 {:.6}s p99 {:.6}s",
-        poll50, poll99
+        poll50,
+        poll99
     );
-    println!(
+    outln!(
         "loadgen: complete       p50 {:.6}s p99 {:.6}s",
-        cmp50, cmp99
+        cmp50,
+        cmp99
     );
     if done as u64 != args.sessions {
-        eprintln!("loadgen: only {done}/{} sessions completed", args.sessions);
+        errln!("loadgen: only {done}/{} sessions completed", args.sessions);
         std::process::exit(1);
     }
 }
@@ -281,7 +285,7 @@ fn drive_connection(
     conns: u64,
 ) -> Lats {
     let stream = TcpStream::connect(addr).unwrap_or_else(|e| {
-        eprintln!("loadgen: connect {addr}: {e}");
+        errln!("loadgen: connect {addr}: {e}");
         std::process::exit(1);
     });
     let write_half = stream.try_clone().expect("clone stream");
@@ -293,18 +297,18 @@ fn drive_connection(
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .unwrap_or_else(|e| {
-                eprintln!("loadgen: write: {e}");
+                errln!("loadgen: write: {e}");
                 std::process::exit(1);
             });
         let mut resp = String::new();
         match reader.read_line(&mut resp) {
             Ok(0) => {
-                eprintln!("loadgen: server closed the connection");
+                errln!("loadgen: server closed the connection");
                 std::process::exit(1);
             }
             Ok(_) => resp.trim_end().to_string(),
             Err(e) => {
-                eprintln!("loadgen: read: {e}");
+                errln!("loadgen: read: {e}");
                 std::process::exit(1);
             }
         }
@@ -329,7 +333,7 @@ fn drive_connection(
         let resp = rpc(&line);
         lats.submit.push(t.elapsed().as_secs_f64());
         if !resp.starts_with("{\"ok\":true") {
-            eprintln!("loadgen: submit {} refused: {resp}", req.id);
+            errln!("loadgen: submit {} refused: {resp}", req.id);
             std::process::exit(1);
         }
         open.push((req.id, t));
@@ -348,7 +352,7 @@ fn drive_connection(
             } else if resp.contains("\"state\":\"cancelled\"") {
                 lats.cancelled += 1;
             } else if resp.starts_with("{\"ok\":false") {
-                eprintln!("loadgen: poll {id} failed: {resp}");
+                errln!("loadgen: poll {id} failed: {resp}");
                 std::process::exit(1);
             } else {
                 still_open.push((id, t_submit));

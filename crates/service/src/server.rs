@@ -25,8 +25,8 @@ use crate::metrics::Metrics;
 use crate::session::{row_json, Session, SessionManager, SessionSpec};
 use crate::wire::{json_str, read_frame, Request, WireError};
 use csmaprobe_bench::report::{row_cell, RowSink};
-use csmaprobe_desim::executor;
 use csmaprobe_desim::replicate::CHUNK;
+use csmaprobe_desim::{errln, executor, outln};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -164,7 +164,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
                     Ok(()) => {
                         metrics.rows_persisted.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(e) => eprintln!(
+                    Err(e) => errln!(
                         "csmaprobe serve: failed to persist session {:?}: {e}",
                         s.spec().id
                     ),
@@ -192,7 +192,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
     if let Some(pf) = &cfg.port_file {
         std::fs::write(pf, format!("{local}\n"))?;
     }
-    eprintln!("csmaprobe serve: listening on {local}");
+    errln!("csmaprobe serve: listening on {local}");
 
     while !sig::TERM.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -212,7 +212,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
     // Graceful drain: no new sessions, run every accepted one to a
     // terminal phase (completion hooks persist the rows), then finalize
     // the row file into the table.
-    eprintln!("csmaprobe serve: draining");
+    errln!("csmaprobe serve: draining");
     shared.mgr.shutdown();
     let counts = shared.mgr.counts();
     let (table, rows) = {
@@ -230,7 +230,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeSummary> {
     let consistent = counts.accepted == counts.done + counts.cancelled
         && persisted == counts.done as u64
         && rows >= persisted as usize;
-    println!(
+    outln!(
         "drained: accepted={} done={} cancelled={} persisted={} table={}",
         counts.accepted,
         counts.done,

@@ -16,7 +16,7 @@
 //! [`poll`]: SessionManager::poll
 
 use crate::wire::{json_f64, json_str, SubmitRequest, WireError};
-use csmaprobe_bench::grid::{parse_links, parse_tools, parse_trains};
+use csmaprobe_bench::grid::{parse_link, parse_tool, parse_train};
 use csmaprobe_bench::grid::{GridTarget, LinkPoint, TrainPoint, TRAIN_TOOL_RATE_BPS};
 use csmaprobe_bench::scenarios::FRAME;
 use csmaprobe_desim::executor;
@@ -50,41 +50,18 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// Bind a wire submit's axis names to catalog (or inline-spec)
-    /// points. The spec owns its inline points, so a refused or
-    /// finished session leaves nothing behind.
+    /// Bind a wire submit's axis fields, each naming exactly one
+    /// catalog (or inline-spec) point, to those points. The spec owns
+    /// its inline points, so a refused or finished session leaves
+    /// nothing behind.
     pub fn resolve(req: &SubmitRequest) -> Result<SessionSpec, WireError> {
-        let mut links = parse_links(&req.link).map_err(|e| WireError::BadField {
-            field: "link",
-            detail: e,
-        })?;
-        let mut trains = parse_trains(&req.train).map_err(|e| WireError::BadField {
-            field: "train",
-            detail: e,
-        })?;
-        let tools = parse_tools(&req.tool).map_err(|e| WireError::BadField {
-            field: "tool",
-            detail: e,
-        })?;
-        let one = |field: &'static str, n: usize| {
-            if n == 1 {
-                Ok(())
-            } else {
-                Err(WireError::BadField {
-                    field,
-                    detail: format!("expected exactly one axis point, got {n}"),
-                })
-            }
-        };
-        one("link", links.len())?;
-        one("train", trains.len())?;
-        one("tool", tools.len())?;
+        let bad = |field| move |detail| WireError::BadField { field, detail };
         Ok(SessionSpec {
+            link: parse_link(&req.link).map_err(bad("link"))?,
+            train: parse_train(&req.train).map_err(bad("train"))?,
+            tool: parse_tool(&req.tool).map_err(bad("tool"))?,
             id: req.id.clone(),
             cell: req.cell,
-            link: links.remove(0),
-            train: trains.remove(0),
-            tool: tools[0],
             reps: req.reps,
             seed: req.seed,
         })
@@ -128,6 +105,25 @@ impl Default for SessionAcc {
 }
 
 impl SessionAcc {
+    /// The five estimate fields of a row or a poll response. With no
+    /// finite estimate the mean and sd are `null` like the rest: an
+    /// empty [`OnlineStats`] reads 0, which no run measured.
+    fn estimate_fields(&self) -> String {
+        let (mean, sd) = if self.est.count() > 0 {
+            (self.est.mean(), self.est.std_dev())
+        } else {
+            (f64::NAN, f64::NAN)
+        };
+        format!(
+            "\"mean_bps\":{},\"sd_bps\":{},\"ci95_bps\":{},\"p50_bps\":{},\"p95_bps\":{}",
+            json_f64(mean),
+            json_f64(sd),
+            json_f64(self.est.ci95_half_width()),
+            json_f64(self.p50.value()),
+            json_f64(self.p95.value()),
+        )
+    }
+
     /// Fold one tool-run estimate.
     pub fn observe(&mut self, est_bps: f64) {
         if est_bps.is_finite() {
@@ -172,8 +168,7 @@ pub fn one_shot(spec: &SessionSpec) -> SessionAcc {
 pub fn row_json(spec: &SessionSpec, acc: &SessionAcc) -> String {
     format!(
         "{{\"cell\":{},\"key\":{},\"link\":{},\"train\":{},\"tool\":{},\"n\":{},\"reps\":{},\
-         \"seed\":\"{:016x}\",\"failed\":{},\"mean_bps\":{},\"sd_bps\":{},\"ci95_bps\":{},\
-         \"p50_bps\":{},\"p95_bps\":{}}}",
+         \"seed\":\"{:016x}\",\"failed\":{},{}}}",
         spec.cell,
         json_str(&spec.id),
         json_str(&spec.link.name),
@@ -183,11 +178,7 @@ pub fn row_json(spec: &SessionSpec, acc: &SessionAcc) -> String {
         spec.reps,
         spec.seed,
         acc.failed,
-        json_f64(acc.est.mean()),
-        json_f64(acc.est.std_dev()),
-        json_f64(acc.est.ci95_half_width()),
-        json_f64(acc.p50.value()),
-        json_f64(acc.p95.value()),
+        acc.estimate_fields(),
     )
 }
 
@@ -300,18 +291,13 @@ impl SessionSnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"ok\":true,\"op\":\"poll\",\"id\":{},\"state\":{},\"reps\":{},\"reps_done\":{},\
-             \"failed\":{},\"mean_bps\":{},\"sd_bps\":{},\"ci95_bps\":{},\"p50_bps\":{},\
-             \"p95_bps\":{},\"elapsed_s\":{}}}",
+             \"failed\":{},{},\"elapsed_s\":{}}}",
             json_str(&self.id),
             json_str(self.phase.name()),
             self.reps,
             self.reps_done,
             self.acc.failed,
-            json_f64(self.acc.est.mean()),
-            json_f64(self.acc.est.std_dev()),
-            json_f64(self.acc.est.ci95_half_width()),
-            json_f64(self.acc.p50.value()),
-            json_f64(self.acc.p95.value()),
+            self.acc.estimate_fields(),
             json_f64(self.elapsed_s),
         )
     }
@@ -636,8 +622,8 @@ mod tests {
     use super::*;
     use crate::wire::SubmitRequest;
 
-    fn spec(i: u64, reps: usize) -> SessionSpec {
-        SessionSpec::resolve(&SubmitRequest {
+    fn request(i: u64, reps: usize) -> SubmitRequest {
+        SubmitRequest {
             id: format!("s{i}"),
             cell: i,
             link: "wired".to_string(),
@@ -645,28 +631,25 @@ mod tests {
             tool: "train".to_string(),
             reps,
             seed: 1000 + i,
-        })
-        .unwrap()
+        }
+    }
+
+    fn spec(i: u64, reps: usize) -> SessionSpec {
+        SessionSpec::resolve(&request(i, reps)).unwrap()
     }
 
     #[test]
     fn resolve_rejects_bad_axes() {
-        let mut req = SubmitRequest {
-            id: "x".to_string(),
-            cell: 0,
-            link: "wired".to_string(),
-            train: "short".to_string(),
-            tool: "train".to_string(),
-            reps: 1,
-            seed: 0,
-        };
+        let mut req = request(0, 1);
         req.link = "no_such_link".to_string();
         assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
         req.link = "wired,wlan_mid".to_string(); // two points: not a session
         assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
         req.link = "wired".to_string();
-        req.tool = "pathload".to_string();
-        assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
+        for tool in ["pathload", "train,slops"] {
+            req.tool = tool.to_string();
+            assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
+        }
         // Axis values that would wedge a session, wrap its clock or
         // abort the daemon.
         req.tool = "train".to_string();
@@ -675,24 +658,32 @@ mod tests {
             assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
         }
         req.link = "wired".to_string();
-        req.train = "n=10000000000".to_string();
-        assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
+        for train in ["n=10000000000", "n=1", "short,long"] {
+            req.train = train.to_string();
+            assert_eq!(SessionSpec::resolve(&req).unwrap_err().code(), "bad_field");
+        }
+        req.train = "n=7".to_string();
+        assert_eq!(SessionSpec::resolve(&req).unwrap().train.n, 7);
     }
 
     #[test]
-    fn inline_link_specs_resolve() {
-        let req = SubmitRequest {
-            id: "x".to_string(),
-            cell: 0,
-            link: "wired:capacity=8e6,cross=2e6".to_string(),
-            train: "n=7".to_string(),
-            tool: "train".to_string(),
-            reps: 2,
-            seed: 3,
-        };
-        let spec = SessionSpec::resolve(&req).unwrap();
-        assert_eq!(spec.train.n, 7);
-        assert!(!spec.link.is_wlan());
+    fn a_session_whose_every_run_failed_reports_null_estimates() {
+        // TOPP finds no congestion on an idle 1 Gb/s wired link.
+        let spec = SessionSpec::resolve(&SubmitRequest {
+            link: "wired:capacity=1e9,cross=0".to_string(),
+            tool: "topp".to_string(),
+            ..request(0, 4)
+        })
+        .unwrap();
+        let mgr = SessionManager::new(1, None);
+        mgr.submit(spec.clone()).unwrap();
+        mgr.shutdown();
+        let nulls = "\"failed\":4,\"mean_bps\":null,\"sd_bps\":null,\"ci95_bps\":null,\
+                     \"p50_bps\":null,\"p95_bps\":null";
+        let poll = mgr.poll("s0").unwrap().to_json();
+        assert!(poll.contains(nulls), "{poll}");
+        let row = row_json(&spec, &one_shot(&spec));
+        assert!(row.ends_with(&format!("{nulls}}}")), "{row}");
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! line exits 2 with an error line naming the flag (and the value),
 //! then the usage text; a `--reps` outside the daemon's bounds or a
 //! `--conns` outside `1..=256` exits 2 with one error line naming the
-//! flag, in batch mode too. No refusal writes a table.
+//! flag, in batch mode too. No refusal writes a table. An output pipe
+//! whose reader has gone costs no exit code and no table.
 
 use csmaprobe_service::wire::MAX_REPS;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// A per-test scratch directory (fresh on every run).
 fn scratch(name: &str) -> PathBuf {
@@ -23,6 +24,14 @@ fn loadgen(dir: &Path, args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn loadgen")
+}
+
+/// The write end of a pipe whose reader has exited.
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().unwrap();
+    let writer = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    Stdio::from(writer)
 }
 
 fn stderr(out: &Output) -> String {
@@ -96,6 +105,24 @@ fn reps_and_conns_out_of_the_daemons_bounds_exit_2_naming_the_flag() {
     args.extend(["--reps", "1", "--conns", "1"]);
     let out = loadgen(&dir, &args);
     assert_eq!(out.status.code(), Some(0), "{:?}", stderr(&out));
+    let table = std::fs::read_to_string(dir.join("t.json")).expect("table written");
+    assert_eq!(table.matches("\"reps\":1,").count(), 3, "{table}");
+}
+
+#[test]
+fn closed_output_pipes_leave_the_exit_code_and_the_table_alone() {
+    let dir = scratch("closed-pipes");
+    let batch = "--batch --table t.json --sessions 3 --reps 1";
+    for (args, code) in [("--bogus", 2), (batch, 0)] {
+        let status = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+            .current_dir(&dir)
+            .args(args.split(' '))
+            .stdout(closed_pipe())
+            .stderr(closed_pipe())
+            .status()
+            .expect("run loadgen");
+        assert_eq!(status.code(), Some(code), "loadgen {args}");
+    }
     let table = std::fs::read_to_string(dir.join("t.json")).expect("table written");
     assert_eq!(table.matches("\"reps\":1,").count(), 3, "{table}");
 }

@@ -44,6 +44,7 @@ use csmaprobe::core::link::{
 use csmaprobe::core::transient::{Columns, TransientExperiment};
 use csmaprobe::desim::executor::MAX_WORKERS;
 use csmaprobe::desim::time::{Dur, Time};
+use csmaprobe::desim::{errln, outln};
 use csmaprobe::mac::measured_standalone_capacity_bps;
 use csmaprobe::phy::Phy;
 use csmaprobe::probe::chirp::ChirpProbe;
@@ -68,7 +69,7 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage: csmaprobe <{}> \
          [--cross M]... [--fifo-cross M] [--wired C] [--rate M] [--n N] \
          [--reps R] [--pairs P] [--bytes B] [--seed S]\n\
@@ -81,14 +82,14 @@ fn usage() -> ! {
 
 /// Print one error line and exit 2.
 fn refuse(msg: String) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     std::process::exit(2);
 }
 
 /// A malformed command line: one error line naming the problem, then
 /// the usage text, exit 2.
 fn usage_error(msg: String) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     usage();
 }
 
@@ -156,14 +157,14 @@ fn serve_main(argv: &[String]) -> ! {
     match csmaprobe::service::server::serve(cfg) {
         Ok(summary) if summary.consistent => std::process::exit(0),
         Ok(summary) => {
-            eprintln!(
+            errln!(
                 "csmaprobe serve: drain audit FAILED: accepted={} done={} cancelled={} persisted={}",
                 summary.accepted, summary.done, summary.cancelled, summary.persisted
             );
             std::process::exit(1);
         }
         Err(e) => {
-            eprintln!("csmaprobe serve: {e}");
+            errln!("csmaprobe serve: {e}");
             std::process::exit(1);
         }
     }
@@ -305,7 +306,7 @@ fn main() {
         "capacity" => {
             let c =
                 measured_standalone_capacity_bps(&Phy::dsss_11mbps(), args.bytes, 3000, args.seed);
-            println!(
+            outln!(
                 "stand-alone DCF capacity ({}B frames): {:.3} Mb/s",
                 args.bytes,
                 c / 1e6
@@ -314,13 +315,13 @@ fn main() {
         "steady" => {
             let link = build_wlan(&args);
             let pt = link.steady_state(args.rate_mbps * 1e6, Dur::from_secs(8), args.seed);
-            println!("input rate:   {:.3} Mb/s", pt.input_rate_bps / 1e6);
-            println!("probe output: {:.3} Mb/s", pt.output_rate_bps / 1e6);
+            outln!("input rate:   {:.3} Mb/s", pt.input_rate_bps / 1e6);
+            outln!("probe output: {:.3} Mb/s", pt.output_rate_bps / 1e6);
             for (k, c) in pt.contending_bps.iter().enumerate() {
-                println!("contender {k}:  {:.3} Mb/s", c / 1e6);
+                outln!("contender {k}:  {:.3} Mb/s", c / 1e6);
             }
             if pt.fifo_cross_bps > 0.0 {
-                println!("fifo cross:   {:.3} Mb/s", pt.fifo_cross_bps / 1e6);
+                outln!("fifo cross:   {:.3} Mb/s", pt.fifo_cross_bps / 1e6);
             }
         }
         "train" => {
@@ -330,30 +331,32 @@ fn main() {
                 args.reps,
                 args.seed,
             );
-            println!(
+            outln!(
                 "{}-packet trains at {:.2} Mb/s over {} reps:",
-                args.n, args.rate_mbps, args.reps
+                args.n,
+                args.rate_mbps,
+                args.reps
             );
-            println!(
+            outln!(
                 "E[gO]   = {:.6} ms (95% ±{:.6})",
                 m.mean_output_gap_s() * 1e3,
                 m.gap_ci95_s() * 1e3
             );
-            println!("L/E[gO] = {:.3} Mb/s", m.output_rate_bps() / 1e6);
+            outln!("L/E[gO] = {:.3} Mb/s", m.output_rate_bps() / 1e6);
         }
         "pair" => {
             let t = target(&args);
             let m = PacketPairProbe::new(args.bytes, args.pairs).measure(t.as_ref(), args.seed);
-            println!("packet pairs ({}):", args.pairs);
-            println!(
+            outln!("packet pairs ({}):", args.pairs);
+            outln!(
                 "mean-dispersion rate:   {:.3} Mb/s",
                 m.rate_from_mean_bps() / 1e6
             );
-            println!(
+            outln!(
                 "median-dispersion rate: {:.3} Mb/s",
                 m.rate_from_median_bps() / 1e6
             );
-            println!(
+            outln!(
                 "min-dispersion rate:    {:.3} Mb/s",
                 m.rate_from_min_bps() / 1e6
             );
@@ -361,25 +364,25 @@ fn main() {
         "slops" => {
             let t = target(&args);
             let r = SlopsEstimator::default().run(t.as_ref(), args.seed);
-            println!("SLoPS-style estimate: {:.3} Mb/s", r.estimate_bps / 1e6);
+            outln!("SLoPS-style estimate: {:.3} Mb/s", r.estimate_bps / 1e6);
         }
         "topp" => {
             let t = target(&args);
             match ToppEstimator::default().run(t.as_ref(), args.seed) {
                 Some(r) => {
-                    println!(
+                    outln!(
                         "TOPP available bandwidth: {:.3} Mb/s",
                         r.available_bps / 1e6
                     );
-                    println!("TOPP capacity:            {:.3} Mb/s", r.capacity_bps / 1e6);
+                    outln!("TOPP capacity:            {:.3} Mb/s", r.capacity_bps / 1e6);
                 }
-                None => println!("TOPP: no congestion within the probed range"),
+                None => outln!("TOPP: no congestion within the probed range"),
             }
         }
         "chirp" => {
             let t = target(&args);
             let r = ChirpProbe::default().measure(t.as_ref(), args.seed);
-            println!(
+            outln!(
                 "chirp estimate: {:.3} Mb/s ({} chirps uncongested, {} fully congested)",
                 r.estimate_bps() / 1e6,
                 r.saturated_high,
@@ -396,11 +399,11 @@ fn main() {
             let data = exp.run_columns(Columns::DELAYS);
             let steady = data.steady_mean(args.n / 2);
             let profile = data.mean_profile();
-            println!("steady-state mean access delay: {:.4} ms", steady * 1e3);
-            println!("first-packet mean access delay: {:.4} ms", profile[0] * 1e3);
+            outln!("steady-state mean access delay: {:.4} ms", steady * 1e3);
+            outln!("first-packet mean access delay: {:.4} ms", profile[0] * 1e3);
             for tol in [0.1, 0.01] {
                 let est = data.transient_length(args.n / 2, tol);
-                println!(
+                outln!(
                     "transient length (rel. tol {tol}): {:?} packets",
                     est.first_within.map(|i| i + 1)
                 );

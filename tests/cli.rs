@@ -4,7 +4,7 @@
 //! `CSMAPROBE_WORKERS` or a `serve` worker count outside `1..=1024` is
 //! refused the same way, before any thread starts. A malformed command
 //! line exits 2 with an error line naming what it refuses, then the
-//! usage text.
+//! usage text. An output pipe whose reader has gone costs no exit code.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -60,6 +60,28 @@ fn run_with_workers(workers: Option<&str>, args: &[&str]) -> (Option<i32>, Strin
         .read_to_string(&mut stderr)
         .expect("read stderr");
     (status.and_then(|s| s.code()), stderr)
+}
+
+/// The write end of a pipe whose reader has exited.
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().unwrap();
+    let writer = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    Stdio::from(writer)
+}
+
+#[test]
+fn closed_output_pipes_leave_the_exit_code_alone() {
+    let valid = "train --wired 10 --cross 4 --n 5 --reps 2";
+    for (args, code) in [("--bogus", 2), ("train --n 1", 2), (valid, 0)] {
+        let status = Command::new(env!("CARGO_BIN_EXE_csmaprobe"))
+            .args(args.split(' '))
+            .stdout(closed_pipe())
+            .stderr(closed_pipe())
+            .status()
+            .expect("run csmaprobe");
+        assert_eq!(status.code(), Some(code), "csmaprobe {args}");
+    }
 }
 
 #[test]

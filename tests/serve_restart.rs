@@ -2,6 +2,8 @@
 //! holds. Over one `--out-dir`, the second run refuses a persisted id
 //! (`duplicate_id`) and a persisted cell (`duplicate_cell`), still runs
 //! a new session, and drains to a table that holds each session once.
+//! A daemon whose stdout and stderr readers have gone still serves,
+//! drains and exits 0.
 //!
 //! Each run is a real process stopped with SIGTERM: `serve()` cannot run
 //! twice in one process, because its shutdown flag is process-wide.
@@ -26,8 +28,9 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Start the daemon over `dir` and wait until it listens.
-    fn start(dir: &Path, port_file: &Path) -> Daemon {
+    /// Start the daemon over `dir`, writing its stdout and stderr to
+    /// `out` and `err`, and wait until it listens.
+    fn start(dir: &Path, port_file: &Path, out: Stdio, err: Stdio) -> Daemon {
         let child = Command::new(env!("CARGO_BIN_EXE_csmaprobe"))
             .arg("serve")
             .arg("--out-dir")
@@ -35,8 +38,8 @@ impl Daemon {
             .arg("--port-file")
             .arg(port_file)
             .args(["--workers", "1"])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
+            .stdout(out)
+            .stderr(err)
             .spawn()
             .expect("spawn csmaprobe serve");
         let mut daemon = Daemon {
@@ -106,6 +109,14 @@ impl Drop for Daemon {
     }
 }
 
+/// The write end of a pipe whose reader has exited.
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().unwrap();
+    let writer = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    Stdio::from(writer)
+}
+
 fn submit(id: &str, cell: u64) -> String {
     format!(
         "{{\"op\":\"submit\",\"id\":\"{id}\",\"cell\":{cell},\"link\":\"wired\",\
@@ -130,7 +141,7 @@ fn a_restarted_daemon_refuses_the_ids_and_cells_its_table_holds() {
     std::fs::create_dir_all(&dir).unwrap();
     let drain = "{\"op\":\"drain\"}".to_string();
 
-    let daemon = Daemon::start(&dir, &dir.join("port-1"));
+    let daemon = Daemon::start(&dir, &dir.join("port-1"), Stdio::null(), Stdio::null());
     let replies = daemon.exchange(&[submit("s1", 1), drain.clone()]);
     assert!(replies[0].contains("\"ok\":true"), "{replies:?}");
     assert!(replies[1].contains("\"done\":1"), "{replies:?}");
@@ -138,7 +149,7 @@ fn a_restarted_daemon_refuses_the_ids_and_cells_its_table_holds() {
     let first = table_rows(&dir);
     assert_eq!(first.len(), 1, "{first:?}");
 
-    let daemon = Daemon::start(&dir, &dir.join("port-2"));
+    let daemon = Daemon::start(&dir, &dir.join("port-2"), Stdio::null(), Stdio::null());
     let replies = daemon.exchange(&[submit("s1", 2), submit("s9", 1), submit("s2", 2), drain]);
     assert!(
         replies[0].contains("\"error\":\"duplicate_id\""),
@@ -156,5 +167,19 @@ fn a_restarted_daemon_refuses_the_ids_and_cells_its_table_holds() {
     let keys: Vec<&str> = second.iter().filter_map(|l| row_key(l)).collect();
     assert_eq!(keys, ["s1", "s2"]);
     assert_eq!(second[0], first[0], "run 1's row is kept byte for byte");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_daemon_whose_output_pipes_are_closed_still_serves_and_drains() {
+    let dir = std::env::temp_dir().join(format!("csmaprobe-serve-pipes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = Daemon::start(&dir, &dir.join("port"), closed_pipe(), closed_pipe());
+    let replies = daemon.exchange(&[submit("s1", 1), "{\"op\":\"drain\"}".to_string()]);
+    assert!(replies[0].contains("\"ok\":true"), "{replies:?}");
+    assert!(replies[1].contains("\"done\":1"), "{replies:?}");
+    assert_eq!(daemon.stop(), Some(0), "drains and exits 0");
+    assert_eq!(table_rows(&dir).len(), 1, "its table is written");
     let _ = std::fs::remove_dir_all(&dir);
 }
