@@ -640,19 +640,18 @@ impl WiredLink {
         bytes: u32,
     ) -> TrainObservation {
         let last = arrivals.last().copied().unwrap_or(Time::ZERO);
-        let mut rng = SimRng::new(derive_seed(seed, 0x51ED));
-        let mut cross = PoissonSource::from_bitrate(
+        // The train's cross-traffic has a stream of its own.
+        let cross = PoissonSource::from_bitrate(
             self.cross_rate_bps,
             SizeModel::Fixed(self.cross_bytes),
             Time::ZERO,
             last,
-        );
+        )
+        .into_times(SimRng::new(derive_seed(seed, 0x51ED)));
         let cross_service = self.service_time(self.cross_bytes);
-        let cross_jobs = std::iter::from_fn(|| {
-            cross.next_packet(&mut rng).map(|p| Job {
-                arrival: p.time,
-                service: cross_service,
-            })
+        let cross_jobs = cross.map(|arrival| Job {
+            arrival,
+            service: cross_service,
         });
         let rx_times = probe_departures(&arrivals, self.service_time(bytes), cross_jobs);
         TrainObservation {

@@ -105,8 +105,9 @@ pub fn fifo_serve(jobs: &[Job]) -> Vec<Served> {
 /// A cross job is served only if it arrives strictly before the next
 /// probe: one arriving at a probe's instant queues behind that probe,
 /// and none is served after the last probe, since it cannot delay any
-/// probe. `cross` is pulled at most one job past the last probe, so a
-/// lazily generated cross-traffic stream stays finite.
+/// probe. `cross` is pulled at most one job past the last probe, so it
+/// may be endless. `WiredLink` ends its Poisson stream at the last
+/// probe anyway; that stream draws two gaps ahead of the job it yields.
 ///
 /// Panics if `probes` decreases.
 pub fn probe_departures(

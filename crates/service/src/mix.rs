@@ -32,12 +32,12 @@ impl Default for MixConfig {
         MixConfig {
             // "wired" repeated to weight it 7/8. Per session (32 reps,
             // one pinned CPU of a 2-core x86-64 Xeon, median of 15 seeds
-            // per stratum, then of 5 runs) wired costs ~1.9 ms on
-            // average (train and chirp 0.11-0.17, slops 2.0-2.1, topp
-            // 5.0-5.8 ms) and wlan_low ~2.7 ms (train and chirp
-            // 0.16-0.24, slops 2.6-3.2, topp 6.5-8.5 ms; a WLAN session
+            // per stratum, then of 5 runs) wired costs ~1.1 ms on
+            // average (train and chirp 0.07-0.10, slops 1.07-1.19, topp
+            // 2.7-3.3 ms) and wlan_low ~1.8 ms (train and chirp
+            // 0.11-0.17, slops 1.7-2.1, topp 4.2-5.6 ms; a WLAN session
             // is mostly its replications' single-contender warm-ups), so
-            // wired sessions carry ~83% of the compute.
+            // wired sessions carry ~81% of the compute.
             links: vec![
                 "wired".into(),
                 "wired".into(),

@@ -218,11 +218,75 @@ impl PoissonSource {
         self
     }
 
+    /// The arrival instants of this source on a stream that nothing
+    /// else draws from: the instants repeated [`Source::next_packet`]
+    /// calls with `rng` would return, and no more.
+    ///
+    /// The iterator owns the stream, so it can draw ahead of what it
+    /// yields without moving any other draw. Inside `WlanSim` a
+    /// station's arrivals share their stream with its backoff draws, so
+    /// there the source must be pulled through `next_packet`.
+    pub fn into_times(self, mut rng: SimRng) -> PoissonTimes {
+        let (Some(mean_gap_s), Some(base)) = (self.mean_gap_s, self.next_time) else {
+            return PoissonTimes {
+                rng,
+                mean_gap_s: 0.0,
+                until: self.until,
+                next: Time::MAX,
+                gaps: [Dur::ZERO; 2],
+            };
+        };
+        let mut gap = || Dur::from_secs_f64(rng.exp(mean_gap_s));
+        let next = if self.started { base } else { base + gap() };
+        let gaps = [gap(), gap()];
+        PoissonTimes {
+            rng,
+            mean_gap_s,
+            until: self.until,
+            next,
+            gaps,
+        }
+    }
+
     #[inline]
     fn advance(&mut self, rng: &mut SimRng, from: Time) -> Option<Time> {
         let gap = Dur::from_secs_f64(rng.exp(self.mean_gap_s?));
         let t = from + gap;
         (t < self.until).then_some(t)
+    }
+}
+
+/// The arrival instants of a [`PoissonSource`] that owns its stream
+/// ([`PoissonSource::into_times`]).
+///
+/// It keeps the two gaps after the next instant drawn. The draws are
+/// `next_packet`'s, in its order; the ones made past the last instant
+/// are never seen.
+#[derive(Debug, Clone)]
+pub struct PoissonTimes {
+    rng: SimRng,
+    mean_gap_s: f64,
+    until: Time,
+    /// The next instant; the stream is spent once it reaches `until`.
+    next: Time,
+    gaps: [Dur; 2],
+}
+
+impl Iterator for PoissonTimes {
+    type Item = Time;
+
+    #[inline]
+    fn next(&mut self) -> Option<Time> {
+        let t = self.next;
+        if t >= self.until {
+            return None;
+        }
+        self.next = t + self.gaps[0];
+        self.gaps = [
+            self.gaps[1],
+            Dur::from_secs_f64(self.rng.exp(self.mean_gap_s)),
+        ];
+        Some(t)
     }
 }
 
@@ -530,6 +594,54 @@ mod tests {
         }
         assert!(pkts.iter().all(|p| p.time < until));
         assert!(src.next_packet(&mut rng).is_none());
+    }
+
+    #[test]
+    fn into_times_yields_what_next_packet_yields_and_stops_where_it_stops() {
+        // An endless source is compared over a prefix.
+        const PREFIX: usize = 2_000;
+        let half = Time::from_millis(500);
+        // 1e-9 b/s: a mean gap past the clock, so the source never emits.
+        for rate in [0.0, 1e-9, 2e6, 4e6] {
+            for start in [Time::ZERO, half] {
+                // Before the first arrival, at 0.5 s, and never.
+                for until in [start, half, Time::MAX] {
+                    for seed in [0, 1, 0x51ED, u64::MAX] {
+                        let source = || {
+                            PoissonSource::from_bitrate(rate, SizeModel::Fixed(1500), start, until)
+                        };
+                        let mut rng = SimRng::new(seed);
+                        let mut pulled = source();
+                        let expect: Vec<Time> =
+                            std::iter::from_fn(|| pulled.next_packet(&mut rng).map(|p| p.time))
+                                .take(PREFIX)
+                                .collect();
+                        let endless = expect.len() == PREFIX;
+                        if rate > 1.0 && until == Time::MAX {
+                            assert!(endless, "{rate} b/s from {start:?} ended");
+                        }
+                        // Pull `k` packets first, then hand the source
+                        // and its stream over.
+                        for k in [0, 1, 3] {
+                            let mut rng = SimRng::new(seed);
+                            let mut src = source();
+                            let mut got: Vec<Time> =
+                                std::iter::from_fn(|| src.next_packet(&mut rng).map(|p| p.time))
+                                    .take(k)
+                                    .collect();
+                            let mut times = src.into_times(rng);
+                            got.extend(times.by_ref().take(PREFIX - got.len()));
+                            let case = format!("{rate} b/s on [{start:?}, {until:?}), seed {seed}");
+                            assert_eq!(got, expect, "{case}, {k} pulled first");
+                            if !endless {
+                                assert_eq!(times.next(), None, "{case}");
+                                assert_eq!(times.next(), None, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example airtime_accounting`
 
+use csmaprobe::desim::outln;
 use csmaprobe::desim::time::Time;
 use csmaprobe::mac::{saturated_source, BianchiModel, WlanSim};
 use csmaprobe::phy::Phy;
@@ -11,7 +12,7 @@ use csmaprobe::stats::p2::P2Quantile;
 
 fn main() {
     let phy = Phy::dsss_11mbps();
-    println!("n_stations\tsuccess%\tcollision%\tidle%\tsim_agg_mbps\tbianchi_mbps\tp50_us\tp99_us");
+    outln!("n_stations\tsuccess%\tcollision%\tidle%\tsim_agg_mbps\tbianchi_mbps\tp50_us\tp99_us");
 
     for n in [1usize, 2, 4, 8] {
         let mut sim = WlanSim::new(phy.clone(), n as u64);
@@ -44,7 +45,7 @@ fn main() {
             }
         }
 
-        println!(
+        outln!(
             "{n}\t{success:.1}\t{collision:.1}\t{idle:.1}\t{:.2}\t{:.2}\t{:.0}\t{:.0}",
             agg / 1e6,
             model.throughput_bps / 1e6,
@@ -53,7 +54,7 @@ fn main() {
         );
     }
 
-    println!("\nas contention grows: idle backoff shrinks, collision airtime grows,");
-    println!("the sim agrees with Bianchi, and the access-delay tail (p99) stretches —");
-    println!("the very tail the paper's transient makes short probing trains miss.");
+    outln!("\nas contention grows: idle backoff shrinks, collision airtime grows,");
+    outln!("the sim agrees with Bianchi, and the access-delay tail (p99) stretches —");
+    outln!("the very tail the paper's transient makes short probing trains miss.");
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example packet_pair`
 
 use csmaprobe::core::link::{LinkConfig, WiredLink, WlanLink};
-use csmaprobe::desim::derive_seed;
+use csmaprobe::desim::{derive_seed, outln};
 use csmaprobe::probe::pair::PacketPairProbe;
 use csmaprobe::probe::train::TrainProbe;
 
@@ -14,7 +14,7 @@ fn main() {
     // filter recovers C = 10 Mb/s exactly even under cross-traffic.
     let wired = WiredLink::new(10e6, 5e6);
     let m = PacketPairProbe::new(1500, 200).measure(&wired, 1);
-    println!(
+    outln!(
         "wired link (C = 10 Mb/s, 5 Mb/s cross): pair mean {:.2} Mb/s, min-filter {:.2} Mb/s",
         m.rate_from_mean_bps() / 1e6,
         m.rate_from_min_bps() / 1e6
@@ -22,7 +22,7 @@ fn main() {
 
     // On a WLAN link the pair tracks the achievable throughput instead,
     // and over-estimates it (Fig 16).
-    println!("\ncross_mbps\tfluid_B_mbps\tpair_mbps\tpair_minus_B");
+    outln!("\ncross_mbps\tfluid_B_mbps\tpair_mbps\tpair_minus_B");
     for k in 0..=10 {
         let cross = k as f64 * 1e6;
         let link = if cross > 0.0 {
@@ -37,7 +37,7 @@ fn main() {
         let pair = PacketPairProbe::new(1500, 300)
             .measure(&link, derive_seed(4, k))
             .rate_from_mean_bps();
-        println!(
+        outln!(
             "{:.1}\t{:.3}\t{:.3}\t{:+.3}",
             cross / 1e6,
             fluid / 1e6,
@@ -45,6 +45,6 @@ fn main() {
             (pair - fluid) / 1e6
         );
     }
-    println!("\nthe pair estimate touches the DCF capacity only at zero cross-traffic and");
-    println!("sits above the fluid achievable throughput elsewhere — the §7.3 bias.");
+    outln!("\nthe pair estimate touches the DCF capacity only at zero cross-traffic and");
+    outln!("sits above the fluid achievable throughput elsewhere — the §7.3 bias.");
 }

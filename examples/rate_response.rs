@@ -10,13 +10,13 @@
 
 use csmaprobe::core::link::{LinkConfig, WlanLink};
 use csmaprobe::core::rate_response::achievable_from_curve;
-use csmaprobe::desim::derive_seed;
+use csmaprobe::desim::{derive_seed, outln};
 use csmaprobe::probe::train::TrainProbe;
 
 /// Print the table and return the steady-state `(ri, ro)` curve.
 fn sweep(link: &WlanLink, label: &str) -> Vec<(f64, f64)> {
-    println!("## {label}");
-    println!("ri_mbps\tsteady\ttrain3\ttrain10\ttrain50");
+    outln!("## {label}");
+    outln!("ri_mbps\tsteady\ttrain3\ttrain10\ttrain50");
     let mut curve = Vec::new();
     for k in 1..=10 {
         let ri = k as f64 * 1e6;
@@ -32,7 +32,7 @@ fn sweep(link: &WlanLink, label: &str) -> Vec<(f64, f64)> {
             );
             row += &format!("\t{:.3}", m.output_rate_bps() / 1e6);
         }
-        println!("{row}");
+        outln!("{row}");
         curve.push((ri, steady));
     }
     curve
@@ -44,7 +44,7 @@ fn main() {
     let steady = sweep(&contention_only, "no FIFO cross-traffic (Fig 13 scenario)");
 
     // The eq (2) achievable throughput from the steady-state column.
-    println!(
+    outln!(
         "# achievable throughput B (eq 2, 5% tolerance): {:.2} Mb/s\n",
         achievable_from_curve(&steady, 0.05) / 1e6
     );
@@ -56,5 +56,5 @@ fn main() {
             .fifo_cross_bps(1.5e6),
     );
     sweep(&complete, "with FIFO cross-traffic (Fig 15 scenario)");
-    println!("# note the knee below the no-FIFO case: B = Bf(1 - u_fifo), eq (5)");
+    outln!("# note the knee below the no-FIFO case: B = Bf(1 - u_fifo), eq (5)");
 }

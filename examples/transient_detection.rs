@@ -7,6 +7,7 @@
 
 use csmaprobe::core::link::{LinkConfig, WlanLink};
 use csmaprobe::core::transient::{Columns, TransientExperiment};
+use csmaprobe::desim::outln;
 use csmaprobe::traffic::probe::ProbeTrain;
 
 fn main() {
@@ -18,7 +19,7 @@ fn main() {
         reps: 1500,
         seed: 0x715A,
     };
-    println!("running {} replications of a 300-packet train...", exp.reps);
+    outln!("running {} replications of a 300-packet train...", exp.reps);
     // Dense mode: the KS profile below needs raw per-index samples.
     // (`exp.run()` gives the O(train-length) streaming summary when
     // only mean profiles are needed.) Besides the delays this example
@@ -33,17 +34,17 @@ fn main() {
 
     let profile = data.mean_profile();
     let steady = data.steady_mean(150);
-    println!("\npacket\tmean access delay (ms)");
+    outln!("\npacket\tmean access delay (ms)");
     for i in [0, 1, 2, 4, 9, 19, 49, 99, 149] {
-        println!("{}\t{:.4}", i + 1, profile[i] * 1e3);
+        outln!("{}\t{:.4}", i + 1, profile[i] * 1e3);
     }
-    println!("steady\t{:.4}", steady * 1e3);
+    outln!("steady\t{:.4}", steady * 1e3);
 
     // KS profile: how many packets until the per-index distribution is
     // indistinguishable from steady state (95%)?
     let ks = data.ks_profile(150, 0.05);
     let first_accept = ks.iter().position(|o| !o.reject);
-    println!(
+    outln!(
         "\nKS: packet 1 statistic {:.4} (threshold {:.4}); first accepted index: {:?}",
         ks[0].statistic,
         ks[0].threshold,
@@ -53,7 +54,7 @@ fn main() {
     // The §4.1 transient length at the paper's two tolerances.
     for tol in [0.1, 0.01] {
         let est = data.transient_length(150, tol);
-        println!(
+        outln!(
             "transient length at tolerance {tol}: {:?} packets (sustained: {:?})",
             est.first_within.map(|i| i + 1),
             est.first_sustained.map(|i| i + 1)
@@ -62,10 +63,11 @@ fn main() {
 
     // The contending station's queue builds up over the same horizon.
     let q = data.queue_profile();
-    println!(
+    outln!(
         "\ncontending queue at probe packet 1: {:.2} pkts; at packet 100: {:.2} pkts",
-        q[0], q[99]
+        q[0],
+        q[99]
     );
-    println!("\nconsequence: the first packets of a probing train are biased samples —");
-    println!("see examples/mser_truncation.rs for the warm-up-removal fix.");
+    outln!("\nconsequence: the first packets of a probing train are biased samples —");
+    outln!("see examples/mser_truncation.rs for the warm-up-removal fix.");
 }

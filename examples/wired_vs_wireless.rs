@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example wired_vs_wireless`
 
 use csmaprobe::core::link::{LinkConfig, WiredLink, WlanLink};
+use csmaprobe::desim::outln;
 use csmaprobe::mac::measured_standalone_capacity_bps;
 use csmaprobe::phy::Phy;
 use csmaprobe::probe::slops::SlopsEstimator;
@@ -21,7 +22,7 @@ fn main() {
     // Wired: C = 10 Mb/s, 4 Mb/s cross ⇒ A = 6 Mb/s. The tool finds A.
     let wired = WiredLink::new(10e6, 4e6);
     let wired_result = tool.run(&wired, 31);
-    println!(
+    outln!(
         "wired FIFO link:   true A = {:.2} Mb/s, tool estimate = {:.2} Mb/s",
         wired.available_bps() / 1e6,
         wired_result.estimate_bps / 1e6
@@ -36,20 +37,20 @@ fn main() {
         .measure(&wlan, 6, 33)
         .output_rate_bps();
     let wlan_result = tool.run(&wlan, 35);
-    println!(
+    outln!(
         "CSMA/CA link:      C = {:.2}, A = {:.2}, fair share B = {:.2} Mb/s",
         c / 1e6,
         (c - 4.5e6) / 1e6,
         b / 1e6
     );
-    println!(
+    outln!(
         "                   tool estimate = {:.2} Mb/s  <-- lands on B, not A",
         wlan_result.estimate_bps / 1e6
     );
 
-    println!("\nsearch trace (rate probed -> ro/ri -> congested?):");
+    outln!("\nsearch trace (rate probed -> ro/ri -> congested?):");
     for (rate, ratio, congested) in &wlan_result.trace {
-        println!(
+        outln!(
             "  {:>6.2} Mb/s -> {:.3} -> {}",
             rate / 1e6,
             ratio,

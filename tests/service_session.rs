@@ -8,7 +8,9 @@
 //! batch of that length.
 //!
 //! The `service-smoke` CI job proves the same thing end-to-end over TCP
-//! by byte-comparing finalized session tables.
+//! by byte-comparing finalized session tables. Both compare the daemon
+//! with one-shot results of the same build, so those results are pinned
+//! here by a frozen fingerprint.
 
 use csmaprobe::desim::executor;
 use csmaprobe::desim::replicate::CHUNK;
@@ -40,6 +42,14 @@ fn key_bits(acc: &SessionAcc) -> (u64, u64, u64, u64, u64, usize) {
         acc.p95.value().to_bits(),
         acc.failed,
     )
+}
+
+/// FNV-1a fold of one 64-bit word.
+fn fold(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
 }
 
 /// A catalog session; `i` keeps ids and cells clear of the mix's.
@@ -77,6 +87,17 @@ fn resident_sessions_match_one_shot_bitwise_for_any_worker_count() {
     // One-shot references, computed under the default worker limit —
     // run_reduce's own contract makes them worker-count independent.
     let references: Vec<_> = specs.iter().map(one_shot).collect();
+
+    // Frozen (see the module doc). A deterministic drift in any tool's
+    // result on either link passes the comparisons below but not this.
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for reference in &references {
+        let (count, mean, sd, p50, p95, failed) = key_bits(reference);
+        for x in [count, mean, sd, p50, p95, failed as u64] {
+            fold(&mut h, x);
+        }
+    }
+    assert_eq!(h, 0x53e3_8f15_bf87_2fed, "one-shot fingerprint {h:#018x}");
 
     for workers in [1usize, 4, 8] {
         executor::set_worker_limit(workers);
